@@ -2,8 +2,7 @@
 
 Data outputs are plain CSV (or LP text) with no timestamps, so identical
 inputs give byte-identical outputs. Exit codes: 0 success, 1 validation
-or model error, 2 usage error. ``QRES_THREADS`` caps the number of worker
-threads used to solve independent triples.
+or model error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -11,10 +10,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import random
 import sys
 from decimal import Decimal
+from itertools import pairwise
 from pathlib import Path
 
 from .extform import LpParseError, build_extensive_form, render_lp
@@ -33,7 +32,6 @@ from .solver import (
     TripleKey,
     brute_force_triple,
     expected_cost,
-    per_triple_costs,
     solve_instance,
 )
 from .sweep import (
@@ -87,9 +85,9 @@ def _min_wait_gap(instance: Instance) -> int:
     gaps = [
         b - a
         for waits in instance.wait_sets.values()
-        for a, b in zip(waits, sorted(waits)[1:])
+        for a, b in pairwise(sorted(waits))
+        if b > a
     ]
-    gaps = [g for g in gaps if g > 0]
     if not gaps:
         raise UsageError("no wait-set gap to derive a step from; pass lo:hi:step")
     return min(gaps)
@@ -102,17 +100,8 @@ def _write_output(text: str, path: str | None) -> None:
         write_atomic(path, text)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("QRES_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"QRES_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, value)
-
-
-def _solution_csv(instance: Instance, solution: Solution) -> str:
-    rows = per_triple_costs(instance, solution.reservations)
+def _solution_csv(solution: Solution) -> str:
+    rows = solution.per_triple
     lines = [
         "circuit_id,provider_id,machine_id,reserved,"
         "first_stage,second_stage,penalty,total"
@@ -134,8 +123,8 @@ def _solution_csv(instance: Instance, solution: Solution) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _solution_table(instance: Instance, solution: Solution) -> str:
-    text = _solution_csv(instance, solution)
+def _solution_table(solution: Solution) -> str:
+    text = _solution_csv(solution)
     grid = [line.split(",") for line in text.strip().splitlines()]
     widths = [max(len(row[i]) for row in grid) for i in range(len(grid[0]))]
     out = []
@@ -164,8 +153,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _verify_solution(instance: Instance, solution: Solution, seed: int | None) -> None:
     """Re-derive every reservation by brute force; raise on any mismatch."""
-    rows = per_triple_costs(instance, solution.reservations)
-    for row in rows:
+    for row in solution.per_triple:
         key = row.key
         rates = instance.rate(key.circuit_id, key.provider_id)
         machine = instance.machine(key.provider_id, key.machine_id)
@@ -203,13 +191,13 @@ def _verify_solution(instance: Instance, solution: Solution, seed: int | None) -
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = _load(args.instance)
-    solution = solve_instance(instance, max_workers=_thread_count())
+    solution = solve_instance(instance)
     if args.oracle:
         _verify_solution(instance, solution, args.seed)
         if args.verbose:
             print("oracle: brute force agrees on every triple", file=sys.stderr)
     render = _solution_table if args.human else _solution_csv
-    _write_output(render(instance, solution), args.output)
+    _write_output(render(solution), args.output)
     return 0
 
 
@@ -236,7 +224,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                 ) from exc
     solution = expected_cost(instance, reservations)
     render = _solution_table if args.human else _solution_csv
-    _write_output(render(instance, solution), args.output)
+    _write_output(render(solution), args.output)
     return 0
 
 

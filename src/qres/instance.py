@@ -91,6 +91,14 @@ class Instance:
     wait_sets: dict[str, tuple[int, ...]]  # circuit_id -> microseconds
     demand_probs: dict[str, tuple[float, ...]] = field(default_factory=dict)
     wait_probs: dict[str, tuple[float, ...]] = field(default_factory=dict)
+    _machines_by_key: dict[tuple[str, str], Machine] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        # Reversed so that, like a scan, a duplicate key finds its first entry.
+        index = {(m.provider_id, m.machine_id): m for m in reversed(self.machines)}
+        object.__setattr__(self, "_machines_by_key", index)
 
     def circuit_ids(self) -> tuple[str, ...]:
         return tuple(c.circuit_id for c in self.circuits)
@@ -105,10 +113,10 @@ class Instance:
         return sorted(keys)
 
     def machine(self, provider_id: str, machine_id: str) -> Machine:
-        for m in self.machines:
-            if (m.provider_id, m.machine_id) == (provider_id, machine_id):
-                return m
-        raise KeyError(f"unknown machine {provider_id}/{machine_id}")
+        try:
+            return self._machines_by_key[(provider_id, machine_id)]
+        except KeyError:
+            raise KeyError(f"unknown machine {provider_id}/{machine_id}") from None
 
     def rate(self, circuit_id: str, provider_id: str) -> CostRates:
         return self.rates[(circuit_id, provider_id)]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .instance import PROB_TOLERANCE, Instance
 
@@ -59,7 +59,7 @@ def _uniform_exact(n: int) -> tuple[Fraction, ...]:
 
 
 def _checked_probs(
-    probs: tuple[float, ...] | None, n: int, what: str
+    probs: Iterable[float] | None, n: int, what: str
 ) -> tuple[Fraction, ...]:
     if probs is None:
         return _uniform_exact(n)
@@ -74,6 +74,69 @@ def _checked_probs(
     return tuple(Fraction(p) for p in probs)
 
 
+class Marginals(NamedTuple):
+    """Checked demand and wait outcomes of one circuit, exact probabilities."""
+
+    circuit_id: str
+    demands: tuple[int, ...]
+    demand_probs: tuple[Fraction, ...]
+    waits: tuple[int, ...]  # microseconds
+    wait_probs: tuple[Fraction, ...]
+
+
+def marginals(
+    circuit_id: str,
+    demand_set: Iterable[int],
+    wait_set: Iterable[int],
+    demand_probs: Iterable[float] | None = None,
+    wait_probs: Iterable[float] | None = None,
+) -> Marginals:
+    """Validate one circuit's marginals and attach their exact probabilities."""
+    demands = tuple(demand_set)
+    waits = tuple(wait_set)
+    if not demands:
+        raise ScenarioError(f"{circuit_id}: empty demand set")
+    if not waits:
+        raise ScenarioError(f"{circuit_id}: empty wait set")
+    return Marginals(
+        circuit_id,
+        demands,
+        _checked_probs(demand_probs, len(demands), f"{circuit_id} demand_probs"),
+        waits,
+        _checked_probs(wait_probs, len(waits), f"{circuit_id} wait_probs"),
+    )
+
+
+def circuit_marginals(instance: Instance, circuit_id: str) -> Marginals:
+    """The marginals of one circuit of an instance."""
+    if circuit_id not in instance.demand_sets:
+        raise ScenarioError(f"unknown circuit '{circuit_id}'")
+    return marginals(
+        circuit_id,
+        instance.demand_sets[circuit_id],
+        instance.wait_sets[circuit_id],
+        instance.demand_probs.get(circuit_id),
+        instance.wait_probs.get(circuit_id),
+    )
+
+
+def _product_space(m: Marginals) -> ScenarioSpace:
+    scenarios = []
+    exact = []
+    index = 0
+    for beta, pd in zip(m.demands, m.demand_probs):
+        for alpha, pw in zip(m.waits, m.wait_probs):
+            scenarios.append(Scenario(demand_qubits=beta, wait_time=alpha, index=index))
+            exact.append(pd * pw)
+            index += 1
+    return ScenarioSpace(
+        circuit_id=m.circuit_id,
+        scenarios=tuple(scenarios),
+        probabilities=tuple(float(p) for p in exact),
+        exact_probabilities=tuple(exact),
+    )
+
+
 def build_space(
     circuit_id: str,
     demand_set: Iterable[int],
@@ -82,49 +145,14 @@ def build_space(
     wait_probs: Iterable[float] | None = None,
 ) -> ScenarioSpace:
     """Product space of demand x wait outcomes with product probabilities."""
-    demands = tuple(demand_set)
-    waits = tuple(wait_set)
-    if not demands:
-        raise ScenarioError(f"{circuit_id}: empty demand set")
-    if not waits:
-        raise ScenarioError(f"{circuit_id}: empty wait set")
-    d_probs = _checked_probs(
-        tuple(demand_probs) if demand_probs is not None else None,
-        len(demands),
-        f"{circuit_id} demand_probs",
-    )
-    w_probs = _checked_probs(
-        tuple(wait_probs) if wait_probs is not None else None,
-        len(waits),
-        f"{circuit_id} wait_probs",
-    )
-    scenarios = []
-    exact = []
-    index = 0
-    for beta, pd in zip(demands, d_probs):
-        for alpha, pw in zip(waits, w_probs):
-            scenarios.append(Scenario(demand_qubits=beta, wait_time=alpha, index=index))
-            exact.append(pd * pw)
-            index += 1
-    return ScenarioSpace(
-        circuit_id=circuit_id,
-        scenarios=tuple(scenarios),
-        probabilities=tuple(float(p) for p in exact),
-        exact_probabilities=tuple(exact),
+    return _product_space(
+        marginals(circuit_id, demand_set, wait_set, demand_probs, wait_probs)
     )
 
 
 def space_for_circuit(instance: Instance, circuit_id: str) -> ScenarioSpace:
     """Build the scenario space of one circuit of an instance."""
-    if circuit_id not in instance.demand_sets:
-        raise ScenarioError(f"unknown circuit '{circuit_id}'")
-    return build_space(
-        circuit_id,
-        instance.demand_sets[circuit_id],
-        instance.wait_sets[circuit_id],
-        instance.demand_probs.get(circuit_id),
-        instance.wait_probs.get(circuit_id),
-    )
+    return _product_space(circuit_marginals(instance, circuit_id))
 
 
 def expectation(space: ScenarioSpace, f: Callable[[Scenario], float]) -> float:

@@ -1,31 +1,49 @@
-"""Exact two-stage solver and its verification oracles.
+"""Exact two-stage solver: a marginal kernel plus the oracles that check it.
 
 No constraint couples two (circuit, provider, machine) triples: every
 machine must cover the circuit's full demand in every scenario, and each
 reservation is paid independently. The problem therefore decomposes into
-one newsvendor-style subproblem per triple, solved exactly by marginal
-analysis: reserve the x-th qubit while the expected on-demand saving
-(on_demand - utilize) * Pr(demand >= x) strictly exceeds the reservation
-rate. The over-wait penalty never depends on any decision, so it is
-excluded from the argmin and added back to every reported cost.
+one newsvendor problem per triple, and each needs only its circuit's
+demand and wait marginals.
 
-All expectations are exact rationals (see :mod:`qres.units`), so the
-solver, the brute-force scan, and the joint enumeration oracle can be
-compared with ``==``.
+The kernel gives every answer. It builds one :class:`CircuitTable` per
+circuit: the distinct demand levels, the survival ``Pr(demand >= level)``,
+the expected demand at or above each level, and the grouped wait masses.
+Masses are product-space sums (``p_d * sum(p_w)`` and ``p_w * sum(p_d)``),
+so they equal the scenario sums exactly even when the parsed
+probabilities do not sum to exactly 1. The level reserves the x-th qubit
+while the saving (on_demand - utilize) * Pr(demand >= x) strictly exceeds
+the reservation rate; survival is constant between two demand levels, so
+the search steps level by level. Costs come from closed forms over the
+same table. The over-wait penalty never depends on any decision, so it
+is excluded from the argmin and added back to every reported cost.
+
+The scenario route prices every (demand, wait) scenario through
+:func:`~qres.recourse.optimal_recourse`. It is the oracle:
+:func:`brute_force_triple`, ``expected_cost(..., keep_per_scenario=True)``
+and ``qres solve --oracle`` use it, and the tests compare it with the
+kernel. All expectations are exact rationals (see :mod:`qres.units`), so
+the routes are compared with ``==``.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .instance import CostRates, Instance
-from .recourse import RecourseDecision, optimal_recourse, penalty_cost
-from .scenarios import ScenarioSpace, build_space, space_for_circuit
+from .recourse import RecourseDecision, optimal_recourse, penalty_cost, penalty_time
+from .scenarios import (
+    Marginals,
+    ScenarioSpace,
+    build_space,
+    circuit_marginals,
+    marginals,
+    space_for_circuit,
+)
 
 BRUTE_FORCE_CAPACITY_GUARD = 10**4
 JOINT_ENUMERATION_GUARD = 10**6
@@ -50,23 +68,6 @@ class TripleKey(NamedTuple):
 
 
 @dataclass(frozen=True)
-class Solution:
-    """Reservation levels plus the exact expected cost decomposition.
-
-    ``expected_second_stage`` is the qubit part (utilization + on-demand)
-    only; the over-wait penalty is reported separately and
-    ``expected_total`` is the exact sum of the three parts.
-    """
-
-    reservations: dict[TripleKey, int]
-    expected_first_stage: Fraction
-    expected_second_stage: Fraction
-    expected_penalty: Fraction
-    expected_total: Fraction
-    per_scenario: dict[tuple[TripleKey, int], RecourseDecision] | None = None
-
-
-@dataclass(frozen=True)
 class TripleCost:
     key: TripleKey
     reserved: int
@@ -77,6 +78,255 @@ class TripleCost:
     @property
     def total(self) -> Fraction:
         return self.first_stage + self.second_stage + self.penalty
+
+
+@dataclass(frozen=True)
+class Solution:
+    """Reservation levels plus the exact expected cost decomposition.
+
+    ``expected_second_stage`` is the qubit part (utilization + on-demand)
+    only; the over-wait penalty is reported separately and
+    ``expected_total`` is the exact sum of the three parts. ``per_triple``
+    holds the priced rows, in triple order, that the totals add up.
+    """
+
+    reservations: dict[TripleKey, int]
+    expected_first_stage: Fraction
+    expected_second_stage: Fraction
+    expected_penalty: Fraction
+    expected_total: Fraction
+    per_triple: tuple[TripleCost, ...]
+    per_scenario: dict[tuple[TripleKey, int], RecourseDecision] | None = None
+
+
+# --- the marginal kernel -----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CircuitTable:
+    """One circuit's demand and wait marginals, as product-space sums.
+
+    ``levels`` are the distinct demand values in ascending order.
+    ``survival[i]`` is Pr(demand >= levels[i]) and ``demand_above[i]`` is
+    E[demand; demand >= levels[i]]; both end with a 0 entry for "above
+    the largest level". ``waits`` pairs each distinct wait time with its
+    mass.
+    """
+
+    levels: tuple[int, ...]
+    survival: tuple[Fraction, ...]
+    demand_above: tuple[Fraction, ...]
+    waits: tuple[tuple[int, Fraction], ...]
+
+    def level(self, rates: CostRates, capacity: int) -> int:
+        """Marginal analysis: largest level whose last unit strictly pays off.
+
+        The x-th reserved unit saves (on_demand - utilize) * Pr(demand >= x)
+        and costs the reservation rate. Survival is constant on
+        (levels[i-1], levels[i]] and non-increasing, so the first unit of
+        each run decides the whole run and the scan stops at the first run
+        that does not strictly improve. Resolving the zero-benefit tie
+        downward matches the brute-force scan's smallest-argmin convention.
+        """
+        if capacity < 0:
+            raise CapacityError(f"capacity must be non-negative, got {capacity}")
+        margin = rates.on_demand_per_qubit - rates.utilize_per_qubit
+        if margin <= 0 or capacity == 0:
+            return 0
+        best = 0
+        for top, survival in zip(self.levels, self.survival):
+            if top < 1:  # no unit x >= 1 lies in this run
+                continue
+            if not margin * survival > rates.reserve_per_qubit:
+                return best
+            if top >= capacity:
+                return capacity
+            best = top
+        # Above the largest level the survival is 0.
+        return capacity if rates.reserve_per_qubit < 0 else best
+
+    def qubit_cost(self, rates: CostRates, reserved: int) -> Fraction:
+        """Expected utilization plus on-demand cost at a reservation level."""
+        if rates.utilize_per_qubit > rates.on_demand_per_qubit:
+            return rates.on_demand_per_qubit * self.demand_above[0]
+        i = bisect.bisect_left(self.levels, reserved)
+        covered = reserved * self.survival[i]  # E[reserved; demand >= reserved]
+        above = self.demand_above[i]
+        utilized = self.demand_above[0] - above + covered  # E[min(reserved, demand)]
+        return (
+            rates.utilize_per_qubit * utilized
+            + rates.on_demand_per_qubit * (above - covered)
+        )
+
+    def penalty(self, rates: CostRates, exec_time: int) -> Fraction:
+        """Expected over-wait penalty; it does not depend on the level."""
+        return sum(
+            (
+                mass
+                * penalty_cost(rates.penalty_per_second, penalty_time(exec_time, wait))
+                for wait, mass in self.waits
+            ),
+            Fraction(0),
+        )
+
+
+def _table(m: Marginals) -> CircuitTable:
+    # mass(d) = p_d * sum(p_w) is exactly the sum of p_d * p_w over the
+    # scenarios with demand d, whatever the probabilities sum to.
+    wait_total = sum(m.wait_probs, Fraction(0))
+    demand_total = sum(m.demand_probs, Fraction(0))
+    demand_mass: dict[int, Fraction] = {}
+    for beta, p in zip(m.demands, m.demand_probs):
+        demand_mass[beta] = demand_mass.get(beta, Fraction(0)) + p * wait_total
+    wait_mass: dict[int, Fraction] = {}
+    for wait, p in zip(m.waits, m.wait_probs):
+        wait_mass[wait] = wait_mass.get(wait, Fraction(0)) + p * demand_total
+    levels = sorted(demand_mass)
+    survival = [Fraction(0)] * (len(levels) + 1)
+    demand_above = [Fraction(0)] * (len(levels) + 1)
+    for i in range(len(levels) - 1, -1, -1):
+        mass = demand_mass[levels[i]]
+        survival[i] = survival[i + 1] + mass
+        demand_above[i] = demand_above[i + 1] + mass * levels[i]
+    return CircuitTable(
+        levels=tuple(levels),
+        survival=tuple(survival),
+        demand_above=tuple(demand_above),
+        waits=tuple(sorted(wait_mass.items())),
+    )
+
+
+def circuit_tables(instance: Instance) -> dict[str, CircuitTable]:
+    """The kernel table of every circuit that has a triple."""
+    return {
+        cid: _table(circuit_marginals(instance, cid))
+        for cid in dict.fromkeys(cid for cid, _, _ in instance.triples())
+    }
+
+
+def _checked_levels(
+    instance: Instance, reservations: Mapping[tuple[str, str, str], int]
+) -> list[tuple[TripleKey, int]]:
+    triples = [TripleKey(*key) for key in instance.triples()]
+    missing = [key for key in triples if key not in reservations]
+    if missing:
+        raise ModelError(f"no reservation for triples: {missing}")
+    extra = set(reservations) - set(triples)
+    if extra:
+        raise ModelError(f"reservations for unknown triples: {sorted(extra)}")
+    out = []
+    for key in triples:
+        reserved = reservations[key]
+        capacity = instance.machine(key.provider_id, key.machine_id).capacity_qubits
+        if reserved < 0 or reserved > capacity:
+            raise CapacityError(
+                f"reservation {reserved} for {key} outside [0, {capacity}]"
+            )
+        out.append((key, reserved))
+    return out
+
+
+def _kernel_costs(
+    instance: Instance,
+    tables: Mapping[str, CircuitTable],
+    reservations: Mapping[tuple[str, str, str], int],
+) -> list[TripleCost]:
+    rows = []
+    for key, reserved in _checked_levels(instance, reservations):
+        table = tables[key.circuit_id]
+        rates = instance.rate(key.circuit_id, key.provider_id)
+        rows.append(
+            TripleCost(
+                key=key,
+                reserved=reserved,
+                first_stage=Fraction(rates.reserve_per_qubit * reserved),
+                second_stage=table.qubit_cost(rates, reserved),
+                penalty=table.penalty(rates, instance.exec_time(*key)),
+            )
+        )
+    return rows
+
+
+def _solution(
+    rows: Iterable[TripleCost],
+    per_scenario: dict[tuple[TripleKey, int], RecourseDecision] | None = None,
+) -> Solution:
+    rows = tuple(rows)
+    first = sum((row.first_stage for row in rows), Fraction(0))
+    second = sum((row.second_stage for row in rows), Fraction(0))
+    penalty = sum((row.penalty for row in rows), Fraction(0))
+    return Solution(
+        reservations={row.key: row.reserved for row in rows},
+        expected_first_stage=first,
+        expected_second_stage=second,
+        expected_penalty=penalty,
+        expected_total=first + second + penalty,
+        per_triple=rows,
+        per_scenario=per_scenario,
+    )
+
+
+def per_triple_costs(
+    instance: Instance, reservations: Mapping[tuple[str, str, str], int]
+) -> list[TripleCost]:
+    """Exact cost decomposition of a reservation vector, priced by the kernel.
+
+    The vector must assign a level to every triple of the instance and
+    respect each machine's capacity.
+    """
+    return _kernel_costs(instance, circuit_tables(instance), reservations)
+
+
+def expected_cost(
+    instance: Instance,
+    reservations: Mapping[tuple[str, str, str], int],
+    *,
+    keep_per_scenario: bool = False,
+) -> Solution:
+    """Exact expected cost of a given reservation vector.
+
+    With ``keep_per_scenario`` the vector is priced on the scenario route
+    instead of the kernel, and every scenario's recourse decision is kept.
+    """
+    if not keep_per_scenario:
+        return _solution(per_triple_costs(instance, reservations))
+    per_scenario: dict[tuple[TripleKey, int], RecourseDecision] = {}
+    rows = _scenario_costs(instance, reservations, per_scenario)
+    return _solution(rows, per_scenario)
+
+
+def solve_triple(
+    rates: CostRates,
+    demand_set,
+    wait_set,
+    exec_time: int,
+    capacity: int,
+    demand_probs=None,
+    wait_probs=None,
+) -> tuple[int, Fraction]:
+    """Optimal reservation level and exact expected cost for one triple."""
+    table = _table(marginals("triple", demand_set, wait_set, demand_probs, wait_probs))
+    best = table.level(rates, capacity)
+    total = (
+        Fraction(rates.reserve_per_qubit * best)
+        + table.qubit_cost(rates, best)
+        + table.penalty(rates, exec_time)
+    )
+    return best, total
+
+
+def solve_instance(instance: Instance) -> Solution:
+    """Globally optimal reservations: one independent newsvendor per triple."""
+    tables = circuit_tables(instance)
+    levels = {}
+    for cid, pid, mid in instance.triples():
+        levels[TripleKey(cid, pid, mid)] = tables[cid].level(
+            instance.rate(cid, pid), instance.machine(pid, mid).capacity_qubits
+        )
+    return _solution(_kernel_costs(instance, tables, levels))
+
+
+# --- the scenario route: oracles ---------------------------------------------
 
 
 def _exact_probs(space: ScenarioSpace) -> list[Fraction]:
@@ -93,8 +343,8 @@ def _recourse_expectation(
 ) -> tuple[Fraction, Fraction]:
     """Scenario-by-scenario expectation of the optimal recourse.
 
-    Returns (qubit cost, penalty cost) in micro-dollars. This is the plain
-    evaluation path used by ``expected_cost`` and the brute-force oracle.
+    Returns (qubit cost, penalty cost) in micro-dollars. This is the
+    oracle's evaluation path, independent of the kernel's closed forms.
     """
     second = Fraction(0)
     penalty = Fraction(0)
@@ -110,93 +360,25 @@ def _recourse_expectation(
     return second, penalty
 
 
-def _grouped_expectation(
-    space: ScenarioSpace,
-    probs: list[Fraction],
-    rates: CostRates,
-    exec_time: int,
-    reserved: int,
-) -> tuple[Fraction, Fraction]:
-    """Closed-form expectation, grouped by demand and by wait value.
-
-    Exactly equal to :func:`_recourse_expectation` (rational addition is
-    order-independent) but independent of the recourse code path; the
-    solver uses this one so the acceptance suite compares two routes.
-    """
-    demand_mass: dict[int, Fraction] = {}
-    wait_mass: dict[int, Fraction] = {}
-    for scenario, fp in zip(space.scenarios, probs):
-        key = scenario.demand_qubits
-        demand_mass[key] = demand_mass.get(key, Fraction(0)) + fp
-        wkey = scenario.wait_time
-        wait_mass[wkey] = wait_mass.get(wkey, Fraction(0)) + fp
-
-    utilize = rates.utilize_per_qubit
-    on_demand = rates.on_demand_per_qubit
-    second = Fraction(0)
-    for beta, mass in demand_mass.items():
-        if utilize <= on_demand:
-            cost = utilize * min(reserved, beta) + on_demand * max(0, beta - reserved)
-        else:
-            cost = on_demand * beta
-        second += mass * cost
-
-    penalty = Fraction(0)
-    for wait, mass in wait_mass.items():
-        penalty += mass * penalty_cost(
-            rates.penalty_per_second, max(0, exec_time - wait)
-        )
-    return second, penalty
-
-
-def per_triple_costs(
+def _scenario_costs(
     instance: Instance,
     reservations: Mapping[tuple[str, str, str], int],
-    *,
-    collect_scenarios: dict[tuple[TripleKey, int], RecourseDecision] | None = None,
+    collect: dict[tuple[TripleKey, int], RecourseDecision],
 ) -> list[TripleCost]:
-    """Exact cost decomposition of a reservation vector, one row per triple.
-
-    The vector must assign a level to every triple of the instance and
-    respect each machine's capacity.
-    """
-    triples = [TripleKey(*key) for key in instance.triples()]
-    missing = [key for key in triples if key not in reservations]
-    if missing:
-        raise ModelError(f"no reservation for triples: {missing}")
-    extra = set(reservations) - set(triples)
-    if extra:
-        raise ModelError(f"reservations for unknown triples: {sorted(extra)}")
-
-    spaces: dict[str, ScenarioSpace] = {}
-    probs: dict[str, list[Fraction]] = {}
+    spaces: dict[str, tuple[ScenarioSpace, list[Fraction]]] = {}
     rows = []
-    for key in triples:
-        reserved = reservations[key]
-        capacity = instance.machine(key.provider_id, key.machine_id).capacity_qubits
-        if reserved < 0 or reserved > capacity:
-            raise CapacityError(
-                f"reservation {reserved} for {key} outside [0, {capacity}]"
-            )
+    for key, reserved in _checked_levels(instance, reservations):
         if key.circuit_id not in spaces:
-            spaces[key.circuit_id] = space_for_circuit(instance, key.circuit_id)
-            probs[key.circuit_id] = _exact_probs(spaces[key.circuit_id])
+            space = space_for_circuit(instance, key.circuit_id)
+            spaces[key.circuit_id] = (space, _exact_probs(space))
+        space, probs = spaces[key.circuit_id]
         rates = instance.rate(key.circuit_id, key.provider_id)
-        exec_time = instance.exec_time(*key)
-        collector: dict[int, RecourseDecision] | None = None
-        if collect_scenarios is not None:
-            collector = {}
+        decisions: dict[int, RecourseDecision] = {}
         second, penalty = _recourse_expectation(
-            spaces[key.circuit_id],
-            probs[key.circuit_id],
-            rates,
-            exec_time,
-            reserved,
-            collect=collector,
+            space, probs, rates, instance.exec_time(*key), reserved, decisions
         )
-        if collect_scenarios is not None and collector is not None:
-            for index, decision in collector.items():
-                collect_scenarios[(key, index)] = decision
+        for index, decision in decisions.items():
+            collect[(key, index)] = decision
         rows.append(
             TripleCost(
                 key=key,
@@ -207,89 +389,6 @@ def per_triple_costs(
             )
         )
     return rows
-
-
-def expected_cost(
-    instance: Instance,
-    reservations: Mapping[tuple[str, str, str], int],
-    *,
-    keep_per_scenario: bool = False,
-) -> Solution:
-    """Exact expected cost of a given reservation vector."""
-    per_scenario: dict[tuple[TripleKey, int], RecourseDecision] | None = None
-    if keep_per_scenario:
-        per_scenario = {}
-    rows = per_triple_costs(instance, reservations, collect_scenarios=per_scenario)
-    first = sum((row.first_stage for row in rows), Fraction(0))
-    second = sum((row.second_stage for row in rows), Fraction(0))
-    penalty = sum((row.penalty for row in rows), Fraction(0))
-    return Solution(
-        reservations={row.key: row.reserved for row in rows},
-        expected_first_stage=first,
-        expected_second_stage=second,
-        expected_penalty=penalty,
-        expected_total=first + second + penalty,
-        per_scenario=per_scenario,
-    )
-
-
-def _optimal_reservation(
-    space: ScenarioSpace, probs: list[Fraction], rates: CostRates, capacity: int
-) -> int:
-    """Marginal analysis: largest level whose last unit strictly pays off.
-
-    The x-th reserved unit saves (on_demand - utilize) times the demand
-    mass at or above x and costs the reservation rate; the survival mass
-    is non-increasing, so the scan stops at the first unit that does not
-    strictly improve. Resolving the zero-benefit tie downward matches the
-    brute-force scan's smallest-argmin convention.
-    """
-    margin = rates.on_demand_per_qubit - rates.utilize_per_qubit
-    if margin <= 0 or capacity <= 0:
-        return 0
-    demand_mass: dict[int, Fraction] = {}
-    for scenario, fp in zip(space.scenarios, probs):
-        key = scenario.demand_qubits
-        demand_mass[key] = demand_mass.get(key, Fraction(0)) + fp
-    levels = sorted(demand_mass)
-    suffix = [Fraction(0)] * (len(levels) + 1)
-    for i in range(len(levels) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + demand_mass[levels[i]]
-
-    best = 0
-    for x in range(1, capacity + 1):
-        survival = suffix[bisect.bisect_left(levels, x)]
-        if margin * survival > rates.reserve_per_qubit:
-            best = x
-        else:
-            break
-    return best
-
-
-def solve_triple(
-    rates: CostRates,
-    demand_set,
-    wait_set,
-    exec_time: int,
-    capacity: int,
-    demand_probs=None,
-    wait_probs=None,
-) -> tuple[int, Fraction]:
-    """Optimal reservation level and exact expected cost for one triple."""
-    space = build_space("triple", demand_set, wait_set, demand_probs, wait_probs)
-    return _solve_triple_in_space(space, rates, exec_time, capacity)
-
-
-def _solve_triple_in_space(
-    space: ScenarioSpace, rates: CostRates, exec_time: int, capacity: int
-) -> tuple[int, Fraction]:
-    if capacity < 0:
-        raise CapacityError(f"capacity must be non-negative, got {capacity}")
-    probs = _exact_probs(space)
-    best = _optimal_reservation(space, probs, rates, capacity)
-    second, penalty = _grouped_expectation(space, probs, rates, exec_time, best)
-    total = Fraction(rates.reserve_per_qubit * best) + second + penalty
-    return best, total
 
 
 def brute_force_triple(
@@ -324,31 +423,6 @@ def brute_force_triple(
             best_x, best_cost = x, total
     assert best_cost is not None
     return best_x, best_cost
-
-
-def solve_instance(instance: Instance, *, max_workers: int = 1) -> Solution:
-    """Globally optimal reservations: one independent newsvendor per triple."""
-    triples = [TripleKey(*key) for key in instance.triples()]
-    spaces = {
-        cid: space_for_circuit(instance, cid)
-        for cid in dict.fromkeys(key.circuit_id for key in triples)
-    }
-
-    def solve_one(key: TripleKey) -> int:
-        rates = instance.rate(key.circuit_id, key.provider_id)
-        capacity = instance.machine(key.provider_id, key.machine_id).capacity_qubits
-        exec_time = instance.exec_time(*key)
-        level, _ = _solve_triple_in_space(
-            spaces[key.circuit_id], rates, exec_time, capacity
-        )
-        return level
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            levels = list(pool.map(solve_one, triples))
-    else:
-        levels = [solve_one(key) for key in triples]
-    return expected_cost(instance, dict(zip(triples, levels)))
 
 
 def joint_enumeration_oracle(

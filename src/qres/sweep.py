@@ -1,10 +1,11 @@
 """Experiment sweeps: cost versus forced reservation level and waiting time.
 
 Both sweeps force one uniform reservation level on every triple (the
-single experiment knob) and evaluate the exact expected cost. The
-reservation/waiting sweep additionally replaces every circuit's random
-wait time with a single arranged value, modelling the waiting time as a
-deterministic user choice; only the penalty term reacts to it.
+single experiment knob) and evaluate the exact expected cost with the
+solver's marginal kernel. The reservation/waiting sweep additionally
+replaces every circuit's random wait time with a single arranged value,
+modelling the waiting time as a deterministic user choice; only the
+penalty term reacts to it, so each cell is curve(x) + penalty(w).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 from typing import IO, Iterable
 
 from .instance import Instance, write_atomic
-from .solver import CapacityError, expected_cost
+from .solver import CapacityError, CircuitTable, circuit_tables
 from .units import format_micro
 
 
@@ -62,23 +63,46 @@ def _check_grid(instance: Instance, grid: tuple[int, ...]) -> None:
             raise CapacityError(f"grid value {x} outside [0, {cap}]")
 
 
-def _uniform_point(instance: Instance, reserved: int) -> CurvePoint:
-    vector = {key: reserved for key in instance.triples()}
-    solution = expected_cost(instance, vector)
-    return CurvePoint(
-        reserved=reserved,
-        first_stage=solution.expected_first_stage,
-        second_stage=solution.expected_second_stage,
-        penalty=solution.expected_penalty,
-        total=solution.expected_total,
-    )
+def _uniform_stages(
+    instance: Instance, tables: dict[str, CircuitTable], reserved: int
+) -> tuple[Fraction, Fraction]:
+    """First-stage and qubit cost with every triple reserving ``reserved``."""
+    first = Fraction(0)
+    second = Fraction(0)
+    for cid, pid, _ in instance.triples():
+        rates = instance.rate(cid, pid)
+        first += rates.reserve_per_qubit * reserved
+        second += tables[cid].qubit_cost(rates, reserved)
+    return first, second
+
+
+def _penalty(instance: Instance, tables: dict[str, CircuitTable]) -> Fraction:
+    total = Fraction(0)
+    for cid, pid, mid in instance.triples():
+        rates = instance.rate(cid, pid)
+        total += tables[cid].penalty(rates, instance.exec_time(cid, pid, mid))
+    return total
 
 
 def sweep_reservation(instance: Instance, grid: Iterable[int]) -> CostCurve:
     """Expected cost decomposition at each forced uniform reservation level."""
     grid = tuple(grid)
     _check_grid(instance, grid)
-    return CostCurve(points=tuple(_uniform_point(instance, x) for x in grid))
+    tables = circuit_tables(instance)
+    penalty = _penalty(instance, tables)
+    points = []
+    for x in grid:
+        first, second = _uniform_stages(instance, tables, x)
+        points.append(
+            CurvePoint(
+                reserved=x,
+                first_stage=first,
+                second_stage=second,
+                penalty=penalty,
+                total=first + second + penalty,
+            )
+        )
+    return CostCurve(points=tuple(points))
 
 
 def with_wait_singleton(instance: Instance, arranged_wait: int) -> Instance:
@@ -103,15 +127,26 @@ def sweep_reservation_waiting(
         raise ValueError("empty wait grid")
     if any(b <= a for a, b in zip(wait_grid, wait_grid[1:])):
         raise ValueError("wait grid must be strictly increasing")
-    arranged = {wait: with_wait_singleton(instance, wait) for wait in wait_grid}
-    rows = []
-    for reserved in x_grid:
-        for wait in wait_grid:
-            point = _uniform_point(arranged[wait], reserved)
-            rows.append(
-                SurfaceRow(reserved=reserved, arranged_wait=wait, total=point.total)
-            )
-    return CostSurface(rows=tuple(rows), reserved_grid=x_grid, wait_grid=wait_grid)
+    # Price both parts on the collapsed instance: there each circuit's one
+    # wait has probability exactly 1, which scales the demand masses.
+    collapsed = with_wait_singleton(instance, wait_grid[0])
+    tables = circuit_tables(collapsed)
+    curve = {x: sum(_uniform_stages(collapsed, tables, x)) for x in x_grid}
+    penalty = {}
+    for wait in wait_grid:
+        # Moving the single wait keeps its mass: these are the tables of
+        # with_wait_singleton(instance, wait).
+        arranged = {}
+        for cid, table in tables.items():
+            ((_, mass),) = table.waits
+            arranged[cid] = replace(table, waits=((wait, mass),))
+        penalty[wait] = _penalty(collapsed, arranged)
+    rows = tuple(
+        SurfaceRow(reserved=x, arranged_wait=wait, total=curve[x] + penalty[wait])
+        for x in x_grid
+        for wait in wait_grid
+    )
+    return CostSurface(rows=rows, reserved_grid=x_grid, wait_grid=wait_grid)
 
 
 CURVE_HEADER = "reserved,first_stage,second_stage,penalty,total"

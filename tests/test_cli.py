@@ -77,19 +77,6 @@ def test_solve_is_byte_identical(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_solve_respects_thread_cap(monkeypatch, capsys):
-    run(["solve", REF])
-    sequential = capsys.readouterr().out
-    monkeypatch.setenv("QRES_THREADS", "4")
-    assert run(["solve", REF]) == 0
-    assert capsys.readouterr().out == sequential
-
-
-def test_solve_rejects_bad_thread_env(monkeypatch, capsys):
-    monkeypatch.setenv("QRES_THREADS", "lots")
-    assert run(["solve", REF]) == 2
-
-
 # --- validate ----------------------------------------------------------------
 
 
@@ -159,6 +146,16 @@ def test_surface_default_wait_step(capsys):
     assert run(["surface", REF, "--grid", "0:2", "--waits", "0.001:0.005"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 1 + 3 * 5
+
+
+def test_surface_default_wait_step_from_unsorted_wait_set(tmp_path, capsys):
+    doc = single_triple_doc()
+    doc["circuits"][0]["wait_set"] = [0.003, 0.001, 0.002]
+    path = write_doc(tmp_path, doc)
+    assert run(["surface", path, "--grid", "0:0", "--waits", "0:0.003"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    waits = [line.split(",")[1] for line in lines[1:]]
+    assert waits == ["0.000000", "0.001000", "0.002000", "0.003000"]
 
 
 # --- export-lp / eval ----------------------------------------------------------

@@ -49,6 +49,14 @@ def test_load_reference_instance(reference_instance):
     assert inst.exec_time("qft", "p2", "m2") == 5000
 
 
+def test_machine_lookup_follows_replace(reference_instance):
+    first, other = reference_instance.machines[:2]
+    cut = dataclasses.replace(reference_instance, machines=(first,))
+    assert cut.machine(first.provider_id, first.machine_id) == first
+    with pytest.raises(KeyError, match="unknown machine"):
+        cut.machine(other.provider_id, other.machine_id)
+
+
 def test_load_minimal_single_triple():
     inst = instance_from_document(minimal_doc())
     assert inst.triples() == [("c1", "p1", "m1")]

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     REF_RATES,
@@ -13,6 +15,7 @@ from helpers import (
     random_marginals,
     random_rates,
 )
+from qres.instance import CostRates, Circuit, ExecTimeTable, Instance, Machine
 from qres.solver import (
     CapacityError,
     GuardError,
@@ -153,12 +156,6 @@ def test_solve_reference_instance(reference_instance):
     assert all(0 <= x <= caps[key] for key, x in sol.reservations.items())
 
 
-def test_solve_with_threads_is_identical(reference_instance):
-    assert solve_instance(reference_instance, max_workers=3) == solve_instance(
-        reference_instance
-    )
-
-
 def test_zero_capacity_forces_zero_reservations():
     inst = make_instance(demand=(3, 5), wait=(1000,), capacity=0, providers=2)
     sol = solve_instance(inst)
@@ -247,3 +244,113 @@ def test_per_triple_costs_match_solution(reference_instance):
     sol = expected_cost(reference_instance, vector)
     assert sum((r.total for r in rows), Fraction(0)) == sol.expected_total
     assert len(rows) == 6
+
+
+# --- kernel against the scenario route and brute force ------------------------
+
+# Coarse money steps, so utilize == on_demand and exact ties occur often.
+MONEY = st.integers(0, 8).map(lambda v: v * 500_000)
+
+
+def one_circuit(demand, wait, demand_probs, wait_probs, triples) -> Instance:
+    """One circuit on a machine per (rates, capacity, exec_time) entry."""
+    machines = tuple(
+        Machine(f"p{i}", "m", capacity) for i, (_, capacity, _) in enumerate(triples)
+    )
+    return Instance(
+        circuits=(Circuit("c"),),
+        providers=tuple(m.provider_id for m in machines),
+        machines=machines,
+        rates={("c", f"p{i}"): rates for i, (rates, _, _) in enumerate(triples)},
+        exec_times=ExecTimeTable(
+            {("c", f"p{i}", "m"): t for i, (_, _, t) in enumerate(triples)}
+        ),
+        demand_sets={"c": tuple(demand)},
+        wait_sets={"c": tuple(wait)},
+        demand_probs={"c": demand_probs} if demand_probs else {},
+        wait_probs={"c": wait_probs} if wait_probs else {},
+    )
+
+
+@st.composite
+def probabilities(draw, n: int):
+    kind = draw(st.sampled_from(["uniform", "equal", "weights"]))
+    if kind == "uniform":
+        return None
+    if kind == "equal":  # e.g. ten 0.1s, whose exact values do not sum to 1
+        return (1.0 / n,) * n
+    weights = draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))
+    return tuple(w / sum(weights) for w in weights)
+
+
+@st.composite
+def small_instances(draw) -> Instance:
+    demand = draw(st.lists(st.integers(0, 8), min_size=1, max_size=10))
+    wait = draw(
+        st.lists(st.integers(0, 10).map(lambda v: v * 1000), min_size=1, max_size=4)
+    )
+    triple = st.tuples(
+        st.builds(CostRates, MONEY, MONEY, MONEY, MONEY),
+        st.integers(0, 10),
+        st.integers(0, 12).map(lambda v: v * 1000),
+    )
+    return one_circuit(
+        demand,
+        wait,
+        draw(probabilities(len(demand))),
+        draw(probabilities(len(wait))),
+        draw(st.lists(triple, min_size=1, max_size=2)),
+    )
+
+
+TENTHS = (0.1,) * 10
+assert sum(map(Fraction, TENTHS)) != 1
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(small_instances())
+@example(  # duplicate demand and wait values, capacity 0
+    one_circuit(
+        (3, 1, 3, 5),
+        (2000, 2000),
+        None,
+        None,
+        [(REF_RATES, 0, 3000), (REF_RATES, 6, 3000)],
+    )
+)
+@example(  # utilize > on_demand, explicit probabilities not summing to 1
+    one_circuit(
+        tuple(range(10)),
+        (1000, 5000),
+        TENTHS,
+        (0.5, 0.5),
+        [(make_rates(1_000_000, 3_000_000, 2_000_000, 10_000_000), 9, 4000)],
+    )
+)
+@example(  # utilize == on_demand, both marginals not summing to 1
+    one_circuit(
+        (1, 1, 2, 2, 3, 3, 4, 4, 5, 5),
+        tuple(range(0, 10000, 1000)),
+        TENTHS,
+        TENTHS,
+        [(make_rates(500_000, 2_000_000, 2_000_000, 1_000_000), 7, 4500)],
+    )
+)
+def test_kernel_equals_scenario_route_and_brute_force(inst):
+    triples = inst.triples()
+    caps = {key: inst.machine(key[1], key[2]).capacity_qubits for key in triples}
+    for x in range(max(caps.values()) + 1):
+        vector = {key: min(x, cap) for key, cap in caps.items()}
+        scenario_rows = expected_cost(inst, vector, keep_per_scenario=True).per_triple
+        assert per_triple_costs(inst, vector) == list(scenario_rows)
+    for cid, pid, mid in triples:
+        args = (
+            inst.rate(cid, pid),
+            inst.demand_sets[cid],
+            inst.wait_sets[cid],
+            inst.exec_time(cid, pid, mid),
+            caps[(cid, pid, mid)],
+            inst.demand_probs.get(cid),
+            inst.wait_probs.get(cid),
+        )
+        assert solve_triple(*args) == brute_force_triple(*args)

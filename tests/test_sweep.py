@@ -142,6 +142,42 @@ def test_surface_minimum_at_solver_level_and_covered_wait(reference_instance):
     assert {r.arranged_wait for r in ties} == {5000, 6000, 7000, 8000, 9000, 10000}
 
 
+def test_sweeps_equal_cell_by_cell_route_with_inexact_probabilities():
+    tenths = (0.1,) * 10
+    assert sum(map(Fraction, tenths)) != 1
+    inst = make_instance(
+        demand=(2, 3, 3, 4, 5, 6, 7, 8, 9, 9),
+        wait=tuple(range(1000, 10001, 1000)),
+        demand_probs=tenths,
+        wait_probs=tenths,
+        providers=2,
+        capacity=10,
+    )
+    x_grid, wait_grid = range(0, 11, 2), range(0, 12001, 1500)
+    surface = sweep_reservation_waiting(inst, x_grid, wait_grid)
+    cells = [
+        expected_cost(
+            with_wait_singleton(inst, w), {k: x for k in inst.triples()}
+        ).expected_total
+        for x in x_grid
+        for w in wait_grid
+    ]
+    assert [row.total for row in surface.rows] == cells
+    curve = sweep_reservation(inst, x_grid)
+    points = [expected_cost(inst, {k: x for k in inst.triples()}) for x in x_grid]
+    assert [
+        (p.first_stage, p.second_stage, p.penalty, p.total) for p in curve.points
+    ] == [
+        (
+            s.expected_first_stage,
+            s.expected_second_stage,
+            s.expected_penalty,
+            s.expected_total,
+        )
+        for s in points
+    ]
+
+
 def test_with_wait_singleton_keeps_demand(reference_instance):
     relaxed = with_wait_singleton(reference_instance, 1234)
     assert relaxed.wait_sets == {"qft": (1234,)}
