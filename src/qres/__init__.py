@@ -14,7 +14,6 @@ from .extform import (
     Row,
     Variable,
     build_extensive_form,
-    export_lp,
     parse_lp,
     solve_enumerative,
 )
@@ -40,7 +39,6 @@ from .scenarios import (
     ScenarioError,
     ScenarioSpace,
     build_space,
-    expectation,
     space_for_circuit,
 )
 from .solver import (
@@ -59,7 +57,6 @@ from .solver import (
 from .sweep import (
     CostCurve,
     CostSurface,
-    emit_csv,
     sweep_reservation,
     sweep_reservation_waiting,
     with_wait_singleton,
@@ -92,10 +89,7 @@ __all__ = [
     "Variable",
     "build_extensive_form",
     "build_space",
-    "emit_csv",
-    "expectation",
     "expected_cost",
-    "export_lp",
     "instance_from_document",
     "joint_enumeration_oracle",
     "load_exec_times",

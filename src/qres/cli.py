@@ -10,11 +10,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import random
 import sys
+import tempfile
 from decimal import Decimal
 from itertools import pairwise
 from pathlib import Path
+from typing import Callable
 
 from .extform import LpParseError, build_extensive_form, render_lp
 from .instance import (
@@ -23,7 +26,6 @@ from .instance import (
     instance_from_document,
     load_instance,
     validate,
-    write_atomic,
 )
 from .scenarios import ScenarioError
 from .solver import (
@@ -43,42 +45,39 @@ from .sweep import (
 from .units import UnitError, format_micro, parse_seconds
 
 SPOT_CHECK_VECTORS = 20
+# Largest grid, and largest surface (reservation points x wait points), the
+# CLI evaluates; checked before anything is built.
+GRID_GUARD = 10**6
 
 
 class UsageError(ValueError):
     pass
 
 
-def _parse_int_grid(spec: str) -> list[int]:
-    """Parse 'lo:hi[:step]' into an inclusive integer grid."""
+def _parse_grid(
+    spec: str, what: str, value: Callable[[str], int], default_step: Callable[[], int]
+) -> range:
+    """Parse 'lo:hi[:step]' into an inclusive grid of at most GRID_GUARD points."""
     parts = spec.split(":")
     if len(parts) not in (2, 3):
-        raise UsageError(f"grid must be lo:hi[:step], got {spec!r}")
+        raise UsageError(f"{what} must be lo:hi[:step], got {spec!r}")
     try:
-        lo, hi = int(parts[0]), int(parts[1])
-        step = int(parts[2]) if len(parts) == 3 else 1
+        lo, hi = value(parts[0]), value(parts[1])
+        step = value(parts[2]) if len(parts) == 3 else None
     except ValueError as exc:
-        raise UsageError(f"grid must be integers: {spec!r}") from exc
-    if step <= 0 or hi < lo:
-        raise UsageError(f"grid needs lo <= hi and step > 0: {spec!r}")
-    return list(range(lo, hi + 1, step))
-
-
-def _parse_wait_grid(spec: str, instance: Instance) -> list[int]:
-    """Parse 'lo:hi[:step]' in seconds; step defaults to the smallest
-    gap found in the instance's wait sets."""
-    parts = spec.split(":")
-    if len(parts) not in (2, 3):
-        raise UsageError(f"waits must be lo:hi[:step], got {spec!r}")
-    try:
-        lo = parse_seconds(parts[0])
-        hi = parse_seconds(parts[1])
-        step = parse_seconds(parts[2]) if len(parts) == 3 else _min_wait_gap(instance)
-    except UnitError as exc:
-        raise UsageError(f"waits: {exc}") from exc
+        raise UsageError(f"{what}: {exc}") from exc
+    if step is None:
+        step = default_step()
     if step <= 0 or hi < lo or lo < 0:
-        raise UsageError(f"waits needs 0 <= lo <= hi and step > 0: {spec!r}")
-    return list(range(lo, hi + 1, step))
+        raise UsageError(f"{what} needs 0 <= lo <= hi and step > 0: {spec!r}")
+    size = (hi - lo) // step + 1
+    if size > GRID_GUARD:
+        raise UsageError(f"{what} has {size} points, more than {GRID_GUARD}")
+    return range(lo, hi + 1, step)
+
+
+def _reservation_grid(spec: str | None, instance: Instance) -> range:
+    return _parse_grid(spec or f"0:{min_capacity(instance)}", "grid", int, lambda: 1)
 
 
 def _min_wait_gap(instance: Instance) -> int:
@@ -91,6 +90,38 @@ def _min_wait_gap(instance: Instance) -> int:
     if not gaps:
         raise UsageError("no wait-set gap to derive a step from; pass lo:hi:step")
     return min(gaps)
+
+
+def write_atomic(path: str | Path, data: str) -> int:
+    """Write text to ``path`` atomically; returns the number of bytes written.
+
+    The text goes to a new, uniquely named file in the same directory,
+    which is flushed to disk and then renamed over ``path``, so a reader
+    sees the old file or the whole new one and concurrent writers never
+    share a temp file. The temp file is removed if anything fails.
+    """
+    path = Path(path)
+    encoded = data.encode("utf-8")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            # mkstemp creates the file owner-only; give it the mode a plain
+            # open() would.
+            os.fchmod(handle.fileno(), 0o666 & ~_umask())
+            handle.write(encoded)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return len(encoded)
+
+
+def _umask() -> int:
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -133,10 +164,6 @@ def _solution_table(solution: Solution) -> str:
             "  ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip()
         )
     return "\n".join(out) + "\n"
-
-
-def _load(path: str) -> Instance:
-    return load_instance(path)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -190,7 +217,7 @@ def _verify_solution(instance: Instance, solution: Solution, seed: int | None) -
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    instance = _load(args.instance)
+    instance = load_instance(args.instance)
     solution = solve_instance(instance)
     if args.oracle:
         _verify_solution(instance, solution, args.seed)
@@ -202,7 +229,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    instance = _load(args.instance)
+    instance = load_instance(args.instance)
     reservations: dict[TripleKey, int] = {}
     with open(args.reservations, "r", encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
@@ -229,9 +256,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    instance = _load(args.instance)
-    grid = _parse_int_grid(args.grid or f"0:{min_capacity(instance)}")
-    curve = sweep_reservation(instance, grid)
+    instance = load_instance(args.instance)
+    curve = sweep_reservation(instance, _reservation_grid(args.grid, instance))
     if args.verbose:
         print(f"swept {len(curve.points)} reservation levels", file=sys.stderr)
     _write_output(render_csv(curve), args.output)
@@ -239,9 +265,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_surface(args: argparse.Namespace) -> int:
-    instance = _load(args.instance)
-    grid = _parse_int_grid(args.grid or f"0:{min_capacity(instance)}")
-    waits = _parse_wait_grid(args.waits, instance)
+    instance = load_instance(args.instance)
+    grid = _reservation_grid(args.grid, instance)
+    waits = _parse_grid(
+        args.waits, "waits", parse_seconds, lambda: _min_wait_gap(instance)
+    )
+    if len(grid) * len(waits) > GRID_GUARD:
+        raise UsageError(
+            f"surface has {len(grid) * len(waits)} cells, more than {GRID_GUARD}"
+        )
     surface = sweep_reservation_waiting(instance, grid, waits)
     if args.verbose:
         print(f"evaluated {len(surface.rows)} grid cells", file=sys.stderr)
@@ -250,7 +282,7 @@ def _cmd_surface(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_lp(args: argparse.Namespace) -> int:
-    instance = _load(args.instance)
+    instance = load_instance(args.instance)
     form = build_extensive_form(instance)
     if args.verbose:
         print(

@@ -26,10 +26,9 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import IO
 
-from .instance import Instance, write_atomic
+from .instance import Instance
 from .scenarios import space_for_circuit
 from .solver import GuardError, ModelError
 from .units import MICRO, exact_decimal, fraction_from_decimal
@@ -211,18 +210,6 @@ def render_lp(form: ExtensiveForm) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_lp(form: ExtensiveForm, sink: str | Path | IO[str]) -> int:
-    """Write the LP text to a path (atomically) or a text stream.
-
-    Returns the number of bytes written.
-    """
-    text = render_lp(form)
-    if isinstance(sink, (str, Path)):
-        return write_atomic(sink, text)
-    sink.write(text)
-    return len(text.encode("utf-8"))
-
-
 def _parse_terms(tokens: list[str], line_no: int) -> list[tuple[Fraction, str]]:
     terms: list[tuple[Fraction, str]] = []
     pos = 0
@@ -247,7 +234,7 @@ def _parse_terms(tokens: list[str], line_no: int) -> list[tuple[Fraction, str]]:
 
 
 def parse_lp(source: str | IO[str]) -> ExtensiveForm:
-    """Parse LP text produced by :func:`export_lp` back into a form.
+    """Parse LP text produced by :func:`render_lp` back into a form.
 
     Only the emitted subset of the format is understood; variable order
     is recovered from the objective, which lists every variable.
@@ -407,14 +394,6 @@ def _blocks(form: ExtensiveForm, second_stage: list[int]) -> list[tuple[list[int
     return [(sorted(members), block_rows[root]) for root, members in sorted(groups.items())]
 
 
-def _int_ceil(value: Fraction) -> int:
-    return math.ceil(value)
-
-
-def _int_floor(value: Fraction) -> int:
-    return math.floor(value)
-
-
 def solve_enumerative(
     form: ExtensiveForm, guard: int = ENUMERATION_GUARD
 ) -> tuple[Fraction, dict[str, Fraction | int]]:
@@ -451,7 +430,7 @@ def solve_enumerative(
     outer = 1
     for i in first:
         var = form.variables[i]
-        outer *= _int_floor(var.upper) - _int_ceil(var.lower) + 1
+        outer *= math.floor(var.upper) - math.ceil(var.lower) + 1
         if outer > guard:
             raise GuardError(f"first-stage enumeration needs {outer} > {guard} nodes")
 
@@ -469,7 +448,7 @@ def solve_enumerative(
     best_assignment: dict[str, Fraction | int] | None = None
 
     first_ranges = [
-        range(_int_ceil(form.variables[i].lower), _int_floor(form.variables[i].upper) + 1)
+        range(math.ceil(form.variables[i].lower), math.floor(form.variables[i].upper) + 1)
         for i in first
     ]
     for combo in itertools.product(*first_ranges):
@@ -495,7 +474,7 @@ def solve_enumerative(
             continue
         for i in loose:
             var = form.variables[i]
-            value = _int_ceil(var.lower) if var.kind == "integer" else var.lower
+            value = math.ceil(var.lower) if var.kind == "integer" else var.lower
             total += obj[i] * value
             assignment[var.name] = value
         if best_total is None or total < best_total:
@@ -540,8 +519,8 @@ def _minimize_block(
     upper: dict[int, int | None] = {}
     for i in integers:
         var = form.variables[i]
-        lower[i] = _int_ceil(var.lower)
-        upper[i] = None if var.upper is None else _int_floor(var.upper)
+        lower[i] = math.ceil(var.lower)
+        upper[i] = None if var.upper is None else math.floor(var.upper)
 
     # Hard univariate bounds: rows reduced to a single free variable.
     for row, residual, free_terms in residuals:
@@ -551,10 +530,10 @@ def _minimize_block(
         limit = residual / coef
         at_most = (coef > 0) == (row.sense == SENSE_LE)
         if at_most:
-            cap = _int_floor(limit)
+            cap = math.floor(limit)
             upper[i] = cap if upper[i] is None else min(upper[i], cap)
         else:
-            lower[i] = max(lower[i], _int_ceil(limit))
+            lower[i] = max(lower[i], math.ceil(limit))
 
     # Covering bounds: a variable only in all-nonnegative >= rows (over
     # variables with non-negative lower bounds) never needs to exceed the
@@ -576,7 +555,7 @@ def _minimize_block(
             ):
                 eligible = False
                 break
-            need = _int_ceil(residual / coefs[i])
+            need = math.ceil(residual / coefs[i])
             best_bound = need if best_bound is None else max(best_bound, need)
         if not eligible or best_bound is None:
             raise GuardError(

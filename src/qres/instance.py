@@ -16,13 +16,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
-from typing import Any, Iterator, TextIO
+from typing import Any, TextIO
 
-from .units import MICRO, UnitError, micro_to_unit, parse_money, parse_seconds
+from .units import UnitError, micro_to_unit, parse_money, parse_seconds
 
 DEFAULT_CAPACITY = 30
 
@@ -483,10 +482,6 @@ def parse_instance(text: str, base_dir: str | Path | None = None) -> Instance:
 
 def serialize_instance(instance: Instance) -> dict:
     """Emit a canonical document that loads back to an equal Instance."""
-
-    def money(micro: int) -> float:
-        return micro_to_unit(micro)
-
     circuits = []
     for c in instance.circuits:
         entry: dict[str, Any] = {"id": c.circuit_id}
@@ -519,10 +514,10 @@ def serialize_instance(instance: Instance) -> dict:
             {
                 "circuit": cid,
                 "provider": pid,
-                "reserve": money(r.reserve_per_qubit),
-                "utilize": money(r.utilize_per_qubit),
-                "on_demand": money(r.on_demand_per_qubit),
-                "penalty": money(r.penalty_per_second),
+                "reserve": micro_to_unit(r.reserve_per_qubit),
+                "utilize": micro_to_unit(r.utilize_per_qubit),
+                "on_demand": micro_to_unit(r.on_demand_per_qubit),
+                "penalty": micro_to_unit(r.penalty_per_second),
             }
             for (cid, pid), r in sorted(instance.rates.items())
         ],
@@ -543,19 +538,17 @@ def serialize_instance(instance: Instance) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _check_probs(
-    probs: tuple[float, ...], expected_len: int, where: str
-) -> Iterator[Diagnostic]:
-    if len(probs) != expected_len:
-        yield Diagnostic(
-            "error", where, f"expected {expected_len} probabilities, got {len(probs)}"
-        )
-        return
+def probability_problems(probs: tuple[float, ...], n: int) -> list[str]:
+    """Why ``probs`` is not a distribution over ``n`` outcomes; empty if it is."""
+    if len(probs) != n:
+        return [f"expected {n} probabilities, got {len(probs)}"]
+    problems = []
     if any(p < 0 for p in probs):
-        yield Diagnostic("error", where, "probabilities must be non-negative")
+        problems.append("probabilities must be non-negative")
     total = sum(probs)
-    if abs(total - 1.0) > PROB_TOLERANCE:
-        yield Diagnostic("error", where, f"probabilities sum to {total!r}, not 1")
+    if not abs(total - 1.0) <= PROB_TOLERANCE:  # also rejects NaN
+        problems.append(f"probabilities sum to {total!r}, not 1")
+    return problems
 
 
 def validate(instance: Instance) -> list[Diagnostic]:
@@ -598,20 +591,15 @@ def validate(instance: Instance) -> list[Diagnostic]:
             out.append(Diagnostic("error", f"circuit {cid}", "negative demand value"))
         if any(w < 0 for w in wait):
             out.append(Diagnostic("error", f"circuit {cid}", "negative wait time"))
-        if cid in instance.demand_probs:
-            out.extend(
-                _check_probs(
-                    instance.demand_probs[cid],
-                    len(demand),
-                    f"circuit {cid} demand_probs",
+        for name, probs, n in (
+            ("demand_probs", instance.demand_probs.get(cid), len(demand)),
+            ("wait_probs", instance.wait_probs.get(cid), len(wait)),
+        ):
+            if probs is not None:
+                out.extend(
+                    Diagnostic("error", f"circuit {cid} {name}", problem)
+                    for problem in probability_problems(probs, n)
                 )
-            )
-        if cid in instance.wait_probs:
-            out.extend(
-                _check_probs(
-                    instance.wait_probs[cid], len(wait), f"circuit {cid} wait_probs"
-                )
-            )
 
     for c in instance.circuits:
         for p in instance.providers:
@@ -644,6 +632,20 @@ def validate(instance: Instance) -> list[Diagnostic]:
                     )
                 )
 
+    # Overrides and timings for keys outside the instance would be ignored.
+    for cid, pid in instance.rates:
+        where = f"rates[{cid},{pid}]"
+        if cid not in seen_circuits:
+            out.append(Diagnostic("error", where, f"unknown circuit '{cid}'"))
+        if pid not in instance.providers:
+            out.append(Diagnostic("error", where, f"unknown provider '{pid}'"))
+    for cid, pid, mid in instance.exec_times.entries:
+        where = f"exec_times[{cid},{pid},{mid}]"
+        if cid not in seen_circuits:
+            out.append(Diagnostic("error", where, f"unknown circuit '{cid}'"))
+        if (pid, mid) not in seen_machines:
+            out.append(Diagnostic("error", where, f"unknown machine {pid}/{mid}"))
+
     for c in instance.circuits:
         for m in instance.machines:
             key = (c.circuit_id, m.provider_id, m.machine_id)
@@ -656,13 +658,3 @@ def validate(instance: Instance) -> list[Diagnostic]:
 
     return out
 
-
-def write_atomic(path: str | Path, data: str) -> int:
-    """Write text to ``path`` atomically (temp file + rename). Returns bytes."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    encoded = data.encode("utf-8")
-    with open(tmp, "wb") as handle:
-        handle.write(encoded)
-    os.replace(tmp, path)
-    return len(encoded)

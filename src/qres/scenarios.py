@@ -7,11 +7,13 @@ table can be had by building a space per joint cell). Ordering is
 demand-major lexicographic and deterministic, so downstream CSV output and
 golden tests are reproducible.
 
-Every probability is kept twice: as a float (the public value) and as the
-exact rational behind it, which the cost machinery sums. Uniform marginals
-are dyadic rationals within one part in 2^53 of 1/n chosen so the exact
-values sum to exactly 1; the exact joint probabilities then also sum to
-exactly 1, which is what makes downstream equality tests exact rather than
+The solver's marginal kernel needs only the checked marginals
+(:func:`marginals`, :func:`circuit_marginals`); the product space itself
+serves the scenario-route oracles and the extensive form. Probabilities
+are exact rationals: an explicit vector keeps the exact value of each
+parsed float, and a uniform marginal is made of dyadic rationals within
+one part in 2^53 of 1/n that sum to exactly 1, so uniform product spaces
+also sum to exactly 1 and downstream equality tests are exact rather than
 approximate.
 """
 
@@ -19,9 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
-from .instance import PROB_TOLERANCE, Instance
+from .instance import Instance, probability_problems
 
 _DYADIC_ONE = 1 << 53
 
@@ -41,14 +43,10 @@ class Scenario:
 class ScenarioSpace:
     circuit_id: str
     scenarios: tuple[Scenario, ...]
-    probabilities: tuple[float, ...]
     exact_probabilities: tuple[Fraction, ...]
 
     def __len__(self) -> int:
         return len(self.scenarios)
-
-    def items(self) -> Iterable[tuple[Scenario, float]]:
-        return zip(self.scenarios, self.probabilities)
 
 
 def _uniform_exact(n: int) -> tuple[Fraction, ...]:
@@ -64,13 +62,9 @@ def _checked_probs(
     if probs is None:
         return _uniform_exact(n)
     probs = tuple(float(p) for p in probs)
-    if len(probs) != n:
-        raise ScenarioError(f"{what}: {len(probs)} probabilities for {n} outcomes")
-    if any(p < 0 for p in probs):
-        raise ScenarioError(f"{what}: negative probability")
-    total = sum(probs)
-    if abs(total - 1.0) > PROB_TOLERANCE:
-        raise ScenarioError(f"{what}: probabilities sum to {total!r}, not 1")
+    problems = probability_problems(probs, n)
+    if problems:
+        raise ScenarioError(f"{what}: {problems[0]}")
     return tuple(Fraction(p) for p in probs)
 
 
@@ -132,7 +126,6 @@ def _product_space(m: Marginals) -> ScenarioSpace:
     return ScenarioSpace(
         circuit_id=m.circuit_id,
         scenarios=tuple(scenarios),
-        probabilities=tuple(float(p) for p in exact),
         exact_probabilities=tuple(exact),
     )
 
@@ -153,8 +146,3 @@ def build_space(
 def space_for_circuit(instance: Instance, circuit_id: str) -> ScenarioSpace:
     """Build the scenario space of one circuit of an instance."""
     return _product_space(circuit_marginals(instance, circuit_id))
-
-
-def expectation(space: ScenarioSpace, f: Callable[[Scenario], float]) -> float:
-    """Probability-weighted sum of ``f`` over the space, in index order."""
-    return sum(p * f(s) for s, p in space.items())

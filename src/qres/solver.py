@@ -329,13 +329,8 @@ def solve_instance(instance: Instance) -> Solution:
 # --- the scenario route: oracles ---------------------------------------------
 
 
-def _exact_probs(space: ScenarioSpace) -> list[Fraction]:
-    return list(space.exact_probabilities)
-
-
 def _recourse_expectation(
     space: ScenarioSpace,
-    probs: list[Fraction],
     rates: CostRates,
     exec_time: int,
     reserved: int,
@@ -348,7 +343,7 @@ def _recourse_expectation(
     """
     second = Fraction(0)
     penalty = Fraction(0)
-    for scenario, fp in zip(space.scenarios, probs):
+    for scenario, fp in zip(space.scenarios, space.exact_probabilities):
         decision = optimal_recourse(reserved, scenario, rates, exec_time)
         second += fp * (
             rates.utilize_per_qubit * decision.utilized
@@ -365,17 +360,15 @@ def _scenario_costs(
     reservations: Mapping[tuple[str, str, str], int],
     collect: dict[tuple[TripleKey, int], RecourseDecision],
 ) -> list[TripleCost]:
-    spaces: dict[str, tuple[ScenarioSpace, list[Fraction]]] = {}
+    spaces: dict[str, ScenarioSpace] = {}
     rows = []
     for key, reserved in _checked_levels(instance, reservations):
         if key.circuit_id not in spaces:
-            space = space_for_circuit(instance, key.circuit_id)
-            spaces[key.circuit_id] = (space, _exact_probs(space))
-        space, probs = spaces[key.circuit_id]
+            spaces[key.circuit_id] = space_for_circuit(instance, key.circuit_id)
         rates = instance.rate(key.circuit_id, key.provider_id)
         decisions: dict[int, RecourseDecision] = {}
         second, penalty = _recourse_expectation(
-            space, probs, rates, instance.exec_time(*key), reserved, decisions
+            spaces[key.circuit_id], rates, instance.exec_time(*key), reserved, decisions
         )
         for index, decision in decisions.items():
             collect[(key, index)] = decision
@@ -413,11 +406,10 @@ def brute_force_triple(
     if capacity < 0:
         raise CapacityError(f"capacity must be non-negative, got {capacity}")
     space = build_space("triple", demand_set, wait_set, demand_probs, wait_probs)
-    probs = _exact_probs(space)
     best_x = 0
     best_cost: Fraction | None = None
     for x in range(capacity + 1):
-        second, penalty = _recourse_expectation(space, probs, rates, exec_time, x)
+        second, penalty = _recourse_expectation(space, rates, exec_time, x)
         total = Fraction(rates.reserve_per_qubit * x) + second + penalty
         if best_cost is None or total < best_cost:
             best_x, best_cost = x, total

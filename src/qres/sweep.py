@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from pathlib import Path
-from typing import IO, Iterable
+from itertools import pairwise
+from typing import Iterable
 
-from .instance import Instance, write_atomic
+from .instance import Instance
 from .solver import CapacityError, CircuitTable, circuit_tables
 from .units import format_micro
 
@@ -52,15 +52,22 @@ def min_capacity(instance: Instance) -> int:
     return min(m.capacity_qubits for m in instance.machines)
 
 
-def _check_grid(instance: Instance, grid: tuple[int, ...]) -> None:
-    if not grid:
-        raise ValueError("empty reservation grid")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("reservation grid must be strictly increasing")
+def _increasing(values: Iterable[int], what: str) -> tuple[int, ...]:
+    values = tuple(values)
+    if not values:
+        raise ValueError(f"empty {what}")
+    if any(b <= a for a, b in pairwise(values)):
+        raise ValueError(f"{what} must be strictly increasing")
+    return values
+
+
+def _reservation_grid(instance: Instance, grid: Iterable[int]) -> tuple[int, ...]:
+    grid = _increasing(grid, "reservation grid")
     cap = min_capacity(instance)
     for x in grid:
         if x < 0 or x > cap:
             raise CapacityError(f"grid value {x} outside [0, {cap}]")
+    return grid
 
 
 def _uniform_stages(
@@ -86,8 +93,7 @@ def _penalty(instance: Instance, tables: dict[str, CircuitTable]) -> Fraction:
 
 def sweep_reservation(instance: Instance, grid: Iterable[int]) -> CostCurve:
     """Expected cost decomposition at each forced uniform reservation level."""
-    grid = tuple(grid)
-    _check_grid(instance, grid)
+    grid = _reservation_grid(instance, grid)
     tables = circuit_tables(instance)
     penalty = _penalty(instance, tables)
     points = []
@@ -120,13 +126,8 @@ def sweep_reservation_waiting(
     instance: Instance, x_grid: Iterable[int], wait_grid: Iterable[int]
 ) -> CostSurface:
     """Total expected cost over (reservation level, arranged wait) pairs."""
-    x_grid = tuple(x_grid)
-    wait_grid = tuple(wait_grid)
-    _check_grid(instance, x_grid)
-    if not wait_grid:
-        raise ValueError("empty wait grid")
-    if any(b <= a for a, b in zip(wait_grid, wait_grid[1:])):
-        raise ValueError("wait grid must be strictly increasing")
+    x_grid = _reservation_grid(instance, x_grid)
+    wait_grid = _increasing(wait_grid, "wait grid")
     # Price both parts on the collapsed instance: there each circuit's one
     # wait has probability exactly 1, which scales the demand masses.
     collapsed = with_wait_singleton(instance, wait_grid[0])
@@ -172,11 +173,3 @@ def render_csv(data: CostCurve | CostSurface) -> str:
             )
     return "\n".join(lines) + "\n"
 
-
-def emit_csv(data: CostCurve | CostSurface, sink: str | Path | IO[str]) -> int:
-    """Write the CSV to a path (atomically) or a stream; returns bytes."""
-    text = render_csv(data)
-    if isinstance(sink, (str, Path)):
-        return write_atomic(sink, text)
-    sink.write(text)
-    return len(text.encode("utf-8"))

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 
-from qres.cli import run
+from qres.cli import run, write_atomic
 
 REF = str(Path(__file__).parent / "data" / "reference.json")
 
@@ -102,6 +103,65 @@ def test_validate_warning_only_exits_zero(tmp_path, capsys):
     assert "warning" in capsys.readouterr().out
 
 
+def _rate_override(circuit, provider) -> dict:
+    rates = {"reserve": 2, "utilize": 0.2, "on_demand": 9, "penalty": 10}
+    return {"circuit": circuit, "provider": provider, **rates}
+
+
+def _rates_unknown_circuit(doc, tmp_path):
+    doc["rates"] = [_rate_override("qtf", "p1")]
+    return "rates[qtf,p1]: unknown circuit 'qtf'"
+
+
+def _rates_circuit_not_a_string(doc, tmp_path):
+    doc["rates"] = [_rate_override(5, "p1")]
+    return "rates[5,p1]: unknown circuit '5'"
+
+
+def _rates_unknown_provider(doc, tmp_path):
+    doc["rates"] = [_rate_override("c1", "p9")]
+    return "rates[c1,p9]: unknown provider 'p9'"
+
+
+def _exec_time_unknown_circuit(doc, tmp_path):
+    doc["exec_times"].append(
+        {"circuit": "qtf", "provider": "p1", "machine": "m1", "seconds": 0.005}
+    )
+    return "exec_times[qtf,p1,m1]: unknown circuit 'qtf'"
+
+
+def _exec_time_csv_unknown_machine(doc, tmp_path):
+    del doc["exec_times"]
+    (tmp_path / "times.csv").write_text(
+        "circuit_id,provider_id,machine_id,seconds\n"
+        "c1,p1,m1,0.005\n"
+        "c1,p1,m2,0.005\n",
+        encoding="utf-8",
+    )
+    doc["exec_times_csv"] = "times.csv"
+    return "exec_times[c1,p1,m2]: unknown machine p1/m2"
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _rates_unknown_circuit,
+        _rates_circuit_not_a_string,
+        _rates_unknown_provider,
+        _exec_time_unknown_circuit,
+        _exec_time_csv_unknown_machine,
+    ],
+)
+def test_validate_flags_entries_for_unknown_keys(mutate, tmp_path, capsys):
+    doc = single_triple_doc()
+    message = mutate(doc, tmp_path)
+    path = write_doc(tmp_path, doc)
+    assert run(["validate", path]) == 1
+    assert capsys.readouterr().out == f"error: {message}\n"
+    assert run(["solve", path]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_validate_missing_file(capsys):
     assert run(["validate", "no-such-file.json"]) == 1
     assert "error" in capsys.readouterr().err
@@ -132,6 +192,61 @@ def test_sweep_default_grid_spans_capacity(capsys):
 def test_sweep_bad_grid_is_usage_error(capsys):
     assert run(["sweep", REF, "--grid", "5"]) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", REF, "--grid", "0:5:1:1"],
+        ["sweep", REF, "--grid", "a:5"],
+        ["sweep", REF, "--grid", "0:5:0"],
+        ["sweep", REF, "--grid", "5:0"],
+        ["sweep", REF, "--grid=-1:5"],
+        ["surface", REF, "--grid", "0:2", "--waits", "0.001"],
+        ["surface", REF, "--grid", "0:2", "--waits", "0.001:x"],
+        ["surface", REF, "--grid", "0:2", "--waits", "0:0.002:0"],
+        ["surface", REF, "--grid", "0:2", "--waits", "0.002:0.001"],
+        ["surface", REF, "--grid", "0:2", "--waits=-0.001:0.002"],
+        ["surface", REF, "--grid", "0:2", "--waits", "0:0.0000001:0.0000001"],
+    ],
+    ids=[
+        "grid-arity",
+        "grid-non-numeric",
+        "grid-zero-step",
+        "grid-hi-below-lo",
+        "grid-negative-lo",
+        "waits-arity",
+        "waits-non-numeric",
+        "waits-zero-step",
+        "waits-hi-below-lo",
+        "waits-negative-lo",
+        "waits-below-a-microsecond",
+    ],
+)
+def test_malformed_grid_is_usage_error(args, capsys):
+    assert run(args) == 2
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize(
+    "args, size",
+    [
+        (["sweep", REF, "--grid", "0:1000001"], "grid has 1000002 points"),
+        (
+            ["surface", REF, "--grid", "0:2", "--waits", "0:1.000001:0.000001"],
+            "waits has 1000002 points",
+        ),
+        (
+            ["surface", REF, "--grid", "0:30", "--waits", "0:0.04:0.000001"],
+            "surface has 1240031 cells",
+        ),
+    ],
+    ids=["grid", "waits", "surface"],
+)
+def test_oversized_grid_is_usage_error_naming_its_size(args, size, capsys):
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and size in err
 
 
 def test_surface_rows(capsys):
@@ -225,3 +340,43 @@ def test_help_documents_flags(command, capsys):
         assert "--oracle" in text and "--seed" in text and "--human" in text
     if command == "eval":
         assert "--reservations" in text
+
+
+# --- write_atomic -------------------------------------------------------------
+
+
+def test_write_atomic_returns_the_file_size(tmp_path):
+    target = tmp_path / "out.csv"
+    written = write_atomic(target, "reserved,total\n0,1.5\nqubit \u00b5s\n")
+    assert written == target.stat().st_size == len(target.read_bytes())
+    assert sorted(os.listdir(tmp_path)) == ["out.csv"]
+
+
+def test_write_atomic_keeps_the_mode_of_a_plain_write(tmp_path):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("x", encoding="utf-8")
+    target = tmp_path / "atomic.txt"
+    write_atomic(target, "x")
+    assert target.stat().st_mode == plain.stat().st_mode
+
+
+def test_write_atomic_leaves_an_old_tmp_file_alone(tmp_path):
+    stale = tmp_path / "model.lp.tmp"
+    stale.write_text("someone else's", encoding="utf-8")
+    write_atomic(tmp_path / "model.lp", "End\n")
+    assert stale.read_text(encoding="utf-8") == "someone else's"
+    assert (tmp_path / "model.lp").read_text(encoding="utf-8") == "End\n"
+
+
+def test_write_atomic_removes_its_temp_file_on_failure(tmp_path, monkeypatch):
+    target = tmp_path / "out.csv"
+    target.write_text("old", encoding="utf-8")
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        write_atomic(target, "new")
+    assert sorted(os.listdir(tmp_path)) == ["out.csv"]
+    assert target.read_text(encoding="utf-8") == "old"

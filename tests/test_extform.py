@@ -9,7 +9,6 @@ from helpers import make_instance, make_rates, random_instance
 from qres.extform import (
     LpParseError,
     build_extensive_form,
-    export_lp,
     parse_lp,
     render_lp,
     solve_enumerative,
@@ -88,13 +87,6 @@ def test_golden_lp_file(data_dir):
     form = build_extensive_form(single_triple_instance())
     golden = (data_dir / "golden_single.lp").read_bytes()
     assert render_lp(form).encode("utf-8") == golden
-
-
-def test_export_returns_byte_count(tmp_path):
-    form = build_extensive_form(single_triple_instance())
-    path = tmp_path / "model.lp"
-    written = export_lp(form, path)
-    assert written == len(path.read_bytes())
 
 
 def test_round_trip_identity(reference_instance):

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from helpers import make_instance
+from qres.instance import validate
 from qres.scenarios import (
     ScenarioError,
     build_space,
-    expectation,
     space_for_circuit,
 )
 
@@ -22,21 +26,21 @@ def reference_space():
 def test_reference_space_size_and_probabilities():
     space = reference_space()
     assert len(space) == 117
-    assert all(p == pytest.approx(1 / 117) for p in space.probabilities)
-    assert sum(space.probabilities) == pytest.approx(1.0, abs=1e-9)
+    assert all(float(p) == pytest.approx(1 / 117) for p in space.exact_probabilities)
+    assert sum(space.exact_probabilities) == 1
 
 
 def test_singleton_product():
     space = build_space("c", [5], [2000])
     assert len(space) == 1
-    assert space.probabilities == (1.0,)
+    assert space.exact_probabilities == (1,)
     assert space.scenarios[0].demand_qubits == 5
     assert space.scenarios[0].wait_time == 2000
 
 
 def test_marginal_product_probabilities():
     space = build_space("c", [1, 2], [1_000_000], demand_probs=[0.3, 0.7])
-    assert space.probabilities == (0.3, 0.7)
+    assert space.exact_probabilities == (Fraction(0.3), Fraction(0.7))
 
 
 def test_ordering_is_demand_major_and_deterministic():
@@ -71,48 +75,6 @@ def test_space_for_circuit(reference_instance):
         space_for_circuit(reference_instance, "nope")
 
 
-# --- expectation -----------------------------------------------------------
-
-
-def test_expectation_of_constant_is_one():
-    assert expectation(reference_space(), lambda s: 1.0) == pytest.approx(1.0)
-
-
-def test_expectation_of_demand_is_sixteen():
-    assert expectation(reference_space(), lambda s: s.demand_qubits) == pytest.approx(
-        16.0
-    )
-
-
-def test_expectation_of_positive_part():
-    # Hand oracle: per wait value 1..9 ms against a 5 ms target the
-    # shortfalls are 4,3,2,1,0,0,0,0,0 ms, uniformly weighted.
-    hand = [0.004, 0.003, 0.002, 0.001, 0.0, 0.0, 0.0, 0.0, 0.0]
-    expected = sum(hand) / 9
-    space = reference_space()
-    value = expectation(space, lambda s: max(0, 5000 - s.wait_time) / 1e6)
-    assert value == pytest.approx(expected, abs=1e-12)
-    assert expected == pytest.approx(0.010 / 9)
-
-
-def test_expectation_linearity_property():
-    rng = random.Random(715)
-    for _ in range(50):
-        demand = sorted(rng.sample(range(0, 30), rng.randint(1, 6)))
-        wait = sorted(rng.sample(range(0, 9000, 250), rng.randint(1, 5)))
-        space = build_space("c", demand, wait)
-        f_tab = {s.index: rng.uniform(-5, 5) for s in space.scenarios}
-        g_tab = {s.index: rng.uniform(-5, 5) for s in space.scenarios}
-        a, b = rng.uniform(-3, 3), rng.uniform(-3, 3)
-        combined = expectation(
-            space, lambda s: a * f_tab[s.index] + b * g_tab[s.index]
-        )
-        split = a * expectation(space, lambda s: f_tab[s.index]) + b * expectation(
-            space, lambda s: g_tab[s.index]
-        )
-        assert combined == pytest.approx(split, abs=1e-9)
-
-
 def test_probabilities_always_normalized_property():
     rng = random.Random(716)
     for _ in range(50):
@@ -126,4 +88,37 @@ def test_probabilities_always_normalized_property():
             demand_probs=[w / total for w in weights],
         )
         assert len(space) == n_d * n_w
-        assert sum(space.probabilities) == pytest.approx(1.0, abs=1e-9)
+        assert float(sum(space.exact_probabilities)) == pytest.approx(1.0, abs=1e-9)
+
+
+PROB = st.one_of(
+    st.sampled_from([-0.25, 0.0, 0.1, 0.2, 0.25, 0.3, 0.5, 0.7, 1.0]),
+    st.floats(min_value=-0.5, max_value=1.5),
+    st.just(float("nan")),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    n_demand=st.integers(1, 4),
+    n_wait=st.integers(1, 4),
+    demand_probs=st.none() | st.lists(PROB, min_size=1, max_size=5),
+    wait_probs=st.none() | st.lists(PROB, min_size=1, max_size=5),
+)
+@example(n_demand=2, n_wait=1, demand_probs=[-0.5, 0.25], wait_probs=None)
+@example(n_demand=1, n_wait=10, demand_probs=None, wait_probs=[0.1] * 10)
+def test_validate_flags_probs_exactly_when_build_space_rejects(
+    n_demand, n_wait, demand_probs, wait_probs
+):
+    demand = range(n_demand)
+    wait = [1000 * (i + 1) for i in range(n_wait)]
+    inst = make_instance(demand, wait, demand_probs=demand_probs, wait_probs=wait_probs)
+    flagged = [d for d in validate(inst) if d.location.endswith("_probs")]
+    assert all(d.severity == "error" for d in flagged)
+    try:
+        build_space("c1", demand, wait, demand_probs, wait_probs)
+    except ScenarioError as exc:
+        assert flagged
+        assert str(exc).endswith(flagged[0].message)
+    else:
+        assert not flagged

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import io
 from fractions import Fraction
 
 import pytest
@@ -8,7 +7,6 @@ import pytest
 from helpers import make_instance
 from qres.solver import CapacityError, expected_cost, solve_instance
 from qres.sweep import (
-    emit_csv,
     min_capacity,
     render_csv,
     sweep_reservation,
@@ -196,15 +194,6 @@ def test_csv_single_point_curve():
     assert len(lines) == 2
 
 
-def test_csv_emission_is_reproducible(reference_curve):
-    first = io.StringIO()
-    second = io.StringIO()
-    n1 = emit_csv(reference_curve, first)
-    n2 = emit_csv(reference_curve, second)
-    assert first.getvalue() == second.getvalue()
-    assert n1 == n2 == len(first.getvalue().encode())
-
-
 def test_csv_surface_header(reference_surface):
     lines = render_csv(reference_surface).splitlines()
     assert lines[0] == "reserved,arranged_wait,total"
@@ -214,12 +203,6 @@ def test_csv_surface_header(reference_surface):
 def test_golden_reference_curve(data_dir, reference_curve):
     golden = (data_dir / "golden_curve.csv").read_text(encoding="utf-8")
     assert render_csv(reference_curve) == golden
-
-
-def test_emit_csv_to_path(tmp_path, reference_curve):
-    target = tmp_path / "curve.csv"
-    written = emit_csv(reference_curve, target)
-    assert written == len(target.read_bytes())
 
 
 def test_min_capacity(reference_instance):
