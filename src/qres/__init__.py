@@ -21,14 +21,11 @@ from .instance import (
     CostRates,
     Circuit,
     Diagnostic,
-    ExecTimeTable,
     Instance,
     InstanceError,
     Machine,
     instance_from_document,
-    load_exec_times,
     load_instance,
-    parse_instance,
     serialize_instance,
     synth_exec_time,
     validate,
@@ -71,7 +68,6 @@ __all__ = [
     "CostRates",
     "CostSurface",
     "Diagnostic",
-    "ExecTimeTable",
     "ExtensiveForm",
     "GuardError",
     "Instance",
@@ -92,10 +88,8 @@ __all__ = [
     "expected_cost",
     "instance_from_document",
     "joint_enumeration_oracle",
-    "load_exec_times",
     "load_instance",
     "optimal_recourse",
-    "parse_instance",
     "parse_lp",
     "penalty_time",
     "per_triple_costs",

@@ -9,24 +9,16 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import random
 import sys
 import tempfile
-from decimal import Decimal
 from itertools import pairwise
 from pathlib import Path
 from typing import Callable
 
 from .extform import LpParseError, build_extensive_form, render_lp
-from .instance import (
-    Instance,
-    InstanceError,
-    instance_from_document,
-    load_instance,
-    validate,
-)
+from .instance import GRID_GUARD, Instance, InstanceError, load_instance, validate
 from .scenarios import ScenarioError
 from .solver import (
     ModelError,
@@ -45,9 +37,6 @@ from .sweep import (
 from .units import UnitError, format_micro, parse_seconds
 
 SPOT_CHECK_VECTORS = 20
-# Largest grid, and largest surface (reservation points x wait points), the
-# CLI evaluates; checked before anything is built.
-GRID_GUARD = 10**6
 
 
 class UsageError(ValueError):
@@ -167,10 +156,7 @@ def _solution_table(solution: Solution) -> str:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    path = Path(args.instance)
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle, parse_float=Decimal)
-    instance = instance_from_document(doc, base_dir=path.parent, check=False)
+    instance = load_instance(args.instance, check=False)
     diagnostics = validate(instance)
     lines = [str(d) for d in diagnostics]
     if lines:
@@ -393,7 +379,8 @@ def run(argv: list[str]) -> int:
         LpParseError,
         UnitError,
         OSError,
-        json.JSONDecodeError,
+        UnicodeDecodeError,
+        csv.Error,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,12 +14,11 @@ time fields integer microseconds.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
-from typing import Any, TextIO
+from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from .units import UnitError, micro_to_unit, parse_money, parse_seconds
 
@@ -58,16 +57,6 @@ class Circuit:
 
 
 @dataclass(frozen=True)
-class ExecTimeTable:
-    """Execution time in microseconds per (circuit, provider, machine)."""
-
-    entries: dict[tuple[str, str, str], int] = field(default_factory=dict)
-
-    def get(self, circuit_id: str, provider_id: str, machine_id: str) -> int | None:
-        return self.entries.get((circuit_id, provider_id, machine_id))
-
-
-@dataclass(frozen=True)
 class Diagnostic:
     severity: str  # "error" | "warning"
     location: str
@@ -85,7 +74,7 @@ class Instance:
     providers: tuple[str, ...]
     machines: tuple[Machine, ...]
     rates: dict[tuple[str, str], CostRates]  # (circuit_id, provider_id)
-    exec_times: ExecTimeTable
+    exec_times: dict[tuple[str, str, str], int]  # (circuit, provider, machine)
     demand_sets: dict[str, tuple[int, ...]]  # circuit_id -> qubit counts
     wait_sets: dict[str, tuple[int, ...]]  # circuit_id -> microseconds
     demand_probs: dict[str, tuple[float, ...]] = field(default_factory=dict)
@@ -121,12 +110,12 @@ class Instance:
         return self.rates[(circuit_id, provider_id)]
 
     def exec_time(self, circuit_id: str, provider_id: str, machine_id: str) -> int:
-        value = self.exec_times.get(circuit_id, provider_id, machine_id)
-        if value is None:
+        try:
+            return self.exec_times[(circuit_id, provider_id, machine_id)]
+        except KeyError:
             raise KeyError(
                 f"no execution time for ({circuit_id}, {provider_id}, {machine_id})"
-            )
-        return value
+            ) from None
 
 
 def popcount(value: int) -> int:
@@ -145,7 +134,7 @@ def synth_exec_time(num_qubits: int, encoded_value: int, base: int, slope: int) 
         raise InstanceError(f"num_qubits must be positive, got {num_qubits}")
     if base <= 0 or slope <= 0:
         raise InstanceError("base and slope must be positive")
-    if encoded_value < 0 or encoded_value >= 2**num_qubits:
+    if encoded_value < 0 or encoded_value.bit_length() > num_qubits:
         raise InstanceError(
             f"encoded value {encoded_value} out of range for {num_qubits} qubits"
         )
@@ -153,46 +142,15 @@ def synth_exec_time(num_qubits: int, encoded_value: int, base: int, slope: int) 
 
 
 # ---------------------------------------------------------------------------
-# Execution-time CSV
+# Reading an instance file
 # ---------------------------------------------------------------------------
 
+# Largest set a {lo, hi, step} range may spell out, and largest CLI grid or
+# surface; checked before anything is built.
+GRID_GUARD = 10**6
+
+_RECORD_KEYS = ("circuit", "provider", "machine", "seconds")
 _CSV_COLUMNS = ("circuit_id", "provider_id", "machine_id", "seconds")
-
-
-def load_exec_times(source: str | Path | TextIO) -> ExecTimeTable:
-    """Read an execution-time CSV (circuit_id,provider_id,machine_id,seconds)."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
-            return load_exec_times(handle)
-    reader = csv.DictReader(source)
-    entries: dict[tuple[str, str, str], int] = {}
-    if reader.fieldnames is not None:
-        header = tuple(name.strip() for name in reader.fieldnames)
-        if header != _CSV_COLUMNS:
-            raise InstanceError(
-                f"execution-time CSV header must be {','.join(_CSV_COLUMNS)}, "
-                f"got {','.join(header)}"
-            )
-    for row in reader:
-        line = reader.line_num
-        if any(row.get(col) in (None, "") for col in _CSV_COLUMNS):
-            raise InstanceError(f"line {line}: malformed row (expected 4 columns)")
-        key = (row["circuit_id"], row["provider_id"], row["machine_id"])
-        try:
-            micros = parse_seconds(row["seconds"])
-        except UnitError as exc:
-            raise InstanceError(f"line {line}: {exc}") from exc
-        if micros < 0:
-            raise InstanceError(f"line {line}: negative execution time")
-        if key in entries:
-            raise InstanceError(f"line {line}: duplicate triple {key}")
-        entries[key] = micros
-    return ExecTimeTable(entries)
-
-
-# ---------------------------------------------------------------------------
-# JSON document parsing
-# ---------------------------------------------------------------------------
 
 
 def _require(doc: dict, key: str, where: str) -> Any:
@@ -201,40 +159,66 @@ def _require(doc: dict, key: str, where: str) -> Any:
     return doc[key]
 
 
-def _parse_int_set(spec: Any, where: str) -> tuple[int, ...]:
+def _object(value: Any, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise InstanceError(f"{where}: expected an object")
+    return value
+
+
+def _objects(value: Any, where: str) -> Iterator[tuple[str, dict]]:
+    """The objects of a JSON list, each with its location."""
+    if not isinstance(value, list):
+        raise InstanceError(f"{where}: expected a list of objects")
+    for i, entry in enumerate(value):
+        yield f"{where}[{i}]", _object(entry, f"{where}[{i}]")
+
+
+def _id(value: Any, what: str) -> str:
+    """A non-empty string: an id or a file name."""
+    if not isinstance(value, str) or not value:
+        raise InstanceError(f"{what} must be a non-empty string")
+    return value
+
+
+def _ids(block: dict, keys: tuple[str, ...], where: str) -> tuple[str, ...]:
+    return tuple(_id(_require(block, key, where), f"{where}: {key}") for key in keys)
+
+
+def _integer(value: Any, what: str = "value") -> int:
+    """A JSON integer; a boolean is not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InstanceError(f"{what} must be an integer")
+    return value
+
+
+def _optional_integer(block: dict, key: str, where: str) -> int | None:
+    value = block.get(key)
+    return None if value is None else _integer(value, f"{where}: {key}")
+
+
+def _parse_set(spec: Any, where: str, value: Callable[[Any], int]) -> tuple[int, ...]:
+    """A list, or an inclusive lo/hi/step range of at most GRID_GUARD values."""
     if isinstance(spec, dict):
-        lo = _require(spec, "lo", where)
-        hi = _require(spec, "hi", where)
-        step = spec.get("step", 1)
-        if not all(isinstance(v, int) for v in (lo, hi, step)) or step <= 0:
-            raise InstanceError(f"{where}: lo/hi/step must be integers with step > 0")
-        values = tuple(range(lo, hi + 1, step))
+        raw = [_require(spec, "lo", where), _require(spec, "hi", where)]
+        raw.append(spec.get("step", 1))
     elif isinstance(spec, list):
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in spec):
-            raise InstanceError(f"{where}: expected a list of integers")
-        values = tuple(spec)
+        raw = spec
     else:
         raise InstanceError(f"{where}: expected a list or a lo/hi/step object")
-    if not values:
-        raise InstanceError(f"{where}: set is empty")
-    return values
-
-
-def _parse_time_set(spec: Any, where: str) -> tuple[int, ...]:
     try:
-        if isinstance(spec, dict):
-            lo = parse_seconds(_require(spec, "lo", where))
-            hi = parse_seconds(_require(spec, "hi", where))
-            step = parse_seconds(spec.get("step", 1))
-            if step <= 0:
-                raise InstanceError(f"{where}: step must be positive")
-            values = tuple(range(lo, hi + 1, step))
-        elif isinstance(spec, list):
-            values = tuple(parse_seconds(v) for v in spec)
-        else:
-            raise InstanceError(f"{where}: expected a list or a lo/hi/step object")
-    except UnitError as exc:
+        values = tuple(value(v) for v in raw)
+    except ValueError as exc:
         raise InstanceError(f"{where}: {exc}") from exc
+    if isinstance(spec, dict):
+        lo, hi, step = values
+        if step <= 0:
+            raise InstanceError(f"{where}: step must be positive")
+        size = (hi - lo) // step + 1
+        if size > GRID_GUARD:
+            raise InstanceError(
+                f"{where}: range has {size} values, more than {GRID_GUARD}"
+            )
+        values = tuple(range(lo, hi + 1, step))
     if not values:
         raise InstanceError(f"{where}: set is empty")
     return values
@@ -243,9 +227,11 @@ def _parse_time_set(spec: Any, where: str) -> tuple[int, ...]:
 def _parse_probs(spec: Any, where: str) -> tuple[float, ...]:
     if not isinstance(spec, list) or not spec:
         raise InstanceError(f"{where}: expected a non-empty list of probabilities")
+    if any(isinstance(v, bool) for v in spec):
+        raise InstanceError(f"{where}: probabilities must be numbers, not booleans")
     try:
         return tuple(float(v) for v in spec)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InstanceError(f"{where}: {exc}") from exc
 
 
@@ -261,47 +247,108 @@ def _parse_rates(block: dict, where: str) -> CostRates:
         raise InstanceError(f"{where}: {exc}") from exc
 
 
-def _parse_circuit(entry: Any, index: int) -> Circuit:
-    where = f"circuits[{index}]"
-    if isinstance(entry, str):
-        return Circuit(circuit_id=entry)
-    if not isinstance(entry, dict):
-        raise InstanceError(f"{where}: expected an id string or an object")
-    cid = _require(entry, "id", where)
-    if not isinstance(cid, str) or not cid:
-        raise InstanceError(f"{where}: id must be a non-empty string")
+def _parse_circuit(entry: dict, where: str) -> Circuit:
+    label = entry.get("label")
+    if label is not None and not isinstance(label, str):
+        raise InstanceError(f"{where}: label must be a string")
     return Circuit(
-        circuit_id=cid,
-        label=entry.get("label"),
-        num_qubits=entry.get("num_qubits"),
-        encoded_value=entry.get("encoded_value"),
+        circuit_id=_id(_require(entry, "id", where), f"{where}: id"),
+        label=label,
+        num_qubits=_optional_integer(entry, "num_qubits", where),
+        encoded_value=_optional_integer(entry, "encoded_value", where),
     )
 
 
+def _csv_records(handle: TextIO) -> Iterator[tuple[str, dict]]:
+    """The rows of an execution-time CSV, each with its line number."""
+    reader = csv.DictReader(handle)
+    if reader.fieldnames is not None:
+        header = tuple(name.strip() for name in reader.fieldnames)
+        if header != _CSV_COLUMNS:
+            raise InstanceError(
+                f"execution-time CSV header must be {','.join(_CSV_COLUMNS)}, "
+                f"got {','.join(header)}"
+            )
+    for row in reader:
+        where = f"line {reader.line_num}"
+        if any(row.get(col) in (None, "") for col in _CSV_COLUMNS):
+            raise InstanceError(f"{where}: malformed row (expected 4 columns)")
+        yield where, row
+
+
+def _exec_time_entries(
+    records: Iterable[tuple[str, dict]], keys: tuple[str, ...]
+) -> dict[tuple[str, str, str], int]:
+    """Microseconds per triple from inline records or CSV rows.
+
+    ``keys`` names the circuit, provider, machine and seconds fields.
+    """
+    entries: dict[tuple[str, str, str], int] = {}
+    for where, record in records:
+        key = _ids(record, keys[:3], where)
+        if key in entries:
+            raise InstanceError(f"{where}: duplicate triple {key}")
+        try:
+            entries[key] = parse_seconds(_require(record, keys[3], where))
+        except UnitError as exc:
+            raise InstanceError(f"{where}: {exc}") from exc
+    return entries
+
+
 def _synthesize_exec_times(
-    circuits: tuple[Circuit, ...],
-    triples: list[tuple[str, str, str]],
-    block: dict,
-) -> ExecTimeTable:
+    circuits: tuple[Circuit, ...], machines: tuple[Machine, ...], block: dict
+) -> dict[tuple[str, str, str], int]:
     where = "exec_times.synthetic"
     try:
         base = parse_seconds(_require(block, "base", where))
         slope = parse_seconds(_require(block, "slope", where))
     except UnitError as exc:
         raise InstanceError(f"{where}: {exc}") from exc
-    by_id = {c.circuit_id: c for c in circuits}
     entries: dict[tuple[str, str, str], int] = {}
-    for key in triples:
-        circuit = by_id[key[0]]
+    for circuit in circuits:
         if circuit.num_qubits is None or circuit.encoded_value is None:
             raise InstanceError(
                 f"{where}: circuit '{circuit.circuit_id}' needs num_qubits and "
                 "encoded_value for synthetic timing"
             )
-        entries[key] = synth_exec_time(
-            circuit.num_qubits, circuit.encoded_value, base, slope
-        )
-    return ExecTimeTable(entries)
+        for m in machines:
+            entries[(circuit.circuit_id, m.provider_id, m.machine_id)] = (
+                synth_exec_time(circuit.num_qubits, circuit.encoded_value, base, slope)
+            )
+    return entries
+
+
+def _read_exec_times(
+    doc: dict,
+    circuits: tuple[Circuit, ...],
+    machines: tuple[Machine, ...],
+    base_dir: str | Path | None,
+) -> dict[tuple[str, str, str], int]:
+    """Execution times from the inline records, the CSV file or the model."""
+    exec_block = doc.get("exec_times")
+    csv_path = doc.get("exec_times_csv")
+    if exec_block is not None and csv_path is not None:
+        raise InstanceError("give either exec_times or exec_times_csv, not both")
+    if csv_path is not None:
+        path = Path(_id(csv_path, "exec_times_csv"))
+        if not path.is_absolute() and base_dir is not None:
+            path = Path(base_dir) / path
+        try:
+            handle = open(path, "r", encoding="utf-8", newline="")
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
+            raise InstanceError(f"exec_times_csv: {exc}") from exc
+        with handle:
+            return _exec_time_entries(_csv_records(handle), _CSV_COLUMNS)
+    if isinstance(exec_block, dict) and "synthetic" in exec_block:
+        block = _object(exec_block["synthetic"], "exec_times.synthetic")
+        return _synthesize_exec_times(circuits, machines, block)
+    if isinstance(exec_block, list):
+        return _exec_time_entries(_objects(exec_block, "exec_times"), _RECORD_KEYS)
+    if exec_block is None:
+        return {}
+    raise InstanceError(
+        "exec_times must be a list of records or a {'synthetic': ...} object"
+    )
 
 
 def instance_from_document(
@@ -312,10 +359,12 @@ def instance_from_document(
 ) -> Instance:
     """Build an Instance from a parsed JSON document.
 
-    ``base_dir`` resolves a relative ``exec_times_csv`` path. With
-    ``check=True`` (the default) any error-severity diagnostic raises
-    :class:`InstanceError`; ``check=False`` returns the instance as-is so
-    callers can inspect the diagnostics themselves.
+    Every field is type-checked as it is read; a field of the wrong type
+    raises :class:`InstanceError`. ``base_dir`` resolves a relative
+    ``exec_times_csv`` path. With ``check=True`` (the default) any
+    error-severity diagnostic raises :class:`InstanceError`;
+    ``check=False`` returns the instance as-is so callers can inspect the
+    diagnostics themselves.
     """
     if not isinstance(doc, dict):
         raise InstanceError("document root must be an object")
@@ -323,7 +372,25 @@ def instance_from_document(
     raw_circuits = _require(doc, "circuits", "document")
     if not isinstance(raw_circuits, list) or not raw_circuits:
         raise InstanceError("circuits: expected a non-empty list")
-    circuits = tuple(_parse_circuit(entry, i) for i, entry in enumerate(raw_circuits))
+    circuits = []
+    demand_sets: dict[str, tuple[int, ...]] = {}
+    wait_sets: dict[str, tuple[int, ...]] = {}
+    demand_probs: dict[str, tuple[float, ...]] = {}
+    wait_probs: dict[str, tuple[float, ...]] = {}
+    for where, entry in _objects(raw_circuits, "circuits"):
+        circuit = _parse_circuit(entry, where)
+        circuits.append(circuit)
+        cid = circuit.circuit_id
+        demand_sets[cid] = _parse_set(
+            _require(entry, "demand_set", where), f"{where}.demand_set", _integer
+        )
+        wait_sets[cid] = _parse_set(
+            _require(entry, "wait_set", where), f"{where}.wait_set", parse_seconds
+        )
+        for name, probs in (("demand_probs", demand_probs), ("wait_probs", wait_probs)):
+            if name in entry:
+                probs[cid] = _parse_probs(entry[name], f"{where}.{name}")
+    circuits = tuple(circuits)
 
     providers = _require(doc, "providers", "document")
     if not isinstance(providers, list) or not all(
@@ -335,115 +402,33 @@ def instance_from_document(
     raw_machines = _require(doc, "machines", "document")
     if not isinstance(raw_machines, list) or not raw_machines:
         raise InstanceError("machines: expected a non-empty list")
-    machines = []
-    for i, entry in enumerate(raw_machines):
-        where = f"machines[{i}]"
-        if not isinstance(entry, dict):
-            raise InstanceError(f"{where}: expected an object")
-        capacity = entry.get("capacity", DEFAULT_CAPACITY)
-        if not isinstance(capacity, int) or isinstance(capacity, bool):
-            raise InstanceError(f"{where}: capacity must be an integer")
-        machines.append(
-            Machine(
-                provider_id=_require(entry, "provider", where),
-                machine_id=_require(entry, "machine", where),
-                capacity_qubits=capacity,
-            )
+    machines = tuple(
+        Machine(
+            *_ids(entry, ("provider", "machine"), where),
+            capacity_qubits=_integer(
+                entry.get("capacity", DEFAULT_CAPACITY), f"{where}: capacity"
+            ),
         )
-    machines = tuple(machines)
-
-    # Demand/wait sets live on the circuit entries.
-    demand_sets: dict[str, tuple[int, ...]] = {}
-    wait_sets: dict[str, tuple[int, ...]] = {}
-    demand_probs: dict[str, tuple[float, ...]] = {}
-    wait_probs: dict[str, tuple[float, ...]] = {}
-    for i, entry in enumerate(raw_circuits):
-        if isinstance(entry, str):
-            raise InstanceError(
-                f"circuits[{i}]: '{entry}' needs demand_set and wait_set"
-            )
-        cid = circuits[i].circuit_id
-        demand_sets[cid] = _parse_int_set(
-            _require(entry, "demand_set", f"circuits[{i}]"), f"circuits[{i}].demand_set"
-        )
-        wait_sets[cid] = _parse_time_set(
-            _require(entry, "wait_set", f"circuits[{i}]"), f"circuits[{i}].wait_set"
-        )
-        if "demand_probs" in entry:
-            demand_probs[cid] = _parse_probs(
-                entry["demand_probs"], f"circuits[{i}].demand_probs"
-            )
-        if "wait_probs" in entry:
-            wait_probs[cid] = _parse_probs(
-                entry["wait_probs"], f"circuits[{i}].wait_probs"
-            )
+        for where, entry in _objects(raw_machines, "machines")
+    )
 
     # Rates: explicit per-pair records override the default block.
     rates: dict[tuple[str, str], CostRates] = {}
     default_block = doc.get("default_rates")
     if default_block is not None:
-        default = _parse_rates(default_block, "default_rates")
+        default = _parse_rates(_object(default_block, "default_rates"), "default_rates")
         for circuit in circuits:
             for provider in providers:
                 rates[(circuit.circuit_id, provider)] = default
-    for i, entry in enumerate(doc.get("rates", [])):
-        where = f"rates[{i}]"
-        if not isinstance(entry, dict):
-            raise InstanceError(f"{where}: expected an object")
-        key = (_require(entry, "circuit", where), _require(entry, "provider", where))
-        rates[key] = _parse_rates(entry, where)
-
-    triples = [
-        (c.circuit_id, m.provider_id, m.machine_id) for c in circuits for m in machines
-    ]
-
-    exec_block = doc.get("exec_times")
-    csv_path = doc.get("exec_times_csv")
-    if exec_block is not None and csv_path is not None:
-        raise InstanceError("give either exec_times or exec_times_csv, not both")
-    if csv_path is not None:
-        path = Path(csv_path)
-        if not path.is_absolute() and base_dir is not None:
-            path = Path(base_dir) / path
-        try:
-            exec_times = load_exec_times(path)
-        except OSError as exc:
-            raise InstanceError(f"exec_times_csv: {exc}") from exc
-    elif isinstance(exec_block, dict) and "synthetic" in exec_block:
-        exec_times = _synthesize_exec_times(
-            circuits, triples, exec_block["synthetic"]
-        )
-    elif isinstance(exec_block, list):
-        entries: dict[tuple[str, str, str], int] = {}
-        for i, entry in enumerate(exec_block):
-            where = f"exec_times[{i}]"
-            if not isinstance(entry, dict):
-                raise InstanceError(f"{where}: expected an object")
-            key = (
-                _require(entry, "circuit", where),
-                _require(entry, "provider", where),
-                _require(entry, "machine", where),
-            )
-            if key in entries:
-                raise InstanceError(f"{where}: duplicate triple {key}")
-            try:
-                entries[key] = parse_seconds(_require(entry, "seconds", where))
-            except UnitError as exc:
-                raise InstanceError(f"{where}: {exc}") from exc
-        exec_times = ExecTimeTable(entries)
-    elif exec_block is None:
-        exec_times = ExecTimeTable({})
-    else:
-        raise InstanceError(
-            "exec_times must be a list of records or a {'synthetic': ...} object"
-        )
+    for where, entry in _objects(doc.get("rates", []), "rates"):
+        rates[_ids(entry, ("circuit", "provider"), where)] = _parse_rates(entry, where)
 
     instance = Instance(
         circuits=circuits,
         providers=providers,
         machines=machines,
         rates=rates,
-        exec_times=exec_times,
+        exec_times=_read_exec_times(doc, circuits, machines, base_dir),
         demand_sets=demand_sets,
         wait_sets=wait_sets,
         demand_probs=demand_probs,
@@ -456,29 +441,23 @@ def instance_from_document(
     return instance
 
 
-def load_instance(
-    source: str | Path | TextIO, base_dir: str | Path | None = None
-) -> Instance:
-    """Load and validate an instance from a JSON file or file object.
+def load_instance(path: str | Path, *, check: bool = True) -> Instance:
+    """Load an instance from a JSON file; see :func:`instance_from_document`.
 
     Floats in the document are parsed as decimal literals, so values such
-    as 1.68 land exactly on the micro-dollar grid.
+    as 1.68 land exactly on the micro-dollar grid. A relative
+    ``exec_times_csv`` is resolved against the file's directory.
     """
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        with open(path, "r", encoding="utf-8") as handle:
-            return load_instance(handle, base_dir or path.parent)
+    path = Path(path)
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
     try:
-        doc = json.load(source, parse_float=Decimal)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text, parse_float=Decimal)
+    # ValueError also covers integers past the int-string digit limit and
+    # RecursionError nesting too deep for the decoder.
+    except (ValueError, RecursionError) as exc:
         raise InstanceError(f"invalid JSON: {exc}") from exc
-    return instance_from_document(doc, base_dir)
-
-
-def parse_instance(text: str, base_dir: str | Path | None = None) -> Instance:
-    """Load an instance from JSON text."""
-    return load_instance(io.StringIO(text), base_dir)
-
+    return instance_from_document(doc, path.parent, check=check)
 
 def serialize_instance(instance: Instance) -> dict:
     """Emit a canonical document that loads back to an equal Instance."""
@@ -528,7 +507,7 @@ def serialize_instance(instance: Instance) -> dict:
                 "machine": m,
                 "seconds": micro_to_unit(t),
             }
-            for (c, p, m), t in sorted(instance.exec_times.entries.items())
+            for (c, p, m), t in sorted(instance.exec_times.items())
         ],
     }
 
@@ -639,7 +618,7 @@ def validate(instance: Instance) -> list[Diagnostic]:
             out.append(Diagnostic("error", where, f"unknown circuit '{cid}'"))
         if pid not in instance.providers:
             out.append(Diagnostic("error", where, f"unknown provider '{pid}'"))
-    for cid, pid, mid in instance.exec_times.entries:
+    for cid, pid, mid in instance.exec_times:
         where = f"exec_times[{cid},{pid},{mid}]"
         if cid not in seen_circuits:
             out.append(Diagnostic("error", where, f"unknown circuit '{cid}'"))
@@ -649,7 +628,7 @@ def validate(instance: Instance) -> list[Diagnostic]:
     for c in instance.circuits:
         for m in instance.machines:
             key = (c.circuit_id, m.provider_id, m.machine_id)
-            t = instance.exec_times.entries.get(key)
+            t = instance.exec_times.get(key)
             where = f"exec_times[{','.join(key)}]"
             if t is None:
                 out.append(Diagnostic("error", where, "missing execution time"))

@@ -10,7 +10,7 @@ which is what the oracle tests rely on.
 
 from __future__ import annotations
 
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, InvalidOperation, Overflow
 from fractions import Fraction
 
 MICRO = 10**6
@@ -34,7 +34,14 @@ def _to_micro(value: int | float | str | Decimal, what: str) -> int:
             value = Decimal(value)
         except InvalidOperation as exc:
             raise UnitError(f"{what} is not a number: {value!r}") from exc
-    scaled = value * MICRO
+    elif not isinstance(value, Decimal):
+        raise UnitError(f"{what} must be a number, got {type(value).__name__}")
+    if not value.is_finite():
+        raise UnitError(f"{what} is not a finite number: {value}")
+    try:
+        scaled = value * MICRO
+    except Overflow as exc:
+        raise UnitError(f"{what} is out of range: {value}") from exc
     if scaled != scaled.to_integral_value():
         raise UnitError(f"{what} has sub-micro precision: {value}")
     return int(scaled)

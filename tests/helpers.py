@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from qres.instance import CostRates, Circuit, ExecTimeTable, Instance, Machine
+from qres.instance import CostRates, Circuit, Instance, Machine
 from qres.recourse import penalty_time
 from qres.units import MICRO, parse_money
 
@@ -45,9 +45,7 @@ def make_instance(
         for p in provider_ids
         for j in range(machines_per_provider)
     )
-    exec_times = ExecTimeTable(
-        {("c1", m.provider_id, m.machine_id): exec_time for m in machines}
-    )
+    exec_times = {("c1", m.provider_id, m.machine_id): exec_time for m in machines}
     return Instance(
         circuits=(Circuit(circuit_id="c1"),),
         providers=provider_ids,
@@ -108,9 +106,7 @@ def random_instance(
     demand, wait, demand_probs, wait_probs = random_marginals(
         rng, max_demand, max_outcomes, max_waits
     )
-    exec_times = ExecTimeTable(
-        {("c1", p, "m1"): rng.randint(0, 12000) for p in provider_ids}
-    )
+    exec_times = {("c1", p, "m1"): rng.randint(0, 12000) for p in provider_ids}
     return Instance(
         circuits=(Circuit(circuit_id="c1"),),
         providers=provider_ids,

@@ -5,10 +5,14 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qres.cli import run, write_atomic
 
 REF = str(Path(__file__).parent / "data" / "reference.json")
+CSV_HEADER = "circuit_id,provider_id,machine_id,seconds\n"
+DELETE = object()
 
 
 def write_doc(tmp_path: Path, doc: dict, name: str = "inst.json") -> str:
@@ -113,11 +117,6 @@ def _rates_unknown_circuit(doc, tmp_path):
     return "rates[qtf,p1]: unknown circuit 'qtf'"
 
 
-def _rates_circuit_not_a_string(doc, tmp_path):
-    doc["rates"] = [_rate_override(5, "p1")]
-    return "rates[5,p1]: unknown circuit '5'"
-
-
 def _rates_unknown_provider(doc, tmp_path):
     doc["rates"] = [_rate_override("c1", "p9")]
     return "rates[c1,p9]: unknown provider 'p9'"
@@ -146,7 +145,6 @@ def _exec_time_csv_unknown_machine(doc, tmp_path):
     "mutate",
     [
         _rates_unknown_circuit,
-        _rates_circuit_not_a_string,
         _rates_unknown_provider,
         _exec_time_unknown_circuit,
         _exec_time_csv_unknown_machine,
@@ -160,6 +158,222 @@ def test_validate_flags_entries_for_unknown_keys(mutate, tmp_path, capsys):
     assert capsys.readouterr().out == f"error: {message}\n"
     assert run(["solve", path]) == 1
     assert message in capsys.readouterr().err
+
+
+def _synthetic_timing(doc, num_qubits=4, encoded_value=5):
+    doc["circuits"][0].update(num_qubits=num_qubits, encoded_value=encoded_value)
+    doc["exec_times"] = {"synthetic": {"base": 0.001, "slope": 0.0001}}
+
+
+def _exec_times_csv(doc, tmp_path, data: bytes, name="times.csv"):
+    del doc["exec_times"]
+    (tmp_path / name).write_bytes(data)
+    doc["exec_times_csv"] = name
+
+
+def _machine_id_number(doc, tmp_path):
+    doc["machines"][0]["machine"] = 7
+
+
+def _machine_provider_list(doc, tmp_path):
+    doc["machines"][0]["provider"] = ["p1"]
+
+
+def _rates_circuit_not_a_string(doc, tmp_path):
+    doc["rates"] = [_rate_override(5, "p1")]
+
+
+def _rates_circuit_list(doc, tmp_path):
+    doc["rates"] = [_rate_override(["c1"], "p1")]
+
+
+def _exec_time_machine_list(doc, tmp_path):
+    doc["exec_times"][0]["machine"] = ["m1"]
+
+
+def _default_rates_number(doc, tmp_path):
+    doc["default_rates"] = 5
+
+
+def _rates_number(doc, tmp_path):
+    doc["rates"] = 5
+
+
+def _synthetic_number(doc, tmp_path):
+    _synthetic_timing(doc)
+    doc["exec_times"]["synthetic"] = 5
+
+
+def _exec_times_csv_number(doc, tmp_path):
+    del doc["exec_times"]
+    doc["exec_times_csv"] = 5
+
+
+def _exec_times_csv_nul_in_name(doc, tmp_path):
+    del doc["exec_times"]
+    doc["exec_times_csv"] = "times\u0000.csv"
+
+
+def _exec_times_csv_field_too_long(doc, tmp_path):
+    row = "c1,p1,m1," + "1" * 200_000 + "\n"
+    _exec_times_csv(doc, tmp_path, (CSV_HEADER + row).encode())
+
+
+def _num_qubits_string(doc, tmp_path):
+    _synthetic_timing(doc, num_qubits="4")
+
+
+def _num_qubits_boolean(doc, tmp_path):
+    _synthetic_timing(doc, num_qubits=True, encoded_value=1)
+
+
+def _label_number(doc, tmp_path):
+    doc["circuits"][0]["label"] = 5
+
+
+def _demand_probs_booleans(doc, tmp_path):
+    doc["circuits"][0]["demand_set"] = [1, 2]
+    doc["circuits"][0]["demand_probs"] = [True, False]
+
+
+def _demand_probs_too_large_for_a_float(doc, tmp_path):
+    doc["circuits"][0]["demand_probs"] = [10**400]
+
+
+def _demand_range_step_boolean(doc, tmp_path):
+    doc["circuits"][0]["demand_set"] = {"lo": 0, "hi": 5, "step": True}
+
+
+def _rate_null(doc, tmp_path):
+    doc["default_rates"]["penalty"] = None
+
+
+def _rate_infinite(doc, tmp_path):
+    doc["default_rates"]["reserve"] = float("inf")
+
+
+def _seconds_list(doc, tmp_path):
+    doc["exec_times"][0]["seconds"] = [0.005]
+
+
+def _seconds_beyond_decimal_range(doc, tmp_path):
+    return json.dumps(doc).replace("0.005}", "1e999999}")
+
+
+def _integer_beyond_digit_limit(doc, tmp_path):
+    return json.dumps(doc).replace('"capacity": 30', '"capacity": ' + "9" * 5000)
+
+
+def _nested_too_deep(doc, tmp_path):
+    return "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _machine_id_number,
+        _machine_provider_list,
+        _rates_circuit_not_a_string,
+        _rates_circuit_list,
+        _exec_time_machine_list,
+        _default_rates_number,
+        _rates_number,
+        _synthetic_number,
+        _exec_times_csv_number,
+        _exec_times_csv_nul_in_name,
+        _exec_times_csv_field_too_long,
+        _num_qubits_string,
+        _num_qubits_boolean,
+        _label_number,
+        _demand_probs_booleans,
+        _demand_probs_too_large_for_a_float,
+        _demand_range_step_boolean,
+        _rate_null,
+        _rate_infinite,
+        _seconds_list,
+        _seconds_beyond_decimal_range,
+        _integer_beyond_digit_limit,
+        _nested_too_deep,
+    ],
+)
+def test_malformed_document_is_one_error_line(mutate, tmp_path, capsys):
+    doc = single_triple_doc()
+    text = mutate(doc, tmp_path)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc) if text is None else text, encoding="utf-8")
+    for command in ("validate", "solve"):
+        assert run([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+
+def _paths(value, prefix=()):
+    """Every key or index path inside a JSON value."""
+    children = (
+        value.items() if isinstance(value, dict)
+        else enumerate(value) if isinstance(value, list)
+        else ()
+    )
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+SINGLE_TRIPLE_PATHS = list(_paths(single_triple_doc()))
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+@settings(
+    derandomize=True,
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    path=st.sampled_from(SINGLE_TRIPLE_PATHS),
+    value=st.one_of(st.just(DELETE), json_values),
+)
+def test_any_field_of_any_type_exits_0_or_1(path, value, tmp_path, capsys):
+    doc = single_triple_doc()
+    *parents, last = path
+    block = doc
+    for key in parents:
+        block = block[key]
+    if value is DELETE:
+        del block[last]
+    else:
+        block[last] = value
+    target = write_doc(tmp_path, doc)
+    for command in ("validate", "solve"):
+        assert run([command, target]) in (0, 1)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("which", ["instance", "exec_times_csv", "reservations"])
+def test_undecodable_file_is_one_error_line(which, tmp_path, capsys):
+    garbage = b"\xff\xfe" + "not utf-8".encode("utf-16-le")
+    doc = single_triple_doc()
+    if which == "exec_times_csv":
+        _exec_times_csv(doc, tmp_path, garbage)
+    path = write_doc(tmp_path, doc)
+    if which == "instance":
+        Path(path).write_bytes(garbage)
+    vector = tmp_path / "vector.csv"
+    vector.write_bytes(
+        garbage if which == "reservations"
+        else b"circuit_id,provider_id,machine_id,reserved\nc1,p1,m1,5\n"
+    )
+    assert run(["eval", path, "--reservations", str(vector)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "decode" in err and err.count("\n") == 1
 
 
 def test_validate_missing_file(capsys):
@@ -208,6 +422,7 @@ def test_sweep_bad_grid_is_usage_error(capsys):
         ["surface", REF, "--grid", "0:2", "--waits", "0.002:0.001"],
         ["surface", REF, "--grid", "0:2", "--waits=-0.001:0.002"],
         ["surface", REF, "--grid", "0:2", "--waits", "0:0.0000001:0.0000001"],
+        ["surface", REF, "--grid", "0:2", "--waits", "0:inf"],
     ],
     ids=[
         "grid-arity",
@@ -221,6 +436,7 @@ def test_sweep_bad_grid_is_usage_error(capsys):
         "waits-hi-below-lo",
         "waits-negative-lo",
         "waits-below-a-microsecond",
+        "waits-infinite",
     ],
 )
 def test_malformed_grid_is_usage_error(args, capsys):

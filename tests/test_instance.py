@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 
 import pytest
@@ -10,9 +9,7 @@ from helpers import REF_RATES, make_instance
 from qres.instance import (
     InstanceError,
     instance_from_document,
-    load_exec_times,
     load_instance,
-    parse_instance,
     popcount,
     serialize_instance,
     synth_exec_time,
@@ -108,9 +105,11 @@ def test_rates_record_overrides_default():
     assert inst.rate("c1", "p2").reserve_per_qubit == 500_000
 
 
-def test_invalid_json_reports_parse_error():
+def test_invalid_json_reports_parse_error(tmp_path):
+    path = tmp_path / "inst.json"
+    path.write_text("{not json", encoding="utf-8")
     with pytest.raises(InstanceError, match="invalid JSON"):
-        parse_instance("{not json")
+        load_instance(path)
 
 
 def test_synthetic_exec_times_block():
@@ -167,42 +166,72 @@ def test_validate_missing_exec_time():
 # --- exec-time CSV ---------------------------------------------------------
 
 
-def test_load_exec_times_single_row():
-    table = load_exec_times(
-        io.StringIO("circuit_id,provider_id,machine_id,seconds\nc1,p1,m1,0.004\n")
-    )
-    assert table.entries == {("c1", "p1", "m1"): 4000}
+CSV_HEADER = "circuit_id,provider_id,machine_id,seconds\n"
 
 
-def test_load_exec_times_duplicate_triple():
-    text = (
-        "circuit_id,provider_id,machine_id,seconds\n"
-        "c1,p1,m1,0.004\nc1,p1,m1,0.005\n"
-    )
-    with pytest.raises(InstanceError, match="duplicate"):
-        load_exec_times(io.StringIO(text))
+def csv_doc(tmp_path, text: str) -> dict:
+    """The minimal document with its execution times in a CSV file."""
+    (tmp_path / "times.csv").write_text(text, encoding="utf-8")
+    doc = minimal_doc()
+    del doc["exec_times"]
+    doc["exec_times_csv"] = "times.csv"
+    return doc
 
 
-def test_load_exec_times_negative():
-    text = "circuit_id,provider_id,machine_id,seconds\nc1,p1,m1,-0.004\n"
-    with pytest.raises(InstanceError, match="negative"):
-        load_exec_times(io.StringIO(text))
+def test_load_exec_times_single_row(tmp_path):
+    doc = csv_doc(tmp_path, CSV_HEADER + "c1,p1,m1,0.004\n")
+    inst = instance_from_document(doc, tmp_path)
+    assert inst.exec_times == {("c1", "p1", "m1"): 4000}
 
 
-def test_load_exec_times_malformed_row():
-    text = "circuit_id,provider_id,machine_id,seconds\nc1,p1\n"
+def test_load_exec_times_duplicate_triple(tmp_path):
+    doc = csv_doc(tmp_path, CSV_HEADER + "c1,p1,m1,0.004\nc1,p1,m1,0.005\n")
+    with pytest.raises(InstanceError, match="line 3: duplicate"):
+        instance_from_document(doc, tmp_path)
+
+
+def test_load_exec_times_negative(tmp_path):
+    doc = csv_doc(tmp_path, CSV_HEADER + "c1,p1,m1,-0.004\n")
+    with pytest.raises(
+        InstanceError, match=r"exec_times\[c1,p1,m1\]: negative execution time"
+    ):
+        instance_from_document(doc, tmp_path)
+
+
+def test_load_exec_times_malformed_row(tmp_path):
+    doc = csv_doc(tmp_path, CSV_HEADER + "c1,p1\n")
     with pytest.raises(InstanceError, match="malformed"):
-        load_exec_times(io.StringIO(text))
+        instance_from_document(doc, tmp_path)
 
 
-def test_load_exec_times_empty_is_empty_table():
-    table = load_exec_times(io.StringIO("circuit_id,provider_id,machine_id,seconds\n"))
-    assert table.entries == {}
+def test_load_exec_times_empty_is_empty_table(tmp_path):
+    doc = csv_doc(tmp_path, CSV_HEADER)
+    assert instance_from_document(doc, tmp_path, check=False).exec_times == {}
 
 
-def test_load_exec_times_bad_header():
+def test_load_exec_times_bad_header(tmp_path):
+    doc = csv_doc(tmp_path, "a,b,c,d\n")
     with pytest.raises(InstanceError, match="header"):
-        load_exec_times(io.StringIO("a,b,c,d\n"))
+        instance_from_document(doc, tmp_path)
+
+
+# --- range guard -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "field, spec, size",
+    [
+        ("demand_set", {"lo": 0, "hi": 10**6}, 10**6 + 1),
+        ("demand_set", {"lo": 0, "hi": 10**9}, 10**9 + 1),
+        ("wait_set", {"lo": 0, "hi": 1000, "step": 0.000001}, 10**9 + 1),
+    ],
+    ids=["just-above-the-guard", "a-billion-qubits", "microsecond-wait-step"],
+)
+def test_oversized_range_is_refused_naming_its_size(field, spec, size):
+    doc = minimal_doc()
+    doc["circuits"][0][field] = spec
+    with pytest.raises(InstanceError, match=f"range has {size} values"):
+        instance_from_document(doc)
 
 
 # --- synthetic timing ------------------------------------------------------
@@ -224,6 +253,17 @@ def test_synth_popcount_ordering():
 def test_synth_out_of_range():
     with pytest.raises(InstanceError, match="out of range"):
         synth_exec_time(4, 16, 1000, 7)
+
+
+def test_synth_wide_register_is_cheap():
+    # The range check must not build 2**num_qubits.
+    assert synth_exec_time(10**12, 5, 1000, 7) == 1000 + 7 * 10**12 * 2
+    doc = minimal_doc()
+    doc["circuits"][0]["num_qubits"] = 10**12
+    doc["circuits"][0]["encoded_value"] = 2**70 - 1
+    doc["exec_times"] = {"synthetic": {"base": 0.001, "slope": 0.0001}}
+    inst = instance_from_document(doc)
+    assert inst.exec_time("c1", "p1", "m1") == 1000 + 100 * 10**12 * 70
 
 
 def test_synth_monotone_everywhere():

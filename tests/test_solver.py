@@ -15,7 +15,7 @@ from helpers import (
     random_marginals,
     random_rates,
 )
-from qres.instance import CostRates, Circuit, ExecTimeTable, Instance, Machine
+from qres.instance import CostRates, Circuit, Instance, Machine
 from qres.solver import (
     CapacityError,
     GuardError,
@@ -262,9 +262,7 @@ def one_circuit(demand, wait, demand_probs, wait_probs, triples) -> Instance:
         providers=tuple(m.provider_id for m in machines),
         machines=machines,
         rates={("c", f"p{i}"): rates for i, (rates, _, _) in enumerate(triples)},
-        exec_times=ExecTimeTable(
-            {("c", f"p{i}", "m"): t for i, (_, _, t) in enumerate(triples)}
-        ),
+        exec_times={("c", f"p{i}", "m"): t for i, (_, _, t) in enumerate(triples)},
         demand_sets={"c": tuple(demand)},
         wait_sets={"c": tuple(wait)},
         demand_probs={"c": demand_probs} if demand_probs else {},
