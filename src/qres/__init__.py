@@ -26,7 +26,6 @@ from .instance import (
     Machine,
     instance_from_document,
     load_instance,
-    serialize_instance,
     synth_exec_time,
     validate,
 )
@@ -48,8 +47,8 @@ from .solver import (
     expected_cost,
     joint_enumeration_oracle,
     per_triple_costs,
+    scenario_costs,
     solve_instance,
-    solve_triple,
 )
 from .sweep import (
     CostCurve,
@@ -93,10 +92,9 @@ __all__ = [
     "parse_lp",
     "penalty_time",
     "per_triple_costs",
-    "serialize_instance",
+    "scenario_costs",
     "solve_enumerative",
     "solve_instance",
-    "solve_triple",
     "space_for_circuit",
     "brute_force_triple",
     "sweep_reservation",

@@ -26,9 +26,8 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO
 
-from .instance import Instance
+from .instance import GRID_GUARD, Instance
 from .scenarios import space_for_circuit
 from .solver import GuardError, ModelError
 from .units import MICRO, exact_decimal, fraction_from_decimal
@@ -76,8 +75,18 @@ def build_extensive_form(instance: Instance) -> ExtensiveForm:
     variable followed by (utilize, on-demand, over-wait) per scenario.
     Names carry zero-based circuit/provider/machine positions and the
     scenario index; that naming is a frozen contract (golden files and
-    the enumeration solver rely on it).
+    the enumeration solver rely on it). A form of more than GRID_GUARD
+    scenarios, summed over all triples, is refused before it is built.
     """
+    size = sum(
+        len(instance.demand_sets[cid]) * len(instance.wait_sets[cid])
+        for cid, _, _ in instance.triples()
+    )
+    if size > GRID_GUARD:
+        raise GuardError(
+            f"extensive form has {size} scenarios over all triples, "
+            f"more than {GRID_GUARD}"
+        )
     circuit_pos = {c.circuit_id: i for i, c in enumerate(instance.circuits)}
     provider_pos = {p: i for i, p in enumerate(instance.providers)}
     machine_pos: dict[tuple[str, str], int] = {}
@@ -233,13 +242,12 @@ def _parse_terms(tokens: list[str], line_no: int) -> list[tuple[Fraction, str]]:
     return terms
 
 
-def parse_lp(source: str | IO[str]) -> ExtensiveForm:
+def parse_lp(text: str) -> ExtensiveForm:
     """Parse LP text produced by :func:`render_lp` back into a form.
 
     Only the emitted subset of the format is understood; variable order
     is recovered from the objective, which lists every variable.
     """
-    text = source if isinstance(source, str) else source.read()
     section = None
     objective_terms: list[tuple[Fraction, str]] = []
     raw_rows: list[tuple[str, list[tuple[Fraction, str]], str, Fraction]] = []

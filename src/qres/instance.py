@@ -20,7 +20,14 @@ from decimal import Decimal
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
-from .units import UnitError, micro_to_unit, parse_money, parse_seconds
+from .units import (
+    MAGNITUDE_LIMIT,
+    MICRO,
+    UnitError,
+    check_magnitude,
+    parse_money,
+    parse_seconds,
+)
 
 DEFAULT_CAPACITY = 30
 
@@ -185,9 +192,13 @@ def _ids(block: dict, keys: tuple[str, ...], where: str) -> tuple[str, ...]:
 
 
 def _integer(value: Any, what: str = "value") -> int:
-    """A JSON integer; a boolean is not one."""
+    """A JSON integer of at most MAGNITUDE_LIMIT; a boolean is not one."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise InstanceError(f"{what} must be an integer")
+    try:
+        check_magnitude(value, what)
+    except UnitError as exc:
+        raise InstanceError(str(exc)) from None
     return value
 
 
@@ -261,9 +272,10 @@ def _parse_circuit(entry: dict, where: str) -> Circuit:
 
 def _csv_records(handle: TextIO) -> Iterator[tuple[str, dict]]:
     """The rows of an execution-time CSV, each with its line number."""
-    reader = csv.DictReader(handle)
+    # A space after a comma is ignored, in the header and in every row.
+    reader = csv.DictReader(handle, skipinitialspace=True)
     if reader.fieldnames is not None:
-        header = tuple(name.strip() for name in reader.fieldnames)
+        header = tuple(reader.fieldnames)
         if header != _CSV_COLUMNS:
             raise InstanceError(
                 f"execution-time CSV header must be {','.join(_CSV_COLUMNS)}, "
@@ -311,10 +323,14 @@ def _synthesize_exec_times(
                 f"{where}: circuit '{circuit.circuit_id}' needs num_qubits and "
                 "encoded_value for synthetic timing"
             )
-        for m in machines:
-            entries[(circuit.circuit_id, m.provider_id, m.machine_id)] = (
-                synth_exec_time(circuit.num_qubits, circuit.encoded_value, base, slope)
+        micro = synth_exec_time(circuit.num_qubits, circuit.encoded_value, base, slope)
+        if micro > MAGNITUDE_LIMIT * MICRO:
+            raise InstanceError(
+                f"{where}: circuit '{circuit.circuit_id}' runs longer than "
+                f"{MAGNITUDE_LIMIT:.0e} seconds"
             )
+        for m in machines:
+            entries[(circuit.circuit_id, m.provider_id, m.machine_id)] = micro
     return entries
 
 
@@ -437,7 +453,9 @@ def instance_from_document(
     if check:
         errors = [d for d in validate(instance) if d.severity == "error"]
         if errors:
-            raise InstanceError("; ".join(str(d) for d in errors))
+            raise InstanceError(
+                "; ".join(f"{d.location}: {d.message}" for d in errors)
+            )
     return instance
 
 
@@ -458,58 +476,6 @@ def load_instance(path: str | Path, *, check: bool = True) -> Instance:
     except (ValueError, RecursionError) as exc:
         raise InstanceError(f"invalid JSON: {exc}") from exc
     return instance_from_document(doc, path.parent, check=check)
-
-def serialize_instance(instance: Instance) -> dict:
-    """Emit a canonical document that loads back to an equal Instance."""
-    circuits = []
-    for c in instance.circuits:
-        entry: dict[str, Any] = {"id": c.circuit_id}
-        if c.label is not None:
-            entry["label"] = c.label
-        if c.num_qubits is not None:
-            entry["num_qubits"] = c.num_qubits
-        if c.encoded_value is not None:
-            entry["encoded_value"] = c.encoded_value
-        entry["demand_set"] = list(instance.demand_sets[c.circuit_id])
-        entry["wait_set"] = [micro_to_unit(w) for w in instance.wait_sets[c.circuit_id]]
-        if c.circuit_id in instance.demand_probs:
-            entry["demand_probs"] = list(instance.demand_probs[c.circuit_id])
-        if c.circuit_id in instance.wait_probs:
-            entry["wait_probs"] = list(instance.wait_probs[c.circuit_id])
-        circuits.append(entry)
-
-    return {
-        "circuits": circuits,
-        "providers": list(instance.providers),
-        "machines": [
-            {
-                "provider": m.provider_id,
-                "machine": m.machine_id,
-                "capacity": m.capacity_qubits,
-            }
-            for m in instance.machines
-        ],
-        "rates": [
-            {
-                "circuit": cid,
-                "provider": pid,
-                "reserve": micro_to_unit(r.reserve_per_qubit),
-                "utilize": micro_to_unit(r.utilize_per_qubit),
-                "on_demand": micro_to_unit(r.on_demand_per_qubit),
-                "penalty": micro_to_unit(r.penalty_per_second),
-            }
-            for (cid, pid), r in sorted(instance.rates.items())
-        ],
-        "exec_times": [
-            {
-                "circuit": c,
-                "provider": p,
-                "machine": m,
-                "seconds": micro_to_unit(t),
-            }
-            for (c, p, m), t in sorted(instance.exec_times.items())
-        ],
-    }
 
 
 # ---------------------------------------------------------------------------

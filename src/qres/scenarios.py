@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .instance import Instance, probability_problems
+from .instance import GRID_GUARD, Instance, probability_problems
 
 _DYADIC_ONE = 1 << 53
 
@@ -36,12 +36,10 @@ class ScenarioError(ValueError):
 class Scenario:
     demand_qubits: int
     wait_time: int  # microseconds
-    index: int
 
 
 @dataclass(frozen=True)
 class ScenarioSpace:
-    circuit_id: str
     scenarios: tuple[Scenario, ...]
     exact_probabilities: tuple[Fraction, ...]
 
@@ -71,7 +69,6 @@ def _checked_probs(
 class Marginals(NamedTuple):
     """Checked demand and wait outcomes of one circuit, exact probabilities."""
 
-    circuit_id: str
     demands: tuple[int, ...]
     demand_probs: tuple[Fraction, ...]
     waits: tuple[int, ...]  # microseconds
@@ -93,7 +90,6 @@ def marginals(
     if not waits:
         raise ScenarioError(f"{circuit_id}: empty wait set")
     return Marginals(
-        circuit_id,
         demands,
         _checked_probs(demand_probs, len(demands), f"{circuit_id} demand_probs"),
         waits,
@@ -114,20 +110,19 @@ def circuit_marginals(instance: Instance, circuit_id: str) -> Marginals:
     )
 
 
-def _product_space(m: Marginals) -> ScenarioSpace:
+def _product_space(circuit_id: str, m: Marginals) -> ScenarioSpace:
+    size = len(m.demands) * len(m.waits)
+    if size > GRID_GUARD:
+        raise ScenarioError(
+            f"{circuit_id}: product space has {size} scenarios, more than {GRID_GUARD}"
+        )
     scenarios = []
     exact = []
-    index = 0
     for beta, pd in zip(m.demands, m.demand_probs):
         for alpha, pw in zip(m.waits, m.wait_probs):
-            scenarios.append(Scenario(demand_qubits=beta, wait_time=alpha, index=index))
+            scenarios.append(Scenario(demand_qubits=beta, wait_time=alpha))
             exact.append(pd * pw)
-            index += 1
-    return ScenarioSpace(
-        circuit_id=m.circuit_id,
-        scenarios=tuple(scenarios),
-        exact_probabilities=tuple(exact),
-    )
+    return ScenarioSpace(scenarios=tuple(scenarios), exact_probabilities=tuple(exact))
 
 
 def build_space(
@@ -137,12 +132,16 @@ def build_space(
     demand_probs: Iterable[float] | None = None,
     wait_probs: Iterable[float] | None = None,
 ) -> ScenarioSpace:
-    """Product space of demand x wait outcomes with product probabilities."""
+    """Product space of demand x wait outcomes with product probabilities.
+
+    A space of more than GRID_GUARD scenarios is refused before it is built.
+    """
     return _product_space(
-        marginals(circuit_id, demand_set, wait_set, demand_probs, wait_probs)
+        circuit_id,
+        marginals(circuit_id, demand_set, wait_set, demand_probs, wait_probs),
     )
 
 
 def space_for_circuit(instance: Instance, circuit_id: str) -> ScenarioSpace:
     """Build the scenario space of one circuit of an instance."""
-    return _product_space(circuit_marginals(instance, circuit_id))
+    return _product_space(circuit_id, circuit_marginals(instance, circuit_id))

@@ -20,8 +20,8 @@ is excluded from the argmin and added back to every reported cost.
 
 The scenario route prices every (demand, wait) scenario through
 :func:`~qres.recourse.optimal_recourse`. It is the oracle:
-:func:`brute_force_triple`, ``expected_cost(..., keep_per_scenario=True)``
-and ``qres solve --oracle`` use it, and the tests compare it with the
+:func:`brute_force_triple`, :func:`scenario_costs` and
+``qres solve --oracle`` use it, and the tests compare it with the
 kernel. All expectations are exact rationals (see :mod:`qres.units`), so
 the routes are compared with ``==``.
 """
@@ -35,13 +35,12 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
 from .instance import CostRates, Instance
-from .recourse import RecourseDecision, optimal_recourse, penalty_cost, penalty_time
+from .recourse import optimal_recourse, penalty_cost, penalty_time
 from .scenarios import (
     Marginals,
     ScenarioSpace,
     build_space,
     circuit_marginals,
-    marginals,
     space_for_circuit,
 )
 
@@ -96,7 +95,6 @@ class Solution:
     expected_penalty: Fraction
     expected_total: Fraction
     per_triple: tuple[TripleCost, ...]
-    per_scenario: dict[tuple[TripleKey, int], RecourseDecision] | None = None
 
 
 # --- the marginal kernel -----------------------------------------------------
@@ -247,10 +245,7 @@ def _kernel_costs(
     return rows
 
 
-def _solution(
-    rows: Iterable[TripleCost],
-    per_scenario: dict[tuple[TripleKey, int], RecourseDecision] | None = None,
-) -> Solution:
+def _solution(rows: Iterable[TripleCost]) -> Solution:
     rows = tuple(rows)
     first = sum((row.first_stage for row in rows), Fraction(0))
     second = sum((row.second_stage for row in rows), Fraction(0))
@@ -262,7 +257,6 @@ def _solution(
         expected_penalty=penalty,
         expected_total=first + second + penalty,
         per_triple=rows,
-        per_scenario=per_scenario,
     )
 
 
@@ -278,41 +272,10 @@ def per_triple_costs(
 
 
 def expected_cost(
-    instance: Instance,
-    reservations: Mapping[tuple[str, str, str], int],
-    *,
-    keep_per_scenario: bool = False,
+    instance: Instance, reservations: Mapping[tuple[str, str, str], int]
 ) -> Solution:
-    """Exact expected cost of a given reservation vector.
-
-    With ``keep_per_scenario`` the vector is priced on the scenario route
-    instead of the kernel, and every scenario's recourse decision is kept.
-    """
-    if not keep_per_scenario:
-        return _solution(per_triple_costs(instance, reservations))
-    per_scenario: dict[tuple[TripleKey, int], RecourseDecision] = {}
-    rows = _scenario_costs(instance, reservations, per_scenario)
-    return _solution(rows, per_scenario)
-
-
-def solve_triple(
-    rates: CostRates,
-    demand_set,
-    wait_set,
-    exec_time: int,
-    capacity: int,
-    demand_probs=None,
-    wait_probs=None,
-) -> tuple[int, Fraction]:
-    """Optimal reservation level and exact expected cost for one triple."""
-    table = _table(marginals("triple", demand_set, wait_set, demand_probs, wait_probs))
-    best = table.level(rates, capacity)
-    total = (
-        Fraction(rates.reserve_per_qubit * best)
-        + table.qubit_cost(rates, best)
-        + table.penalty(rates, exec_time)
-    )
-    return best, total
+    """Exact expected cost of a given reservation vector."""
+    return _solution(per_triple_costs(instance, reservations))
 
 
 def solve_instance(instance: Instance) -> Solution:
@@ -334,7 +297,6 @@ def _recourse_expectation(
     rates: CostRates,
     exec_time: int,
     reserved: int,
-    collect: dict[int, RecourseDecision] | None = None,
 ) -> tuple[Fraction, Fraction]:
     """Scenario-by-scenario expectation of the optimal recourse.
 
@@ -350,28 +312,22 @@ def _recourse_expectation(
             + rates.on_demand_per_qubit * decision.on_demand
         )
         penalty += fp * penalty_cost(rates.penalty_per_second, decision.over_wait)
-        if collect is not None:
-            collect[scenario.index] = decision
     return second, penalty
 
 
-def _scenario_costs(
-    instance: Instance,
-    reservations: Mapping[tuple[str, str, str], int],
-    collect: dict[tuple[TripleKey, int], RecourseDecision],
+def scenario_costs(
+    instance: Instance, reservations: Mapping[tuple[str, str, str], int]
 ) -> list[TripleCost]:
+    """Oracle for :func:`per_triple_costs`: the same rows, priced per scenario."""
     spaces: dict[str, ScenarioSpace] = {}
     rows = []
     for key, reserved in _checked_levels(instance, reservations):
         if key.circuit_id not in spaces:
             spaces[key.circuit_id] = space_for_circuit(instance, key.circuit_id)
         rates = instance.rate(key.circuit_id, key.provider_id)
-        decisions: dict[int, RecourseDecision] = {}
         second, penalty = _recourse_expectation(
-            spaces[key.circuit_id], rates, instance.exec_time(*key), reserved, decisions
+            spaces[key.circuit_id], rates, instance.exec_time(*key), reserved
         )
-        for index, decision in decisions.items():
-            collect[(key, index)] = decision
         rows.append(
             TripleCost(
                 key=key,
@@ -393,11 +349,12 @@ def brute_force_triple(
     demand_probs=None,
     wait_probs=None,
 ) -> tuple[int, Fraction]:
-    """Oracle for :func:`solve_triple`: scan every level in [0, capacity].
+    """Oracle for the kernel's level: scan every level in [0, capacity].
 
-    Evaluates the full expectation through :func:`optimal_recourse` at
-    every level and keeps the smallest argmin, independently of the
-    marginal analysis.
+    The triple is given by its rates, marginals, execution time and
+    capacity. Evaluates the full expectation through
+    :func:`optimal_recourse` at every level and keeps the smallest argmin,
+    independently of the marginal analysis.
     """
     if capacity > BRUTE_FORCE_CAPACITY_GUARD:
         raise GuardError(

@@ -44,8 +44,6 @@ class SurfaceRow:
 @dataclass(frozen=True)
 class CostSurface:
     rows: tuple[SurfaceRow, ...]
-    reserved_grid: tuple[int, ...]
-    wait_grid: tuple[int, ...]
 
 
 def min_capacity(instance: Instance) -> int:
@@ -147,7 +145,7 @@ def sweep_reservation_waiting(
         for x in x_grid
         for wait in wait_grid
     )
-    return CostSurface(rows=rows, reserved_grid=x_grid, wait_grid=wait_grid)
+    return CostSurface(rows=rows)
 
 
 CURVE_HEADER = "reserved,first_stage,second_stage,penalty,total"

@@ -10,20 +10,40 @@ which is what the oracle tests rely on.
 
 from __future__ import annotations
 
-from decimal import Decimal, InvalidOperation, Overflow
+from decimal import MAX_PREC, Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 
 MICRO = 10**6
+
+# Largest magnitude of a number read from outside the program: money in
+# dollars, times in seconds, qubit counts and LP numbers. It is checked
+# before any large integer is built, and leaves room for the 70-bit
+# encodings of wide registers.
+MAGNITUDE_LIMIT = 10**24
+
+# Most fraction digits an LP number may have. A written coefficient is a
+# product of two float probabilities (each at most 1074 binary, hence
+# decimal, fraction digits) and a micro-unit rate: at most 2 * 1074 + 6.
+FRACTION_DIGITS_LIMIT = 2 * 1074 + 6
 
 
 class UnitError(ValueError):
     """A quantity cannot be represented in the fixed-point grid."""
 
 
+def check_magnitude(value: int | Decimal, what: str) -> None:
+    """Refuse a number above :data:`MAGNITUDE_LIMIT` before it is scaled."""
+    # copy_abs, unlike abs, never rounds and so never overflows.
+    size = value.copy_abs() if isinstance(value, Decimal) else abs(value)
+    if size > MAGNITUDE_LIMIT:
+        raise UnitError(f"{what} is larger than {MAGNITUDE_LIMIT:.0e} in magnitude")
+
+
 def _to_micro(value: int | float | str | Decimal, what: str) -> int:
     if isinstance(value, bool):
         raise UnitError(f"{what} must be a number, got a boolean")
     if isinstance(value, int):
+        check_magnitude(value, what)
         return value * MICRO
     if isinstance(value, float):
         # repr() of a float is its shortest round-tripping decimal; for
@@ -38,10 +58,11 @@ def _to_micro(value: int | float | str | Decimal, what: str) -> int:
         raise UnitError(f"{what} must be a number, got {type(value).__name__}")
     if not value.is_finite():
         raise UnitError(f"{what} is not a finite number: {value}")
-    try:
+    check_magnitude(value, what)
+    # Exact: the default 28-digit context would round away sub-micro digits.
+    with localcontext() as exact:
+        exact.prec = MAX_PREC
         scaled = value * MICRO
-    except Overflow as exc:
-        raise UnitError(f"{what} is out of range: {value}") from exc
     if scaled != scaled.to_integral_value():
         raise UnitError(f"{what} has sub-micro precision: {value}")
     return int(scaled)
@@ -55,11 +76,6 @@ def parse_money(value: int | float | str | Decimal) -> int:
 def parse_seconds(value: int | float | str | Decimal) -> int:
     """Seconds -> integer microseconds, rejecting sub-micro precision."""
     return _to_micro(value, "time value")
-
-
-def micro_to_unit(micro: int | Fraction) -> float:
-    """Micro-units -> float units (correctly rounded)."""
-    return float(Fraction(micro) / MICRO)
 
 
 def format_micro(value: int | Fraction) -> str:
@@ -104,8 +120,21 @@ def exact_decimal(value: Fraction | int) -> str:
 
 
 def fraction_from_decimal(text: str) -> Fraction:
-    """Exact inverse of :func:`exact_decimal` (accepts any plain decimal)."""
+    """Exact inverse of :func:`exact_decimal` (accepts any plain decimal).
+
+    The number must be finite, at most :data:`MAGNITUDE_LIMIT` in size and
+    have at most :data:`FRACTION_DIGITS_LIMIT` fraction digits; both are
+    checked before the fraction is built.
+    """
     try:
-        return Fraction(Decimal(text))
+        value = Decimal(text)
     except InvalidOperation as exc:
         raise UnitError(f"not a decimal number: {text!r}") from exc
+    if not value.is_finite():
+        raise UnitError(f"not a finite number: {text!r}")
+    check_magnitude(value, repr(text))
+    if value.as_tuple().exponent < -FRACTION_DIGITS_LIMIT:
+        raise UnitError(
+            f"{text!r} has more than {FRACTION_DIGITS_LIMIT} fraction digits"
+        )
+    return Fraction(value)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from qres.instance import CostRates, Circuit, Instance, Machine
 from qres.recourse import penalty_time
+from qres.solver import solve_instance
 from qres.units import MICRO, parse_money
 
 REF_RATES = CostRates(
@@ -57,6 +58,35 @@ def make_instance(
         demand_probs={"c1": tuple(demand_probs)} if demand_probs else {},
         wait_probs={"c1": tuple(wait_probs)} if wait_probs else {},
     )
+
+
+def solve_one_triple(
+    rates: CostRates,
+    demand,
+    wait,
+    exec_time: int,
+    capacity: int,
+    demand_probs=None,
+    wait_probs=None,
+) -> tuple[int, Fraction]:
+    """Level and expected total that solve_instance gives one triple.
+
+    Takes the seven arguments of brute_force_triple, so the two can be
+    compared directly.
+    """
+    solution = solve_instance(
+        make_instance(
+            demand,
+            wait,
+            rates=rates,
+            capacity=capacity,
+            exec_time=exec_time,
+            demand_probs=demand_probs,
+            wait_probs=wait_probs,
+        )
+    )
+    (level,) = solution.reservations.values()
+    return level, solution.expected_total
 
 
 def random_probs(rng: random.Random, n: int) -> tuple[float, ...]:

@@ -25,22 +25,19 @@ from qres.cli import run
 from qres.extform import build_extensive_form, parse_lp, render_lp, solve_enumerative
 from qres.instance import load_instance
 from qres.recourse import optimal_recourse, penalty_time
-from qres.scenarios import Scenario, build_space
+from qres.scenarios import Scenario, build_space, space_for_circuit
 from qres.solver import (
     brute_force_triple,
     expected_cost,
     joint_enumeration_oracle,
+    scenario_costs,
     solve_instance,
-    solve_triple,
 )
 from qres.sweep import sweep_reservation, sweep_reservation_waiting, with_wait_singleton
 from qres.units import MICRO
 
 DATA = Path(__file__).parent / "data"
 REF_PATH = str(DATA / "reference.json")
-
-REF_DEMAND = tuple(range(10, 23))
-REF_WAIT = tuple(range(1000, 9001, 1000))
 
 
 @contextmanager
@@ -70,7 +67,8 @@ def test_criterion_1_reference_solve_with_oracle(reference, capsys):
         assert elapsed < 1.0, f"solve --oracle took {elapsed:.3f}s"
 
         solution = solve_instance(reference)
-        for key, level in solution.reservations.items():
+        for row in solution.per_triple:
+            key = row.key
             machine = reference.machine(key.provider_id, key.machine_id)
             brute_level, brute_cost = brute_force_triple(
                 reference.rate(key.circuit_id, key.provider_id),
@@ -79,15 +77,7 @@ def test_criterion_1_reference_solve_with_oracle(reference, capsys):
                 reference.exec_time(*key),
                 machine.capacity_qubits,
             )
-            assert level == brute_level
-            fast_level, fast_cost = solve_triple(
-                reference.rate(key.circuit_id, key.provider_id),
-                reference.demand_sets[key.circuit_id],
-                reference.wait_sets[key.circuit_id],
-                reference.exec_time(*key),
-                machine.capacity_qubits,
-            )
-            assert (fast_level, fast_cost) == (brute_level, brute_cost)
+            assert (row.reserved, row.total) == (brute_level, brute_cost)
         # frozen after the brute-force scan above confirmed it
         assert set(solution.reservations.values()) == {19}
 
@@ -100,7 +90,7 @@ def test_criterion_2_recourse_matches_exhaustive_enumeration():
         start = time.perf_counter()
         exec_time, wait_time = 7000, 5000
         scenarios = [
-            Scenario(demand_qubits=beta, wait_time=wait_time, index=0)
+            Scenario(demand_qubits=beta, wait_time=wait_time)
             for beta in range(9)
         ]
         mismatches = 0
@@ -167,10 +157,11 @@ def test_criterion_5_reservation_curve_shape(reference):
         steps = [b - a for a, b in zip(totals, totals[1:])]
         assert all(s2 >= s1 for s1, s2 in zip(steps, steps[1:]))
         for x in range(22, 31):
-            vector = {key: x for key in reference.triples()}
-            solution = expected_cost(reference, vector, keep_per_scenario=True)
-            assert solution.per_scenario is not None
-            assert all(d.on_demand == 0 for d in solution.per_scenario.values())
+            for cid, pid, mid in reference.triples():
+                rates = reference.rate(cid, pid)
+                exec_time = reference.exec_time(cid, pid, mid)
+                for s in space_for_circuit(reference, cid).scenarios:
+                    assert optimal_recourse(x, s, rates, exec_time).on_demand == 0
 
 
 def test_criterion_6_reservation_waiting_surface(reference):
@@ -206,13 +197,14 @@ def test_criterion_6_reservation_waiting_surface(reference):
 def test_criterion_7_expected_penalty_formula(reference):
     with criterion(7, "expected over-wait 0.010/9 s, penalty 10x that, per triple"):
         vector = {key: 0 for key in reference.triples()}
-        solution = expected_cost(reference, vector, keep_per_scenario=True)
-        per_triple_penalty = float(solution.expected_penalty / 6) / MICRO
+        rows = scenario_costs(reference, vector)
+        per_triple_penalty = float(sum(row.penalty for row in rows) / 6) / MICRO
         assert per_triple_penalty == pytest.approx(10 * 0.010 / 9, abs=1e-12)
-        assert solution.per_scenario is not None
-        space = build_space("qft", REF_DEMAND, REF_WAIT)
+        space = space_for_circuit(reference, "qft")
+        rates = reference.rate("qft", "p1")
+        exec_time = reference.exec_time("qft", "p1", "m1")
         one_triple = [
-            (s, solution.per_scenario[(("qft", "p1", "m1")), s.index].over_wait)
+            (s, optimal_recourse(0, s, rates, exec_time).over_wait)
             for s in space.scenarios
         ]
         expected_wait = sum(
@@ -259,7 +251,6 @@ def test_criterion_9_property_suites(reference):
             s = Scenario(
                 demand_qubits=rng.randint(0, 10),
                 wait_time=rng.randint(0, 9000),
-                index=0,
             )
             previous = None
             for reserved in range(11):

@@ -268,6 +268,31 @@ def _nested_too_deep(doc, tmp_path):
     return "[" * 100_000 + "]" * 100_000
 
 
+def _penalty_beyond_magnitude_limit(doc, tmp_path):
+    return json.dumps(doc).replace('"penalty": 10', '"penalty": 1e5000')
+
+
+def _demand_and_rate_product_too_long_to_print(doc, tmp_path):
+    doc["circuits"][0]["demand_set"] = [10**4299]
+    doc["default_rates"]["on_demand"] = 10**10
+
+
+def _money_with_a_million_digit_exponent(doc, tmp_path):
+    return json.dumps(doc).replace('"reserve": 1.68', '"reserve": 1e999990')
+
+
+def _demand_range_beyond_magnitude_limit(doc, tmp_path):
+    doc["circuits"][0]["demand_set"] = {"lo": 0, "hi": 10**25, "step": 10**20}
+
+
+def _capacity_beyond_magnitude_limit(doc, tmp_path):
+    doc["machines"][0]["capacity"] = 10**25
+
+
+def _num_qubits_beyond_magnitude_limit(doc, tmp_path):
+    _synthetic_timing(doc, num_qubits=10**25)
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -294,6 +319,12 @@ def _nested_too_deep(doc, tmp_path):
         _seconds_beyond_decimal_range,
         _integer_beyond_digit_limit,
         _nested_too_deep,
+        _penalty_beyond_magnitude_limit,
+        _demand_and_rate_product_too_long_to_print,
+        _money_with_a_million_digit_exponent,
+        _demand_range_beyond_magnitude_limit,
+        _capacity_beyond_magnitude_limit,
+        _num_qubits_beyond_magnitude_limit,
     ],
 )
 def test_malformed_document_is_one_error_line(mutate, tmp_path, capsys):
@@ -307,6 +338,34 @@ def test_malformed_document_is_one_error_line(mutate, tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+
+def test_refused_instance_has_one_error_prefix(tmp_path, capsys):
+    doc = single_triple_doc()
+    doc["exec_times"][0]["seconds"] = -0.005
+    path = write_doc(tmp_path, doc)
+    assert run(["solve", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: exec_times[c1,p1,m1]: negative execution time\n"
+    assert run(["validate", path]) == 1
+    assert capsys.readouterr().out == (
+        "error: exec_times[c1,p1,m1]: negative execution time\n"
+    )
+
+
+def test_product_space_guard_spares_the_kernel(tmp_path, capsys):
+    doc = single_triple_doc()
+    doc["circuits"][0]["demand_set"] = {"lo": 0, "hi": 1999}
+    doc["circuits"][0]["wait_set"] = {"lo": 0.001, "hi": 1, "step": 0.001}
+    path = write_doc(tmp_path, doc)
+    for args in (["export-lp", path], ["solve", path, "--oracle"]):
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "2000000 scenarios" in err
+    for args in (["solve", path], ["sweep", path, "--grid", "0:2"]):
+        assert run(args) == 0
+    capsys.readouterr()
 
 
 def _paths(value, prefix=()):

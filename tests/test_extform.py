@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import make_instance, make_rates, random_instance
 from qres.extform import (
+    ExtensiveForm,
     LpParseError,
     build_extensive_form,
     parse_lp,
@@ -80,6 +84,14 @@ def test_build_is_deterministic(reference_instance):
     )
 
 
+def test_oversized_form_is_refused_naming_its_size():
+    # Each circuit space (600 x 1,000) is within the guard; the two
+    # triples together are not.
+    inst = make_instance(demand=range(600), wait=range(1000), providers=2)
+    with pytest.raises(GuardError, match="1200000 scenarios"):
+        build_extensive_form(inst)
+
+
 # --- LP text -----------------------------------------------------------------
 
 
@@ -112,11 +124,72 @@ def test_round_trip_random_forms():
             "unknown z",
         ),
         ("Minimize\n obj: 1 x\nBounds\n 0 <= w <= 1\nEnd\n", "unknown"),
+        ("Minimize\n obj: inf x\nEnd\n", "bad coefficient"),
+        ("Minimize\n obj: 1e999999999 x\nEnd\n", "bad coefficient"),
+        ("Minimize\n obj: 1e-999999999 x\nEnd\n", "bad coefficient"),
+        ("Minimize\n obj: 1 x\nSubject To\n r: 1 x <= -Infinity\nEnd\n", "bad rhs"),
+        ("Minimize\n obj: 1 x\nSubject To\n r: 1 x >= nan\nEnd\n", "bad rhs"),
+        ("Minimize\n obj: 1 x\nBounds\n 0 <= x <= Infinity\nEnd\n", "bad bound"),
+        ("Minimize\n obj: 1 x\nBounds\n -1e999999999 <= x <= 1\nEnd\n", "bad bound"),
     ],
 )
 def test_parse_errors(text, match):
     with pytest.raises(LpParseError, match=match):
         parse_lp(text)
+
+
+NASTY_NUMBERS = ("inf", "nan", "1e999999999", "-")
+_NUMBER = re.compile(r"-?[0-9]")
+
+
+@st.composite
+def mutated_lp_text(draw) -> str:
+    """render_lp output of a small instance with one line or token changed."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    inst = random_instance(
+        rng, max_capacity=4, max_demand=4, max_outcomes=2, max_waits=2
+    )
+    lines = render_lp(build_extensive_form(inst)).splitlines()
+    pick = st.integers(0, len(lines) - 1)
+    i, j = draw(pick), draw(pick)
+    kind = draw(st.sampled_from(["line", "token", "number"]))
+    change = draw(st.sampled_from(["delete", "duplicate", "swap"]))
+    if kind == "line":
+        tokens = lines
+    elif kind == "token":
+        tokens = lines[i].split()
+        j = draw(st.integers(0, len(tokens) - 1))
+    else:
+        numbers = [
+            (li, ti)
+            for li, line in enumerate(lines)
+            for ti, token in enumerate(line.split())
+            if _NUMBER.match(token)
+        ]
+        i, j = draw(st.sampled_from(numbers))
+        tokens = lines[i].split()
+        tokens[j] = draw(st.sampled_from(NASTY_NUMBERS))
+        change = None
+    if change == "delete":
+        del tokens[j]
+    elif change == "duplicate":
+        tokens.insert(j, tokens[j])
+    elif change == "swap":
+        k = draw(st.integers(0, len(tokens) - 1))
+        tokens[j], tokens[k] = tokens[k], tokens[j]
+    if kind != "line":
+        lines[i] = " " + " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(mutated_lp_text())
+def test_mutated_lp_text_parses_or_raises_lp_parse_error(text):
+    try:
+        form = parse_lp(text)
+    except LpParseError:
+        return
+    assert isinstance(form, ExtensiveForm)
 
 
 def test_parse_reports_line_numbers():

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import pytest
 
@@ -11,7 +10,6 @@ from qres.instance import (
     instance_from_document,
     load_instance,
     popcount,
-    serialize_instance,
     synth_exec_time,
     validate,
 )
@@ -215,6 +213,28 @@ def test_load_exec_times_bad_header(tmp_path):
         instance_from_document(doc, tmp_path)
 
 
+def test_load_exec_times_ignores_a_space_after_each_comma(tmp_path):
+    plain = csv_doc(tmp_path, CSV_HEADER + "c1,p1,m1,0.004\n")
+    expected = instance_from_document(plain, tmp_path).exec_times
+    spaced = csv_doc(
+        tmp_path, "circuit_id, provider_id, machine_id, seconds\nc1, p1, m1, 0.004\n"
+    )
+    assert instance_from_document(spaced, tmp_path).exec_times == expected
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        "circuit_id ,provider_id,machine_id,seconds",
+        "circuit_id,provider_id,machine_id,seconds ",
+    ],
+)
+def test_load_exec_times_other_stray_space_is_a_header_error(header, tmp_path):
+    doc = csv_doc(tmp_path, header + "\nc1,p1,m1,0.004\n")
+    with pytest.raises(InstanceError, match="header must be"):
+        instance_from_document(doc, tmp_path)
+
+
 # --- range guard -------------------------------------------------------------
 
 
@@ -231,6 +251,26 @@ def test_oversized_range_is_refused_naming_its_size(field, spec, size):
     doc = minimal_doc()
     doc["circuits"][0][field] = spec
     with pytest.raises(InstanceError, match=f"range has {size} values"):
+        instance_from_document(doc)
+
+
+# --- magnitude limit ---------------------------------------------------------
+
+
+def test_integers_at_the_magnitude_limit_load():
+    doc = minimal_doc()
+    doc["circuits"][0]["demand_set"] = [10**24]
+    doc["machines"][0]["capacity"] = 10**24
+    inst = instance_from_document(doc)
+    assert inst.demand_sets["c1"] == (10**24,)
+
+
+def test_synthetic_time_above_the_magnitude_limit_is_refused():
+    doc = minimal_doc()
+    doc["circuits"][0]["num_qubits"] = 10**24
+    doc["circuits"][0]["encoded_value"] = 2**70 - 1
+    doc["exec_times"] = {"synthetic": {"base": 1, "slope": 1}}
+    with pytest.raises(InstanceError, match="runs longer than 1e\\+24 seconds"):
         instance_from_document(doc)
 
 
@@ -285,31 +325,6 @@ def test_synth_monotone_everywhere():
                 assert synth_exec_time(n, v, base, slope) <= synth_exec_time(
                     n + 1, v, base, slope
                 )
-
-
-# --- serialization round trip ---------------------------------------------
-
-
-def test_serialize_round_trip(reference_instance):
-    doc = serialize_instance(reference_instance)
-    again = instance_from_document(json.loads(json.dumps(doc)))
-    assert again == reference_instance
-
-
-def test_serialize_round_trip_with_probs():
-    inst = make_instance(
-        demand=(1, 2, 3),
-        wait=(1000, 2000),
-        demand_probs=(0.2, 0.3, 0.5),
-        wait_probs=(0.25, 0.75),
-    )
-    doc = serialize_instance(inst)
-    assert instance_from_document(json.loads(json.dumps(doc))) == inst
-
-
-def test_validate_after_round_trip_is_clean(reference_instance):
-    doc = serialize_instance(reference_instance)
-    assert validate(instance_from_document(doc)) == []
 
 
 def test_load_instance_from_path(data_dir):

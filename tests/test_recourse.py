@@ -11,7 +11,7 @@ from qres.scenarios import Scenario
 
 
 def scen(beta: int, wait: int = 5000) -> Scenario:
-    return Scenario(demand_qubits=beta, wait_time=wait, index=0)
+    return Scenario(demand_qubits=beta, wait_time=wait)
 
 
 def test_reservation_covers_demand():

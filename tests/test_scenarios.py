@@ -47,8 +47,12 @@ def test_ordering_is_demand_major_and_deterministic():
     space = build_space("c", [1, 2], [10, 20])
     seen = [(s.demand_qubits, s.wait_time) for s in space.scenarios]
     assert seen == [(1, 10), (1, 20), (2, 10), (2, 20)]
-    assert [s.index for s in space.scenarios] == [0, 1, 2, 3]
     assert build_space("c", [1, 2], [10, 20]) == space
+
+
+def test_oversized_product_space_is_refused_naming_its_size():
+    with pytest.raises(ScenarioError, match="2000000 scenarios"):
+        build_space("c", range(2000), range(1000))
 
 
 def test_empty_set_rejected():

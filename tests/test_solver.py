@@ -14,8 +14,11 @@ from helpers import (
     random_instance,
     random_marginals,
     random_rates,
+    solve_one_triple,
 )
 from qres.instance import CostRates, Circuit, Instance, Machine
+from qres.recourse import optimal_recourse
+from qres.scenarios import space_for_circuit
 from qres.solver import (
     CapacityError,
     GuardError,
@@ -25,8 +28,8 @@ from qres.solver import (
     expected_cost,
     joint_enumeration_oracle,
     per_triple_costs,
+    scenario_costs,
     solve_instance,
-    solve_triple,
 )
 
 REF_DEMAND = tuple(range(10, 23))
@@ -52,10 +55,13 @@ def test_expected_cost_all_on_demand():
 
 
 def test_expected_cost_full_reservation_never_buys_on_demand(reference_instance):
-    vector = {key: 22 for key in reference_instance.triples()}
-    sol = expected_cost(reference_instance, vector, keep_per_scenario=True)
-    assert sol.per_scenario is not None
-    assert all(d.on_demand == 0 for d in sol.per_scenario.values())
+    # 22 is the largest demand: every scenario's recourse uses reservations.
+    inst = reference_instance
+    for cid, pid, mid in inst.triples():
+        rates, exec_time = inst.rate(cid, pid), inst.exec_time(cid, pid, mid)
+        for scenario in space_for_circuit(inst, cid).scenarios:
+            decision = optimal_recourse(22, scenario, rates, exec_time)
+            assert decision.on_demand == 0
 
 
 def test_expected_cost_decomposition_adds_up(reference_instance):
@@ -84,14 +90,14 @@ def test_expected_cost_rejects_unknown_triples():
         expected_cost(inst, {("c1", "p1", "m1"): 1, ("c1", "p9", "m1"): 1})
 
 
-# --- solve_triple vs brute force --------------------------------------------
+# --- one triple: solve_instance vs brute force -------------------------------
 
 
 def test_reference_triple_optimum_is_19():
     # Confirmed by the exhaustive scan before freezing the level: the
     # critical ratio 1.68/6.9 ~ 0.2435 lies between Pr(demand>=20)=3/13
     # and Pr(demand>=19)=4/13.
-    best, cost = solve_triple(REF_RATES, REF_DEMAND, REF_WAIT, 5000, 30)
+    best, cost = solve_one_triple(REF_RATES, REF_DEMAND, REF_WAIT, 5000, 30)
     brute_best, brute_cost = brute_force_triple(
         REF_RATES, REF_DEMAND, REF_WAIT, 5000, 30
     )
@@ -101,15 +107,15 @@ def test_reference_triple_optimum_is_19():
 
 def test_free_reservation_reserves_to_max_demand():
     rates = make_rates(reserve=0, utilize=100_000, on_demand=7_000_000)
-    best, _ = solve_triple(rates, (2, 5, 9), (1000,), 1000, 30)
+    best, _ = solve_one_triple(rates, (2, 5, 9), (1000,), 1000, 30)
     assert best == 9
-    best_capped, _ = solve_triple(rates, (2, 5, 9), (1000,), 1000, 6)
+    best_capped, _ = solve_one_triple(rates, (2, 5, 9), (1000,), 1000, 6)
     assert best_capped == 6
 
 
 def test_reservation_never_pays_off():
     rates = make_rates(reserve=8_000_000, utilize=100_000, on_demand=7_000_000)
-    assert solve_triple(rates, REF_DEMAND, REF_WAIT, 5000, 30)[0] == 0
+    assert solve_one_triple(rates, REF_DEMAND, REF_WAIT, 5000, 30)[0] == 0
 
 
 def test_deterministic_newsvendor_singleton():
@@ -136,7 +142,7 @@ def test_solve_matches_brute_force_on_500_random_triples():
         demand, wait, dp, wp = random_marginals(rng)
         exec_time = rng.randint(0, 12000)
         capacity = rng.randint(0, 40)
-        fast = solve_triple(rates, demand, wait, exec_time, capacity, dp, wp)
+        fast = solve_one_triple(rates, demand, wait, exec_time, capacity, dp, wp)
         slow = brute_force_triple(rates, demand, wait, exec_time, capacity, dp, wp)
         assert fast == slow
 
@@ -147,7 +153,7 @@ def test_solve_matches_brute_force_on_500_random_triples():
 def test_solve_reference_instance(reference_instance):
     sol = solve_instance(reference_instance)
     assert set(sol.reservations.values()) == {19}
-    _, per_triple = solve_triple(REF_RATES, REF_DEMAND, REF_WAIT, 5000, 30)
+    _, per_triple = solve_one_triple(REF_RATES, REF_DEMAND, REF_WAIT, 5000, 30)
     assert sol.expected_total == 6 * per_triple
     caps = {
         key: reference_instance.machine(key.provider_id, key.machine_id).capacity_qubits
@@ -339,8 +345,7 @@ def test_kernel_equals_scenario_route_and_brute_force(inst):
     caps = {key: inst.machine(key[1], key[2]).capacity_qubits for key in triples}
     for x in range(max(caps.values()) + 1):
         vector = {key: min(x, cap) for key, cap in caps.items()}
-        scenario_rows = expected_cost(inst, vector, keep_per_scenario=True).per_triple
-        assert per_triple_costs(inst, vector) == list(scenario_rows)
+        assert per_triple_costs(inst, vector) == scenario_costs(inst, vector)
     for cid, pid, mid in triples:
         args = (
             inst.rate(cid, pid),
@@ -351,4 +356,4 @@ def test_kernel_equals_scenario_route_and_brute_force(inst):
             inst.demand_probs.get(cid),
             inst.wait_probs.get(cid),
         )
-        assert solve_triple(*args) == brute_force_triple(*args)
+        assert solve_one_triple(*args) == brute_force_triple(*args)

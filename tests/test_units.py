@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -71,3 +72,55 @@ def test_decimal_round_trip_on_float_products():
     for _ in range(200):
         value = Fraction(rng.random()) * Fraction(rng.randint(0, 10**7), 10**6)
         assert fraction_from_decimal(exact_decimal(value)) == value
+
+
+# --- magnitude limit -----------------------------------------------------------
+
+
+def test_money_at_the_magnitude_limit_is_exact():
+    assert parse_money(10**24) == 10**30
+    assert parse_money("999999999999999999999999.999999") == 10**30 - 1
+
+
+def test_sub_micro_digit_past_28_digits_is_refused():
+    with pytest.raises(UnitError, match="sub-micro"):
+        parse_money("1.00000000000000000000000000001")
+
+
+@pytest.mark.parametrize(
+    "value", [10**24 + 1, "1e5000", "-1e5000", "1e999990", 1e300, Decimal("1e25")]
+)
+def test_money_above_the_magnitude_limit_is_refused(value):
+    with pytest.raises(UnitError, match="larger than 1e\\+24 in magnitude"):
+        parse_money(value)
+
+
+def test_tiny_money_is_sub_micro():
+    with pytest.raises(UnitError, match="sub-micro"):
+        parse_seconds("1e-999990")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "inf",
+        "-Infinity",
+        "nan",
+        "sNaN",
+        "1e999999999",
+        "-1e999999999",
+        "1e-999999999",
+        "1e25",
+        "1e-2155",
+    ],
+)
+def test_fraction_from_decimal_refuses_what_it_cannot_build(text):
+    with pytest.raises(UnitError):
+        fraction_from_decimal(text)
+
+
+def test_fraction_from_decimal_accepts_the_limits():
+    assert fraction_from_decimal("-1e24") == -(10**24)
+    assert fraction_from_decimal("1e-2154") == Fraction(1, 10**2154)
+    tiny = Fraction(5e-324) * Fraction(5e-324) / 10**6  # smallest written coefficient
+    assert fraction_from_decimal(exact_decimal(tiny)) == tiny
