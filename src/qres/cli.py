@@ -18,7 +18,14 @@ from pathlib import Path
 from typing import Callable
 
 from .extform import LpParseError, build_extensive_form, render_lp
-from .instance import GRID_GUARD, Instance, InstanceError, load_instance, validate
+from .instance import (
+    GRID_GUARD,
+    Instance,
+    InstanceError,
+    load_instance,
+    load_reservations,
+    validate,
+)
 from .scenarios import ScenarioError
 from .solver import (
     ModelError,
@@ -216,26 +223,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
-    reservations: dict[TripleKey, int] = {}
-    with open(args.reservations, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        expected = {"circuit_id", "provider_id", "machine_id", "reserved"}
-        if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
-            raise InstanceError(
-                "reservations CSV needs columns circuit_id,provider_id,"
-                "machine_id,reserved"
-            )
-        for record in reader:
-            key = TripleKey(
-                record["circuit_id"], record["provider_id"], record["machine_id"]
-            )
-            try:
-                reservations[key] = int(record["reserved"])
-            except ValueError as exc:
-                raise InstanceError(
-                    f"bad reserved value {record['reserved']!r} for {key}"
-                ) from exc
-    solution = expected_cost(instance, reservations)
+    solution = expected_cost(instance, load_reservations(args.reservations))
     render = _solution_table if args.human else _solution_csv
     _write_output(render(solution), args.output)
     return 0

@@ -17,8 +17,9 @@ import csv
 import json
 from dataclasses import dataclass, field
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, TextIO
+from typing import Any, Callable, Iterable, Iterator
 
 from .units import (
     MAGNITUDE_LIMIT,
@@ -26,12 +27,11 @@ from .units import (
     UnitError,
     check_magnitude,
     parse_money,
+    parse_probability,
     parse_seconds,
 )
 
 DEFAULT_CAPACITY = 30
-
-PROB_TOLERANCE = 1e-9
 
 
 class InstanceError(ValueError):
@@ -84,8 +84,8 @@ class Instance:
     exec_times: dict[tuple[str, str, str], int]  # (circuit, provider, machine)
     demand_sets: dict[str, tuple[int, ...]]  # circuit_id -> qubit counts
     wait_sets: dict[str, tuple[int, ...]]  # circuit_id -> microseconds
-    demand_probs: dict[str, tuple[float, ...]] = field(default_factory=dict)
-    wait_probs: dict[str, tuple[float, ...]] = field(default_factory=dict)
+    demand_probs: dict[str, tuple[Fraction, ...]] = field(default_factory=dict)
+    wait_probs: dict[str, tuple[Fraction, ...]] = field(default_factory=dict)
     _machines_by_key: dict[tuple[str, str], Machine] = field(
         init=False, repr=False, compare=False
     )
@@ -158,6 +158,7 @@ GRID_GUARD = 10**6
 
 _RECORD_KEYS = ("circuit", "provider", "machine", "seconds")
 _CSV_COLUMNS = ("circuit_id", "provider_id", "machine_id", "seconds")
+_RESERVATION_COLUMNS = ("circuit_id", "provider_id", "machine_id", "reserved")
 
 
 def _require(doc: dict, key: str, where: str) -> Any:
@@ -235,27 +236,24 @@ def _parse_set(spec: Any, where: str, value: Callable[[Any], int]) -> tuple[int,
     return values
 
 
-def _parse_probs(spec: Any, where: str) -> tuple[float, ...]:
+def _parse_probs(spec: Any, where: str) -> tuple[Fraction, ...]:
     if not isinstance(spec, list) or not spec:
         raise InstanceError(f"{where}: expected a non-empty list of probabilities")
-    if any(isinstance(v, bool) for v in spec):
-        raise InstanceError(f"{where}: probabilities must be numbers, not booleans")
     try:
-        return tuple(float(v) for v in spec)
-    except (TypeError, ValueError, OverflowError) as exc:
+        return tuple(parse_probability(v) for v in spec)
+    except UnitError as exc:
         raise InstanceError(f"{where}: {exc}") from exc
 
 
 def _parse_rates(block: dict, where: str) -> CostRates:
-    try:
-        return CostRates(
-            reserve_per_qubit=parse_money(_require(block, "reserve", where)),
-            utilize_per_qubit=parse_money(_require(block, "utilize", where)),
-            on_demand_per_qubit=parse_money(_require(block, "on_demand", where)),
-            penalty_per_second=parse_money(_require(block, "penalty", where)),
-        )
-    except UnitError as exc:
-        raise InstanceError(f"{where}: {exc}") from exc
+    rates = []
+    for key in ("reserve", "utilize", "on_demand", "penalty"):
+        value = _require(block, key, where)
+        try:
+            rates.append(parse_money(value))
+        except UnitError as exc:
+            raise InstanceError(f"{where}: {key}: {exc}") from exc
+    return CostRates(*rates)
 
 
 def _parse_circuit(entry: dict, where: str) -> Circuit:
@@ -270,39 +268,35 @@ def _parse_circuit(entry: dict, where: str) -> Circuit:
     )
 
 
-def _csv_records(handle: TextIO) -> Iterator[tuple[str, dict]]:
-    """The rows of an execution-time CSV, each with its line number."""
-    # A space after a comma is ignored, in the header and in every row.
-    reader = csv.DictReader(handle, skipinitialspace=True)
-    if reader.fieldnames is not None:
-        header = tuple(reader.fieldnames)
-        if header != _CSV_COLUMNS:
-            raise InstanceError(
-                f"execution-time CSV header must be {','.join(_CSV_COLUMNS)}, "
-                f"got {','.join(header)}"
-            )
+def _csv_records(
+    reader: csv.DictReader, columns: tuple[str, ...]
+) -> Iterator[tuple[str, dict]]:
+    """The rows of a CSV, each with its line number and every column filled."""
     for row in reader:
         where = f"line {reader.line_num}"
-        if any(row.get(col) in (None, "") for col in _CSV_COLUMNS):
+        if any(row.get(col) in (None, "") for col in columns):
             raise InstanceError(f"{where}: malformed row (expected 4 columns)")
         yield where, row
 
 
-def _exec_time_entries(
-    records: Iterable[tuple[str, dict]], keys: tuple[str, ...]
+def _triple_entries(
+    records: Iterable[tuple[str, dict]],
+    keys: tuple[str, ...],
+    value: Callable[[Any], int],
 ) -> dict[tuple[str, str, str], int]:
-    """Microseconds per triple from inline records or CSV rows.
+    """One value per triple from inline records or CSV rows.
 
-    ``keys`` names the circuit, provider, machine and seconds fields.
+    ``keys`` names the circuit, provider, machine and value fields.
     """
     entries: dict[tuple[str, str, str], int] = {}
     for where, record in records:
         key = _ids(record, keys[:3], where)
         if key in entries:
             raise InstanceError(f"{where}: duplicate triple {key}")
+        raw = _require(record, keys[3], where)
         try:
-            entries[key] = parse_seconds(_require(record, keys[3], where))
-        except UnitError as exc:
+            entries[key] = value(raw)
+        except ValueError as exc:
             raise InstanceError(f"{where}: {exc}") from exc
     return entries
 
@@ -354,12 +348,22 @@ def _read_exec_times(
         except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
             raise InstanceError(f"exec_times_csv: {exc}") from exc
         with handle:
-            return _exec_time_entries(_csv_records(handle), _CSV_COLUMNS)
+            # A space after a comma is ignored, in the header and in every row.
+            reader = csv.DictReader(handle, skipinitialspace=True)
+            header = reader.fieldnames
+            if header is not None and tuple(header) != _CSV_COLUMNS:
+                raise InstanceError(
+                    f"execution-time CSV header must be {','.join(_CSV_COLUMNS)}, "
+                    f"got {','.join(header)}"
+                )
+            records = _csv_records(reader, _CSV_COLUMNS)
+            return _triple_entries(records, _CSV_COLUMNS, parse_seconds)
     if isinstance(exec_block, dict) and "synthetic" in exec_block:
         block = _object(exec_block["synthetic"], "exec_times.synthetic")
         return _synthesize_exec_times(circuits, machines, block)
     if isinstance(exec_block, list):
-        return _exec_time_entries(_objects(exec_block, "exec_times"), _RECORD_KEYS)
+        records = _objects(exec_block, "exec_times")
+        return _triple_entries(records, _RECORD_KEYS, parse_seconds)
     if exec_block is None:
         return {}
     raise InstanceError(
@@ -391,8 +395,8 @@ def instance_from_document(
     circuits = []
     demand_sets: dict[str, tuple[int, ...]] = {}
     wait_sets: dict[str, tuple[int, ...]] = {}
-    demand_probs: dict[str, tuple[float, ...]] = {}
-    wait_probs: dict[str, tuple[float, ...]] = {}
+    demand_probs: dict[str, tuple[Fraction, ...]] = {}
+    wait_probs: dict[str, tuple[Fraction, ...]] = {}
     for where, entry in _objects(raw_circuits, "circuits"):
         circuit = _parse_circuit(entry, where)
         circuits.append(circuit)
@@ -478,21 +482,41 @@ def load_instance(path: str | Path, *, check: bool = True) -> Instance:
     return instance_from_document(doc, path.parent, check=check)
 
 
+def load_reservations(path: str | Path) -> dict[tuple[str, str, str], int]:
+    """A reservation vector from a CSV file, one level per triple.
+
+    The header must name the columns circuit_id, provider_id, machine_id
+    and reserved, in any order; other columns are ignored.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.DictReader(handle)
+        if not set(_RESERVATION_COLUMNS).issubset(reader.fieldnames or ()):
+            raise InstanceError(
+                f"reservations CSV needs columns {','.join(_RESERVATION_COLUMNS)}"
+            )
+        records = _csv_records(reader, _RESERVATION_COLUMNS)
+        return _triple_entries(records, _RESERVATION_COLUMNS, int)
+
+
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
 
 
-def probability_problems(probs: tuple[float, ...], n: int) -> list[str]:
+def probability_problems(probs: tuple[Any, ...], n: int) -> list[str]:
     """Why ``probs`` is not a distribution over ``n`` outcomes; empty if it is."""
     if len(probs) != n:
         return [f"expected {n} probabilities, got {len(probs)}"]
+    try:
+        exact = [parse_probability(p) for p in probs]
+    except UnitError as exc:
+        return [str(exc)]
     problems = []
-    if any(p < 0 for p in probs):
+    if any(p < 0 for p in exact):
         problems.append("probabilities must be non-negative")
-    total = sum(probs)
-    if not abs(total - 1.0) <= PROB_TOLERANCE:  # also rejects NaN
-        problems.append(f"probabilities sum to {total!r}, not 1")
+    total = sum(exact, Fraction(0))
+    if total != 1:
+        problems.append(f"probabilities sum to {total}, not 1")
     return problems
 
 

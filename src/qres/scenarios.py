@@ -10,11 +10,10 @@ golden tests are reproducible.
 The solver's marginal kernel needs only the checked marginals
 (:func:`marginals`, :func:`circuit_marginals`); the product space itself
 serves the scenario-route oracles and the extensive form. Probabilities
-are exact rationals: an explicit vector keeps the exact value of each
-parsed float, and a uniform marginal is made of dyadic rationals within
-one part in 2^53 of 1/n that sum to exactly 1, so uniform product spaces
-also sum to exactly 1 and downstream equality tests are exact rather than
-approximate.
+are exact rationals: an explicit vector holds each written decimal and
+sums to exactly 1, and a uniform marginal is made of dyadic rationals
+within one part in 2^53 of 1/n (which has no finite decimal for the LP)
+that sum to exactly 1. Equality tests downstream are therefore exact.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .instance import GRID_GUARD, Instance, probability_problems
+from .units import parse_probability
 
 _DYADIC_ONE = 1 << 53
 
@@ -54,16 +54,14 @@ def _uniform_exact(n: int) -> tuple[Fraction, ...]:
     )
 
 
-def _checked_probs(
-    probs: Iterable[float] | None, n: int, what: str
-) -> tuple[Fraction, ...]:
+def _checked_probs(probs: Iterable | None, n: int, what: str) -> tuple[Fraction, ...]:
     if probs is None:
         return _uniform_exact(n)
-    probs = tuple(float(p) for p in probs)
+    probs = tuple(probs)
     problems = probability_problems(probs, n)
     if problems:
         raise ScenarioError(f"{what}: {problems[0]}")
-    return tuple(Fraction(p) for p in probs)
+    return tuple(map(parse_probability, probs))
 
 
 class Marginals(NamedTuple):
@@ -79,8 +77,8 @@ def marginals(
     circuit_id: str,
     demand_set: Iterable[int],
     wait_set: Iterable[int],
-    demand_probs: Iterable[float] | None = None,
-    wait_probs: Iterable[float] | None = None,
+    demand_probs: Iterable | None = None,
+    wait_probs: Iterable | None = None,
 ) -> Marginals:
     """Validate one circuit's marginals and attach their exact probabilities."""
     demands = tuple(demand_set)
@@ -129,8 +127,8 @@ def build_space(
     circuit_id: str,
     demand_set: Iterable[int],
     wait_set: Iterable[int],
-    demand_probs: Iterable[float] | None = None,
-    wait_probs: Iterable[float] | None = None,
+    demand_probs: Iterable | None = None,
+    wait_probs: Iterable | None = None,
 ) -> ScenarioSpace:
     """Product space of demand x wait outcomes with product probabilities.
 

@@ -9,14 +9,13 @@ demand and wait marginals.
 The kernel gives every answer. It builds one :class:`CircuitTable` per
 circuit: the distinct demand levels, the survival ``Pr(demand >= level)``,
 the expected demand at or above each level, and the grouped wait masses.
-Masses are product-space sums (``p_d * sum(p_w)`` and ``p_w * sum(p_d)``),
-so they equal the scenario sums exactly even when the parsed
-probabilities do not sum to exactly 1. The level reserves the x-th qubit
-while the saving (on_demand - utilize) * Pr(demand >= x) strictly exceeds
-the reservation rate; survival is constant between two demand levels, so
-the search steps level by level. Costs come from closed forms over the
-same table. The over-wait penalty never depends on any decision, so it
-is excluded from the argmin and added back to every reported cost.
+Both marginals sum to exactly 1, so each mass equals its product-space
+sum. The level reserves the x-th qubit while the saving
+(on_demand - utilize) * Pr(demand >= x) strictly exceeds the reservation
+rate; survival is constant between two demand levels, so the search
+steps level by level. Costs come from closed forms over the same table.
+The over-wait penalty never depends on any decision, so it is excluded
+from the argmin and added back to every reported cost.
 
 The scenario route prices every (demand, wait) scenario through
 :func:`~qres.recourse.optimal_recourse`. It is the oracle:
@@ -102,7 +101,7 @@ class Solution:
 
 @dataclass(frozen=True)
 class CircuitTable:
-    """One circuit's demand and wait marginals, as product-space sums.
+    """One circuit's demand and wait marginals, grouped by distinct value.
 
     ``levels`` are the distinct demand values in ascending order.
     ``survival[i]`` is Pr(demand >= levels[i]) and ``demand_above[i]`` is
@@ -169,16 +168,12 @@ class CircuitTable:
 
 
 def _table(m: Marginals) -> CircuitTable:
-    # mass(d) = p_d * sum(p_w) is exactly the sum of p_d * p_w over the
-    # scenarios with demand d, whatever the probabilities sum to.
-    wait_total = sum(m.wait_probs, Fraction(0))
-    demand_total = sum(m.demand_probs, Fraction(0))
     demand_mass: dict[int, Fraction] = {}
     for beta, p in zip(m.demands, m.demand_probs):
-        demand_mass[beta] = demand_mass.get(beta, Fraction(0)) + p * wait_total
+        demand_mass[beta] = demand_mass.get(beta, Fraction(0)) + p
     wait_mass: dict[int, Fraction] = {}
     for wait, p in zip(m.waits, m.wait_probs):
-        wait_mass[wait] = wait_mass.get(wait, Fraction(0)) + p * demand_total
+        wait_mass[wait] = wait_mass.get(wait, Fraction(0)) + p
     levels = sorted(demand_mass)
     survival = [Fraction(0)] * (len(levels) + 1)
     demand_above = [Fraction(0)] * (len(levels) + 1)

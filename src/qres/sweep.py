@@ -126,20 +126,16 @@ def sweep_reservation_waiting(
     """Total expected cost over (reservation level, arranged wait) pairs."""
     x_grid = _reservation_grid(instance, x_grid)
     wait_grid = _increasing(wait_grid, "wait grid")
-    # Price both parts on the collapsed instance: there each circuit's one
-    # wait has probability exactly 1, which scales the demand masses.
-    collapsed = with_wait_singleton(instance, wait_grid[0])
-    tables = circuit_tables(collapsed)
-    curve = {x: sum(_uniform_stages(collapsed, tables, x)) for x in x_grid}
+    tables = circuit_tables(instance)
+    curve = {x: sum(_uniform_stages(instance, tables, x)) for x in x_grid}
     penalty = {}
     for wait in wait_grid:
-        # Moving the single wait keeps its mass: these are the tables of
-        # with_wait_singleton(instance, wait).
-        arranged = {}
-        for cid, table in tables.items():
-            ((_, mass),) = table.waits
-            arranged[cid] = replace(table, waits=((wait, mass),))
-        penalty[wait] = _penalty(collapsed, arranged)
+        # The tables of with_wait_singleton(instance, wait).
+        arranged = {
+            cid: replace(table, waits=((wait, Fraction(1)),))
+            for cid, table in tables.items()
+        }
+        penalty[wait] = _penalty(instance, arranged)
     rows = tuple(
         SurfaceRow(reserved=x, arranged_wait=wait, total=curve[x] + penalty[wait])
         for x in x_grid

@@ -1,11 +1,11 @@
 """Fixed-point units used throughout the package.
 
 Money is held as integer micro-dollars and time as integer microseconds,
-so every deterministic cost is exact integer arithmetic. Expected values
-(probability-weighted sums) are held as `fractions.Fraction`, built from
-the exact rational value of each float probability; two different
-summation orders of the same terms therefore compare equal with `==`,
-which is what the oracle tests rely on.
+so every deterministic cost is exact integer arithmetic. Probabilities
+are read as the exact decimal written (a float counts as its ``repr``)
+and held as `fractions.Fraction`, and so are expected values; two
+different summation orders of the same terms therefore compare equal
+with `==`, which is what the oracle tests rely on.
 """
 
 from __future__ import annotations
@@ -21,10 +21,11 @@ MICRO = 10**6
 # encodings of wide registers.
 MAGNITUDE_LIMIT = 10**24
 
-# Most fraction digits an LP number may have. A written coefficient is a
-# product of two float probabilities (each at most 1074 binary, hence
-# decimal, fraction digits) and a micro-unit rate: at most 2 * 1074 + 6.
-FRACTION_DIGITS_LIMIT = 2 * 1074 + 6
+# Most fraction digits a probability may have, as many as a dyadic k / 2^53.
+PROBABILITY_DIGITS = 53
+
+# Most fraction digits of an LP number: two probabilities times a micro-unit rate.
+FRACTION_DIGITS_LIMIT = 2 * PROBABILITY_DIGITS + 6
 
 
 class UnitError(ValueError):
@@ -39,15 +40,16 @@ def check_magnitude(value: int | Decimal, what: str) -> None:
         raise UnitError(f"{what} is larger than {MAGNITUDE_LIMIT:.0e} in magnitude")
 
 
-def _to_micro(value: int | float | str | Decimal, what: str) -> int:
+def _decimal(value: int | float | str | Decimal, what: str) -> Decimal:
+    """A number from outside as an exact, finite Decimal; never a boolean."""
     if isinstance(value, bool):
         raise UnitError(f"{what} must be a number, got a boolean")
     if isinstance(value, int):
         check_magnitude(value, what)
-        return value * MICRO
-    if isinstance(value, float):
-        # repr() of a float is its shortest round-tripping decimal; for
-        # values on the micro grid this recovers the written literal.
+        value = Decimal(value)
+    elif isinstance(value, float):
+        # repr() of a float is its shortest round-tripping decimal: for a
+        # written literal, that literal.
         value = Decimal(repr(value))
     elif isinstance(value, str):
         try:
@@ -59,6 +61,11 @@ def _to_micro(value: int | float | str | Decimal, what: str) -> int:
     if not value.is_finite():
         raise UnitError(f"{what} is not a finite number: {value}")
     check_magnitude(value, what)
+    return value
+
+
+def _to_micro(value: int | float | str | Decimal, what: str) -> int:
+    value = _decimal(value, what)
     # Exact: the default 28-digit context would round away sub-micro digits.
     with localcontext() as exact:
         exact.prec = MAX_PREC
@@ -93,8 +100,9 @@ def format_micro(value: int | Fraction) -> str:
 def exact_decimal(value: Fraction | int) -> str:
     """Render an exact finite decimal for a rational with 2^a*5^b denominator.
 
-    Used by the LP writer: every coefficient there is (float probability)
-    x (micro-dollar integer) / 10^6, whose denominator is of that form, so
+    Used by the LP writer: every coefficient there is a product of
+    probabilities (written decimals or dyadic uniform masses) and a
+    micro-dollar integer / 10^6, whose denominator is of that form, so
     the printed text loses nothing and parses back to the same Fraction.
     """
     value = Fraction(value)
@@ -119,22 +127,23 @@ def exact_decimal(value: Fraction | int) -> str:
     return f"{sign}{whole}.{text}"
 
 
-def fraction_from_decimal(text: str) -> Fraction:
+def fraction_from_decimal(
+    value: int | float | str | Decimal, digits: int = FRACTION_DIGITS_LIMIT
+) -> Fraction:
     """Exact inverse of :func:`exact_decimal` (accepts any plain decimal).
 
     The number must be finite, at most :data:`MAGNITUDE_LIMIT` in size and
-    have at most :data:`FRACTION_DIGITS_LIMIT` fraction digits; both are
-    checked before the fraction is built.
+    have at most ``digits`` fraction digits; all are checked before the
+    fraction is built.
     """
-    try:
-        value = Decimal(text)
-    except InvalidOperation as exc:
-        raise UnitError(f"not a decimal number: {text!r}") from exc
-    if not value.is_finite():
-        raise UnitError(f"not a finite number: {text!r}")
-    check_magnitude(value, repr(text))
-    if value.as_tuple().exponent < -FRACTION_DIGITS_LIMIT:
-        raise UnitError(
-            f"{text!r} has more than {FRACTION_DIGITS_LIMIT} fraction digits"
-        )
+    value = _decimal(value, "value")
+    if value.as_tuple().exponent < -digits:
+        raise UnitError(f"value has more than {digits} fraction digits")
     return Fraction(value)
+
+
+def parse_probability(value: int | float | str | Decimal | Fraction) -> Fraction:
+    """The exact value of a probability; a ``Fraction`` is taken unchanged."""
+    if isinstance(value, Fraction):
+        return value
+    return fraction_from_decimal(value, PROBABILITY_DIGITS)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from qres.instance import CostRates, Circuit, Instance, Machine
 from qres.recourse import penalty_time
 from qres.solver import solve_instance
@@ -89,10 +91,22 @@ def solve_one_triple(
     return level, solution.expected_total
 
 
-def random_probs(rng: random.Random, n: int) -> tuple[float, ...]:
-    weights = [rng.uniform(0.05, 1.0) for _ in range(n)]
+def random_probs(rng: random.Random, n: int) -> tuple[Fraction, ...]:
+    """n positive six-decimal probabilities that sum to exactly 1."""
+    weights = [rng.randint(1, 1000) for _ in range(n)]
     total = sum(weights)
-    return tuple(w / total for w in weights)
+    micro = [max(1, w * MICRO // total) for w in weights]
+    micro[micro.index(max(micro))] += MICRO - sum(micro)
+    return tuple(Fraction(m, MICRO) for m in micro)
+
+
+def probabilities(n: int) -> st.SearchStrategy:
+    """Uniform (None), n masses of exactly 1/n, or random_probs."""
+    return st.one_of(
+        st.none(),
+        st.just((Fraction(1, n),) * n),
+        st.randoms(use_true_random=False).map(lambda rng: random_probs(rng, n)),
+    )
 
 
 def random_rates(rng: random.Random, max_dollars: int = 10) -> CostRates:

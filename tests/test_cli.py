@@ -2,13 +2,17 @@ from __future__ import annotations
 
 import json
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qres.cli import run, write_atomic
+from qres.extform import build_extensive_form, parse_lp
+from qres.instance import load_instance
+from qres.solver import circuit_tables
 
 REF = str(Path(__file__).parent / "data" / "reference.json")
 CSV_HEADER = "circuit_id,provider_id,machine_id,seconds\n"
@@ -236,8 +240,18 @@ def _demand_probs_booleans(doc, tmp_path):
     doc["circuits"][0]["demand_probs"] = [True, False]
 
 
-def _demand_probs_too_large_for_a_float(doc, tmp_path):
+def _demand_probs_beyond_magnitude_limit(doc, tmp_path):
     doc["circuits"][0]["demand_probs"] = [10**400]
+
+
+def _demand_probs_with_54_fraction_digits(doc, tmp_path):
+    doc["circuits"][0]["demand_probs"] = ["PROB"]
+    return json.dumps(doc).replace('"PROB"', "0." + "0" * 53 + "1")
+
+
+def _demand_probs_with_a_billion_digit_exponent(doc, tmp_path):
+    doc["circuits"][0]["demand_probs"] = ["PROB"]
+    return json.dumps(doc).replace('"PROB"', "1e-999999999")
 
 
 def _demand_range_step_boolean(doc, tmp_path):
@@ -311,7 +325,9 @@ def _num_qubits_beyond_magnitude_limit(doc, tmp_path):
         _num_qubits_boolean,
         _label_number,
         _demand_probs_booleans,
-        _demand_probs_too_large_for_a_float,
+        _demand_probs_beyond_magnitude_limit,
+        _demand_probs_with_54_fraction_digits,
+        _demand_probs_with_a_billion_digit_exponent,
         _demand_range_step_boolean,
         _rate_null,
         _rate_infinite,
@@ -338,6 +354,76 @@ def test_malformed_document_is_one_error_line(mutate, tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["reserve", "utilize", "on_demand", "penalty"])
+@pytest.mark.parametrize(
+    "value, problem",
+    [
+        ("1e30", "money value is larger than 1e+24 in magnitude"),
+        ("NaN", "money value is not a finite number: NaN"),
+        ("0.0000001", "money value has sub-micro precision: 1E-7"),
+    ],
+    ids=["too-large", "not-finite", "sub-micro"],
+)
+@pytest.mark.parametrize("block", ["default_rates", "rates[0]"])
+def test_rate_error_names_the_rate(block, key, value, problem, tmp_path, capsys):
+    doc = single_triple_doc()
+    if block == "rates[0]":
+        doc["rates"] = [_rate_override("c1", "p1")]
+        doc["rates"][0][key] = "RATE"
+    else:
+        doc["default_rates"][key] = "RATE"
+    path = write_doc(tmp_path, doc)
+    Path(path).write_text(
+        Path(path).read_text().replace('"RATE"', value), encoding="utf-8"
+    )
+    assert run(["solve", path]) == 1
+    assert capsys.readouterr().err == f"error: {block}: {key}: {problem}\n"
+
+
+def _huge_rates_doc(demand_set: list[int], demand_probs: str) -> str:
+    """utilize and on_demand at 10^24 dollars; demand_probs as written."""
+    doc = single_triple_doc()
+    doc["circuits"][0]["demand_set"] = demand_set
+    doc["circuits"][0]["demand_probs"] = "PROBS"
+    doc["default_rates"].update(utilize=10**24, on_demand=10**24)
+    return json.dumps(doc).replace('"PROBS"', demand_probs)
+
+
+def test_vector_summing_above_1_is_refused_naming_the_exact_sum(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(_huge_rates_doc([5], "[1.0000000005]"), encoding="utf-8")
+    problem = "probabilities sum to 2000000001/2000000000, not 1"
+    assert run(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == f"error: circuit c1 demand_probs: {problem}\n"
+    assert run(["export-lp", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: circuit c1 demand_probs: {problem}\n"
+
+
+def test_exported_lp_at_the_rate_limit_parses_back(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(_huge_rates_doc([5, 6], "[0.3, 0.7]"), encoding="utf-8")
+    assert run(["validate", str(path)]) == 0
+    assert run(["export-lp", str(path)]) == 0
+    text = capsys.readouterr().out
+    assert parse_lp(text) == build_extensive_form(load_instance(path))
+
+
+def test_ten_written_tenths_are_exact_kernel_masses(tmp_path):
+    doc = single_triple_doc()
+    doc["circuits"][0].update(
+        demand_set=list(range(10)),
+        demand_probs=[0.1] * 10,
+        wait_set=[i / 1000 for i in range(10)],
+        wait_probs=[0.1] * 10,
+    )
+    table = circuit_tables(load_instance(write_doc(tmp_path, doc)))["c1"]
+    masses = [a - b for a, b in zip(table.survival, table.survival[1:])]
+    assert masses == [Fraction(1, 10)] * 10
+    assert [mass for _, mass in table.waits] == [Fraction(1, 10)] * 10
 
 
 def test_refused_instance_has_one_error_prefix(tmp_path, capsys):
@@ -414,6 +500,62 @@ def test_any_field_of_any_type_exits_0_or_1(path, value, tmp_path, capsys):
     for command in ("validate", "solve"):
         assert run([command, target]) in (0, 1)
     capsys.readouterr()
+
+
+CSV_CELLS = st.sampled_from(
+    ["circuit_id", "provider_id", "machine_id", "reserved", "qft", "p1", "m1",
+     "p9", "0", "19", "31", "-1", "1.5", "x", "9" * 5000, ""]
+) | st.text(max_size=3)
+CSV_LINES = st.lists(
+    st.lists(CSV_CELLS, max_size=5).map(",".join), max_size=4
+).map(lambda lines: "".join(line + "\n" for line in lines))
+GRID_NUMBERS = ["0", "1", "5", "30", "31", "-1", "1.5", "x", "", "inf", "nan", "1e1"]
+WAIT_NUMBERS = ["0", "0.001", "0.002", "0.01", "-0.001", "0.0000001", "x", "", "inf"]
+
+
+def _spec(numbers: list[str]) -> st.SearchStrategy:
+    return st.lists(st.sampled_from(numbers), min_size=1, max_size=4).map(":".join)
+
+
+@settings(
+    derandomize=True,
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    command=st.sampled_from(["eval", "sweep", "surface"]),
+    header=st.sampled_from(
+        ["circuit_id,provider_id,machine_id,reserved\n", "reserved,machine_id\n", ""]
+    ),
+    rows=CSV_LINES,
+    grid=_spec(GRID_NUMBERS),
+    waits=_spec(WAIT_NUMBERS),
+)
+@example(
+    command="eval",
+    header="circuit_id,provider_id,machine_id,reserved\n",
+    rows="qft,p1\n",
+    grid="0:1",
+    waits="0:0.001",
+)
+def test_cli_inputs_exit_0_1_or_2_with_one_error_line(
+    command, header, rows, grid, waits, tmp_path, capsys
+):
+    vector = tmp_path / "vector.csv"
+    vector.write_text(header + rows, encoding="utf-8")
+    argv = {
+        "eval": ["eval", REF, "--reservations", str(vector)],
+        "sweep": ["sweep", REF, f"--grid={grid}"],
+        "surface": ["surface", REF, f"--grid={grid}", f"--waits={waits}"],
+    }[command]
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code:
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: " if code == 1 else "usage error: ")
 
 
 @pytest.mark.parametrize("which", ["instance", "exec_times_csv", "reservations"])
@@ -580,6 +722,26 @@ def test_eval_over_capacity_fails(tmp_path, capsys):
     )
     assert run(["eval", path, "--reservations", str(vector)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("qft,p1\n", "line 2: malformed row (expected 4 columns)"),
+        ("qft,p1,m1,3\nqft,p1,m1,4\n", "line 3: duplicate triple ('qft', 'p1', 'm1')"),
+        ("qft,p1,m1,x\n", "line 2: invalid literal for int() with base 10: 'x'"),
+    ],
+    ids=["short-row", "duplicate-triple", "not-an-integer"],
+)
+def test_eval_bad_row_is_one_error_line(rows, message, tmp_path, capsys):
+    vector = tmp_path / "vector.csv"
+    vector.write_text(
+        "circuit_id,provider_id,machine_id,reserved\n" + rows, encoding="utf-8"
+    )
+    assert run(["eval", REF, "--reservations", str(vector)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_eval_bad_header(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_instance, make_rates, random_instance
+from helpers import make_instance, make_rates, random_instance, random_probs
 from qres.extform import (
     ExtensiveForm,
     LpParseError,
@@ -18,7 +18,8 @@ from qres.extform import (
     solve_enumerative,
 )
 from qres.solver import GuardError, solve_instance
-from qres.units import MICRO
+from qres.instance import instance_from_document
+from qres.units import MICRO, exact_decimal
 
 
 def single_triple_instance():
@@ -111,6 +112,52 @@ def test_round_trip_random_forms():
     for _ in range(10):
         form = build_extensive_form(random_instance(rng))
         assert parse_lp(render_lp(form)) == form
+
+
+# Money up to the 10^24-dollar limit, written with its micro digits.
+LIMIT_MONEY = st.integers(0, 10**30).map(lambda m: exact_decimal(Fraction(m, MICRO)))
+
+
+@st.composite
+def written_probs(draw, n: int):
+    """None (uniform), six-decimal weights, or 53-digit dyadic masses."""
+    kind = draw(st.sampled_from(["uniform", "decimal", "dyadic"]))
+    if kind == "uniform":
+        return None
+    if kind == "decimal":
+        return [exact_decimal(p) for p in random_probs(draw(st.randoms()), n)]
+    cuts = sorted(draw(st.lists(st.integers(0, 2**53), min_size=n - 1, max_size=n - 1)))
+    edges = [0, *cuts, 2**53]
+    return [exact_decimal(Fraction(b - a, 2**53)) for a, b in zip(edges, edges[1:])]
+
+
+@st.composite
+def documents_at_the_limits(draw) -> dict:
+    demand = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=3))
+    wait = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=3))
+    circuit = {"id": "c1", "demand_set": demand, "wait_set": [w / MICRO for w in wait]}
+    for name, n in (("demand_probs", len(demand)), ("wait_probs", len(wait))):
+        probs = draw(written_probs(n))
+        if probs is not None:
+            circuit[name] = probs
+    keys = ("reserve", "utilize", "on_demand", "penalty")
+    return {
+        "circuits": [circuit],
+        "providers": ["p1"],
+        "machines": [{"provider": "p1", "machine": "m1", "capacity": 3}],
+        "default_rates": {key: draw(LIMIT_MONEY) for key in keys},
+        "exec_times": [
+            {"circuit": "c1", "provider": "p1", "machine": "m1",
+             "seconds": draw(LIMIT_MONEY)}
+        ],
+    }
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(documents_at_the_limits())
+def test_every_exported_lp_of_a_loadable_instance_parses_back(doc):
+    form = build_extensive_form(instance_from_document(doc))
+    assert parse_lp(render_lp(form)) == form
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import make_instance
+from helpers import make_instance, random_probs
 from qres.instance import validate
 from qres.scenarios import (
     ScenarioError,
@@ -40,7 +40,7 @@ def test_singleton_product():
 
 def test_marginal_product_probabilities():
     space = build_space("c", [1, 2], [1_000_000], demand_probs=[0.3, 0.7])
-    assert space.exact_probabilities == (Fraction(0.3), Fraction(0.7))
+    assert space.exact_probabilities == (Fraction(3, 10), Fraction(7, 10))
 
 
 def test_ordering_is_demand_major_and_deterministic():
@@ -83,16 +83,14 @@ def test_probabilities_always_normalized_property():
     rng = random.Random(716)
     for _ in range(50):
         n_d, n_w = rng.randint(1, 7), rng.randint(1, 7)
-        weights = [rng.uniform(0.01, 1) for _ in range(n_d)]
-        total = sum(weights)
         space = build_space(
             "c",
             list(range(n_d)),
             [100 * (i + 1) for i in range(n_w)],
-            demand_probs=[w / total for w in weights],
+            demand_probs=random_probs(rng, n_d),
         )
         assert len(space) == n_d * n_w
-        assert float(sum(space.exact_probabilities)) == pytest.approx(1.0, abs=1e-9)
+        assert sum(space.exact_probabilities) == 1
 
 
 PROB = st.one_of(

@@ -11,6 +11,7 @@ from helpers import (
     REF_RATES,
     make_instance,
     make_rates,
+    probabilities,
     random_instance,
     random_marginals,
     random_rates,
@@ -277,17 +278,6 @@ def one_circuit(demand, wait, demand_probs, wait_probs, triples) -> Instance:
 
 
 @st.composite
-def probabilities(draw, n: int):
-    kind = draw(st.sampled_from(["uniform", "equal", "weights"]))
-    if kind == "uniform":
-        return None
-    if kind == "equal":  # e.g. ten 0.1s, whose exact values do not sum to 1
-        return (1.0 / n,) * n
-    weights = draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))
-    return tuple(w / sum(weights) for w in weights)
-
-
-@st.composite
 def small_instances(draw) -> Instance:
     demand = draw(st.lists(st.integers(0, 8), min_size=1, max_size=10))
     wait = draw(
@@ -307,8 +297,7 @@ def small_instances(draw) -> Instance:
     )
 
 
-TENTHS = (0.1,) * 10
-assert sum(map(Fraction, TENTHS)) != 1
+TENTHS = (0.1,) * 10  # each read as exactly 1/10
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -322,7 +311,7 @@ assert sum(map(Fraction, TENTHS)) != 1
         [(REF_RATES, 0, 3000), (REF_RATES, 6, 3000)],
     )
 )
-@example(  # utilize > on_demand, explicit probabilities not summing to 1
+@example(  # utilize > on_demand, explicit probabilities written as floats
     one_circuit(
         tuple(range(10)),
         (1000, 5000),
@@ -331,7 +320,7 @@ assert sum(map(Fraction, TENTHS)) != 1
         [(make_rates(1_000_000, 3_000_000, 2_000_000, 10_000_000), 9, 4000)],
     )
 )
-@example(  # utilize == on_demand, both marginals not summing to 1
+@example(  # utilize == on_demand, both marginals written as floats
     one_circuit(
         (1, 1, 2, 2, 3, 3, 4, 4, 5, 5),
         tuple(range(0, 10000, 1000)),

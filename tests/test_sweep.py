@@ -140,9 +140,8 @@ def test_surface_minimum_at_solver_level_and_covered_wait(reference_instance):
     assert {r.arranged_wait for r in ties} == {5000, 6000, 7000, 8000, 9000, 10000}
 
 
-def test_sweeps_equal_cell_by_cell_route_with_inexact_probabilities():
-    tenths = (0.1,) * 10
-    assert sum(map(Fraction, tenths)) != 1
+def test_sweeps_equal_cell_by_cell_route_with_explicit_probabilities():
+    tenths = (0.1,) * 10  # each read as exactly 1/10
     inst = make_instance(
         demand=(2, 3, 3, 4, 5, 6, 7, 8, 9, 9),
         wait=tuple(range(1000, 10001, 1000)),

@@ -7,11 +7,14 @@ from fractions import Fraction
 import pytest
 
 from qres.units import (
+    FRACTION_DIGITS_LIMIT,
+    PROBABILITY_DIGITS,
     UnitError,
     exact_decimal,
     format_micro,
     fraction_from_decimal,
     parse_money,
+    parse_probability,
     parse_seconds,
 )
 
@@ -111,6 +114,7 @@ def test_tiny_money_is_sub_micro():
         "-1e999999999",
         "1e-999999999",
         "1e25",
+        "1e-113",
         "1e-2155",
     ],
 )
@@ -121,6 +125,45 @@ def test_fraction_from_decimal_refuses_what_it_cannot_build(text):
 
 def test_fraction_from_decimal_accepts_the_limits():
     assert fraction_from_decimal("-1e24") == -(10**24)
-    assert fraction_from_decimal("1e-2154") == Fraction(1, 10**2154)
-    tiny = Fraction(5e-324) * Fraction(5e-324) / 10**6  # smallest written coefficient
+    assert fraction_from_decimal("1e-112") == Fraction(1, 10**112)
+    # The smallest written coefficient: two dyadic uniform masses times a
+    # micro-dollar.
+    tiny = Fraction(1, 2**53) * Fraction(1, 2**53) / 10**6
+    assert len(exact_decimal(tiny)) == 2 + FRACTION_DIGITS_LIMIT
     assert fraction_from_decimal(exact_decimal(tiny)) == tiny
+
+
+# --- probabilities -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "value, exact",
+    [
+        (0.3, Fraction(3, 10)),
+        ("0.3", Fraction(3, 10)),
+        (Decimal("0.1"), Fraction(1, 10)),
+        (1, Fraction(1)),
+        (Fraction(1, 3), Fraction(1, 3)),
+        ("0." + "1" * PROBABILITY_DIGITS, Fraction(int("1" * 53), 10**53)),
+    ],
+)
+def test_probability_is_the_decimal_written(value, exact):
+    assert parse_probability(value) == exact
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (True, "boolean"),
+        ("0." + "1" * (PROBABILITY_DIGITS + 1), "more than 53 fraction digits"),
+        ("1e-999999999", "more than 53 fraction digits"),
+        (float("nan"), "not a finite number"),
+        ("inf", "not a finite number"),
+        ("1e999999999", "larger than 1e\\+24"),
+        ("half", "not a number"),
+        (None, "must be a number"),
+    ],
+)
+def test_probability_refusals(value, message):
+    with pytest.raises(UnitError, match=message):
+        parse_probability(value)
