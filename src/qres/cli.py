@@ -41,7 +41,7 @@ from .sweep import (
     sweep_reservation,
     sweep_reservation_waiting,
 )
-from .units import UnitError, format_micro, parse_seconds
+from .units import UnitError, format_micro, parse_integer, parse_seconds
 
 SPOT_CHECK_VECTORS = 20
 
@@ -73,7 +73,9 @@ def _parse_grid(
 
 
 def _reservation_grid(spec: str | None, instance: Instance) -> range:
-    return _parse_grid(spec or f"0:{min_capacity(instance)}", "grid", int, lambda: 1)
+    return _parse_grid(
+        spec or f"0:{min_capacity(instance)}", "grid", parse_integer, lambda: 1
+    )
 
 
 def _min_wait_gap(instance: Instance) -> int:
@@ -171,21 +173,33 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 1 if any(d.severity == "error" for d in diagnostics) else 0
 
 
-def _verify_solution(instance: Instance, solution: Solution, seed: int | None) -> None:
-    """Re-derive every reservation by brute force; raise on any mismatch."""
+def _verify_solution(
+    instance: Instance, solution: Solution, seed: int | None
+) -> tuple[int, int]:
+    """Re-derive every reservation by brute force; raise on any mismatch.
+
+    Returns how many levels were scanned and how many scenario
+    evaluations they took.
+    """
+    levels = evaluations = 0
     for row in solution.per_triple:
         key = row.key
         rates = instance.rate(key.circuit_id, key.provider_id)
         machine = instance.machine(key.provider_id, key.machine_id)
+        demand_set = instance.demand_sets[key.circuit_id]
+        wait_set = instance.wait_sets[key.circuit_id]
         best_x, best_cost = brute_force_triple(
             rates,
-            instance.demand_sets[key.circuit_id],
-            instance.wait_sets[key.circuit_id],
+            demand_set,
+            wait_set,
             instance.exec_time(*key),
             machine.capacity_qubits,
             instance.demand_probs.get(key.circuit_id),
             instance.wait_probs.get(key.circuit_id),
         )
+        scanned = machine.capacity_qubits + 1
+        levels += scanned
+        evaluations += scanned * len(demand_set) * len(wait_set)
         if best_x != row.reserved or best_cost != row.total:
             raise ModelError(
                 f"oracle mismatch on {key}: solver ({row.reserved}, "
@@ -207,15 +221,20 @@ def _verify_solution(instance: Instance, solution: Solution, seed: int | None) -
                     f"random vector {vector} beats the solver: "
                     f"{format_micro(cost)} < {format_micro(solution.expected_total)}"
                 )
+    return levels, evaluations
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     solution = solve_instance(instance)
     if args.oracle:
-        _verify_solution(instance, solution, args.seed)
+        levels, evaluations = _verify_solution(instance, solution, args.seed)
         if args.verbose:
-            print("oracle: brute force agrees on every triple", file=sys.stderr)
+            print(
+                f"oracle: brute force agrees on {len(solution.per_triple)} triples "
+                f"({levels} levels, {evaluations} scenario evaluations)",
+                file=sys.stderr,
+            )
     render = _solution_table if args.human else _solution_csv
     _write_output(render(solution), args.output)
     return 0

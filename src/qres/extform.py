@@ -21,11 +21,13 @@ each continuous variable to the smallest value its rows allow.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .instance import GRID_GUARD, Instance
 from .scenarios import space_for_circuit
@@ -178,8 +180,10 @@ def build_extensive_form(instance: Instance) -> ExtensiveForm:
 # ---------------------------------------------------------------------------
 
 
-def _term(coef: Fraction, name: str, first: bool) -> str:
-    mag = exact_decimal(abs(coef))
+def _term(
+    coef: Fraction, name: str, first: bool, decimal: Callable[[Fraction], str]
+) -> str:
+    mag = decimal(abs(coef))
     if first:
         return f"-{mag} {name}" if coef < 0 else f"{mag} {name}"
     return f"- {mag} {name}" if coef < 0 else f"+ {mag} {name}"
@@ -190,26 +194,26 @@ def render_lp(form: ExtensiveForm) -> str:
     for var in form.variables:
         if not _NAME_RE.match(var.name):
             raise ValueError(f"variable name not exportable: {var.name!r}")
+    # A form repeats few distinct values many times: format each once.
+    decimal = functools.cache(exact_decimal)
     lines = ["Minimize"]
     for i, (index, coef) in enumerate(form.objective):
-        term = _term(coef, form.variables[index].name, first=i == 0)
+        term = _term(coef, form.variables[index].name, i == 0, decimal)
         lines.append(f" obj: {term}" if i == 0 else f" {term}")
     lines.append("Subject To")
     for row in form.constraints:
         if not _NAME_RE.match(row.name):
             raise ValueError(f"constraint name not exportable: {row.name!r}")
         parts = [
-            _term(coef, form.variables[index].name, first=i == 0)
+            _term(coef, form.variables[index].name, i == 0, decimal)
             for i, (index, coef) in enumerate(row.terms)
         ]
-        lines.append(
-            f" {row.name}: {' '.join(parts)} {row.sense} {exact_decimal(row.rhs)}"
-        )
+        lines.append(f" {row.name}: {' '.join(parts)} {row.sense} {decimal(row.rhs)}")
     lines.append("Bounds")
     for var in form.variables:
         if var.upper is not None:
             lines.append(
-                f" {exact_decimal(var.lower)} <= {var.name} <= {exact_decimal(var.upper)}"
+                f" {decimal(var.lower)} <= {var.name} <= {decimal(var.upper)}"
             )
     lines.append("Generals")
     for var in form.variables:

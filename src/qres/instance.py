@@ -26,6 +26,7 @@ from .units import (
     MICRO,
     UnitError,
     check_magnitude,
+    parse_integer,
     parse_money,
     parse_probability,
     parse_seconds,
@@ -495,7 +496,7 @@ def load_reservations(path: str | Path) -> dict[tuple[str, str, str], int]:
                 f"reservations CSV needs columns {','.join(_RESERVATION_COLUMNS)}"
             )
         records = _csv_records(reader, _RESERVATION_COLUMNS)
-        return _triple_entries(records, _RESERVATION_COLUMNS, int)
+        return _triple_entries(records, _RESERVATION_COLUMNS, parse_integer)
 
 
 # ---------------------------------------------------------------------------

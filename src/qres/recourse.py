@@ -14,7 +14,7 @@ smallest feasible value even when the penalty rate is zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .instance import CostRates
@@ -27,7 +27,13 @@ class RecourseDecision:
     utilized: int
     on_demand: int
     over_wait: int  # microseconds
-    cost: Fraction  # micro-dollars, exact
+    # Kept only to price the decision when its cost is read.
+    rates: CostRates = field(repr=False, compare=False)
+
+    @property
+    def cost(self) -> Fraction:
+        """Exact cost in micro-dollars, computed when read."""
+        return recourse_cost(self.rates, self.utilized, self.on_demand, self.over_wait)
 
 
 def penalty_time(exec_time: int, wait_time: int) -> int:
@@ -70,8 +76,5 @@ def optimal_recourse(
     on_demand = beta - utilized
     over_wait = penalty_time(exec_time, scenario.wait_time)
     return RecourseDecision(
-        utilized=utilized,
-        on_demand=on_demand,
-        over_wait=over_wait,
-        cost=recourse_cost(rates, utilized, on_demand, over_wait),
+        utilized=utilized, on_demand=on_demand, over_wait=over_wait, rates=rates
     )

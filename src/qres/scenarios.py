@@ -18,8 +18,10 @@ that sum to exactly 1. Equality tests downstream are therefore exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .instance import GRID_GUARD, Instance, probability_problems
@@ -45,6 +47,18 @@ class ScenarioSpace:
 
     def __len__(self) -> int:
         return len(self.scenarios)
+
+    @cached_property
+    def weights(self) -> tuple[int, tuple[int, ...]]:
+        """``(L, w)``: each probability as ``w[i] / L`` over one common denominator.
+
+        L is the lcm of the probabilities' denominators, so ``sum(w) == L``
+        and an expectation over the space is an integer sum divided by L.
+        """
+        common = math.lcm(*(p.denominator for p in self.exact_probabilities))
+        return common, tuple(
+            p.numerator * (common // p.denominator) for p in self.exact_probabilities
+        )
 
 
 def _uniform_exact(n: int) -> tuple[Fraction, ...]:

@@ -42,6 +42,7 @@ from .scenarios import (
     circuit_marginals,
     space_for_circuit,
 )
+from .units import MICRO
 
 BRUTE_FORCE_CAPACITY_GUARD = 10**4
 JOINT_ENUMERATION_GUARD = 10**6
@@ -297,17 +298,22 @@ def _recourse_expectation(
 
     Returns (qubit cost, penalty cost) in micro-dollars. This is the
     oracle's evaluation path, independent of the kernel's closed forms.
+    Each scenario adds its integer weight times its integer cost, and one
+    division by the space's common denominator ends each expectation.
     """
-    second = Fraction(0)
-    penalty = Fraction(0)
-    for scenario, fp in zip(space.scenarios, space.exact_probabilities):
+    common, weights = space.weights
+    qubits = over_wait = 0
+    for scenario, weight in zip(space.scenarios, weights):
         decision = optimal_recourse(reserved, scenario, rates, exec_time)
-        second += fp * (
+        qubits += weight * (
             rates.utilize_per_qubit * decision.utilized
             + rates.on_demand_per_qubit * decision.on_demand
         )
-        penalty += fp * penalty_cost(rates.penalty_per_second, decision.over_wait)
-    return second, penalty
+        over_wait += weight * decision.over_wait
+    return (
+        Fraction(qubits, common),
+        Fraction(rates.penalty_per_second * over_wait, common * MICRO),
+    )
 
 
 def scenario_costs(

@@ -52,6 +52,10 @@ def _decimal(value: int | float | str | Decimal, what: str) -> Decimal:
         # written literal, that literal.
         value = Decimal(repr(value))
     elif isinstance(value, str):
+        # Decimal() also reads underscores, surrounding whitespace and
+        # non-ASCII digits; text from outside must be a plain decimal.
+        if "_" in value or not value.isascii() or value != value.strip():
+            raise UnitError(f"{what} is not a plain decimal number: {value!r}")
         try:
             value = Decimal(value)
         except InvalidOperation as exc:
@@ -62,6 +66,18 @@ def _decimal(value: int | float | str | Decimal, what: str) -> Decimal:
         raise UnitError(f"{what} is not a finite number: {value}")
     check_magnitude(value, what)
     return value
+
+
+def parse_integer(text: str) -> int:
+    """An integer written as text: ASCII digits after an optional sign.
+
+    Unlike ``int()``, refuses underscores, surrounding whitespace and
+    non-ASCII digits.
+    """
+    digits = text[1:] if text.startswith(("+", "-")) else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise UnitError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
 
 
 def _to_micro(value: int | float | str | Decimal, what: str) -> int:
@@ -107,11 +123,9 @@ def exact_decimal(value: Fraction | int) -> str:
     """
     value = Fraction(value)
     num, den = value.numerator, value.denominator
-    twos = fives = 0
-    rest = den
-    while rest % 2 == 0:
-        rest //= 2
-        twos += 1
+    twos = (den & -den).bit_length() - 1  # trailing zero bits
+    rest = den >> twos
+    fives = 0
     while rest % 5 == 0:
         rest //= 5
         fives += 1

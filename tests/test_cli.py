@@ -66,6 +66,19 @@ def test_solve_with_oracle_and_seed(capsys):
     assert run(["solve", REF, "--oracle", "--seed", "7"]) == 0
 
 
+def test_verbose_oracle_counts_its_work_on_stderr_only(capsys):
+    assert run(["solve", REF, "--oracle"]) == 0
+    quiet = capsys.readouterr()
+    assert run(["solve", REF, "--oracle", "-v"]) == 0
+    verbose = capsys.readouterr()
+    assert verbose.out == quiet.out
+    # 6 triples x 31 levels, each over 13 demands x 9 waits.
+    assert verbose.err == (
+        "oracle: brute force agrees on 6 triples "
+        "(186 levels, 21762 scenario evaluations)\n"
+    )
+
+
 def test_solve_human_table(capsys):
     assert run(["solve", REF, "--human"]) == 0
     out = capsys.readouterr().out
@@ -307,6 +320,26 @@ def _num_qubits_beyond_magnitude_limit(doc, tmp_path):
     _synthetic_timing(doc, num_qubits=10**25)
 
 
+def _money_text_with_underscore(doc, tmp_path):
+    doc["default_rates"]["reserve"] = "1_0"
+
+
+def _probability_text_with_whitespace(doc, tmp_path):
+    doc["circuits"][0]["demand_probs"] = [" 1\n"]
+
+
+def _seconds_text_with_non_ascii_digits(doc, tmp_path):
+    doc["exec_times"][0]["seconds"] = "\u0665"  # ARABIC-INDIC DIGIT FIVE
+
+
+def _exec_times_csv_underscore(doc, tmp_path):
+    _exec_times_csv(doc, tmp_path, (CSV_HEADER + "c1,p1,m1,0.00_5\n").encode())
+
+
+def _exec_times_csv_trailing_space(doc, tmp_path):
+    _exec_times_csv(doc, tmp_path, (CSV_HEADER + "c1,p1,m1,0.005 \n").encode())
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -341,6 +374,11 @@ def _num_qubits_beyond_magnitude_limit(doc, tmp_path):
         _demand_range_beyond_magnitude_limit,
         _capacity_beyond_magnitude_limit,
         _num_qubits_beyond_magnitude_limit,
+        _money_text_with_underscore,
+        _probability_text_with_whitespace,
+        _seconds_text_with_non_ascii_digits,
+        _exec_times_csv_underscore,
+        _exec_times_csv_trailing_space,
     ],
 )
 def test_malformed_document_is_one_error_line(mutate, tmp_path, capsys):
@@ -558,6 +596,60 @@ def test_cli_inputs_exit_0_1_or_2_with_one_error_line(
         assert captured.err.startswith("error: " if code == 1 else "usage error: ")
 
 
+TIME_CELLS = st.sampled_from(
+    ["circuit_id", "provider_id", "machine_id", "seconds", "c1", "p1", "m1", "m2",
+     "0.005", " 0.005", "0.005 ", "0.00_5", "-0.001", "0.0000001", "1e999999",
+     "nan", "x", "9" * 5000, '"0.005"', ""]
+) | st.text(max_size=3)
+TIME_CSVS = st.tuples(
+    st.sampled_from(
+        [CSV_HEADER, "circuit_id, provider_id, machine_id, seconds\n", "seconds\n", ""]
+    ),
+    st.lists(
+        st.lists(TIME_CELLS, max_size=5).map(",".join), max_size=4
+    ).map(lambda lines: "".join(line + "\n" for line in lines)),
+).map("".join)
+
+
+@settings(
+    derandomize=True,
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    times=st.none() | TIME_CSVS,
+    path=st.sampled_from(SINGLE_TRIPLE_PATHS),
+    value=st.one_of(st.just(DELETE), json_values),
+)
+@example(times=CSV_HEADER + "c1,p1,m1,0.00_5\n", path=("providers",), value=["p1"])
+def test_mutated_exec_times_csv_and_export_lp_exit_0_1_or_2(
+    times, path, value, tmp_path, capsys
+):
+    doc = single_triple_doc()
+    *parents, last = path
+    block = doc
+    for key in parents:
+        block = block[key]
+    if value is DELETE:
+        del block[last]
+    else:
+        block[last] = value
+    if times is not None:
+        doc.pop("exec_times", None)
+        (tmp_path / "times.csv").write_text(times, encoding="utf-8")
+        doc["exec_times_csv"] = "times.csv"
+    target = write_doc(tmp_path, doc)
+    for command in ("solve", "export-lp"):
+        code = run([command, target])
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2)
+        if code:
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1
+            assert captured.err.startswith("error: " if code == 1 else "usage error: ")
+
+
 @pytest.mark.parametrize("which", ["instance", "exec_times_csv", "reservations"])
 def test_undecodable_file_is_one_error_line(which, tmp_path, capsys):
     garbage = b"\xff\xfe" + "not utf-8".encode("utf-16-le")
@@ -624,6 +716,9 @@ def test_sweep_bad_grid_is_usage_error(capsys):
         ["surface", REF, "--grid", "0:2", "--waits=-0.001:0.002"],
         ["surface", REF, "--grid", "0:2", "--waits", "0:0.0000001:0.0000001"],
         ["surface", REF, "--grid", "0:2", "--waits", "0:inf"],
+        ["sweep", REF, "--grid", "0:3_0"],
+        ["sweep", REF, "--grid", "0: 30"],
+        ["surface", REF, "--grid", "0:2", "--waits", "0:0.00_2"],
     ],
     ids=[
         "grid-arity",
@@ -638,6 +733,9 @@ def test_sweep_bad_grid_is_usage_error(capsys):
         "waits-negative-lo",
         "waits-below-a-microsecond",
         "waits-infinite",
+        "grid-underscore",
+        "grid-space",
+        "waits-underscore",
     ],
 )
 def test_malformed_grid_is_usage_error(args, capsys):
@@ -730,8 +828,10 @@ def test_eval_over_capacity_fails(tmp_path, capsys):
         ("qft,p1\n", "line 2: malformed row (expected 4 columns)"),
         ("qft,p1,m1,3\nqft,p1,m1,4\n", "line 3: duplicate triple ('qft', 'p1', 'm1')"),
         ("qft,p1,m1,x\n", "line 2: invalid literal for int() with base 10: 'x'"),
+        ("qft,p1,m1,1_9\n", "line 2: invalid literal for int() with base 10: '1_9'"),
+        ("qft,p1,m1, 19\n", "line 2: invalid literal for int() with base 10: ' 19'"),
     ],
-    ids=["short-row", "duplicate-triple", "not-an-integer"],
+    ids=["short-row", "duplicate-triple", "not-an-integer", "underscore", "space"],
 )
 def test_eval_bad_row_is_one_error_line(rows, message, tmp_path, capsys):
     vector = tmp_path / "vector.csv"

@@ -178,6 +178,9 @@ def test_every_exported_lp_of_a_loadable_instance_parses_back(doc):
         ("Minimize\n obj: 1 x\nSubject To\n r: 1 x >= nan\nEnd\n", "bad rhs"),
         ("Minimize\n obj: 1 x\nBounds\n 0 <= x <= Infinity\nEnd\n", "bad bound"),
         ("Minimize\n obj: 1 x\nBounds\n -1e999999999 <= x <= 1\nEnd\n", "bad bound"),
+        ("Minimize\n obj: 1_0 x\nEnd\n", "bad coefficient"),
+        ("Minimize\n obj: 1 x\nSubject To\n r: 1 x <= 1_0\nEnd\n", "bad rhs"),
+        ("Minimize\n obj: 1 x\nBounds\n 0 <= x <= 1_0\nEnd\n", "bad bound"),
     ],
 )
 def test_parse_errors(text, match):

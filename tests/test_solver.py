@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,8 +18,9 @@ from helpers import (
     random_rates,
     solve_one_triple,
 )
+from qres import solver
 from qres.instance import CostRates, Circuit, Instance, Machine
-from qres.recourse import optimal_recourse
+from qres.recourse import RecourseDecision, optimal_recourse, recourse_cost
 from qres.scenarios import space_for_circuit
 from qres.solver import (
     CapacityError,
@@ -175,6 +177,18 @@ def test_single_triple_singleton_matches_hand_solution():
     sol = solve_instance(inst)
     assert sol.reservations[TripleKey("c1", "p1", "m1")] == 5
     assert sol.expected_total == Fraction(8_900_000)
+
+
+def test_brute_force_prices_every_scenario_through_optimal_recourse(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return optimal_recourse(*args)
+
+    monkeypatch.setattr(solver, "optimal_recourse", counted)
+    brute_force_triple(REF_RATES, REF_DEMAND, REF_WAIT, 5000, 30)
+    assert len(calls) == 31 * len(REF_DEMAND) * len(REF_WAIT)
 
 
 # --- joint enumeration oracle -----------------------------------------------
@@ -346,3 +360,105 @@ def test_kernel_equals_scenario_route_and_brute_force(inst):
             inst.wait_probs.get(cid),
         )
         assert solve_one_triple(*args) == brute_force_triple(*args)
+
+
+# --- the scenario route's integer weights on mixed denominators ----------------
+
+
+def _written_probs(digits: int) -> st.SearchStrategy:
+    """Positive probabilities of ``digits`` fraction digits that sum to exactly 1."""
+    one = 10**digits
+    cuts = st.lists(st.integers(1, one - 1), min_size=1, max_size=3, unique=True)
+    return cuts.map(
+        lambda c: tuple(
+            Fraction(b - a, one) for a, b in itertools.pairwise([0, *sorted(c), one])
+        )
+    )
+
+
+# Each kind of marginal as (number of outcomes, probabilities or None).
+MARGINALS = {
+    "2-digit": _written_probs(2).map(lambda probs: (len(probs), probs)),
+    "53-digit": _written_probs(53).map(lambda probs: (len(probs), probs)),
+    "uniform": st.integers(1, 7).map(lambda n: (n, None)),
+}
+
+
+@st.composite
+def mixed_denominator_instances(draw) -> Instance:
+    """Two circuits whose four marginals mix 2-digit, 53-digit and dyadic masses."""
+    first, second, third = draw(st.permutations(list(MARGINALS)))
+    kinds = {"a": (first, second), "b": (third, first)}
+    circuits = ("a", "b")
+    demand_sets, wait_sets, demand_probs, wait_probs = {}, {}, {}, {}
+    for cid in circuits:
+        for kind, sets, probs, scale in zip(
+            kinds[cid], (demand_sets, wait_sets), (demand_probs, wait_probs), (1, 1000)
+        ):
+            size, drawn = draw(MARGINALS[kind])
+            values = draw(st.lists(st.integers(0, 8), min_size=size, max_size=size))
+            sets[cid] = tuple(v * scale for v in values)
+            if drawn is not None:
+                probs[cid] = drawn
+    machines = tuple(Machine(p, "m", draw(st.integers(0, 8))) for p in ("p0", "p1"))
+    rates = {
+        (cid, m.provider_id): draw(st.builds(CostRates, MONEY, MONEY, MONEY, MONEY))
+        for cid in circuits
+        for m in machines
+    }
+    return Instance(
+        circuits=tuple(Circuit(cid) for cid in circuits),
+        providers=("p0", "p1"),
+        machines=machines,
+        rates=rates,
+        exec_times={
+            (cid, m.provider_id, "m"): draw(st.integers(0, 12)) * 1000
+            for cid in circuits
+            for m in machines
+        },
+        demand_sets=demand_sets,
+        wait_sets=wait_sets,
+        demand_probs=demand_probs,
+        wait_probs=wait_probs,
+    )
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(mixed_denominator_instances())
+def test_integer_weight_oracle_on_mixed_denominators(inst):
+    for cid in inst.circuit_ids():
+        space = space_for_circuit(inst, cid)
+        common, weights = space.weights
+        assert sum(weights) == common
+        exact = [Fraction(w, common) for w in weights]
+        assert exact == list(space.exact_probabilities)
+    triples = [TripleKey(*key) for key in inst.triples()]
+    caps = {key: inst.machine(key[1], key[2]).capacity_qubits for key in triples}
+    for x in range(max(caps.values()) + 1):
+        vector = {key: min(x, cap) for key, cap in caps.items()}
+        assert per_triple_costs(inst, vector) == scenario_costs(inst, vector)
+    solution = solve_instance(inst)
+    for row in solution.per_triple:
+        cid, pid, mid = row.key
+        level = brute_force_triple(
+            inst.rate(cid, pid),
+            inst.demand_sets[cid],
+            inst.wait_sets[cid],
+            inst.exec_time(cid, pid, mid),
+            caps[row.key],
+            inst.demand_probs.get(cid),
+            inst.wait_probs.get(cid),
+        )
+        assert level == (row.reserved, row.total)
+        rates = inst.rate(cid, pid)
+        other = CostRates(rates.reserve_per_qubit + 1, 0, 0, 0)
+        for scenario in space_for_circuit(inst, cid).scenarios:
+            decision = optimal_recourse(row.reserved, scenario, rates, 5000)
+            assert decision.cost == recourse_cost(
+                rates, decision.utilized, decision.on_demand, decision.over_wait
+            )
+            twin = RecourseDecision(
+                decision.utilized, decision.on_demand, decision.over_wait, other
+            )
+            assert twin == decision and hash(twin) == hash(decision)
+            assert repr(twin) == repr(decision)

@@ -13,6 +13,7 @@ from qres.units import (
     exact_decimal,
     format_micro,
     fraction_from_decimal,
+    parse_integer,
     parse_money,
     parse_probability,
     parse_seconds,
@@ -167,3 +168,39 @@ def test_probability_is_the_decimal_written(value, exact):
 def test_probability_refusals(value, message):
     with pytest.raises(UnitError, match=message):
         parse_probability(value)
+
+
+# --- text must be plain decimal ------------------------------------------------
+
+NOT_PLAIN = ["1_0", " 0.5\n", " 7 ", "7 ", "\t1", "\u0661\u0662"]
+
+
+@pytest.mark.parametrize("parse", [parse_money, parse_seconds, parse_probability])
+@pytest.mark.parametrize("text", NOT_PLAIN)
+def test_number_text_must_be_plain_decimal(parse, text):
+    with pytest.raises(UnitError, match="not a plain decimal number"):
+        parse(text)
+
+
+@pytest.mark.parametrize(
+    "text", NOT_PLAIN + ["", "+", "-", "1.0", "1e1", "x", "\u00b2"]
+)
+def test_parse_integer_refuses_what_is_not_plain(text):
+    with pytest.raises(UnitError, match="invalid literal for int"):
+        parse_integer(text)
+
+
+@pytest.mark.parametrize(
+    "text, value", [("0", 0), ("19", 19), ("+5", 5), ("-1", -1), ("007", 7)]
+)
+def test_parse_integer_reads_plain_integers(text, value):
+    assert parse_integer(text) == value
+
+
+@pytest.mark.parametrize("twos", [0, 1, 52, 53, 106, 300])
+@pytest.mark.parametrize("fives", [0, 1, 6, 53])
+def test_exact_decimal_round_trips_every_power_of_two_and_five(twos, fives):
+    value = Fraction(3, 2**twos * 5**fives)
+    text = exact_decimal(value)
+    assert len(text.partition(".")[2]) == max(twos, fives)
+    assert Fraction(Decimal(text)) == value
