@@ -15,6 +15,7 @@ from .extform import (
     Variable,
     build_extensive_form,
     parse_lp,
+    render_lp,
     solve_enumerative,
 )
 from .instance import (
@@ -24,6 +25,7 @@ from .instance import (
     Instance,
     InstanceError,
     Machine,
+    TripleKey,
     instance_from_document,
     load_instance,
     synth_exec_time,
@@ -42,7 +44,6 @@ from .solver import (
     GuardError,
     ModelError,
     Solution,
-    TripleKey,
     brute_force_triple,
     expected_cost,
     joint_enumeration_oracle,
@@ -92,6 +93,7 @@ __all__ = [
     "parse_lp",
     "penalty_time",
     "per_triple_costs",
+    "render_lp",
     "scenario_costs",
     "solve_enumerative",
     "solve_instance",

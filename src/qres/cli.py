@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import os
-import random
 import sys
 import tempfile
 from itertools import pairwise
@@ -30,10 +29,9 @@ from .scenarios import ScenarioError
 from .solver import (
     ModelError,
     Solution,
-    TripleKey,
-    brute_force_triple,
     expected_cost,
     solve_instance,
+    verify_solution,
 )
 from .sweep import (
     min_capacity,
@@ -42,8 +40,6 @@ from .sweep import (
     sweep_reservation_waiting,
 )
 from .units import UnitError, format_micro, parse_integer, parse_seconds
-
-SPOT_CHECK_VECTORS = 20
 
 
 class UsageError(ValueError):
@@ -173,62 +169,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 1 if any(d.severity == "error" for d in diagnostics) else 0
 
 
-def _verify_solution(
-    instance: Instance, solution: Solution, seed: int | None
-) -> tuple[int, int]:
-    """Re-derive every reservation by brute force; raise on any mismatch.
-
-    Returns how many levels were scanned and how many scenario
-    evaluations they took.
-    """
-    levels = evaluations = 0
-    for row in solution.per_triple:
-        key = row.key
-        rates = instance.rate(key.circuit_id, key.provider_id)
-        machine = instance.machine(key.provider_id, key.machine_id)
-        demand_set = instance.demand_sets[key.circuit_id]
-        wait_set = instance.wait_sets[key.circuit_id]
-        best_x, best_cost = brute_force_triple(
-            rates,
-            demand_set,
-            wait_set,
-            instance.exec_time(*key),
-            machine.capacity_qubits,
-            instance.demand_probs.get(key.circuit_id),
-            instance.wait_probs.get(key.circuit_id),
-        )
-        scanned = machine.capacity_qubits + 1
-        levels += scanned
-        evaluations += scanned * len(demand_set) * len(wait_set)
-        if best_x != row.reserved or best_cost != row.total:
-            raise ModelError(
-                f"oracle mismatch on {key}: solver ({row.reserved}, "
-                f"{format_micro(row.total)}) vs brute force ({best_x}, "
-                f"{format_micro(best_cost)})"
-            )
-    if seed is not None:
-        rng = random.Random(seed)
-        triples = [TripleKey(*key) for key in instance.triples()]
-        caps = {
-            key: instance.machine(key.provider_id, key.machine_id).capacity_qubits
-            for key in triples
-        }
-        for _ in range(SPOT_CHECK_VECTORS):
-            vector = {key: rng.randint(0, caps[key]) for key in triples}
-            cost = expected_cost(instance, vector).expected_total
-            if cost < solution.expected_total:
-                raise ModelError(
-                    f"random vector {vector} beats the solver: "
-                    f"{format_micro(cost)} < {format_micro(solution.expected_total)}"
-                )
-    return levels, evaluations
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
+    if args.seed is not None and not args.oracle:
+        raise UsageError("--seed needs --oracle")
     instance = load_instance(args.instance)
     solution = solve_instance(instance)
     if args.oracle:
-        levels, evaluations = _verify_solution(instance, solution, args.seed)
+        levels, evaluations = verify_solution(instance, solution, args.seed)
         if args.verbose:
             print(
                 f"oracle: brute force agrees on {len(solution.per_triple)} triples "

@@ -407,7 +407,7 @@ def _blocks(form: ExtensiveForm, second_stage: list[int]) -> list[tuple[list[int
 
 
 def solve_enumerative(
-    form: ExtensiveForm, guard: int = ENUMERATION_GUARD
+    form: ExtensiveForm,
 ) -> tuple[Fraction, dict[str, Fraction | int]]:
     """Exhaustive minimum of a form, for cross-checking the solver.
 
@@ -443,8 +443,10 @@ def solve_enumerative(
     for i in first:
         var = form.variables[i]
         outer *= math.floor(var.upper) - math.ceil(var.lower) + 1
-        if outer > guard:
-            raise GuardError(f"first-stage enumeration needs {outer} > {guard} nodes")
+        if outer > ENUMERATION_GUARD:
+            raise GuardError(
+                f"first-stage enumeration needs {outer} > {ENUMERATION_GUARD} nodes"
+            )
 
     blocks = _blocks(form, second)
     in_block = {i for members, _ in blocks for i in members}
@@ -475,7 +477,7 @@ def solve_enumerative(
         }
         feasible = True
         for members, rows in blocks:
-            result = _minimize_block(form, obj, members, rows, fixed, guard)
+            result = _minimize_block(form, obj, members, rows, fixed)
             if result is None:
                 feasible = False
                 break
@@ -508,7 +510,6 @@ def _minimize_block(
     members: list[int],
     rows: list[Row],
     fixed: dict[int, Fraction],
-    guard: int,
 ) -> tuple[Fraction, dict[str, Fraction | int]] | None:
     """Best cost of one block given the first-stage values, or None."""
     integers = [i for i in members if form.variables[i].kind == "integer"]
@@ -584,8 +585,10 @@ def _minimize_block(
             return None
         tight_upper[i] = hi
         work *= hi - lower[i] + 1
-        if work > guard:
-            raise GuardError(f"block enumeration needs {work} > {guard} nodes")
+        if work > ENUMERATION_GUARD:
+            raise GuardError(
+                f"block enumeration needs {work} > {ENUMERATION_GUARD} nodes"
+            )
 
     best_cost: Fraction | None = None
     best_values: dict[str, Fraction | int] | None = None

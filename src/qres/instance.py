@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Collection, Iterable, Iterator, NamedTuple
 
 from .units import (
     MAGNITUDE_LIMIT,
@@ -64,6 +64,12 @@ class Circuit:
     encoded_value: int | None = None
 
 
+class TripleKey(NamedTuple):
+    circuit_id: str
+    provider_id: str
+    machine_id: str
+
+
 @dataclass(frozen=True)
 class Diagnostic:
     severity: str  # "error" | "warning"
@@ -99,14 +105,13 @@ class Instance:
     def circuit_ids(self) -> tuple[str, ...]:
         return tuple(c.circuit_id for c in self.circuits)
 
-    def triples(self) -> list[tuple[str, str, str]]:
+    def triples(self) -> list[TripleKey]:
         """All (circuit, provider, machine) combinations, sorted."""
-        keys = [
-            (c.circuit_id, m.provider_id, m.machine_id)
+        return sorted(
+            TripleKey(c.circuit_id, m.provider_id, m.machine_id)
             for c in self.circuits
             for m in self.machines
-        ]
-        return sorted(keys)
+        )
 
     def machine(self, provider_id: str, machine_id: str) -> Machine:
         try:
@@ -157,6 +162,31 @@ def synth_exec_time(num_qubits: int, encoded_value: int, base: int, slope: int) 
 # surface; checked before anything is built.
 GRID_GUARD = 10**6
 
+# The keys each block of a document may hold; any other key is an error.
+_DOCUMENT_KEYS = (
+    "circuits",
+    "providers",
+    "machines",
+    "default_rates",
+    "rates",
+    "exec_times",
+    "exec_times_csv",
+)
+_CIRCUIT_KEYS = (
+    "id",
+    "label",
+    "num_qubits",
+    "encoded_value",
+    "demand_set",
+    "wait_set",
+    "demand_probs",
+    "wait_probs",
+)
+_RANGE_KEYS = ("lo", "hi", "step")
+_MACHINE_KEYS = ("provider", "machine", "capacity")
+_RATE_KEYS = ("reserve", "utilize", "on_demand", "penalty")
+_RATE_ENTRY_KEYS = ("circuit", "provider", *_RATE_KEYS)
+_SYNTHETIC_KEYS = ("base", "slope")
 _RECORD_KEYS = ("circuit", "provider", "machine", "seconds")
 _CSV_COLUMNS = ("circuit_id", "provider_id", "machine_id", "seconds")
 _RESERVATION_COLUMNS = ("circuit_id", "provider_id", "machine_id", "reserved")
@@ -168,18 +198,29 @@ def _require(doc: dict, key: str, where: str) -> Any:
     return doc[key]
 
 
-def _object(value: Any, where: str) -> dict:
+def _known(block: dict, keys: Collection[str], where: str) -> dict:
+    """The block, once each of its keys is found among ``keys``."""
+    for key in block:
+        if key not in keys:
+            raise InstanceError(f"{where}: unknown key {key!r}")
+    return block
+
+
+def _object(value: Any, where: str, keys: Collection[str]) -> dict:
+    """A JSON object whose keys are all among ``keys``."""
     if not isinstance(value, dict):
         raise InstanceError(f"{where}: expected an object")
-    return value
+    return _known(value, keys, where)
 
 
-def _objects(value: Any, where: str) -> Iterator[tuple[str, dict]]:
+def _objects(
+    value: Any, where: str, keys: Collection[str]
+) -> Iterator[tuple[str, dict]]:
     """The objects of a JSON list, each with its location."""
     if not isinstance(value, list):
         raise InstanceError(f"{where}: expected a list of objects")
     for i, entry in enumerate(value):
-        yield f"{where}[{i}]", _object(entry, f"{where}[{i}]")
+        yield f"{where}[{i}]", _object(entry, f"{where}[{i}]", keys)
 
 
 def _id(value: Any, what: str) -> str:
@@ -212,6 +253,7 @@ def _optional_integer(block: dict, key: str, where: str) -> int | None:
 def _parse_set(spec: Any, where: str, value: Callable[[Any], int]) -> tuple[int, ...]:
     """A list, or an inclusive lo/hi/step range of at most GRID_GUARD values."""
     if isinstance(spec, dict):
+        _known(spec, _RANGE_KEYS, where)
         raw = [_require(spec, "lo", where), _require(spec, "hi", where)]
         raw.append(spec.get("step", 1))
     elif isinstance(spec, list):
@@ -248,7 +290,7 @@ def _parse_probs(spec: Any, where: str) -> tuple[Fraction, ...]:
 
 def _parse_rates(block: dict, where: str) -> CostRates:
     rates = []
-    for key in ("reserve", "utilize", "on_demand", "penalty"):
+    for key in _RATE_KEYS:
         value = _require(block, key, where)
         try:
             rates.append(parse_money(value))
@@ -359,11 +401,13 @@ def _read_exec_times(
                 )
             records = _csv_records(reader, _CSV_COLUMNS)
             return _triple_entries(records, _CSV_COLUMNS, parse_seconds)
-    if isinstance(exec_block, dict) and "synthetic" in exec_block:
-        block = _object(exec_block["synthetic"], "exec_times.synthetic")
+    if isinstance(exec_block, dict) and exec_block:
+        # Once checked, a non-empty object holds "synthetic" and nothing else.
+        synthetic = _known(exec_block, ("synthetic",), "exec_times")["synthetic"]
+        block = _object(synthetic, "exec_times.synthetic", _SYNTHETIC_KEYS)
         return _synthesize_exec_times(circuits, machines, block)
     if isinstance(exec_block, list):
-        records = _objects(exec_block, "exec_times")
+        records = _objects(exec_block, "exec_times", _RECORD_KEYS)
         return _triple_entries(records, _RECORD_KEYS, parse_seconds)
     if exec_block is None:
         return {}
@@ -389,6 +433,7 @@ def instance_from_document(
     """
     if not isinstance(doc, dict):
         raise InstanceError("document root must be an object")
+    _known(doc, _DOCUMENT_KEYS, "document")
 
     raw_circuits = _require(doc, "circuits", "document")
     if not isinstance(raw_circuits, list) or not raw_circuits:
@@ -398,7 +443,7 @@ def instance_from_document(
     wait_sets: dict[str, tuple[int, ...]] = {}
     demand_probs: dict[str, tuple[Fraction, ...]] = {}
     wait_probs: dict[str, tuple[Fraction, ...]] = {}
-    for where, entry in _objects(raw_circuits, "circuits"):
+    for where, entry in _objects(raw_circuits, "circuits", _CIRCUIT_KEYS):
         circuit = _parse_circuit(entry, where)
         circuits.append(circuit)
         cid = circuit.circuit_id
@@ -430,18 +475,19 @@ def instance_from_document(
                 entry.get("capacity", DEFAULT_CAPACITY), f"{where}: capacity"
             ),
         )
-        for where, entry in _objects(raw_machines, "machines")
+        for where, entry in _objects(raw_machines, "machines", _MACHINE_KEYS)
     )
 
     # Rates: explicit per-pair records override the default block.
     rates: dict[tuple[str, str], CostRates] = {}
     default_block = doc.get("default_rates")
     if default_block is not None:
-        default = _parse_rates(_object(default_block, "default_rates"), "default_rates")
+        block = _object(default_block, "default_rates", _RATE_KEYS)
+        default = _parse_rates(block, "default_rates")
         for circuit in circuits:
             for provider in providers:
                 rates[(circuit.circuit_id, provider)] = default
-    for where, entry in _objects(doc.get("rates", []), "rates"):
+    for where, entry in _objects(doc.get("rates", []), "rates", _RATE_ENTRY_KEYS):
         rates[_ids(entry, ("circuit", "provider"), where)] = _parse_rates(entry, where)
 
     instance = Instance(

@@ -14,7 +14,7 @@ smallest feasible value even when the penalty rate is zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .instance import CostRates
@@ -27,13 +27,6 @@ class RecourseDecision:
     utilized: int
     on_demand: int
     over_wait: int  # microseconds
-    # Kept only to price the decision when its cost is read.
-    rates: CostRates = field(repr=False, compare=False)
-
-    @property
-    def cost(self) -> Fraction:
-        """Exact cost in micro-dollars, computed when read."""
-        return recourse_cost(self.rates, self.utilized, self.on_demand, self.over_wait)
 
 
 def penalty_time(exec_time: int, wait_time: int) -> int:
@@ -48,13 +41,12 @@ def penalty_cost(penalty_per_second: int, over_wait: int) -> Fraction:
     return Fraction(penalty_per_second * over_wait, MICRO)
 
 
-def recourse_cost(rates: CostRates, utilized: int, on_demand: int, over_wait: int) -> Fraction:
-    return (
-        Fraction(
-            rates.utilize_per_qubit * utilized + rates.on_demand_per_qubit * on_demand
-        )
-        + penalty_cost(rates.penalty_per_second, over_wait)
-    )
+def recourse_cost(rates: CostRates, decision: RecourseDecision) -> Fraction:
+    """Exact cost of a decision in micro-dollars."""
+    return Fraction(
+        rates.utilize_per_qubit * decision.utilized
+        + rates.on_demand_per_qubit * decision.on_demand
+    ) + penalty_cost(rates.penalty_per_second, decision.over_wait)
 
 
 def optimal_recourse(
@@ -75,6 +67,4 @@ def optimal_recourse(
         utilized = 0
     on_demand = beta - utilized
     over_wait = penalty_time(exec_time, scenario.wait_time)
-    return RecourseDecision(
-        utilized=utilized, on_demand=on_demand, over_wait=over_wait, rates=rates
-    )
+    return RecourseDecision(utilized=utilized, on_demand=on_demand, over_wait=over_wait)

@@ -20,20 +20,21 @@ from the argmin and added back to every reported cost.
 The scenario route prices every (demand, wait) scenario through
 :func:`~qres.recourse.optimal_recourse`. It is the oracle:
 :func:`brute_force_triple`, :func:`scenario_costs` and
-``qres solve --oracle`` use it, and the tests compare it with the
-kernel. All expectations are exact rationals (see :mod:`qres.units`), so
-the routes are compared with ``==``.
+:func:`verify_solution` (``qres solve --oracle``) use it, and the tests
+compare it with the kernel. All expectations are exact rationals (see
+:mod:`qres.units`), so the routes are compared with ``==``.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
-from .instance import CostRates, Instance
+from .instance import CostRates, Instance, TripleKey
 from .recourse import optimal_recourse, penalty_cost, penalty_time
 from .scenarios import (
     Marginals,
@@ -42,10 +43,11 @@ from .scenarios import (
     circuit_marginals,
     space_for_circuit,
 )
-from .units import MICRO
+from .units import MICRO, format_micro
 
 BRUTE_FORCE_CAPACITY_GUARD = 10**4
 JOINT_ENUMERATION_GUARD = 10**6
+SPOT_CHECK_VECTORS = 20
 
 
 class ModelError(ValueError):
@@ -58,12 +60,6 @@ class CapacityError(ModelError):
 
 class GuardError(ModelError):
     """An enumeration oracle was asked for more work than its guard allows."""
-
-
-class TripleKey(NamedTuple):
-    circuit_id: str
-    provider_id: str
-    machine_id: str
 
 
 @dataclass(frozen=True)
@@ -200,8 +196,8 @@ def circuit_tables(instance: Instance) -> dict[str, CircuitTable]:
 
 def _checked_levels(
     instance: Instance, reservations: Mapping[tuple[str, str, str], int]
-) -> list[tuple[TripleKey, int]]:
-    triples = [TripleKey(*key) for key in instance.triples()]
+) -> list[tuple[TripleKey, int, int]]:
+    triples = instance.triples()
     missing = [key for key in triples if key not in reservations]
     if missing:
         raise ModelError(f"no reservation for triples: {missing}")
@@ -216,7 +212,7 @@ def _checked_levels(
             raise CapacityError(
                 f"reservation {reserved} for {key} outside [0, {capacity}]"
             )
-        out.append((key, reserved))
+        out.append((key, reserved, capacity))
     return out
 
 
@@ -226,7 +222,7 @@ def _kernel_costs(
     reservations: Mapping[tuple[str, str, str], int],
 ) -> list[TripleCost]:
     rows = []
-    for key, reserved in _checked_levels(instance, reservations):
+    for key, reserved, _ in _checked_levels(instance, reservations):
         table = tables[key.circuit_id]
         rates = instance.rate(key.circuit_id, key.provider_id)
         rows.append(
@@ -278,8 +274,9 @@ def solve_instance(instance: Instance) -> Solution:
     """Globally optimal reservations: one independent newsvendor per triple."""
     tables = circuit_tables(instance)
     levels = {}
-    for cid, pid, mid in instance.triples():
-        levels[TripleKey(cid, pid, mid)] = tables[cid].level(
+    for key in instance.triples():
+        cid, pid, mid = key
+        levels[key] = tables[cid].level(
             instance.rate(cid, pid), instance.machine(pid, mid).capacity_qubits
         )
     return _solution(_kernel_costs(instance, tables, levels))
@@ -322,7 +319,7 @@ def scenario_costs(
     """Oracle for :func:`per_triple_costs`: the same rows, priced per scenario."""
     spaces: dict[str, ScenarioSpace] = {}
     rows = []
-    for key, reserved in _checked_levels(instance, reservations):
+    for key, reserved, _ in _checked_levels(instance, reservations):
         if key.circuit_id not in spaces:
             spaces[key.circuit_id] = space_for_circuit(instance, key.circuit_id)
         rates = instance.rate(key.circuit_id, key.provider_id)
@@ -341,6 +338,31 @@ def scenario_costs(
     return rows
 
 
+def _check_scan(capacity: int) -> None:
+    """The brute-force scan's guards; checked before any space is built."""
+    if capacity > BRUTE_FORCE_CAPACITY_GUARD:
+        raise GuardError(
+            f"capacity {capacity} exceeds guard {BRUTE_FORCE_CAPACITY_GUARD}"
+        )
+    if capacity < 0:
+        raise CapacityError(f"capacity must be non-negative, got {capacity}")
+
+
+def _scan(
+    space: ScenarioSpace, rates: CostRates, exec_time: int, capacity: int
+) -> tuple[int, Fraction]:
+    """Smallest argmin over [0, capacity] of the scenario-route total."""
+    best_x = 0
+    best_cost: Fraction | None = None
+    for x in range(capacity + 1):
+        second, penalty = _recourse_expectation(space, rates, exec_time, x)
+        total = Fraction(rates.reserve_per_qubit * x) + second + penalty
+        if best_cost is None or total < best_cost:
+            best_x, best_cost = x, total
+    assert best_cost is not None
+    return best_x, best_cost
+
+
 def brute_force_triple(
     rates: CostRates,
     demand_set,
@@ -357,49 +379,87 @@ def brute_force_triple(
     :func:`optimal_recourse` at every level and keeps the smallest argmin,
     independently of the marginal analysis.
     """
-    if capacity > BRUTE_FORCE_CAPACITY_GUARD:
-        raise GuardError(
-            f"capacity {capacity} exceeds guard {BRUTE_FORCE_CAPACITY_GUARD}"
-        )
-    if capacity < 0:
-        raise CapacityError(f"capacity must be non-negative, got {capacity}")
+    _check_scan(capacity)
     space = build_space("triple", demand_set, wait_set, demand_probs, wait_probs)
-    best_x = 0
-    best_cost: Fraction | None = None
-    for x in range(capacity + 1):
-        second, penalty = _recourse_expectation(space, rates, exec_time, x)
-        total = Fraction(rates.reserve_per_qubit * x) + second + penalty
-        if best_cost is None or total < best_cost:
-            best_x, best_cost = x, total
-    assert best_cost is not None
-    return best_x, best_cost
+    return _scan(space, rates, exec_time, capacity)
 
 
-def joint_enumeration_oracle(
-    instance: Instance, guard: int = JOINT_ENUMERATION_GUARD
-) -> Solution:
+def verify_solution(
+    instance: Instance, solution: Solution, seed: int | None = None
+) -> tuple[int, int]:
+    """Re-derive every level of a solution by brute force; raise on a mismatch.
+
+    A solution of other triples is a mismatch. Each circuit's space is
+    built once and scanned for each of its triples, as
+    :func:`brute_force_triple` scans one. With a seed, also price
+    SPOT_CHECK_VECTORS random reservation vectors with the kernel and raise
+    if one costs less than the solution. Returns how many levels were
+    scanned and how many scenario evaluations they took.
+    """
+    rows = {row.key: row for row in solution.per_triple}
+    checked = _checked_levels(instance, {k: r.reserved for k, r in rows.items()})
+    caps = {key: capacity for key, _, capacity in checked}
+    for capacity in caps.values():
+        _check_scan(capacity)
+    levels = evaluations = 0
+    for circuit_id, group in itertools.groupby(checked, lambda kr: kr[0].circuit_id):
+        space = space_for_circuit(instance, circuit_id)
+        for key, reserved, capacity in group:
+            row = rows[key]
+            rates = instance.rate(circuit_id, key.provider_id)
+            best_x, best_cost = _scan(space, rates, instance.exec_time(*key), capacity)
+            levels += capacity + 1
+            evaluations += (capacity + 1) * len(space)
+            if best_x != reserved or best_cost != row.total:
+                raise ModelError(
+                    f"oracle mismatch on {key}: solver ({reserved}, "
+                    f"{format_micro(row.total)}) vs brute force ({best_x}, "
+                    f"{format_micro(best_cost)})"
+                )
+        del space  # triples come sorted by circuit: one space is held at a time
+    if seed is not None:
+        rng = random.Random(seed)
+        tables = circuit_tables(instance)
+        for _ in range(SPOT_CHECK_VECTORS):
+            vector = {key: rng.randint(0, cap) for key, cap in caps.items()}
+            cost = _solution(_kernel_costs(instance, tables, vector)).expected_total
+            if cost < solution.expected_total:
+                raise ModelError(
+                    f"random vector {vector} beats the solver: "
+                    f"{format_micro(cost)} < {format_micro(solution.expected_total)}"
+                )
+    return levels, evaluations
+
+
+def joint_enumeration_oracle(instance: Instance) -> Solution:
     """Oracle for :func:`solve_instance`: enumerate whole reservation vectors.
 
     Checks the separability argument by brute force; ties break to the
     lexicographically smallest vector (enumeration order).
     """
-    triples = [TripleKey(*key) for key in instance.triples()]
+    triples = instance.triples()
     ranges = []
     total_vectors = 1
     for key in triples:
         capacity = instance.machine(key.provider_id, key.machine_id).capacity_qubits
         ranges.append(range(capacity + 1))
         total_vectors *= capacity + 1
-        if total_vectors > guard:
+        if total_vectors > JOINT_ENUMERATION_GUARD:
             raise GuardError(
-                f"joint enumeration needs {total_vectors} > {guard} vectors"
+                f"joint enumeration needs {total_vectors} > "
+                f"{JOINT_ENUMERATION_GUARD} vectors"
             )
+
+    tables = circuit_tables(instance)
+
+    def priced(vector: tuple[int, ...]) -> Solution:
+        return _solution(_kernel_costs(instance, tables, dict(zip(triples, vector))))
 
     best_vector: tuple[int, ...] | None = None
     best_cost: Fraction | None = None
     for vector in itertools.product(*ranges):
-        cost = expected_cost(instance, dict(zip(triples, vector))).expected_total
+        cost = priced(vector).expected_total
         if best_cost is None or cost < best_cost:
             best_vector, best_cost = vector, cost
     assert best_vector is not None
-    return expected_cost(instance, dict(zip(triples, best_vector)))
+    return priced(best_vector)

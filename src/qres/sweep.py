@@ -16,6 +16,7 @@ from itertools import pairwise
 from typing import Iterable
 
 from .instance import Instance
+from .recourse import penalty_cost, penalty_time
 from .solver import CapacityError, CircuitTable, circuit_tables
 from .units import format_micro
 
@@ -128,14 +129,15 @@ def sweep_reservation_waiting(
     wait_grid = _increasing(wait_grid, "wait grid")
     tables = circuit_tables(instance)
     curve = {x: sum(_uniform_stages(instance, tables, x)) for x in x_grid}
-    penalty = {}
-    for wait in wait_grid:
-        # The tables of with_wait_singleton(instance, wait).
-        arranged = {
-            cid: replace(table, waits=((wait, Fraction(1)),))
-            for cid, table in tables.items()
-        }
-        penalty[wait] = _penalty(instance, arranged)
+    # An arranged wait is certain: each triple pays its penalty at that wait.
+    triples = [
+        (instance.rate(cid, pid).penalty_per_second, instance.exec_time(cid, pid, mid))
+        for cid, pid, mid in instance.triples()
+    ]
+    penalty = {
+        wait: sum(penalty_cost(rate, penalty_time(t, wait)) for rate, t in triples)
+        for wait in wait_grid
+    }
     rows = tuple(
         SurfaceRow(reserved=x, arranged_wait=wait, total=curve[x] + penalty[wait])
         for x in x_grid

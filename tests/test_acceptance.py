@@ -24,7 +24,7 @@ from helpers import (
 from qres.cli import run
 from qres.extform import build_extensive_form, parse_lp, render_lp, solve_enumerative
 from qres.instance import load_instance
-from qres.recourse import optimal_recourse, penalty_time
+from qres.recourse import optimal_recourse, penalty_time, recourse_cost
 from qres.scenarios import Scenario, build_space, space_for_circuit
 from qres.solver import (
     brute_force_triple,
@@ -112,7 +112,7 @@ def test_criterion_2_recourse_matches_exhaustive_enumeration():
                                 exec_time,
                                 wait_time,
                             )
-                            if got.cost != best:
+                            if recourse_cost(rates, got) != best:
                                 mismatches += 1
         assert mismatches == 0
         elapsed = time.perf_counter() - start
@@ -258,9 +258,10 @@ def test_criterion_9_property_suites(reference):
                 assert d.utilized <= reserved
                 assert d.utilized + d.on_demand == s.demand_qubits
                 assert t <= s.wait_time + d.over_wait
+                cost = recourse_cost(rates, d)
                 if previous is not None:
-                    assert d.cost <= previous
-                previous = d.cost
+                    assert cost <= previous
+                previous = cost
 
         # uniform-reservation convexity and penalty invariance
         curve = sweep_reservation(reference, range(31))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from qres import scenarios, solver
 from qres.cli import run, write_atomic
 from qres.extform import build_extensive_form, parse_lp
 from qres.instance import load_instance
@@ -64,6 +65,54 @@ def test_solve_with_oracle(capsys):
 
 def test_solve_with_oracle_and_seed(capsys):
     assert run(["solve", REF, "--oracle", "--seed", "7"]) == 0
+
+
+def test_seed_without_oracle_is_a_usage_error(capsys):
+    assert run(["solve", REF, "--seed", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --seed needs --oracle\n"
+
+
+def two_circuit_doc() -> dict:
+    """Two circuits on two machines of one provider: four triples."""
+    doc = single_triple_doc()
+    doc["circuits"].append(
+        {"id": "c2", "demand_set": [2, 4], "wait_set": [0.001, 0.004]}
+    )
+    doc["machines"].append({"provider": "p1", "machine": "m2", "capacity": 6})
+    doc["exec_times"] = [
+        {"circuit": c, "provider": "p1", "machine": m, "seconds": 0.002}
+        for c in ("c1", "c2")
+        for m in ("m1", "m2")
+    ]
+    return doc
+
+
+def test_oracle_run_builds_each_table_and_space_once(tmp_path, monkeypatch, capsys):
+    tables, spaces = [], []
+    real_tables, real_space = solver.circuit_tables, scenarios._product_space
+
+    def counted_tables(instance):
+        tables.append(instance)
+        return real_tables(instance)
+
+    def counted_space(circuit_id, marginals):
+        spaces.append(circuit_id)
+        return real_space(circuit_id, marginals)
+
+    monkeypatch.setattr(solver, "circuit_tables", counted_tables)
+    monkeypatch.setattr(scenarios, "_product_space", counted_space)
+    path = write_doc(tmp_path, two_circuit_doc())
+    assert run(["solve", path, "--oracle", "--seed", "7", "-v"]) == 0
+    # Each circuit is scanned over 31 + 7 levels: c1 has 1 scenario, c2 has 4.
+    assert capsys.readouterr().err == (
+        "oracle: brute force agrees on 4 triples "
+        "(76 levels, 190 scenario evaluations)\n"
+    )
+    # One table pass to solve and one for the 20 spot-check vectors.
+    assert len(tables) == 2
+    assert spaces == ["c1", "c2"]
 
 
 def test_verbose_oracle_counts_its_work_on_stderr_only(capsys):
@@ -122,6 +171,135 @@ def test_validate_warning_only_exits_zero(tmp_path, capsys):
     path = write_doc(tmp_path, doc)
     assert run(["validate", path]) == 0
     assert "warning" in capsys.readouterr().out
+
+
+def _duplicate_circuit(doc):
+    doc["circuits"].append(dict(doc["circuits"][0]))
+    return "circuit c1: duplicate id"
+
+
+def _duplicate_machine(doc):
+    doc["machines"].append(dict(doc["machines"][0]))
+    return "machine p1/m1: duplicate (provider, machine)"
+
+
+def _negative_demand(doc):
+    doc["circuits"][0]["demand_set"] = [-1]
+    return "circuit c1: negative demand value"
+
+
+def _negative_wait(doc):
+    doc["circuits"][0]["wait_set"] = [-0.001]
+    return "circuit c1: negative wait time"
+
+
+def _negative_rate(doc):
+    doc["default_rates"]["reserve"] = -1
+    return "rates[c1,p1]: negative reserve rate"
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _duplicate_circuit,
+        _duplicate_machine,
+        _negative_demand,
+        _negative_wait,
+        _negative_rate,
+    ],
+)
+def test_validate_diagnostic_is_one_line_and_refused_by_solve(mutate, tmp_path, capsys):
+    doc = single_triple_doc()
+    message = mutate(doc)
+    path = write_doc(tmp_path, doc)
+    assert run(["validate", path]) == 1
+    assert capsys.readouterr().out == f"error: {message}\n"
+    assert run(["solve", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def _typo_in_document(doc):
+    doc["defualt_rates"] = doc["default_rates"]
+    return "document", "defualt_rates"
+
+
+def _typo_in_circuit(doc):
+    doc["circuits"][0]["demand_prob"] = [1]
+    return "circuits[0]", "demand_prob"
+
+
+def _typo_in_range(doc):
+    doc["circuits"][0]["demand_set"] = {"lo": 5, "hi": 5, "stpe": 2}
+    return "circuits[0].demand_set", "stpe"
+
+
+def _typo_in_machine(doc):
+    doc["machines"][0]["capacty"] = 3
+    return "machines[0]", "capacty"
+
+
+def _typo_in_default_rates(doc):
+    doc["default_rates"]["penalti"] = 0
+    return "default_rates", "penalti"
+
+
+def _typo_in_rates(doc):
+    doc["rates"] = [_rate_override("c1", "p1")]
+    doc["rates"][0]["on_demnd"] = 1
+    return "rates[0]", "on_demnd"
+
+
+def _typo_in_exec_times_object(doc):
+    _synthetic_timing(doc)
+    doc["exec_times"]["synthetik"] = {"base": 1, "slope": 1}
+    return "exec_times", "synthetik"
+
+
+def _typo_in_synthetic(doc):
+    _synthetic_timing(doc)
+    doc["exec_times"]["synthetic"]["slop"] = 1
+    return "exec_times.synthetic", "slop"
+
+
+def _typo_in_exec_time_record(doc):
+    doc["exec_times"][0]["second"] = 9
+    return "exec_times[0]", "second"
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _typo_in_document,
+        _typo_in_circuit,
+        _typo_in_range,
+        _typo_in_machine,
+        _typo_in_default_rates,
+        _typo_in_rates,
+        _typo_in_exec_times_object,
+        _typo_in_synthetic,
+        _typo_in_exec_time_record,
+    ],
+)
+def test_unknown_key_is_refused_by_every_command(mutate, tmp_path, capsys):
+    doc = single_triple_doc()
+    where, key = mutate(doc)
+    path = write_doc(tmp_path, doc)
+    vector = tmp_path / "vector.csv"
+    vector.write_text("circuit_id,provider_id,machine_id,reserved\nc1,p1,m1,5\n")
+    for args in (
+        ["validate", path],
+        ["solve", path],
+        ["eval", path, "--reservations", str(vector)],
+        ["sweep", path],
+        ["surface", path, "--waits", "0:0.003:0.001"],
+        ["export-lp", path],
+    ):
+        assert run(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {where}: unknown key '{key}'\n"
 
 
 def _rate_override(circuit, provider) -> dict:
@@ -786,6 +964,37 @@ def test_surface_default_wait_step_from_unsorted_wait_set(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     waits = [line.split(",")[1] for line in lines[1:]]
     assert waits == ["0.000000", "0.001000", "0.002000", "0.003000"]
+
+
+def test_surface_default_wait_step_needs_a_gap(tmp_path, capsys):
+    path = write_doc(tmp_path, single_triple_doc())  # its one wait set is [0.003]
+    assert run(["surface", path, "--grid", "0:1", "--waits", "0:0.003"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "usage error: no wait-set gap to derive a step from; pass lo:hi:step\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "args, note",
+    [
+        (["sweep", REF, "--grid", "0:30"], "swept 31 reservation levels"),
+        (
+            ["surface", REF, "--grid", "0:4", "--waits", "0.001:0.003:0.001"],
+            "evaluated 15 grid cells",
+        ),
+        (["export-lp", REF], "2112 variables, 2106 rows"),
+    ],
+    ids=["sweep", "surface", "export-lp"],
+)
+def test_verbose_note_goes_to_stderr_only(args, note, capsys):
+    assert run(args) == 0
+    quiet = capsys.readouterr()
+    assert run([*args, "-v"]) == 0
+    verbose = capsys.readouterr()
+    assert verbose.out == quiet.out
+    assert (quiet.err, verbose.err) == ("", note + "\n")
 
 
 # --- export-lp / eval ----------------------------------------------------------

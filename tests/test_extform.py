@@ -275,9 +275,9 @@ def test_enumeration_zero_rates():
 
 
 def test_enumeration_guard():
-    inst = make_instance(capacity=50)
-    with pytest.raises(GuardError):
-        solve_enumerative(build_extensive_form(inst), guard=10)
+    inst = make_instance(capacity=10**6)
+    with pytest.raises(GuardError, match="1000001 > 1000000"):
+        solve_enumerative(build_extensive_form(inst))
 
 
 def test_enumeration_random_instances_match_solver():

@@ -7,6 +7,7 @@ import pytest
 from helpers import REF_RATES, make_instance
 from qres.instance import (
     InstanceError,
+    TripleKey,
     instance_from_document,
     load_instance,
     popcount,
@@ -254,6 +255,13 @@ def test_oversized_range_is_refused_naming_its_size(field, spec, size):
         instance_from_document(doc)
 
 
+def test_range_of_exactly_the_guard_loads():
+    doc = minimal_doc()
+    doc["circuits"][0]["demand_set"] = {"lo": 0, "hi": 10**6 - 1}
+    inst = instance_from_document(doc)
+    assert inst.demand_sets["c1"] == tuple(range(10**6))
+
+
 # --- magnitude limit ---------------------------------------------------------
 
 
@@ -330,3 +338,11 @@ def test_synth_monotone_everywhere():
 def test_load_instance_from_path(data_dir):
     inst = load_instance(data_dir / "reference.json")
     assert len(inst.triples()) == 6
+
+
+def test_triples_are_named_keys_in_sorted_order(reference_instance):
+    triples = reference_instance.triples()
+    assert all(type(key) is TripleKey for key in triples)
+    assert triples == sorted(triples)
+    assert triples[1] == TripleKey("qft", "p1", "m2")
+    assert triples[1].machine_id == "m2"

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
 from helpers import REF_RATES, enumerate_recourse, make_rates
-from qres.recourse import optimal_recourse, penalty_time
+from qres.recourse import (
+    RecourseDecision,
+    optimal_recourse,
+    penalty_time,
+    recourse_cost,
+)
 from qres.scenarios import Scenario
 
 
@@ -17,19 +23,31 @@ def scen(beta: int, wait: int = 5000) -> Scenario:
 def test_reservation_covers_demand():
     d = optimal_recourse(15, scen(12), REF_RATES, exec_time=5000)
     assert (d.utilized, d.on_demand, d.over_wait) == (12, 0, 0)
-    assert d.cost == Fraction(1_200_000)  # 12 qubits at 0.1 $
+    assert recourse_cost(REF_RATES, d) == Fraction(1_200_000)  # 12 qubits at 0.1 $
 
 
 def test_demand_exceeds_reservation():
     d = optimal_recourse(10, scen(22), REF_RATES, exec_time=5000)
     assert (d.utilized, d.on_demand, d.over_wait) == (10, 12, 0)
-    assert d.cost == Fraction(85_000_000)  # 10*0.1 + 12*7 dollars
+    assert recourse_cost(REF_RATES, d) == Fraction(85_000_000)  # 10*0.1 + 12*7 dollars
 
 
 def test_over_waiting_charged():
     d = optimal_recourse(3, scen(5, wait=9000), REF_RATES, exec_time=12000)
     assert d.over_wait == 3000
-    assert d.cost == Fraction(100_000 * 3 + 7_000_000 * 2) + Fraction(30_000)
+    assert recourse_cost(REF_RATES, d) == (
+        Fraction(100_000 * 3 + 7_000_000 * 2) + Fraction(30_000)
+    )
+
+
+def test_decision_holds_only_its_quantities():
+    assert [f.name for f in fields(RecourseDecision)] == [
+        "utilized",
+        "on_demand",
+        "over_wait",
+    ]
+    d = optimal_recourse(10, scen(22), REF_RATES, exec_time=5000)
+    assert d == RecourseDecision(10, 12, 0)
 
 
 def test_penalty_time_examples():
@@ -72,7 +90,7 @@ def test_matches_exhaustive_enumeration_small_grid():
                     rates = make_rates(utilize=u, on_demand=o, penalty=10_000_000)
                     got = optimal_recourse(reserved, scen(beta), rates, exec_time=7000)
                     _, _, best = enumerate_recourse(reserved, beta, rates, 7000, 5000)
-                    assert got.cost == best
+                    assert recourse_cost(rates, got) == best
 
 
 def test_decisions_always_feasible_and_cost_exact():
@@ -90,7 +108,7 @@ def test_decisions_always_feasible_and_cost_exact():
         assert 0 <= d.utilized <= reserved
         assert d.utilized + d.on_demand >= s.demand_qubits
         assert t <= s.wait_time + d.over_wait
-        assert d.cost == Fraction(
+        assert recourse_cost(rates, d) == Fraction(
             rates.utilize_per_qubit * d.utilized
             + rates.on_demand_per_qubit * d.on_demand
         ) + Fraction(rates.penalty_per_second * d.over_wait, 10**6)
@@ -114,5 +132,7 @@ def test_cost_non_increasing_in_reservation_when_utilization_cheaper():
         rates = make_rates(utilize=u, on_demand=o, penalty=rng.randint(0, 10**7))
         s = scen(rng.randint(0, 10), wait=rng.randint(0, 9000))
         t = rng.randint(0, 12000)
-        costs = [optimal_recourse(r, s, rates, t).cost for r in range(11)]
+        costs = [
+            recourse_cost(rates, optimal_recourse(r, s, rates, t)) for r in range(11)
+        ]
         assert all(a >= b for a, b in zip(costs, costs[1:]))

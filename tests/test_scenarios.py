@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import make_instance, random_probs
+from qres import scenarios
 from qres.instance import validate
 from qres.scenarios import (
     ScenarioError,
@@ -53,6 +54,22 @@ def test_ordering_is_demand_major_and_deterministic():
 def test_oversized_product_space_is_refused_naming_its_size():
     with pytest.raises(ScenarioError, match="2000000 scenarios"):
         build_space("c", range(2000), range(1000))
+
+
+def test_product_space_just_past_the_guard_is_refused():
+    with pytest.raises(ScenarioError, match="1001000 scenarios, more than 1000000"):
+        build_space("c", range(1001), range(1000))
+
+
+def test_product_space_of_exactly_the_guard_is_built(monkeypatch):
+    # A guard of 12 pins the accepting side (12 scenarios build) and the
+    # refusing side (13 do not) without building 10^6 scenarios.
+    monkeypatch.setattr(scenarios, "GRID_GUARD", 12)
+    space = build_space("c", range(3), range(4))
+    assert len(space) == 12
+    assert sum(space.exact_probabilities) == 1
+    with pytest.raises(ScenarioError, match="13 scenarios, more than 12"):
+        build_space("c", range(13), range(1))
 
 
 def test_empty_set_rejected():

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,7 +22,7 @@ from helpers import (
 )
 from qres import solver
 from qres.instance import CostRates, Circuit, Instance, Machine
-from qres.recourse import RecourseDecision, optimal_recourse, recourse_cost
+from qres.recourse import optimal_recourse
 from qres.scenarios import space_for_circuit
 from qres.solver import (
     CapacityError,
@@ -33,6 +35,7 @@ from qres.solver import (
     per_triple_costs,
     scenario_costs,
     solve_instance,
+    verify_solution,
 )
 
 REF_DEMAND = tuple(range(10, 23))
@@ -138,6 +141,84 @@ def test_brute_force_guard():
         brute_force_triple(REF_RATES, (5,), (3000,), 3000, 10**4 + 1)
 
 
+@pytest.mark.parametrize(
+    "capacity, error", [(10**4 + 1, GuardError), (-1, CapacityError)]
+)
+def test_scan_guards_come_before_any_space(capacity, error):
+    # 2000 x 600 scenarios is also past the product-space guard, whose
+    # ScenarioError must not be the one raised.
+    with pytest.raises(error):
+        brute_force_triple(REF_RATES, range(2000), range(600), 0, capacity)
+
+
+def test_verify_solution_guards_before_any_space():
+    inst = make_instance(range(2000), range(600), capacity=10**4 + 1, exec_time=0)
+    with pytest.raises(GuardError, match="capacity 10001 exceeds guard 10000"):
+        verify_solution(inst, solve_instance(inst))
+
+
+def test_verify_solution_refuses_a_wrong_level(reference_instance):
+    triples = reference_instance.triples()
+    wrong = expected_cost(reference_instance, dict.fromkeys(triples, 18))
+    with pytest.raises(ModelError, match=r"oracle mismatch on .*'m1'\): solver \(18, "):
+        verify_solution(reference_instance, wrong)
+
+
+def test_verify_solution_refuses_another_instances_solution(reference_instance):
+    other = make_instance(demand=(1, 4), wait=(1000, 2000), capacity=5)
+    with pytest.raises(ModelError, match="no reservation for triples"):
+        verify_solution(reference_instance, solve_instance(other))
+
+
+def test_verify_solution_guards_every_triple_before_any_space(monkeypatch):
+    # Only the second triple is over the guard; the space its first triple
+    # shares must not be built before that guard is checked.
+    built = []
+    monkeypatch.setattr(
+        solver, "space_for_circuit", lambda inst, cid: built.append(cid)
+    )
+    inst = make_instance(capacity=5, machines_per_provider=2)
+    big = replace(inst.machines[1], capacity_qubits=10**4 + 1)
+    inst = replace(inst, machines=(inst.machines[0], big))
+    solution = solve_instance(inst)
+    with pytest.raises(GuardError, match="capacity 10001 exceeds guard 10000"):
+        verify_solution(inst, solution)
+    assert built == []
+
+
+def test_verify_solution_holds_one_space_at_a_time(monkeypatch):
+    cids = ("c1", "c2", "c3")
+    inst = Instance(
+        circuits=tuple(Circuit(circuit_id=cid) for cid in cids),
+        providers=("p1",),
+        machines=(Machine(provider_id="p1", machine_id="m1", capacity_qubits=6),),
+        rates={(cid, "p1"): REF_RATES for cid in cids},
+        exec_times={(cid, "p1", "m1"): 5000 for cid in cids},
+        demand_sets={cid: (1, 4 + i) for i, cid in enumerate(cids)},
+        wait_sets={cid: (1000, 2000) for cid in cids},
+    )
+    live = weakref.WeakSet()
+    seen = []
+
+    def tracked(inst, cid):
+        seen.append(len(live))
+        space = space_for_circuit(inst, cid)
+        live.add(space)
+        return space
+
+    monkeypatch.setattr(solver, "space_for_circuit", tracked)
+    verify_solution(inst, solve_instance(inst))
+    assert seen == [0, 0, 0]
+
+
+def test_spot_check_refuses_a_cheaper_random_vector(reference_instance):
+    solution = solve_instance(reference_instance)
+    inflated = replace(solution, expected_total=solution.expected_total + 10**12)
+    assert verify_solution(reference_instance, inflated) == (186, 21762)
+    with pytest.raises(ModelError, match="beats the solver"):
+        verify_solution(reference_instance, inflated, seed=7)
+
+
 def test_solve_matches_brute_force_on_500_random_triples():
     rng = random.Random(90210)
     for _ in range(500):
@@ -221,9 +302,24 @@ def test_joint_oracle_zero_rates():
 
 
 def test_joint_oracle_guard():
-    inst = make_instance(capacity=2000, providers=2)
-    with pytest.raises(GuardError):
-        joint_enumeration_oracle(inst, guard=10**6)
+    # Two triples of 1001 levels each: the running product trips the guard.
+    inst = make_instance(capacity=1000, providers=2)
+    with pytest.raises(GuardError, match="1002001 > 1000000"):
+        joint_enumeration_oracle(inst)
+
+
+def test_joint_oracle_builds_its_tables_once(monkeypatch):
+    calls = []
+    real = solver.circuit_tables
+
+    def counted(instance):
+        calls.append(instance)
+        return real(instance)
+
+    monkeypatch.setattr(solver, "circuit_tables", counted)
+    inst = make_instance(demand=(1, 4), wait=(1000, 2000), capacity=5, providers=2)
+    joint_enumeration_oracle(inst)
+    assert len(calls) == 1
 
 
 # --- structural invariants ---------------------------------------------------
@@ -432,7 +528,7 @@ def test_integer_weight_oracle_on_mixed_denominators(inst):
         assert sum(weights) == common
         exact = [Fraction(w, common) for w in weights]
         assert exact == list(space.exact_probabilities)
-    triples = [TripleKey(*key) for key in inst.triples()]
+    triples = inst.triples()
     caps = {key: inst.machine(key[1], key[2]).capacity_qubits for key in triples}
     for x in range(max(caps.values()) + 1):
         vector = {key: min(x, cap) for key, cap in caps.items()}
@@ -450,15 +546,3 @@ def test_integer_weight_oracle_on_mixed_denominators(inst):
             inst.wait_probs.get(cid),
         )
         assert level == (row.reserved, row.total)
-        rates = inst.rate(cid, pid)
-        other = CostRates(rates.reserve_per_qubit + 1, 0, 0, 0)
-        for scenario in space_for_circuit(inst, cid).scenarios:
-            decision = optimal_recourse(row.reserved, scenario, rates, 5000)
-            assert decision.cost == recourse_cost(
-                rates, decision.utilized, decision.on_demand, decision.over_wait
-            )
-            twin = RecourseDecision(
-                decision.utilized, decision.on_demand, decision.over_wait, other
-            )
-            assert twin == decision and hash(twin) == hash(decision)
-            assert repr(twin) == repr(decision)

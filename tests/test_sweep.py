@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import make_instance
-from qres.solver import CapacityError, expected_cost, solve_instance
+from qres.solver import CapacityError, CircuitTable, expected_cost, solve_instance
 from qres.sweep import (
     min_capacity,
     render_csv,
@@ -173,6 +173,21 @@ def test_sweeps_equal_cell_by_cell_route_with_explicit_probabilities():
         )
         for s in points
     ]
+
+
+def test_surface_builds_only_the_instance_tables(monkeypatch):
+    inst = make_instance(demand=(1, 4), wait=(1000, 2000), providers=2, capacity=4)
+    built = []
+    real_init = CircuitTable.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CircuitTable, "__init__", counted)
+    surface = sweep_reservation_waiting(inst, range(5), range(0, 6001, 500))
+    assert len(surface.rows) == 5 * 13
+    assert len(built) == len(inst.circuits)
 
 
 def test_with_wait_singleton_keeps_demand(reference_instance):
