@@ -31,7 +31,7 @@ from typing import Callable
 
 from .instance import GRID_GUARD, Instance
 from .scenarios import space_for_circuit
-from .solver import GuardError, ModelError
+from .solver import GuardError, ModelError, check_capacity
 from .units import MICRO, exact_decimal, fraction_from_decimal
 
 ENUMERATION_GUARD = 10**6
@@ -77,9 +77,12 @@ def build_extensive_form(instance: Instance) -> ExtensiveForm:
     variable followed by (utilize, on-demand, over-wait) per scenario.
     Names carry zero-based circuit/provider/machine positions and the
     scenario index; that naming is a frozen contract (golden files and
-    the enumeration solver rely on it). A form of more than GRID_GUARD
-    scenarios, summed over all triples, is refused before it is built.
+    the enumeration solver rely on it). A negative capacity, or a form of
+    more than GRID_GUARD scenarios summed over all triples, is refused
+    before anything is built.
     """
+    for _, pid, mid in instance.triples():
+        check_capacity(instance.machine(pid, mid).capacity_qubits)
     size = sum(
         len(instance.demand_sets[cid]) * len(instance.wait_sets[cid])
         for cid, _, _ in instance.triples()

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Collection, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .units import (
     MAGNITUDE_LIMIT,
@@ -273,9 +273,7 @@ def _parse_set(spec: Any, where: str, value: Callable[[Any], int]) -> tuple[int,
             raise InstanceError(
                 f"{where}: range has {size} values, more than {GRID_GUARD}"
             )
-        values = tuple(range(lo, hi + 1, step))
-    if not values:
-        raise InstanceError(f"{where}: set is empty")
+        return tuple(range(lo, hi + 1, step))
     return values
 
 
@@ -314,10 +312,13 @@ def _parse_circuit(entry: dict, where: str) -> Circuit:
 def _csv_records(
     reader: csv.DictReader, columns: tuple[str, ...]
 ) -> Iterator[tuple[str, dict]]:
-    """The rows of a CSV, each with its line number and every column filled."""
+    """The rows of a CSV, each with its line number and every column filled.
+
+    A row with more fields than the header files the rest under ``None``.
+    """
     for row in reader:
         where = f"line {reader.line_num}"
-        if any(row.get(col) in (None, "") for col in columns):
+        if None in row or any(row.get(col) in (None, "") for col in columns):
             raise InstanceError(f"{where}: malformed row (expected 4 columns)")
         yield where, row
 
@@ -353,18 +354,24 @@ def _synthesize_exec_times(
         slope = parse_seconds(_require(block, "slope", where))
     except UnitError as exc:
         raise InstanceError(f"{where}: {exc}") from exc
+    if base <= 0 or slope <= 0:
+        raise InstanceError(f"{where}: base and slope must be positive")
     entries: dict[tuple[str, str, str], int] = {}
     for circuit in circuits:
+        what = f"{where}: circuit '{circuit.circuit_id}'"
         if circuit.num_qubits is None or circuit.encoded_value is None:
             raise InstanceError(
-                f"{where}: circuit '{circuit.circuit_id}' needs num_qubits and "
-                "encoded_value for synthetic timing"
+                f"{what} needs num_qubits and encoded_value for synthetic timing"
             )
-        micro = synth_exec_time(circuit.num_qubits, circuit.encoded_value, base, slope)
+        try:
+            micro = synth_exec_time(
+                circuit.num_qubits, circuit.encoded_value, base, slope
+            )
+        except InstanceError as exc:
+            raise InstanceError(f"{what}: {exc}") from None
         if micro > MAGNITUDE_LIMIT * MICRO:
             raise InstanceError(
-                f"{where}: circuit '{circuit.circuit_id}' runs longer than "
-                f"{MAGNITUDE_LIMIT:.0e} seconds"
+                f"{what} runs longer than {MAGNITUDE_LIMIT:.0e} seconds"
             )
         for m in machines:
             entries[(circuit.circuit_id, m.provider_id, m.machine_id)] = micro
@@ -550,20 +557,40 @@ def load_reservations(path: str | Path) -> dict[tuple[str, str, str], int]:
 # ---------------------------------------------------------------------------
 
 
-def probability_problems(probs: tuple[Any, ...], n: int) -> list[str]:
-    """Why ``probs`` is not a distribution over ``n`` outcomes; empty if it is."""
-    if len(probs) != n:
-        return [f"expected {n} probabilities, got {len(probs)}"]
-    try:
-        exact = [parse_probability(p) for p in probs]
-    except UnitError as exc:
-        return [str(exc)]
+def outcome_problems(
+    demand: Sequence[int], wait: Sequence[int], demand_probs=None, wait_probs=None
+) -> list[tuple[str, str]]:
+    """Why a circuit's outcomes are not two distributions, as (field, problem).
+
+    ``field`` is ``""`` for a set, else ``demand_probs`` or ``wait_probs``.
+    """
     problems = []
-    if any(p < 0 for p in exact):
-        problems.append("probabilities must be non-negative")
-    total = sum(exact, Fraction(0))
-    if total != 1:
-        problems.append(f"probabilities sum to {total}, not 1")
+    if not demand:
+        problems.append(("", "empty demand set"))
+    if not wait:
+        problems.append(("", "empty wait set"))
+    if min(demand, default=0) < 0:
+        problems.append(("", "negative demand value"))
+    if min(wait, default=0) < 0:
+        problems.append(("", "negative wait time"))
+    for name, probs, n in (
+        ("demand_probs", demand_probs, len(demand)),
+        ("wait_probs", wait_probs, len(wait)),
+    ):
+        if probs is None:
+            continue
+        if len(probs) != n:
+            problems.append((name, f"expected {n} probabilities, got {len(probs)}"))
+            continue
+        try:
+            exact = [parse_probability(p) for p in probs]
+        except UnitError as exc:
+            problems.append((name, str(exc)))
+            continue
+        if any(p < 0 for p in exact):
+            problems.append((name, "probabilities must be non-negative"))
+        if (total := sum(exact, Fraction(0))) != 1:
+            problems.append((name, f"probabilities sum to {total}, not 1"))
     return problems
 
 
@@ -597,25 +624,11 @@ def validate(instance: Instance) -> list[Diagnostic]:
 
     for c in instance.circuits:
         cid = c.circuit_id
-        demand = instance.demand_sets.get(cid, ())
-        wait = instance.wait_sets.get(cid, ())
-        if not demand:
-            out.append(Diagnostic("error", f"circuit {cid}", "empty demand set"))
-        if not wait:
-            out.append(Diagnostic("error", f"circuit {cid}", "empty wait set"))
-        if any(b < 0 for b in demand):
-            out.append(Diagnostic("error", f"circuit {cid}", "negative demand value"))
-        if any(w < 0 for w in wait):
-            out.append(Diagnostic("error", f"circuit {cid}", "negative wait time"))
-        for name, probs, n in (
-            ("demand_probs", instance.demand_probs.get(cid), len(demand)),
-            ("wait_probs", instance.wait_probs.get(cid), len(wait)),
-        ):
-            if probs is not None:
-                out.extend(
-                    Diagnostic("error", f"circuit {cid} {name}", problem)
-                    for problem in probability_problems(probs, n)
-                )
+        sets = instance.demand_sets.get(cid, ()), instance.wait_sets.get(cid, ())
+        probs = instance.demand_probs.get(cid), instance.wait_probs.get(cid)
+        for name, problem in outcome_problems(*sets, *probs):
+            where = f"circuit {cid} {name}" if name else f"circuit {cid}"
+            out.append(Diagnostic("error", where, problem))
 
     for c in instance.circuits:
         for p in instance.providers:

@@ -24,10 +24,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
-from .instance import GRID_GUARD, Instance, probability_problems
-from .units import parse_probability
+from .instance import GRID_GUARD, Instance, outcome_problems
+from .units import PROBABILITY_DIGITS, parse_probability
 
-_DYADIC_ONE = 1 << 53
+_DYADIC_ONE = 1 << PROBABILITY_DIGITS
 
 
 class ScenarioError(ValueError):
@@ -61,21 +61,14 @@ class ScenarioSpace:
         )
 
 
-def _uniform_exact(n: int) -> tuple[Fraction, ...]:
+def _exact(probs: tuple | None, n: int) -> tuple[Fraction, ...]:
+    """A checked vector as written, or the dyadic uniform one if none is given."""
+    if probs is not None:
+        return tuple(map(parse_probability, probs))
     base, extra = divmod(_DYADIC_ONE, n)
     return tuple(
         Fraction(base + (1 if i < extra else 0), _DYADIC_ONE) for i in range(n)
     )
-
-
-def _checked_probs(probs: Iterable | None, n: int, what: str) -> tuple[Fraction, ...]:
-    if probs is None:
-        return _uniform_exact(n)
-    probs = tuple(probs)
-    problems = probability_problems(probs, n)
-    if problems:
-        raise ScenarioError(f"{what}: {problems[0]}")
-    return tuple(map(parse_probability, probs))
 
 
 class Marginals(NamedTuple):
@@ -94,18 +87,19 @@ def marginals(
     demand_probs: Iterable | None = None,
     wait_probs: Iterable | None = None,
 ) -> Marginals:
-    """Validate one circuit's marginals and attach their exact probabilities."""
-    demands = tuple(demand_set)
-    waits = tuple(wait_set)
-    if not demands:
-        raise ScenarioError(f"{circuit_id}: empty demand set")
-    if not waits:
-        raise ScenarioError(f"{circuit_id}: empty wait set")
+    """Check one circuit's outcomes by validate's rule; attach exact probabilities."""
+    demands, waits = tuple(demand_set), tuple(wait_set)
+    demand_probs, wait_probs = (
+        None if p is None else tuple(p) for p in (demand_probs, wait_probs)
+    )
+    for name, problem in outcome_problems(demands, waits, demand_probs, wait_probs):
+        where = f"{circuit_id} {name}" if name else circuit_id
+        raise ScenarioError(f"{where}: {problem}")
     return Marginals(
         demands,
-        _checked_probs(demand_probs, len(demands), f"{circuit_id} demand_probs"),
+        _exact(demand_probs, len(demands)),
         waits,
-        _checked_probs(wait_probs, len(waits), f"{circuit_id} wait_probs"),
+        _exact(wait_probs, len(waits)),
     )
 
 

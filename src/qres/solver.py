@@ -62,6 +62,12 @@ class GuardError(ModelError):
     """An enumeration oracle was asked for more work than its guard allows."""
 
 
+def check_capacity(capacity: int) -> None:
+    """Refuse a negative machine capacity before any route reads it."""
+    if capacity < 0:
+        raise CapacityError(f"capacity must be non-negative, got {capacity}")
+
+
 @dataclass(frozen=True)
 class TripleCost:
     key: TripleKey
@@ -122,8 +128,7 @@ class CircuitTable:
         that does not strictly improve. Resolving the zero-benefit tie
         downward matches the brute-force scan's smallest-argmin convention.
         """
-        if capacity < 0:
-            raise CapacityError(f"capacity must be non-negative, got {capacity}")
+        check_capacity(capacity)
         margin = rates.on_demand_per_qubit - rates.utilize_per_qubit
         if margin <= 0 or capacity == 0:
             return 0
@@ -344,8 +349,7 @@ def _check_scan(capacity: int) -> None:
         raise GuardError(
             f"capacity {capacity} exceeds guard {BRUTE_FORCE_CAPACITY_GUARD}"
         )
-    if capacity < 0:
-        raise CapacityError(f"capacity must be non-negative, got {capacity}")
+    check_capacity(capacity)
 
 
 def _scan(
@@ -442,6 +446,7 @@ def joint_enumeration_oracle(instance: Instance) -> Solution:
     total_vectors = 1
     for key in triples:
         capacity = instance.machine(key.provider_id, key.machine_id).capacity_qubits
+        check_capacity(capacity)
         ranges.append(range(capacity + 1))
         total_vectors *= capacity + 1
         if total_vectors > JOINT_ENUMERATION_GUARD:

@@ -193,6 +193,16 @@ def _negative_wait(doc):
     return "circuit c1: negative wait time"
 
 
+def _empty_demand(doc):
+    doc["circuits"][0]["demand_set"] = []
+    return "circuit c1: empty demand set"
+
+
+def _empty_wait_range(doc):
+    doc["circuits"][0]["wait_set"] = {"lo": 0.002, "hi": 0.001}
+    return "circuit c1: empty wait set"
+
+
 def _negative_rate(doc):
     doc["default_rates"]["reserve"] = -1
     return "rates[c1,p1]: negative reserve rate"
@@ -205,6 +215,8 @@ def _negative_rate(doc):
         _duplicate_machine,
         _negative_demand,
         _negative_wait,
+        _empty_demand,
+        _empty_wait_range,
         _negative_rate,
     ],
 )
@@ -570,6 +582,98 @@ def test_malformed_document_is_one_error_line(mutate, tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+
+def _root_list(doc, tmp_path):
+    return "[]"
+
+
+def _exec_times_and_csv(doc, tmp_path):
+    doc["exec_times_csv"] = "times.csv"
+
+
+def _exec_times_number(doc, tmp_path):
+    doc["exec_times"] = 5
+
+
+def _demand_set_number(doc, tmp_path):
+    doc["circuits"][0]["demand_set"] = 5
+
+
+def _demand_range_step_zero(doc, tmp_path):
+    doc["circuits"][0]["demand_set"] = {"lo": 0, "hi": 5, "step": 0}
+
+
+def _demand_probs_empty(doc, tmp_path):
+    doc["circuits"][0]["demand_probs"] = []
+
+
+def _synthetic_base_text(doc, tmp_path):
+    _synthetic_timing(doc)
+    doc["exec_times"]["synthetic"]["base"] = "abc"
+
+
+def _synthetic_slope_zero(doc, tmp_path):
+    _synthetic_timing(doc)
+    doc["exec_times"]["synthetic"]["slope"] = 0
+
+
+def _synthetic_no_qubits(doc, tmp_path):
+    _synthetic_timing(doc, num_qubits=0, encoded_value=0)
+
+
+def _synthetic_value_too_wide(doc, tmp_path):
+    _synthetic_timing(doc, num_qubits=4, encoded_value=16)
+
+
+READER_DIAGNOSTICS = [
+    (_root_list, "document root must be an object"),
+    (_exec_times_and_csv, "give either exec_times or exec_times_csv, not both"),
+    (
+        _exec_times_number,
+        "exec_times must be a list of records or a {'synthetic': ...} object",
+    ),
+    (
+        _demand_set_number,
+        "circuits[0].demand_set: expected a list or a lo/hi/step object",
+    ),
+    (_demand_range_step_zero, "circuits[0].demand_set: step must be positive"),
+    (
+        _demand_probs_empty,
+        "circuits[0].demand_probs: expected a non-empty list of probabilities",
+    ),
+    (
+        _synthetic_base_text,
+        "exec_times.synthetic: time value is not a number: 'abc'",
+    ),
+    (_synthetic_slope_zero, "exec_times.synthetic: base and slope must be positive"),
+    (
+        _synthetic_no_qubits,
+        "exec_times.synthetic: circuit 'c1': num_qubits must be positive, got 0",
+    ),
+    (
+        _synthetic_value_too_wide,
+        "exec_times.synthetic: circuit 'c1': "
+        "encoded value 16 out of range for 4 qubits",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    READER_DIAGNOSTICS,
+    ids=[mutate.__name__.lstrip("_") for mutate, _ in READER_DIAGNOSTICS],
+)
+def test_reader_diagnostic_is_pinned(mutate, message, tmp_path, capsys):
+    doc = single_triple_doc()
+    text = mutate(doc, tmp_path)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc) if text is None else text, encoding="utf-8")
+    for command in ("validate", "solve"):
+        assert run([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("key", ["reserve", "utilize", "on_demand", "penalty"])
@@ -1051,6 +1155,26 @@ def test_eval_bad_row_is_one_error_line(rows, message, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_row_longer_than_its_header_is_one_error_line(tmp_path, capsys):
+    doc = single_triple_doc()
+    _exec_times_csv(doc, tmp_path, (CSV_HEADER + "c1,p1,m1,0.005,7\n").encode())
+    vector = tmp_path / "vector.csv"
+    vector.write_text(
+        "circuit_id,provider_id,machine_id,reserved\nc1,p1,m1,19,9\n",
+        encoding="utf-8",
+    )
+    good = write_doc(tmp_path, single_triple_doc(), "good.json")
+    for args in (
+        ["validate", write_doc(tmp_path, doc)],
+        ["solve", write_doc(tmp_path, doc)],
+        ["eval", good, "--reservations", str(vector)],
+    ):
+        assert run(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 2: malformed row (expected 4 columns)\n"
 
 
 def test_eval_bad_header(tmp_path, capsys):

@@ -17,7 +17,8 @@ from qres.extform import (
     render_lp,
     solve_enumerative,
 )
-from qres.solver import GuardError, solve_instance
+from qres import extform
+from qres.solver import CapacityError, GuardError, solve_instance
 from qres.instance import instance_from_document
 from qres.units import MICRO, exact_decimal
 
@@ -91,6 +92,13 @@ def test_oversized_form_is_refused_naming_its_size():
     inst = make_instance(demand=range(600), wait=range(1000), providers=2)
     with pytest.raises(GuardError, match="1200000 scenarios"):
         build_extensive_form(inst)
+
+
+def test_negative_capacity_is_refused_before_any_space(monkeypatch):
+    monkeypatch.setattr(extform, "space_for_circuit", None)  # never reached
+    with pytest.raises(CapacityError) as caught:
+        build_extensive_form(make_instance(capacity=-1))
+    assert str(caught.value) == "capacity must be non-negative, got -1"
 
 
 # --- LP text -----------------------------------------------------------------

@@ -154,6 +154,14 @@ def test_validate_negative_capacity_error():
     assert "capacity" in diags[0].message
 
 
+def test_validate_empty_sets():
+    diags = validate(make_instance(demand=(), wait=()))
+    assert [str(d) for d in diags] == [
+        "error: circuit c1: empty demand set",
+        "error: circuit c1: empty wait set",
+    ]
+
+
 def test_validate_missing_exec_time():
     inst = make_instance()
     broken = type(inst.exec_times)({})

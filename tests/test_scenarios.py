@@ -117,27 +117,32 @@ PROB = st.one_of(
 )
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(derandomize=True, max_examples=300, deadline=None)
 @given(
-    n_demand=st.integers(1, 4),
-    n_wait=st.integers(1, 4),
+    demand=st.lists(st.integers(-2, 3), max_size=4),
+    wait=st.lists(st.sampled_from([-1000, 0, 1000, 2000]), max_size=4),
     demand_probs=st.none() | st.lists(PROB, min_size=1, max_size=5),
     wait_probs=st.none() | st.lists(PROB, min_size=1, max_size=5),
 )
-@example(n_demand=2, n_wait=1, demand_probs=[-0.5, 0.25], wait_probs=None)
-@example(n_demand=1, n_wait=10, demand_probs=None, wait_probs=[0.1] * 10)
+@example(demand=[0, 1], wait=[1000], demand_probs=[-0.5, 0.25], wait_probs=None)
+@example(demand=[0], wait=list(range(1000, 10001, 1000)), demand_probs=None,
+         wait_probs=[0.1] * 10)
+@example(demand=[], wait=[], demand_probs=None, wait_probs=None)
+@example(demand=[-3, 4], wait=[1000], demand_probs=None, wait_probs=None)
+@example(demand=[4], wait=[-1000], demand_probs=None, wait_probs=None)
 def test_validate_flags_probs_exactly_when_build_space_rejects(
-    n_demand, n_wait, demand_probs, wait_probs
+    demand, wait, demand_probs, wait_probs
 ):
-    demand = range(n_demand)
-    wait = [1000 * (i + 1) for i in range(n_wait)]
+    # The whole outcome rule: sets, signs and vectors. The builder raises
+    # exactly when validate flags the circuit, with its first diagnostic.
     inst = make_instance(demand, wait, demand_probs=demand_probs, wait_probs=wait_probs)
-    flagged = [d for d in validate(inst) if d.location.endswith("_probs")]
+    flagged = [d for d in validate(inst) if d.location.startswith("circuit c1")]
     assert all(d.severity == "error" for d in flagged)
     try:
         build_space("c1", demand, wait, demand_probs, wait_probs)
     except ScenarioError as exc:
         assert flagged
-        assert str(exc).endswith(flagged[0].message)
+        first = flagged[0]
+        assert str(exc) == f"{first.location.removeprefix('circuit ')}: {first.message}"
     else:
         assert not flagged

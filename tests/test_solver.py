@@ -21,9 +21,10 @@ from helpers import (
     solve_one_triple,
 )
 from qres import solver
-from qres.instance import CostRates, Circuit, Instance, Machine
+from qres.instance import CostRates, Circuit, Instance, Machine, validate
 from qres.recourse import optimal_recourse
-from qres.scenarios import space_for_circuit
+from qres.extform import build_extensive_form
+from qres.scenarios import ScenarioError, space_for_circuit
 from qres.solver import (
     CapacityError,
     GuardError,
@@ -149,6 +150,32 @@ def test_scan_guards_come_before_any_space(capacity, error):
     # ScenarioError must not be the one raised.
     with pytest.raises(error):
         brute_force_triple(REF_RATES, range(2000), range(600), 0, capacity)
+
+
+@pytest.mark.parametrize(
+    "demand, wait, problem",
+    [
+        ((-3, 4), (3000,), "negative demand value"),
+        ((5,), (-1000, 3000), "negative wait time"),
+    ],
+    ids=["demand", "wait"],
+)
+def test_every_route_refuses_a_negative_outcome(demand, wait, problem):
+    # An instance built directly is never validated; each route checks the
+    # circuit's outcomes with the rule validate reports.
+    inst = make_instance(demand, wait)
+    assert [d.message for d in validate(inst)] == [problem]
+    routes = [
+        lambda: solve_instance(inst),
+        lambda: per_triple_costs(inst, {key: 0 for key in inst.triples()}),
+        lambda: space_for_circuit(inst, "c1"),
+        lambda: build_extensive_form(inst),
+        lambda: brute_force_triple(REF_RATES, demand, wait, 5000, 30),
+    ]
+    for route in routes:
+        with pytest.raises(ScenarioError) as caught:
+            route()
+        assert str(caught.value).endswith(f": {problem}")
 
 
 def test_verify_solution_guards_before_any_space():
@@ -306,6 +333,13 @@ def test_joint_oracle_guard():
     inst = make_instance(capacity=1000, providers=2)
     with pytest.raises(GuardError, match="1002001 > 1000000"):
         joint_enumeration_oracle(inst)
+
+
+def test_joint_oracle_refuses_a_negative_capacity_before_enumerating(monkeypatch):
+    monkeypatch.setattr(solver, "circuit_tables", None)  # never reached
+    with pytest.raises(CapacityError) as caught:
+        joint_enumeration_oracle(make_instance(capacity=-1))
+    assert str(caught.value) == "capacity must be non-negative, got -1"
 
 
 def test_joint_oracle_builds_its_tables_once(monkeypatch):
