@@ -8,6 +8,13 @@ are exact rationals in dollars and seconds, and the LP writer prints them
 as exact finite decimals, so export followed by parse reproduces the
 form bit for bit.
 
+A form has far fewer distinct values than terms. A scenario's
+coefficient is its integer weight times an integer micro-unit rate over
+the space's common denominator times 10^6, built once per distinct
+weight of a triple; each rhs is built once per distinct demand and wait,
+and the unit coefficients, zero rhs and lower bounds share one object
+each. The writer formats each distinct value once.
+
 Capacity is encoded as the reservation variable's upper bound rather
 than a constraint row, so each (triple, scenario) contributes exactly
 three rows: utilization cap, demand cover, and wait slack.
@@ -21,16 +28,14 @@ each continuous variable to the smallest value its rows allow.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .instance import GRID_GUARD, Instance
-from .scenarios import space_for_circuit
+from .scenarios import circuit_marginals, space_for_circuit
 from .solver import GuardError, ModelError, check_capacity
 from .units import MICRO, exact_decimal, fraction_from_decimal
 
@@ -41,6 +46,10 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]{0,254}$")
 
 SENSE_LE = "<="
 SENSE_GE = ">="
+
+# Fractions are immutable, so every unit coefficient, zero rhs and lower
+# bound of a form can be one shared object.
+_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
 
 
 class LpParseError(ValueError):
@@ -77,15 +86,19 @@ def build_extensive_form(instance: Instance) -> ExtensiveForm:
     variable followed by (utilize, on-demand, over-wait) per scenario.
     Names carry zero-based circuit/provider/machine positions and the
     scenario index; that naming is a frozen contract (golden files and
-    the enumeration solver rely on it). A negative capacity, or a form of
-    more than GRID_GUARD scenarios summed over all triples, is refused
-    before anything is built.
+    the enumeration solver rely on it). A negative capacity, an unknown
+    circuit, or a form of more than GRID_GUARD scenarios summed over all
+    triples, is refused before any scenario space is built.
     """
-    for _, pid, mid in instance.triples():
+    triples = instance.triples()
+    for _, pid, mid in triples:
         check_capacity(instance.machine(pid, mid).capacity_qubits)
+    outcomes = {
+        cid: circuit_marginals(instance, cid)
+        for cid in dict.fromkeys(cid for cid, _, _ in triples)
+    }
     size = sum(
-        len(instance.demand_sets[cid]) * len(instance.wait_sets[cid])
-        for cid, _, _ in instance.triples()
+        len(outcomes[cid].demands) * len(outcomes[cid].waits) for cid, _, _ in triples
     )
     if size > GRID_GUARD:
         raise GuardError(
@@ -100,7 +113,7 @@ def build_extensive_form(instance: Instance) -> ExtensiveForm:
         machine_pos[(m.provider_id, m.machine_id)] = per_provider.get(m.provider_id, 0)
         per_provider[m.provider_id] = per_provider.get(m.provider_id, 0) + 1
 
-    spaces = {c.circuit_id: space_for_circuit(instance, c.circuit_id) for c in instance.circuits}
+    spaces = {cid: space_for_circuit(instance, cid) for cid in outcomes}
 
     variables: list[Variable] = []
     objective: list[tuple[int, Fraction]] = []
@@ -108,67 +121,43 @@ def build_extensive_form(instance: Instance) -> ExtensiveForm:
 
     def add_var(name: str, kind: str, upper: Fraction | None, coef: Fraction) -> int:
         index = len(variables)
-        variables.append(Variable(name=name, kind=kind, lower=Fraction(0), upper=upper))
+        variables.append(Variable(name=name, kind=kind, lower=_ZERO, upper=upper))
         objective.append((index, coef))
         return index
 
-    for cid, pid, mid in instance.triples():
+    for cid, pid, mid in triples:
         tag = f"c{circuit_pos[cid]}_p{provider_pos[pid]}_m{machine_pos[(pid, mid)]}"
         rates = instance.rate(cid, pid)
         capacity = instance.machine(pid, mid).capacity_qubits
         exec_time = instance.exec_time(cid, pid, mid)
         space = spaces[cid]
+        # p == w / L exactly, so p * rate / MICRO == w * rate / (L * MICRO).
+        common, weights = space.weights
+        scale = common * MICRO
+        coefs = {
+            w: (
+                Fraction(w * rates.utilize_per_qubit, scale),
+                Fraction(w * rates.on_demand_per_qubit, scale),
+                Fraction(w * rates.penalty_per_second, scale),
+            )
+            for w in set(weights)
+        }
+        demand_rhs = {d: Fraction(d) for d in outcomes[cid].demands}
+        wait_rhs = {a: Fraction(a - exec_time, MICRO) for a in outcomes[cid].waits}
 
-        xr = add_var(
-            f"xr_{tag}",
-            "integer",
-            Fraction(capacity),
-            Fraction(rates.reserve_per_qubit, MICRO),
-        )
-        for si, (scenario, fp) in enumerate(
-            zip(space.scenarios, space.exact_probabilities)
-        ):
-            xu = add_var(
-                f"xu_{tag}_s{si}",
-                "integer",
-                None,
-                fp * Fraction(rates.utilize_per_qubit, MICRO),
-            )
-            xo = add_var(
-                f"xo_{tag}_s{si}",
-                "integer",
-                None,
-                fp * Fraction(rates.on_demand_per_qubit, MICRO),
-            )
-            y = add_var(
-                f"y_{tag}_s{si}",
-                "continuous",
-                None,
-                fp * Fraction(rates.penalty_per_second, MICRO),
-            )
-            rows.append(
-                Row(
-                    name=f"use_{tag}_s{si}",
-                    terms=((xu, Fraction(1)), (xr, Fraction(-1))),
-                    sense=SENSE_LE,
-                    rhs=Fraction(0),
-                )
-            )
-            rows.append(
-                Row(
-                    name=f"dem_{tag}_s{si}",
-                    terms=((xu, Fraction(1)), (xo, Fraction(1))),
-                    sense=SENSE_GE,
-                    rhs=Fraction(scenario.demand_qubits),
-                )
-            )
-            rows.append(
-                Row(
-                    name=f"wait_{tag}_s{si}",
-                    terms=((y, Fraction(-1)),),
-                    sense=SENSE_LE,
-                    rhs=Fraction(scenario.wait_time - exec_time, MICRO),
-                )
+        reserve = Fraction(rates.reserve_per_qubit, MICRO)
+        xr = add_var(f"xr_{tag}", "integer", Fraction(capacity), reserve)
+        for si, (scenario, w) in enumerate(zip(space.scenarios, weights)):
+            cu, co, cp = coefs[w]
+            xu = add_var(f"xu_{tag}_s{si}", "integer", None, cu)
+            xo = add_var(f"xo_{tag}_s{si}", "integer", None, co)
+            y = add_var(f"y_{tag}_s{si}", "continuous", None, cp)
+            demand = demand_rhs[scenario.demand_qubits]
+            wait = wait_rhs[scenario.wait_time]
+            rows += (
+                Row(f"use_{tag}_s{si}", ((xu, _ONE), (xr, _MINUS_ONE)), SENSE_LE, _ZERO),
+                Row(f"dem_{tag}_s{si}", ((xu, _ONE), (xo, _ONE)), SENSE_GE, demand),
+                Row(f"wait_{tag}_s{si}", ((y, _MINUS_ONE),), SENSE_LE, wait),
             )
 
     return ExtensiveForm(
@@ -183,40 +172,43 @@ def build_extensive_form(instance: Instance) -> ExtensiveForm:
 # ---------------------------------------------------------------------------
 
 
-def _term(
-    coef: Fraction, name: str, first: bool, decimal: Callable[[Fraction], str]
-) -> str:
-    mag = decimal(abs(coef))
-    if first:
-        return f"-{mag} {name}" if coef < 0 else f"{mag} {name}"
-    return f"- {mag} {name}" if coef < 0 else f"+ {mag} {name}"
-
-
 def render_lp(form: ExtensiveForm) -> str:
     """The LP text for a form (LF line endings, ASCII)."""
-    for var in form.variables:
-        if not _NAME_RE.match(var.name):
-            raise ValueError(f"variable name not exportable: {var.name!r}")
-    # A form repeats few distinct values many times: format each once.
-    decimal = functools.cache(exact_decimal)
+    names = [var.name for var in form.variables]
+    for name in names:
+        if not _NAME_RE.match(name):
+            raise ValueError(f"variable name not exportable: {name!r}")
+    # A form repeats few distinct values many times: format each once,
+    # keyed by its integers (hashing a Fraction costs a modular pow). A
+    # value has two texts, indexed by whether a term precedes it in its
+    # sum: "-0.5" and "- 0.5", "2" and "+ 2".
+    texts: dict[tuple[int, int], tuple[str, str]] = {}
+
+    def decimal(value: Fraction) -> tuple[str, str]:
+        key = value.numerator, value.denominator
+        if key not in texts:
+            text = exact_decimal(value)
+            texts[key] = text, f"- {text[1:]}" if text[0] == "-" else f"+ {text}"
+        return texts[key]
+
     lines = ["Minimize"]
     for i, (index, coef) in enumerate(form.objective):
-        term = _term(coef, form.variables[index].name, i == 0, decimal)
-        lines.append(f" obj: {term}" if i == 0 else f" {term}")
+        text = decimal(coef)[i > 0]
+        lines.append(f" {'obj: ' if i == 0 else ''}{text} {names[index]}")
     lines.append("Subject To")
     for row in form.constraints:
         if not _NAME_RE.match(row.name):
             raise ValueError(f"constraint name not exportable: {row.name!r}")
         parts = [
-            _term(coef, form.variables[index].name, i == 0, decimal)
+            f"{decimal(coef)[i > 0]} {names[index]}"
             for i, (index, coef) in enumerate(row.terms)
         ]
-        lines.append(f" {row.name}: {' '.join(parts)} {row.sense} {decimal(row.rhs)}")
+        lines.append(f" {row.name}: {' '.join(parts)} {row.sense} {decimal(row.rhs)[0]}")
     lines.append("Bounds")
     for var in form.variables:
         if var.upper is not None:
             lines.append(
-                f" {decimal(var.lower)} <= {var.name} <= {decimal(var.upper)}"
+                f" {decimal(var.lower)[0]} <= {var.name} <= {decimal(var.upper)[0]}"
             )
     lines.append("Generals")
     for var in form.variables:

@@ -674,6 +674,11 @@ def validate(instance: Instance) -> list[Diagnostic]:
             out.append(Diagnostic("error", where, f"unknown circuit '{cid}'"))
         if (pid, mid) not in seen_machines:
             out.append(Diagnostic("error", where, f"unknown machine {pid}/{mid}"))
+    for name in ("demand_sets", "wait_sets", "demand_probs", "wait_probs"):
+        for cid in getattr(instance, name):
+            if cid not in seen_circuits:
+                where = f"{name}[{cid}]"
+                out.append(Diagnostic("error", where, f"unknown circuit '{cid}'"))
 
     for c in instance.circuits:
         for m in instance.machines:

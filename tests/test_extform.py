@@ -1,25 +1,33 @@
 from __future__ import annotations
 
+import collections
+import dataclasses
+import functools
 import random
 import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import make_instance, make_rates, random_instance, random_probs
+from helpers import REF_RATES, make_instance, make_rates, random_instance, random_probs
 from qres.extform import (
+    SENSE_GE,
+    SENSE_LE,
     ExtensiveForm,
     LpParseError,
+    Row,
+    Variable,
     build_extensive_form,
     parse_lp,
     render_lp,
     solve_enumerative,
 )
 from qres import extform
+from qres.scenarios import ScenarioError, space_for_circuit
 from qres.solver import CapacityError, GuardError, solve_instance
-from qres.instance import instance_from_document
+from qres.instance import instance_from_document, validate
 from qres.units import MICRO, exact_decimal
 
 
@@ -63,6 +71,50 @@ def test_objective_coefficients(reference_instance):
     assert float(by_name["y_c0_p0_m0_s0"]) == pytest.approx(10 / 117, rel=1e-12)
 
 
+RATE_OF_KIND = {
+    "xu": "utilize_per_qubit",
+    "xo": "on_demand_per_qubit",
+    "y": "penalty_per_second",
+}
+
+
+@pytest.mark.parametrize(
+    "demand_probs, wait_probs",
+    [
+        (None, None),  # dyadic uniform on both sides
+        (("0.1", "0.2", "0.7"), ("0.25", "0.75")),  # explicit decimals
+        (("0.125", "0.375", "0.5"), None),  # decimal demand, dyadic wait
+        (None, ("0.3", "0.7")),  # dyadic demand, decimal wait
+    ],
+    ids=["uniform", "explicit", "mixed-demand", "mixed-wait"],
+)
+@pytest.mark.parametrize(
+    "rates", [REF_RATES, make_rates(3, 7, 11, 13)], ids=["reference", "odd-micro"]
+)
+def test_objective_coefficients_are_probability_times_rate(demand_probs, wait_probs, rates):
+    inst = make_instance(
+        demand=(1, 4, 9),
+        wait=(1000, 8000),
+        rates=rates,
+        providers=2,
+        demand_probs=demand_probs,
+        wait_probs=wait_probs,
+    )
+    space = space_for_circuit(inst, "c1")
+    form = build_extensive_form(inst)
+    checked = 0
+    for index, coef in form.objective:
+        kind, _, rest = form.variables[index].name.partition("_")
+        if kind == "xr":
+            assert coef == Fraction(rates.reserve_per_qubit, MICRO)
+            continue
+        si = int(rest.rpartition("_s")[2])
+        rate = getattr(rates, RATE_OF_KIND[kind])
+        assert coef == space.exact_probabilities[si] * Fraction(rate, MICRO)
+        checked += 1
+    assert checked == 2 * 3 * len(space)
+
+
 def test_bounds_and_kinds():
     form = build_extensive_form(single_triple_instance())
     xr, xu, xo, y = form.variables
@@ -101,6 +153,17 @@ def test_negative_capacity_is_refused_before_any_space(monkeypatch):
     assert str(caught.value) == "capacity must be non-negative, got -1"
 
 
+def test_unknown_circuit_is_refused_like_solve_instance(monkeypatch):
+    inst = dataclasses.replace(make_instance(), demand_sets={})
+    assert [str(d) for d in validate(inst)] == ["error: circuit c1: empty demand set"]
+    with pytest.raises(ScenarioError) as solved:
+        solve_instance(inst)
+    monkeypatch.setattr(extform, "space_for_circuit", None)  # never reached
+    with pytest.raises(ScenarioError) as built:
+        build_extensive_form(inst)
+    assert str(built.value) == str(solved.value) == "unknown circuit 'c1'"
+
+
 # --- LP text -----------------------------------------------------------------
 
 
@@ -108,6 +171,132 @@ def test_golden_lp_file(data_dir):
     form = build_extensive_form(single_triple_instance())
     golden = (data_dir / "golden_single.lp").read_bytes()
     assert render_lp(form).encode("utf-8") == golden
+
+
+def _reference_term(coef, name, first, decimal):
+    mag = decimal(abs(coef))
+    if first:
+        return f"-{mag} {name}" if coef < 0 else f"{mag} {name}"
+    return f"- {mag} {name}" if coef < 0 else f"+ {mag} {name}"
+
+
+def reference_render_lp(form: ExtensiveForm) -> str:
+    """The LP writer as it was before its format cache was keyed by integers."""
+    decimal = functools.cache(exact_decimal)
+    lines = ["Minimize"]
+    for i, (index, coef) in enumerate(form.objective):
+        term = _reference_term(coef, form.variables[index].name, i == 0, decimal)
+        lines.append(f" obj: {term}" if i == 0 else f" {term}")
+    lines.append("Subject To")
+    for row in form.constraints:
+        parts = [
+            _reference_term(coef, form.variables[index].name, i == 0, decimal)
+            for i, (index, coef) in enumerate(row.terms)
+        ]
+        lines.append(f" {row.name}: {' '.join(parts)} {row.sense} {decimal(row.rhs)}")
+    lines.append("Bounds")
+    for var in form.variables:
+        if var.upper is not None:
+            lines.append(f" {decimal(var.lower)} <= {var.name} <= {decimal(var.upper)}")
+    lines.append("Generals")
+    for var in form.variables:
+        if var.kind == "integer":
+            lines.append(f" {var.name}")
+    lines.append("End")
+    return "\n".join(lines) + "\n"
+
+
+# Finite decimals: zero, integers, short decimals and values with the
+# 112 fraction digits an LP number may have, of either sign.
+LP_VALUES = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.integers(-(10**24), 10**24).map(Fraction),
+    st.builds(
+        lambda n, twos, fives: Fraction(n, 2**twos * 5**fives),
+        st.integers(-(10**9), 10**9),
+        st.integers(0, 20),
+        st.integers(0, 20),
+    ),
+    st.integers(-(10**40), 10**40).map(lambda n: Fraction(2 * n + 1, 2**112)),
+    st.integers(-(10**40), 10**40).map(lambda n: Fraction(10 * n + 3, 10**112)),
+)
+
+
+@st.composite
+def hand_built_forms(draw) -> ExtensiveForm:
+    n = draw(st.integers(1, 5))
+    variables = tuple(
+        Variable(
+            name=f"v{i}",
+            kind=draw(st.sampled_from(["integer", "continuous"])),
+            lower=draw(LP_VALUES),
+            upper=draw(st.none() | LP_VALUES),
+        )
+        for i in range(n)
+    )
+    terms = st.lists(st.tuples(st.integers(0, n - 1), LP_VALUES), min_size=1, max_size=4)
+    rows = tuple(
+        Row(f"r{i}", tuple(draw(terms)), draw(st.sampled_from([SENSE_LE, SENSE_GE])),
+            draw(LP_VALUES))
+        for i in range(draw(st.integers(0, 4)))
+    )
+    return ExtensiveForm(variables, tuple(draw(terms)), rows)
+
+
+EVERY_KIND_OF_VALUE = ExtensiveForm(
+    variables=(
+        Variable("a", "integer", Fraction(-3), Fraction(7)),
+        Variable("b", "continuous", Fraction(0), None),
+        Variable("c", "integer", Fraction(1, 2**112), Fraction(10**24)),
+    ),
+    objective=((0, Fraction(-1, 2**112)), (1, Fraction(0)), (2, Fraction(-5)),
+               (0, Fraction(3, 10**112)), (1, Fraction(-7, 4))),
+    constraints=(
+        Row("r0", ((1, Fraction(0)), (0, Fraction(-1, 2**112))), SENSE_LE, Fraction(-9, 8)),
+        Row("r1", ((2, Fraction(-12)), (1, Fraction(12))), SENSE_GE, Fraction(0)),
+    ),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(hand_built_forms())
+@example(EVERY_KIND_OF_VALUE)
+def test_render_lp_matches_the_reference_writer(form):
+    assert render_lp(form) == reference_render_lp(form)
+
+
+def test_render_lp_formats_each_distinct_value_once(reference_instance, monkeypatch):
+    form = build_extensive_form(reference_instance)
+    values = [coef for _, coef in form.objective]
+    values += [coef for row in form.constraints for _, coef in row.terms]
+    values += [row.rhs for row in form.constraints]
+    values += [b for v in form.variables if v.upper is not None for b in (v.lower, v.upper)]
+    calls = collections.Counter()
+
+    def counted(value):
+        calls[value] += 1
+        return exact_decimal(value)
+
+    monkeypatch.setattr(extform, "exact_decimal", counted)
+    text = render_lp(form)
+    assert calls == collections.Counter(set(values))
+    # The form repeats its values, so a per-term count would show.
+    assert len(calls) < len(values) // 100
+    monkeypatch.undo()
+    assert text == reference_render_lp(form)
+
+
+@pytest.mark.parametrize("where", ["variable", "constraint"])
+def test_render_lp_refuses_a_name_it_cannot_write(where):
+    form = build_extensive_form(single_triple_instance())
+    if where == "variable":
+        bad = dataclasses.replace(form.variables[0], name="x r")
+        form = dataclasses.replace(form, variables=(bad, *form.variables[1:]))
+    else:
+        bad = dataclasses.replace(form.constraints[0], name="1row")
+        form = dataclasses.replace(form, constraints=(bad, *form.constraints[1:]))
+    with pytest.raises(ValueError, match=f"{where} name not exportable"):
+        render_lp(form)
 
 
 def test_round_trip_identity(reference_instance):

@@ -162,6 +162,15 @@ def test_validate_empty_sets():
     ]
 
 
+@pytest.mark.parametrize("field", ["demand_sets", "wait_sets", "demand_probs", "wait_probs"])
+def test_validate_outcomes_keyed_by_an_unknown_circuit(field):
+    inst = make_instance()
+    inst = dataclasses.replace(inst, **{field: {**getattr(inst, field), "c9": (1,)}})
+    assert [str(d) for d in validate(inst)] == [
+        f"error: {field}[c9]: unknown circuit 'c9'"
+    ]
+
+
 def test_validate_missing_exec_time():
     inst = make_instance()
     broken = type(inst.exec_times)({})
