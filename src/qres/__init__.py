@@ -8,56 +8,64 @@ solver with brute-force oracles, an extensive-form MILP exporter in LP
 text format, experiment sweeps, and a CLI.
 """
 
-from .extform import (
-    ExtensiveForm,
-    LpParseError,
-    Row,
-    Variable,
-    build_extensive_form,
-    parse_lp,
-    render_lp,
-    solve_enumerative,
-)
-from .instance import (
-    CostRates,
-    Circuit,
-    Diagnostic,
-    Instance,
-    InstanceError,
-    Machine,
-    TripleKey,
-    instance_from_document,
-    load_instance,
-    synth_exec_time,
-    validate,
-)
-from .recourse import RecourseDecision, optimal_recourse, penalty_time
-from .scenarios import (
-    Scenario,
-    ScenarioError,
-    ScenarioSpace,
-    build_space,
-    space_for_circuit,
-)
-from .solver import (
-    CapacityError,
-    GuardError,
-    ModelError,
-    Solution,
-    brute_force_triple,
-    expected_cost,
-    joint_enumeration_oracle,
-    per_triple_costs,
-    scenario_costs,
-    solve_instance,
-)
-from .sweep import (
-    CostCurve,
-    CostSurface,
-    sweep_reservation,
-    sweep_reservation_waiting,
-    with_wait_singleton,
-)
+import importlib
+
+# Each exported name and the submodule that defines it. A submodule is
+# imported on the first access to one of its names (PEP 562), so
+# ``python -m qres.cli`` loads only what the command runs.
+_SOURCES = {
+    "extform": (
+        "ExtensiveForm",
+        "LpParseError",
+        "Row",
+        "Variable",
+        "build_extensive_form",
+        "parse_lp",
+        "render_lp",
+        "solve_enumerative",
+    ),
+    "instance": (
+        "CostRates",
+        "Circuit",
+        "Diagnostic",
+        "Instance",
+        "InstanceError",
+        "Machine",
+        "TripleKey",
+        "instance_from_document",
+        "load_instance",
+        "synth_exec_time",
+        "validate",
+    ),
+    "recourse": ("RecourseDecision", "optimal_recourse", "penalty_time"),
+    "scenarios": (
+        "Scenario",
+        "ScenarioError",
+        "ScenarioSpace",
+        "build_space",
+        "space_for_circuit",
+    ),
+    "solver": (
+        "CapacityError",
+        "GuardError",
+        "ModelError",
+        "Solution",
+        "brute_force_triple",
+        "expected_cost",
+        "joint_enumeration_oracle",
+        "per_triple_costs",
+        "scenario_costs",
+        "solve_instance",
+    ),
+    "sweep": (
+        "CostCurve",
+        "CostSurface",
+        "sweep_reservation",
+        "sweep_reservation_waiting",
+        "with_wait_singleton",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -105,3 +113,15 @@ __all__ = [
     "validate",
     "with_wait_singleton",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -2,7 +2,8 @@
 
 Data outputs are plain CSV (or LP text) with no timestamps, so identical
 inputs give byte-identical outputs. Exit codes: 0 success, 1 validation
-or model error, 2 usage error.
+or model error, 2 usage error. The sweep and LP modules are imported by
+the commands that use them, so no command loads code it does not run.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from itertools import pairwise
 from pathlib import Path
 from typing import Callable
 
-from .extform import LpParseError, build_extensive_form, render_lp
 from .instance import (
     GRID_GUARD,
     Instance,
@@ -32,12 +32,6 @@ from .solver import (
     expected_cost,
     solve_instance,
     verify_solution,
-)
-from .sweep import (
-    min_capacity,
-    render_csv,
-    sweep_reservation,
-    sweep_reservation_waiting,
 )
 from .units import UnitError, format_micro, parse_integer, parse_seconds
 
@@ -69,6 +63,8 @@ def _parse_grid(
 
 
 def _reservation_grid(spec: str | None, instance: Instance) -> range:
+    from .sweep import min_capacity
+
     return _parse_grid(
         spec or f"0:{min_capacity(instance)}", "grid", parse_integer, lambda: 1
     )
@@ -196,6 +192,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .sweep import render_csv, sweep_reservation
+
     instance = load_instance(args.instance)
     curve = sweep_reservation(instance, _reservation_grid(args.grid, instance))
     if args.verbose:
@@ -205,6 +203,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_surface(args: argparse.Namespace) -> int:
+    from .sweep import render_csv, sweep_reservation_waiting
+
     instance = load_instance(args.instance)
     grid = _reservation_grid(args.grid, instance)
     waits = _parse_grid(
@@ -222,6 +222,8 @@ def _cmd_surface(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_lp(args: argparse.Namespace) -> int:
+    from .extform import build_extensive_form, render_lp
+
     instance = load_instance(args.instance)
     form = build_extensive_form(instance)
     if args.verbose:
@@ -330,7 +332,6 @@ def run(argv: list[str]) -> int:
         InstanceError,
         ScenarioError,
         ModelError,
-        LpParseError,
         UnitError,
         OSError,
         UnicodeDecodeError,

@@ -33,6 +33,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .instance import GRID_GUARD, Instance
 from .scenarios import circuit_marginals, space_for_circuit
@@ -56,16 +57,16 @@ class LpParseError(ValueError):
     """LP text does not conform to the emitted grammar."""
 
 
-@dataclass(frozen=True)
-class Variable:
+# A form holds tens of thousands of variables and rows, so both are named
+# tuples, built positionally: half the cost of a frozen dataclass each.
+class Variable(NamedTuple):
     name: str
     kind: str  # "integer" | "continuous"
     lower: Fraction
     upper: Fraction | None  # None = unbounded above
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     name: str
     terms: tuple[tuple[int, Fraction], ...]  # (variable index, coefficient)
     sense: str
@@ -121,7 +122,7 @@ def build_extensive_form(instance: Instance) -> ExtensiveForm:
 
     def add_var(name: str, kind: str, upper: Fraction | None, coef: Fraction) -> int:
         index = len(variables)
-        variables.append(Variable(name=name, kind=kind, lower=_ZERO, upper=upper))
+        variables.append(Variable(name, kind, _ZERO, upper))
         objective.append((index, coef))
         return index
 

@@ -104,13 +104,17 @@ def marginals(
 
 
 def circuit_marginals(instance: Instance, circuit_id: str) -> Marginals:
-    """The marginals of one circuit of an instance."""
+    """The marginals of one circuit of an instance.
+
+    A circuit without a wait set is refused as validate refuses it: its
+    wait set is empty.
+    """
     if circuit_id not in instance.demand_sets:
         raise ScenarioError(f"unknown circuit '{circuit_id}'")
     return marginals(
         circuit_id,
         instance.demand_sets[circuit_id],
-        instance.wait_sets[circuit_id],
+        instance.wait_sets.get(circuit_id, ()),
         instance.demand_probs.get(circuit_id),
         instance.wait_probs.get(circuit_id),
     )

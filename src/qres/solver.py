@@ -7,13 +7,15 @@ one newsvendor problem per triple, and each needs only its circuit's
 demand and wait marginals.
 
 The kernel gives every answer. It builds one :class:`CircuitTable` per
-circuit: the distinct demand levels, the survival ``Pr(demand >= level)``,
-the expected demand at or above each level, and the grouped wait masses.
-Both marginals sum to exactly 1, so each mass equals its product-space
-sum. The level reserves the x-th qubit while the saving
-(on_demand - utilize) * Pr(demand >= x) strictly exceeds the reservation
-rate; survival is constant between two demand levels, so the search
-steps level by level. Costs come from closed forms over the same table.
+circuit from its marginals alone: the distinct demand levels, the
+survival ``Pr(demand >= level)``, the expected demand at or above each
+level, and the grouped wait masses, all as integer numerators over the
+lcm of the marginal's denominators. Both marginals sum to exactly 1, so
+each mass equals its product-space sum. The level reserves the x-th
+qubit while the saving (on_demand - utilize) * Pr(demand >= x) strictly
+exceeds the reservation rate, compared in integers; survival is constant
+between two demand levels, so the search steps level by level. Costs
+come from closed forms over the same table, one ``Fraction`` per value.
 The over-wait penalty never depends on any decision, so it is excluded
 from the argmin and added back to every reported cost.
 
@@ -29,13 +31,14 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .instance import CostRates, Instance, TripleKey
-from .recourse import optimal_recourse, penalty_cost, penalty_time
+from .recourse import optimal_recourse, penalty_time
 from .scenarios import (
     Marginals,
     ScenarioSpace,
@@ -104,39 +107,46 @@ class Solution:
 
 @dataclass(frozen=True)
 class CircuitTable:
-    """One circuit's demand and wait marginals, grouped by distinct value.
+    """One circuit's marginals as integers over common denominators.
 
-    ``levels`` are the distinct demand values in ascending order.
-    ``survival[i]`` is Pr(demand >= levels[i]) and ``demand_above[i]`` is
-    E[demand; demand >= levels[i]]; both end with a 0 entry for "above
-    the largest level". ``waits`` pairs each distinct wait time with its
-    mass.
+    ``levels`` are the distinct demand values in ascending order and
+    ``common`` is L, the lcm of the demand probabilities' denominators.
+    ``survival[i]`` is L * Pr(demand >= levels[i]), so ``survival[0] == L``,
+    and ``demand_above[i]`` is L * E[demand; demand >= levels[i]]; both end
+    with a 0 entry for "above the largest level". ``waits`` pairs each
+    distinct wait time with its mass times ``wait_common``, the lcm of the
+    wait probabilities' denominators. The layout is private to this module;
+    callers use the methods.
     """
 
     levels: tuple[int, ...]
-    survival: tuple[Fraction, ...]
-    demand_above: tuple[Fraction, ...]
-    waits: tuple[tuple[int, Fraction], ...]
+    common: int
+    survival: tuple[int, ...]
+    demand_above: tuple[int, ...]
+    wait_common: int
+    waits: tuple[tuple[int, int], ...]
 
     def level(self, rates: CostRates, capacity: int) -> int:
         """Marginal analysis: largest level whose last unit strictly pays off.
 
         The x-th reserved unit saves (on_demand - utilize) * Pr(demand >= x)
-        and costs the reservation rate. Survival is constant on
-        (levels[i-1], levels[i]] and non-increasing, so the first unit of
-        each run decides the whole run and the scan stops at the first run
-        that does not strictly improve. Resolving the zero-benefit tie
-        downward matches the brute-force scan's smallest-argmin convention.
+        and costs the reservation rate; both sides are compared times L.
+        Survival is constant on (levels[i-1], levels[i]] and non-increasing,
+        so the first unit of each run decides the whole run and the scan
+        stops at the first run that does not strictly improve. Resolving
+        the zero-benefit tie downward matches the brute-force scan's
+        smallest-argmin convention.
         """
         check_capacity(capacity)
         margin = rates.on_demand_per_qubit - rates.utilize_per_qubit
         if margin <= 0 or capacity == 0:
             return 0
+        cost = rates.reserve_per_qubit * self.common
         best = 0
         for top, survival in zip(self.levels, self.survival):
             if top < 1:  # no unit x >= 1 lies in this run
                 continue
-            if not margin * survival > rates.reserve_per_qubit:
+            if not margin * survival > cost:
                 return best
             if top >= capacity:
                 return capacity
@@ -147,46 +157,57 @@ class CircuitTable:
     def qubit_cost(self, rates: CostRates, reserved: int) -> Fraction:
         """Expected utilization plus on-demand cost at a reservation level."""
         if rates.utilize_per_qubit > rates.on_demand_per_qubit:
-            return rates.on_demand_per_qubit * self.demand_above[0]
+            return Fraction(
+                rates.on_demand_per_qubit * self.demand_above[0], self.common
+            )
         i = bisect.bisect_left(self.levels, reserved)
-        covered = reserved * self.survival[i]  # E[reserved; demand >= reserved]
+        # Times L: E[reserved; demand >= reserved] and E[min(reserved, demand)].
+        covered = reserved * self.survival[i]
         above = self.demand_above[i]
-        utilized = self.demand_above[0] - above + covered  # E[min(reserved, demand)]
-        return (
+        utilized = self.demand_above[0] - above + covered
+        return Fraction(
             rates.utilize_per_qubit * utilized
-            + rates.on_demand_per_qubit * (above - covered)
+            + rates.on_demand_per_qubit * (above - covered),
+            self.common,
         )
 
     def penalty(self, rates: CostRates, exec_time: int) -> Fraction:
         """Expected over-wait penalty; it does not depend on the level."""
-        return sum(
-            (
-                mass
-                * penalty_cost(rates.penalty_per_second, penalty_time(exec_time, wait))
-                for wait, mass in self.waits
-            ),
-            Fraction(0),
+        over_wait = sum(
+            mass * penalty_time(exec_time, wait) for wait, mass in self.waits
         )
+        return Fraction(rates.penalty_per_second * over_wait, self.wait_common * MICRO)
+
+
+def _masses(
+    values: tuple[int, ...], probs: tuple[Fraction, ...]
+) -> tuple[int, dict[int, int]]:
+    """``(L, mass)``: each distinct value's probability times L, the lcm of
+    the probabilities' denominators."""
+    ratios = [p.as_integer_ratio() for p in probs]
+    common = math.lcm(*(d for _, d in ratios))
+    mass: dict[int, int] = {}
+    for value, (n, d) in zip(values, ratios):
+        mass[value] = mass.get(value, 0) + n * (common // d)
+    return common, mass
 
 
 def _table(m: Marginals) -> CircuitTable:
-    demand_mass: dict[int, Fraction] = {}
-    for beta, p in zip(m.demands, m.demand_probs):
-        demand_mass[beta] = demand_mass.get(beta, Fraction(0)) + p
-    wait_mass: dict[int, Fraction] = {}
-    for wait, p in zip(m.waits, m.wait_probs):
-        wait_mass[wait] = wait_mass.get(wait, Fraction(0)) + p
+    common, demand_mass = _masses(m.demands, m.demand_probs)
+    wait_common, wait_mass = _masses(m.waits, m.wait_probs)
     levels = sorted(demand_mass)
-    survival = [Fraction(0)] * (len(levels) + 1)
-    demand_above = [Fraction(0)] * (len(levels) + 1)
+    survival = [0] * (len(levels) + 1)
+    demand_above = [0] * (len(levels) + 1)
     for i in range(len(levels) - 1, -1, -1):
         mass = demand_mass[levels[i]]
         survival[i] = survival[i + 1] + mass
         demand_above[i] = demand_above[i + 1] + mass * levels[i]
     return CircuitTable(
         levels=tuple(levels),
+        common=common,
         survival=tuple(survival),
         demand_above=tuple(demand_above),
+        wait_common=wait_common,
         waits=tuple(sorted(wait_mass.items())),
     )
 

@@ -741,9 +741,12 @@ def test_ten_written_tenths_are_exact_kernel_masses(tmp_path):
         wait_probs=[0.1] * 10,
     )
     table = circuit_tables(load_instance(write_doc(tmp_path, doc)))["c1"]
-    masses = [a - b for a, b in zip(table.survival, table.survival[1:])]
+    # The table holds integer masses over its common denominators.
+    survival = table.survival
+    masses = [Fraction(a - b, table.common) for a, b in zip(survival, survival[1:])]
     assert masses == [Fraction(1, 10)] * 10
-    assert [mass for _, mass in table.waits] == [Fraction(1, 10)] * 10
+    waits = [Fraction(mass, table.wait_common) for _, mass in table.waits]
+    assert waits == [Fraction(1, 10)] * 10
 
 
 def test_refused_instance_has_one_error_prefix(tmp_path, capsys):

@@ -164,6 +164,17 @@ def test_unknown_circuit_is_refused_like_solve_instance(monkeypatch):
     assert str(built.value) == str(solved.value) == "unknown circuit 'c1'"
 
 
+def test_missing_wait_set_is_refused_like_validate(monkeypatch):
+    inst = dataclasses.replace(make_instance(), wait_sets={})
+    assert [str(d) for d in validate(inst)] == ["error: circuit c1: empty wait set"]
+    with pytest.raises(ScenarioError) as solved:
+        solve_instance(inst)
+    monkeypatch.setattr(extform, "space_for_circuit", None)  # never reached
+    with pytest.raises(ScenarioError) as built:
+        build_extensive_form(inst)
+    assert str(built.value) == str(solved.value) == "c1: empty wait set"
+
+
 # --- LP text -----------------------------------------------------------------
 
 
@@ -290,10 +301,10 @@ def test_render_lp_formats_each_distinct_value_once(reference_instance, monkeypa
 def test_render_lp_refuses_a_name_it_cannot_write(where):
     form = build_extensive_form(single_triple_instance())
     if where == "variable":
-        bad = dataclasses.replace(form.variables[0], name="x r")
+        bad = form.variables[0]._replace(name="x r")
         form = dataclasses.replace(form, variables=(bad, *form.variables[1:]))
     else:
-        bad = dataclasses.replace(form.constraints[0], name="1row")
+        bad = form.constraints[0]._replace(name="1row")
         form = dataclasses.replace(form, constraints=(bad, *form.constraints[1:]))
     with pytest.raises(ValueError, match=f"{where} name not exportable"):
         render_lp(form)

@@ -580,3 +580,46 @@ def test_integer_weight_oracle_on_mixed_denominators(inst):
             inst.wait_probs.get(cid),
         )
         assert level == (row.reserved, row.total)
+
+
+def _assert_integer_table(table: solver.CircuitTable) -> None:
+    numbers = [
+        *table.levels,
+        table.common,
+        *table.survival,
+        *table.demand_above,
+        table.wait_common,
+        *(n for pair in table.waits for n in pair),
+    ]
+    assert all(type(n) is int for n in numbers)
+    assert table.survival[0] == table.common
+    assert sum(mass for _, mass in table.waits) == table.wait_common
+
+
+@pytest.mark.parametrize(
+    "demand_probs, wait_probs",
+    [
+        (None, None),  # uniform: dyadic masses over 2^53
+        ((Fraction(1, 10),) * 3 + (Fraction(7, 10),), (Fraction(1, 4),) * 4),
+        ((Fraction(1, 3), Fraction(1, 6), Fraction(1, 5), Fraction(3, 10)), None),
+    ],
+    ids=["uniform", "explicit", "mixed"],
+)
+def test_kernel_table_holds_integers_over_its_denominators(demand_probs, wait_probs):
+    inst = make_instance(
+        demand=(4, 1, 4, 9),
+        wait=(0, 2000, 2000, 5000),
+        demand_probs=demand_probs,
+        wait_probs=wait_probs,
+    )
+    table = solver.circuit_tables(inst)["c1"]
+    _assert_integer_table(table)
+    assert table.levels == (1, 4, 9)
+    assert [wait for wait, _ in table.waits] == [0, 2000, 5000]
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(mixed_denominator_instances())
+def test_kernel_table_holds_integers_on_mixed_denominators(inst):
+    for table in solver.circuit_tables(inst).values():
+        _assert_integer_table(table)
