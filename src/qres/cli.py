@@ -88,23 +88,30 @@ def write_atomic(path: str | Path, data: str) -> int:
     The text goes to a new, uniquely named file in the same directory,
     which is flushed to disk and then renamed over ``path``, so a reader
     sees the old file or the whole new one and concurrent writers never
-    share a temp file. The temp file is removed if anything fails.
+    share a temp file. The temp file is removed if anything fails, and an
+    error about a file names ``path``, never the temp file.
     """
+    given = os.fspath(path)
     path = Path(path)
     encoded = data.encode("utf-8")
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "wb") as handle:
-            # mkstemp creates the file owner-only; give it the mode a plain
-            # open() would.
-            os.fchmod(handle.fileno(), 0o666 & ~_umask())
-            handle.write(encoded)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                # mkstemp creates the file owner-only; give it the mode a
+                # plain open() would.
+                os.fchmod(handle.fileno(), 0o666 & ~_umask())
+                handle.write(encoded)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, given) from None
     return len(encoded)
 
 

@@ -10,20 +10,22 @@ Tie conventions (they keep outputs unique and comparable to brute force):
 utilization wins when its rate equals the on-demand rate, utilization is
 filled to min(reserved, demand) when it is free, and the over-wait is its
 smallest feasible value even when the penalty rate is zero.
+
+A decision is the named tuple ``(utilized, on_demand, over_wait)``; the
+scenario-route oracles unpack it in that order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .instance import CostRates
 from .scenarios import Scenario
 from .units import MICRO
 
 
-@dataclass(frozen=True)
-class RecourseDecision:
+class RecourseDecision(NamedTuple):
     utilized: int
     on_demand: int
     over_wait: int  # microseconds
@@ -61,10 +63,9 @@ def optimal_recourse(
     if reserved < 0:
         raise ValueError(f"reserved must be non-negative, got {reserved}")
     beta = scenario.demand_qubits
+    utilized = 0
     if rates.utilize_per_qubit <= rates.on_demand_per_qubit:
-        utilized = min(reserved, beta)
-    else:
-        utilized = 0
-    on_demand = beta - utilized
-    over_wait = penalty_time(exec_time, scenario.wait_time)
-    return RecourseDecision(utilized=utilized, on_demand=on_demand, over_wait=over_wait)
+        utilized = reserved if reserved < beta else beta
+    return RecourseDecision(
+        utilized, beta - utilized, penalty_time(exec_time, scenario.wait_time)
+    )

@@ -19,12 +19,15 @@ come from closed forms over the same table, one ``Fraction`` per value.
 The over-wait penalty never depends on any decision, so it is excluded
 from the argmin and added back to every reported cost.
 
-The scenario route prices every (demand, wait) scenario through
-:func:`~qres.recourse.optimal_recourse`. It is the oracle:
+The scenario route prices every (demand, wait) scenario at every level
+through one :func:`~qres.recourse.optimal_recourse` call. It is the oracle:
 :func:`brute_force_triple`, :func:`scenario_costs` and
 :func:`verify_solution` (``qres solve --oracle``) use it, and the tests
-compare it with the kernel. All expectations are exact rationals (see
-:mod:`qres.units`), so the routes are compared with ``==``.
+compare it with the kernel. A brute-force check is refused before any
+space is built when a capacity exceeds BRUTE_FORCE_CAPACITY_GUARD or its
+scenario evaluations exceed BRUTE_FORCE_WORK_GUARD. All expectations are
+exact rationals (see :mod:`qres.units`), so the routes are compared with
+``==``.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from .scenarios import (
 from .units import MICRO, format_micro
 
 BRUTE_FORCE_CAPACITY_GUARD = 10**4
+BRUTE_FORCE_WORK_GUARD = 10**8  # scenario evaluations in one brute-force check
 JOINT_ENUMERATION_GUARD = 10**6
 SPOT_CHECK_VECTORS = 20
 
@@ -325,14 +329,12 @@ def _recourse_expectation(
     division by the space's common denominator ends each expectation.
     """
     common, weights = space.weights
+    utilize, on_demand = rates.utilize_per_qubit, rates.on_demand_per_qubit
     qubits = over_wait = 0
     for scenario, weight in zip(space.scenarios, weights):
-        decision = optimal_recourse(reserved, scenario, rates, exec_time)
-        qubits += weight * (
-            rates.utilize_per_qubit * decision.utilized
-            + rates.on_demand_per_qubit * decision.on_demand
-        )
-        over_wait += weight * decision.over_wait
+        used, bought, late = optimal_recourse(reserved, scenario, rates, exec_time)
+        qubits += weight * (utilize * used + on_demand * bought)
+        over_wait += weight * late
     return (
         Fraction(qubits, common),
         Fraction(rates.penalty_per_second * over_wait, common * MICRO),
@@ -364,13 +366,30 @@ def scenario_costs(
     return rows
 
 
-def _check_scan(capacity: int) -> None:
-    """The brute-force scan's guards; checked before any space is built."""
-    if capacity > BRUTE_FORCE_CAPACITY_GUARD:
+def _check_scan(scans: list[tuple[int, int]]) -> None:
+    """The brute-force guards over (capacity, scenario count) scans.
+
+    Checked before any space is built: each capacity first, then the
+    scenario evaluations of all the scans together.
+    """
+    for capacity, _ in scans:
+        if capacity > BRUTE_FORCE_CAPACITY_GUARD:
+            raise GuardError(
+                f"capacity {capacity} exceeds guard {BRUTE_FORCE_CAPACITY_GUARD}"
+            )
+        check_capacity(capacity)
+    work = sum((capacity + 1) * size for capacity, size in scans)
+    if work > BRUTE_FORCE_WORK_GUARD:
         raise GuardError(
-            f"capacity {capacity} exceeds guard {BRUTE_FORCE_CAPACITY_GUARD}"
+            f"brute force needs {work} scenario evaluations, "
+            f"more than guard {BRUTE_FORCE_WORK_GUARD}"
         )
-    check_capacity(capacity)
+
+
+def _space_size(instance: Instance, circuit_id: str) -> int:
+    """Scenarios in a circuit's product space, counted without building it."""
+    demands = instance.demand_sets.get(circuit_id, ())
+    return len(demands) * len(instance.wait_sets.get(circuit_id, ()))
 
 
 def _scan(
@@ -404,7 +423,8 @@ def brute_force_triple(
     :func:`optimal_recourse` at every level and keeps the smallest argmin,
     independently of the marginal analysis.
     """
-    _check_scan(capacity)
+    demand_set, wait_set = tuple(demand_set), tuple(wait_set)
+    _check_scan([(capacity, len(demand_set) * len(wait_set))])
     space = build_space("triple", demand_set, wait_set, demand_probs, wait_probs)
     return _scan(space, rates, exec_time, capacity)
 
@@ -424,8 +444,9 @@ def verify_solution(
     rows = {row.key: row for row in solution.per_triple}
     checked = _checked_levels(instance, {k: r.reserved for k, r in rows.items()})
     caps = {key: capacity for key, _, capacity in checked}
-    for capacity in caps.values():
-        _check_scan(capacity)
+    _check_scan(
+        [(cap, _space_size(instance, key.circuit_id)) for key, cap in caps.items()]
+    )
     levels = evaluations = 0
     for circuit_id, group in itertools.groupby(checked, lambda kr: kr[0].circuit_id):
         space = space_for_circuit(instance, circuit_id)

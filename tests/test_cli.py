@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import json
 import os
 from fractions import Fraction
@@ -777,6 +778,27 @@ def test_product_space_guard_spares_the_kernel(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_oracle_refuses_more_work_than_its_guard(tmp_path, monkeypatch, capsys):
+    # 10001 levels x (10000 demands x 100 waits): about 10^10 evaluations.
+    built = []
+    monkeypatch.setattr(
+        scenarios, "_product_space", lambda cid, marginals: built.append(cid)
+    )
+    doc = single_triple_doc()
+    doc["circuits"][0]["demand_set"] = {"lo": 0, "hi": 9999}
+    doc["circuits"][0]["wait_set"] = {"lo": 0.001, "hi": 0.1, "step": 0.001}
+    doc["machines"][0]["capacity"] = 10**4
+    path = write_doc(tmp_path, doc)
+    assert run(["solve", path, "--oracle"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: brute force needs 10001000000 scenario evaluations, "
+        "more than guard 100000000\n"
+    )
+    assert built == []
+
+
 def _paths(value, prefix=()):
     """Every key or index path inside a JSON value."""
     children = (
@@ -1253,3 +1275,27 @@ def test_write_atomic_removes_its_temp_file_on_failure(tmp_path, monkeypatch):
         write_atomic(target, "new")
     assert sorted(os.listdir(tmp_path)) == ["out.csv"]
     assert target.read_text(encoding="utf-8") == "old"
+
+
+def test_output_to_a_missing_directory_names_the_given_path(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    assert run(["solve", REF, "-o", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{target}'\n"
+    )
+    assert os.listdir(tmp_path) == []
+
+
+def test_output_onto_a_directory_names_the_given_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("somedir")
+    assert run(["solve", REF, "-o", "somedir"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: 'somedir'\n"
+    )
+    assert os.listdir(tmp_path) == ["somedir"]
+    assert os.listdir("somedir") == []

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -41,11 +40,7 @@ def test_over_waiting_charged():
 
 
 def test_decision_holds_only_its_quantities():
-    assert [f.name for f in fields(RecourseDecision)] == [
-        "utilized",
-        "on_demand",
-        "over_wait",
-    ]
+    assert RecourseDecision._fields == ("utilized", "on_demand", "over_wait")
     d = optimal_recourse(10, scen(22), REF_RATES, exec_time=5000)
     assert d == RecourseDecision(10, 12, 0)
 

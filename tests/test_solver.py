@@ -22,7 +22,7 @@ from helpers import (
 )
 from qres import solver
 from qres.instance import CostRates, Circuit, Instance, Machine, validate
-from qres.recourse import optimal_recourse
+from qres.recourse import optimal_recourse, penalty_cost, recourse_cost
 from qres.extform import build_extensive_form
 from qres.scenarios import ScenarioError, space_for_circuit
 from qres.solver import (
@@ -150,6 +150,34 @@ def test_scan_guards_come_before_any_space(capacity, error):
     # ScenarioError must not be the one raised.
     with pytest.raises(error):
         brute_force_triple(REF_RATES, range(2000), range(600), 0, capacity)
+
+
+def test_brute_force_work_guard_comes_before_any_space(monkeypatch):
+    built = []
+    monkeypatch.setattr(solver, "build_space", lambda *args: built.append(args))
+    # 10001 levels x 10000 scenarios: one scan just over the guard.
+    with pytest.raises(
+        GuardError,
+        match="brute force needs 100010000 scenario evaluations, "
+        "more than guard 100000000",
+    ):
+        brute_force_triple(REF_RATES, range(1000), range(10), 0, 10**4)
+    assert built == []
+
+
+def test_verify_solution_guards_the_work_of_all_triples_together(monkeypatch):
+    # Each of the two triples needs 10001 x 5000 evaluations, under the
+    # guard on its own; together they are over it.
+    built = []
+    monkeypatch.setattr(
+        solver, "space_for_circuit", lambda inst, cid: built.append(cid)
+    )
+    inst = make_instance(
+        range(100), range(0, 50000, 1000), capacity=10**4, machines_per_provider=2
+    )
+    with pytest.raises(GuardError, match="needs 100010000 scenario evaluations"):
+        verify_solution(inst, solve_instance(inst))
+    assert built == []
 
 
 @pytest.mark.parametrize(
@@ -580,6 +608,57 @@ def test_integer_weight_oracle_on_mixed_denominators(inst):
             inst.wait_probs.get(cid),
         )
         assert level == (row.reserved, row.total)
+
+
+def _assert_rows_are_textbook_expectations(inst: Instance) -> None:
+    """Each scenario_costs row at every level equals the probability-weighted
+    sum of each scenario's decision, priced by field name."""
+    triples = inst.triples()
+    caps = {key: inst.machine(key[1], key[2]).capacity_qubits for key in triples}
+    spaces = {cid: space_for_circuit(inst, cid) for cid in inst.circuit_ids()}
+    for x in range(max(caps.values()) + 1):
+        vector = {key: min(x, cap) for key, cap in caps.items()}
+        for row in scenario_costs(inst, vector):
+            cid, pid, mid = row.key
+            rates = inst.rate(cid, pid)
+            space = spaces[cid]
+            decisions = [
+                optimal_recourse(row.reserved, s, rates, inst.exec_time(cid, pid, mid))
+                for s in space.scenarios
+            ]
+            probs = space.exact_probabilities
+            assert row.second_stage + row.penalty == sum(
+                p * recourse_cost(rates, d) for p, d in zip(probs, decisions)
+            )
+            assert row.penalty == sum(
+                p * penalty_cost(rates.penalty_per_second, d.over_wait)
+                for p, d in zip(probs, decisions)
+            )
+
+
+def test_scenario_rows_are_textbook_expectations_on_the_reference(
+    reference_instance,
+):
+    _assert_rows_are_textbook_expectations(reference_instance)
+
+
+def test_scenario_rows_are_textbook_expectations_when_utilize_exceeds_on_demand():
+    inst = make_instance(
+        (0, 3, 3, 7, 12),
+        (1000, 4000, 9000),
+        rates=make_rates(1_000_000, 3_000_000, 2_000_000, 10_000_000),
+        capacity=9,
+        exec_time=5000,
+        demand_probs=(0.1, 0.2, 0.3, 0.25, 0.15),
+        wait_probs=(0.5, 0.25, 0.25),
+    )
+    _assert_rows_are_textbook_expectations(inst)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(mixed_denominator_instances())
+def test_scenario_rows_are_textbook_expectations_on_mixed_denominators(inst):
+    _assert_rows_are_textbook_expectations(inst)
 
 
 def _assert_integer_table(table: solver.CircuitTable) -> None:
