@@ -20,6 +20,7 @@ _SOURCES = {
         "Row",
         "Variable",
         "build_extensive_form",
+        "lp_chunks",
         "parse_lp",
         "render_lp",
         "solve_enumerative",
@@ -97,6 +98,7 @@ __all__ = [
     "instance_from_document",
     "joint_enumeration_oracle",
     "load_instance",
+    "lp_chunks",
     "optimal_recourse",
     "parse_lp",
     "penalty_time",

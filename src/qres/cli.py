@@ -15,7 +15,7 @@ import sys
 import tempfile
 from itertools import pairwise
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from .instance import (
     GRID_GUARD,
@@ -82,18 +82,22 @@ def _min_wait_gap(instance: Instance) -> int:
     return min(gaps)
 
 
-def write_atomic(path: str | Path, data: str) -> int:
+def write_atomic(path: str | Path, data: str | Iterable[str]) -> int:
     """Write text to ``path`` atomically; returns the number of bytes written.
 
+    ``data`` is one string or an iterable of string chunks, encoded and
+    written one chunk at a time, so a long text need never be held whole.
     The text goes to a new, uniquely named file in the same directory,
     which is flushed to disk and then renamed over ``path``, so a reader
     sees the old file or the whole new one and concurrent writers never
-    share a temp file. The temp file is removed if anything fails, and an
-    error about a file names ``path``, never the temp file.
+    share a temp file. The temp file is removed if anything fails,
+    including the chunk iterable itself, and an error about a file names
+    ``path``, never the temp file.
     """
     given = os.fspath(path)
     path = Path(path)
-    encoded = data.encode("utf-8")
+    chunks = [data] if isinstance(data, str) else data
+    written = 0
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
         try:
@@ -101,7 +105,8 @@ def write_atomic(path: str | Path, data: str) -> int:
                 # mkstemp creates the file owner-only; give it the mode a
                 # plain open() would.
                 os.fchmod(handle.fileno(), 0o666 & ~_umask())
-                handle.write(encoded)
+                for chunk in chunks:
+                    written += handle.write(chunk.encode("utf-8"))
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, path)
@@ -112,7 +117,7 @@ def write_atomic(path: str | Path, data: str) -> int:
         if exc.filename is None:
             raise
         raise OSError(exc.errno, exc.strerror, given) from None
-    return len(encoded)
+    return written
 
 
 def _umask() -> int:
@@ -121,11 +126,11 @@ def _umask() -> int:
     return mask
 
 
-def _write_output(text: str, path: str | None) -> None:
+def _write_output(data: str | Iterable[str], path: str | None) -> None:
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines([data] if isinstance(data, str) else data)
     else:
-        write_atomic(path, text)
+        write_atomic(path, data)
 
 
 def _solution_csv(solution: Solution) -> str:
@@ -229,7 +234,7 @@ def _cmd_surface(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_lp(args: argparse.Namespace) -> int:
-    from .extform import build_extensive_form, render_lp
+    from .extform import build_extensive_form, lp_chunks
 
     instance = load_instance(args.instance)
     form = build_extensive_form(instance)
@@ -238,7 +243,7 @@ def _cmd_export_lp(args: argparse.Namespace) -> int:
             f"{len(form.variables)} variables, {len(form.constraints)} rows",
             file=sys.stderr,
         )
-    _write_output(render_lp(form), args.output)
+    _write_output(lp_chunks(form), args.output)
     return 0
 
 

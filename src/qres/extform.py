@@ -13,7 +13,10 @@ coefficient is its integer weight times an integer micro-unit rate over
 the space's common denominator times 10^6, built once per distinct
 weight of a triple; each rhs is built once per distinct demand and wait,
 and the unit coefficients, zero rhs and lower bounds share one object
-each. The writer formats each distinct value once.
+each. The writer formats each distinct value once, and yields the text
+in chunks of whole lines (`lp_chunks`), so a caller can write each chunk
+as it is made instead of holding the whole LP beside the form; every
+name is checked before the first chunk.
 
 Capacity is encoded as the reservation variable's upper bound rather
 than a constraint row, so each (triple, scenario) contributes exactly
@@ -33,7 +36,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .instance import GRID_GUARD, Instance
 from .scenarios import circuit_marginals, space_for_circuit
@@ -43,7 +46,10 @@ from .units import MICRO, exact_decimal, fraction_from_decimal
 ENUMERATION_GUARD = 10**6
 
 _SCENARIO_SUFFIX = re.compile(r"_s\d+$")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]{0,254}$")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]{0,254}")
+# Lines per chunk of LP text: enough to amortise each write, few enough
+# that a chunk is a small fraction of the whole text.
+_CHUNK_LINES = 4096
 
 SENSE_LE = "<="
 SENSE_GE = ">="
@@ -173,50 +179,71 @@ def build_extensive_form(instance: Instance) -> ExtensiveForm:
 # ---------------------------------------------------------------------------
 
 
-def render_lp(form: ExtensiveForm) -> str:
-    """The LP text for a form (LF line endings, ASCII)."""
+def lp_chunks(form: ExtensiveForm) -> Iterator[str]:
+    """The LP text for a form, in chunks of whole lines (LF endings, ASCII).
+
+    Every variable and constraint name is checked before the first chunk
+    is yielded, so a form that cannot be written yields nothing.
+    """
     names = [var.name for var in form.variables]
     for name in names:
-        if not _NAME_RE.match(name):
+        if not _NAME_RE.fullmatch(name):
             raise ValueError(f"variable name not exportable: {name!r}")
-    # A form repeats few distinct values many times: format each once,
-    # keyed by its integers (hashing a Fraction costs a modular pow). A
-    # value has two texts, indexed by whether a term precedes it in its
-    # sum: "-0.5" and "- 0.5", "2" and "+ 2".
-    texts: dict[tuple[int, int], tuple[str, str]] = {}
+    for row in form.constraints:
+        if not _NAME_RE.fullmatch(row.name):
+            raise ValueError(f"constraint name not exportable: {row.name!r}")
+    lines = _lp_lines(form, names)
+    while batch := list(itertools.islice(lines, _CHUNK_LINES)):
+        yield "\n".join(batch) + "\n"
+
+
+def render_lp(form: ExtensiveForm) -> str:
+    """The LP text for a form (LF line endings, ASCII)."""
+    return "".join(lp_chunks(form))
+
+
+def _lp_lines(form: ExtensiveForm, names: list[str]) -> Iterator[str]:
+    # A form repeats few distinct values many times: format each once. The
+    # form keeps every value alive while it is written, so a value's id is
+    # a safe first key; equal values that are distinct objects meet under
+    # their integers (hashing a Fraction costs a modular pow). A value has
+    # two texts, indexed by whether a term precedes it in its sum: "-0.5"
+    # and "- 0.5", "2" and "+ 2".
+    by_id: dict[int, tuple[str, str]] = {}
+    by_value: dict[tuple[int, int], tuple[str, str]] = {}
 
     def decimal(value: Fraction) -> tuple[str, str]:
-        key = value.numerator, value.denominator
-        if key not in texts:
-            text = exact_decimal(value)
-            texts[key] = text, f"- {text[1:]}" if text[0] == "-" else f"+ {text}"
-        return texts[key]
+        texts = by_id.get(id(value))
+        if texts is None:
+            key = value.numerator, value.denominator
+            texts = by_value.get(key)
+            if texts is None:
+                text = exact_decimal(value)
+                texts = text, f"- {text[1:]}" if text[0] == "-" else f"+ {text}"
+                by_value[key] = texts
+            by_id[id(value)] = texts
+        return texts
 
-    lines = ["Minimize"]
+    yield "Minimize"
     for i, (index, coef) in enumerate(form.objective):
-        text = decimal(coef)[i > 0]
-        lines.append(f" {'obj: ' if i == 0 else ''}{text} {names[index]}")
-    lines.append("Subject To")
-    for row in form.constraints:
-        if not _NAME_RE.match(row.name):
-            raise ValueError(f"constraint name not exportable: {row.name!r}")
+        yield f" {'obj: ' if i == 0 else ''}{decimal(coef)[i > 0]} {names[index]}"
+    yield "Subject To"
+    for name, terms, sense, rhs in form.constraints:
         parts = [
-            f"{decimal(coef)[i > 0]} {names[index]}"
-            for i, (index, coef) in enumerate(row.terms)
+            f"{decimal(coef)[i > 0]} {names[index]}" for i, (index, coef) in enumerate(terms)
         ]
-        lines.append(f" {row.name}: {' '.join(parts)} {row.sense} {decimal(row.rhs)[0]}")
-    lines.append("Bounds")
-    for var in form.variables:
-        if var.upper is not None:
-            lines.append(
-                f" {decimal(var.lower)[0]} <= {var.name} <= {decimal(var.upper)[0]}"
-            )
-    lines.append("Generals")
-    for var in form.variables:
-        if var.kind == "integer":
-            lines.append(f" {var.name}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+        yield f" {name}: {' '.join(parts)} {sense} {decimal(rhs)[0]}"
+    yield "Bounds"
+    integers = []
+    for name, kind, lower, upper in form.variables:
+        if upper is not None:
+            yield f" {decimal(lower)[0]} <= {name} <= {decimal(upper)[0]}"
+        if kind == "integer":
+            integers.append(name)
+    yield "Generals"
+    for name in integers:
+        yield f" {name}"
+    yield "End"
 
 
 def _parse_terms(tokens: list[str], line_no: int) -> list[tuple[Fraction, str]]:
@@ -235,7 +262,7 @@ def _parse_terms(tokens: list[str], line_no: int) -> list[tuple[Fraction, str]]:
         except ValueError as exc:
             raise LpParseError(f"line {line_no}: bad coefficient {tokens[pos]!r}") from exc
         name = tokens[pos + 1]
-        if not _NAME_RE.match(name):
+        if not _NAME_RE.fullmatch(name):
             raise LpParseError(f"line {line_no}: bad variable name {name!r}")
         terms.append((coef, name))
         pos += 2
@@ -281,7 +308,7 @@ def parse_lp(text: str) -> ExtensiveForm:
                 raise LpParseError(f"line {line_no}: constraint without name")
             name, rest = line.split(":", 1)
             name = name.strip()
-            if not _NAME_RE.match(name):
+            if not _NAME_RE.fullmatch(name):
                 raise LpParseError(f"line {line_no}: bad constraint name {name!r}")
             tokens = rest.split()
             sense_pos = None
@@ -311,7 +338,7 @@ def parse_lp(text: str) -> ExtensiveForm:
             bounds[tokens[2]] = (lo, hi)
         elif section == "Generals":
             tokens = line.split()
-            if len(tokens) != 1 or not _NAME_RE.match(tokens[0]):
+            if len(tokens) != 1 or not _NAME_RE.fullmatch(tokens[0]):
                 raise LpParseError(f"line {line_no}: expected a variable name")
             generals.add(tokens[0])
         else:

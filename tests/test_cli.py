@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
 import errno
 import json
 import os
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,9 +12,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from qres import scenarios, solver
+from qres import extform, scenarios, solver
 from qres.cli import run, write_atomic
-from qres.extform import build_extensive_form, parse_lp
+from qres.extform import build_extensive_form, parse_lp, render_lp
 from qres.instance import load_instance
 from qres.solver import circuit_tables
 
@@ -1136,6 +1138,91 @@ def test_export_lp_matches_golden(tmp_path, capsys, data_dir):
     assert out == (data_dir / "golden_single.lp").read_text(encoding="utf-8")
 
 
+def audit_shaped_doc() -> dict:
+    """12 triples of 40 demands x 10 waits: an LP of about 38,000 lines."""
+    providers = ["p1", "p2"]
+    machines = [
+        {"provider": p, "machine": m, "capacity": 30}
+        for p in providers
+        for m in ("m1", "m2")
+    ]
+    circuits = [
+        {
+            "id": f"c{i}",
+            "demand_set": {"lo": 2 * i, "hi": 2 * i + 39, "step": 1},
+            "wait_set": [(1000 * i + 500 * k) / 10**6 for k in range(10)],
+        }
+        for i in range(3)
+    ]
+    return {
+        "circuits": circuits,
+        "providers": providers,
+        "machines": machines,
+        "default_rates": single_triple_doc()["default_rates"],
+        "exec_times": [
+            {"circuit": c["id"], "provider": m["provider"], "machine": m["machine"],
+             "seconds": 0.002 + 0.001 * i}
+            for i, c in enumerate(circuits)
+            for m in machines
+        ],
+    }
+
+
+@pytest.mark.parametrize("shape", ["reference", "audit-shaped"])
+def test_export_lp_stdout_and_file_are_the_rendered_bytes(shape, tmp_path, capsys):
+    path = REF if shape == "reference" else write_doc(tmp_path, audit_shaped_doc())
+    target = tmp_path / "model.lp"
+    assert run(["export-lp", path]) == 0
+    assert run(["export-lp", path, "-o", str(target)]) == 0
+    form = build_extensive_form(load_instance(path))
+    rendered = render_lp(form).encode("ascii")
+    assert capsys.readouterr().out.encode("ascii") == target.read_bytes() == rendered
+    # Written in several chunks, whose seams must not show.
+    assert len(list(extform.lp_chunks(form))) > 1
+
+
+def _unwritable(form):
+    """The form with a constraint name the LP format cannot carry, last."""
+    bad = form.constraints[-1]._replace(name="1row")
+    return dataclasses.replace(form, constraints=(*form.constraints[:-1], bad))
+
+
+def test_export_lp_of_an_unwritable_form_writes_nothing(tmp_path, capsys, monkeypatch):
+    build = extform.build_extensive_form
+    monkeypatch.setattr(
+        extform, "build_extensive_form", lambda inst: _unwritable(build(inst))
+    )
+    with pytest.raises(ValueError, match="constraint name not exportable"):
+        run(["export-lp", REF])
+    assert capsys.readouterr().out == ""
+    target = tmp_path / "model.lp"
+    target.write_bytes(b"old")
+    with pytest.raises(ValueError, match="constraint name not exportable"):
+        run(["export-lp", REF, "-o", str(target)])
+    assert os.listdir(tmp_path) == ["model.lp"]
+    assert target.read_bytes() == b"old"
+
+
+def test_export_lp_never_holds_a_second_copy_of_the_lp(tmp_path):
+    path = write_doc(tmp_path, audit_shaped_doc())
+    tracemalloc.start()
+    try:
+        form = build_extensive_form(load_instance(path))
+        _, build_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    lp_size = len(render_lp(form))
+    del form
+    tracemalloc.start()
+    try:
+        assert run(["export-lp", path, "-o", str(tmp_path / "model.lp")]) == 0
+        _, export_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "model.lp").stat().st_size == lp_size
+    assert export_peak < build_peak + lp_size
+
+
 def test_eval_reservation_vector(tmp_path, capsys):
     path = write_doc(tmp_path, single_triple_doc())
     vector = tmp_path / "vector.csv"
@@ -1275,6 +1362,28 @@ def test_write_atomic_removes_its_temp_file_on_failure(tmp_path, monkeypatch):
         write_atomic(target, "new")
     assert sorted(os.listdir(tmp_path)) == ["out.csv"]
     assert target.read_text(encoding="utf-8") == "old"
+
+
+def test_write_atomic_returns_the_bytes_of_every_chunk(tmp_path):
+    target = tmp_path / "out.csv"
+    chunks = ["reserved,total\n", "0,1.5\n", "", "qubit \u00b5s\n"]
+    written = write_atomic(target, iter(chunks))
+    assert written == target.stat().st_size == len("".join(chunks).encode("utf-8"))
+    assert target.read_text(encoding="utf-8") == "".join(chunks)
+
+
+def test_write_atomic_keeps_the_old_file_when_the_chunks_fail(tmp_path):
+    target = tmp_path / "out.lp"
+    target.write_bytes(b"old\n")
+
+    def chunks():
+        yield "Minimize\n"
+        raise ValueError("bad form")
+
+    with pytest.raises(ValueError, match="bad form"):
+        write_atomic(target, chunks())
+    assert sorted(os.listdir(tmp_path)) == ["out.lp"]
+    assert target.read_bytes() == b"old\n"
 
 
 def test_output_to_a_missing_directory_names_the_given_path(tmp_path, capsys):

@@ -20,6 +20,7 @@ from qres.extform import (
     Row,
     Variable,
     build_extensive_form,
+    lp_chunks,
     parse_lp,
     render_lp,
     solve_enumerative,
@@ -273,7 +274,9 @@ EVERY_KIND_OF_VALUE = ExtensiveForm(
 @given(hand_built_forms())
 @example(EVERY_KIND_OF_VALUE)
 def test_render_lp_matches_the_reference_writer(form):
-    assert render_lp(form) == reference_render_lp(form)
+    text = reference_render_lp(form)
+    assert render_lp(form) == text
+    assert "".join(lp_chunks(form)) == text
 
 
 def test_render_lp_formats_each_distinct_value_once(reference_instance, monkeypatch):
@@ -297,17 +300,35 @@ def test_render_lp_formats_each_distinct_value_once(reference_instance, monkeypa
     assert text == reference_render_lp(form)
 
 
-@pytest.mark.parametrize("where", ["variable", "constraint"])
-def test_render_lp_refuses_a_name_it_cannot_write(where):
+@pytest.mark.parametrize(
+    "where, name",
+    [
+        pytest.param("variable", "x r", id="variable"),
+        pytest.param("constraint", "1row", id="constraint"),
+        # A regex "$" also matches before a final newline.
+        pytest.param("variable", "x\n", id="variable-trailing-newline"),
+        pytest.param("constraint", "r\n", id="constraint-trailing-newline"),
+    ],
+)
+def test_render_lp_refuses_a_name_it_cannot_write(where, name):
     form = build_extensive_form(single_triple_instance())
     if where == "variable":
-        bad = form.variables[0]._replace(name="x r")
+        bad = form.variables[0]._replace(name=name)
         form = dataclasses.replace(form, variables=(bad, *form.variables[1:]))
     else:
-        bad = form.constraints[0]._replace(name="1row")
+        bad = form.constraints[0]._replace(name=name)
         form = dataclasses.replace(form, constraints=(bad, *form.constraints[1:]))
     with pytest.raises(ValueError, match=f"{where} name not exportable"):
         render_lp(form)
+
+
+def test_lp_chunks_checks_every_name_before_the_first_chunk(reference_instance):
+    form = build_extensive_form(reference_instance)
+    bad = form.constraints[-1]._replace(name="1row")
+    form = dataclasses.replace(form, constraints=(*form.constraints[:-1], bad))
+    chunks = lp_chunks(form)
+    with pytest.raises(ValueError, match="constraint name not exportable: '1row'"):
+        next(chunks)
 
 
 def test_round_trip_identity(reference_instance):
