@@ -10,9 +10,10 @@ text format, experiment sweeps, and a CLI.
 
 import importlib
 
-# Each exported name and the submodule that defines it. A submodule is
-# imported on the first access to one of its names (PEP 562), so
-# ``python -m qres.cli`` loads only what the command runs.
+# Each exported name, sorted into ``__all__``, and the submodule that
+# defines it. A submodule is imported on the first access to one of its
+# names (PEP 562), so ``python -m qres.cli`` loads only what the command
+# runs.
 _SOURCES = {
     "extform": (
         "ExtensiveForm",
@@ -26,12 +27,16 @@ _SOURCES = {
         "solve_enumerative",
     ),
     "instance": (
+        "CapacityError",
         "CostRates",
         "Circuit",
         "Diagnostic",
+        "GuardError",
         "Instance",
         "InstanceError",
         "Machine",
+        "ModelError",
+        "ScenarioError",
         "TripleKey",
         "instance_from_document",
         "load_instance",
@@ -41,15 +46,11 @@ _SOURCES = {
     "recourse": ("RecourseDecision", "optimal_recourse", "penalty_time"),
     "scenarios": (
         "Scenario",
-        "ScenarioError",
         "ScenarioSpace",
         "build_space",
         "space_for_circuit",
     ),
     "solver": (
-        "CapacityError",
-        "GuardError",
-        "ModelError",
         "Solution",
         "brute_force_triple",
         "expected_cost",
@@ -70,51 +71,7 @@ _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in nam
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapacityError",
-    "Circuit",
-    "CostCurve",
-    "CostRates",
-    "CostSurface",
-    "Diagnostic",
-    "ExtensiveForm",
-    "GuardError",
-    "Instance",
-    "InstanceError",
-    "LpParseError",
-    "Machine",
-    "ModelError",
-    "RecourseDecision",
-    "Row",
-    "Scenario",
-    "ScenarioError",
-    "ScenarioSpace",
-    "Solution",
-    "TripleKey",
-    "Variable",
-    "build_extensive_form",
-    "build_space",
-    "expected_cost",
-    "instance_from_document",
-    "joint_enumeration_oracle",
-    "load_instance",
-    "lp_chunks",
-    "optimal_recourse",
-    "parse_lp",
-    "penalty_time",
-    "per_triple_costs",
-    "render_lp",
-    "scenario_costs",
-    "solve_enumerative",
-    "solve_instance",
-    "space_for_circuit",
-    "brute_force_triple",
-    "sweep_reservation",
-    "sweep_reservation_waiting",
-    "synth_exec_time",
-    "validate",
-    "with_wait_singleton",
-]
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):

@@ -2,8 +2,9 @@
 
 Data outputs are plain CSV (or LP text) with no timestamps, so identical
 inputs give byte-identical outputs. Exit codes: 0 success, 1 validation
-or model error, 2 usage error. The sweep and LP modules are imported by
-the commands that use them, so no command loads code it does not run.
+or model error, 2 usage error. The solver, sweep and LP modules are
+imported by the commands that use them, so no command loads code it does
+not run: ``validate`` loads neither the solver nor the scenarios.
 """
 
 from __future__ import annotations
@@ -21,17 +22,11 @@ from .instance import (
     GRID_GUARD,
     Instance,
     InstanceError,
+    ModelError,
+    ScenarioError,
     load_instance,
     load_reservations,
     validate,
-)
-from .scenarios import ScenarioError
-from .solver import (
-    ModelError,
-    Solution,
-    expected_cost,
-    solve_instance,
-    verify_solution,
 )
 from .units import UnitError, format_micro, parse_integer, parse_seconds
 
@@ -133,7 +128,7 @@ def _write_output(data: str | Iterable[str], path: str | None) -> None:
         write_atomic(path, data)
 
 
-def _solution_csv(solution: Solution) -> str:
+def _solution_csv(solution) -> str:
     rows = solution.per_triple
     lines = [
         "circuit_id,provider_id,machine_id,reserved,"
@@ -156,7 +151,7 @@ def _solution_csv(solution: Solution) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _solution_table(solution: Solution) -> str:
+def _solution_table(solution) -> str:
     text = _solution_csv(solution)
     grid = [line.split(",") for line in text.strip().splitlines()]
     widths = [max(len(row[i]) for row in grid) for i in range(len(grid[0]))]
@@ -177,7 +172,16 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 1 if any(d.severity == "error" for d in diagnostics) else 0
 
 
+def solve_instance(instance: Instance):
+    """The solver's answer; ``solve`` calls this global, so a caller may wrap it."""
+    from .solver import solve_instance
+
+    return solve_instance(instance)
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
+    from .solver import verify_solution
+
     if args.seed is not None and not args.oracle:
         raise UsageError("--seed needs --oracle")
     instance = load_instance(args.instance)
@@ -196,6 +200,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from .solver import expected_cost
+
     instance = load_instance(args.instance)
     solution = expected_cost(instance, load_reservations(args.reservations))
     render = _solution_table if args.human else _solution_csv

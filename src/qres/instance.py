@@ -3,7 +3,7 @@
 An :class:`Instance` is the immutable input to everything else in the
 package. It is normally built from a JSON document (see ``load_instance``)
 plus an optional execution-time CSV. Construction and validation are
-separate: dataclasses can be assembled with inconsistent data, and
+separate: the records can be assembled with inconsistent data, and
 :func:`validate` reports every violation as a diagnostic instead of
 raising, so the CLI can show all problems at once.
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -39,6 +40,22 @@ class InstanceError(ValueError):
     """Raised when a document or CSV cannot be turned into a valid Instance."""
 
 
+class ScenarioError(ValueError):
+    """Invalid inputs for building a scenario space."""
+
+
+class ModelError(ValueError):
+    """A reservation vector does not fit the instance."""
+
+
+class CapacityError(ModelError):
+    """A reservation exceeds its machine's qubit capacity."""
+
+
+class GuardError(ModelError):
+    """An enumeration oracle was asked for more work than its guard allows."""
+
+
 @dataclass(frozen=True)
 class CostRates:
     """Per-qubit rates charged by one provider for one circuit (micro-dollars)."""
@@ -49,15 +66,13 @@ class CostRates:
     penalty_per_second: int  # micro-dollars per second of over-waiting
 
 
-@dataclass(frozen=True)
-class Machine:
+class Machine(NamedTuple):
     provider_id: str
     machine_id: str
     capacity_qubits: int
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(NamedTuple):
     circuit_id: str
     label: str | None = None
     num_qubits: int | None = None
@@ -70,8 +85,7 @@ class TripleKey(NamedTuple):
     machine_id: str
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # "error" | "warning"
     location: str
     message: str
@@ -587,9 +601,13 @@ def outcome_problems(
         except UnitError as exc:
             problems.append((name, str(exc)))
             continue
-        if any(p < 0 for p in exact):
+        # Integer numerators over the lcm of the denominators: no Fraction per term.
+        ratios = [p.as_integer_ratio() for p in exact]
+        if any(n < 0 for n, _ in ratios):
             problems.append((name, "probabilities must be non-negative"))
-        if (total := sum(exact, Fraction(0))) != 1:
+        common = math.lcm(*(d for _, d in ratios))
+        if (total := sum(n * (common // d) for n, d in ratios)) != common:
+            total = Fraction(total, common)
             problems.append((name, f"probabilities sum to {total}, not 1"))
     return problems
 

@@ -24,14 +24,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
-from .instance import GRID_GUARD, Instance, outcome_problems
+from .instance import GRID_GUARD, Instance, ScenarioError, outcome_problems
 from .units import PROBABILITY_DIGITS, parse_probability
 
 _DYADIC_ONE = 1 << PROBABILITY_DIGITS
-
-
-class ScenarioError(ValueError):
-    """Invalid inputs for building a scenario space."""
 
 
 @dataclass(frozen=True)

@@ -36,11 +36,17 @@ import bisect
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
-from .instance import CostRates, Instance, TripleKey
+from .instance import (
+    CapacityError,
+    CostRates,
+    GuardError,
+    Instance,
+    ModelError,
+    TripleKey,
+)
 from .recourse import optimal_recourse, penalty_time
 from .scenarios import (
     Marginals,
@@ -57,26 +63,13 @@ JOINT_ENUMERATION_GUARD = 10**6
 SPOT_CHECK_VECTORS = 20
 
 
-class ModelError(ValueError):
-    """A reservation vector does not fit the instance."""
-
-
-class CapacityError(ModelError):
-    """A reservation exceeds its machine's qubit capacity."""
-
-
-class GuardError(ModelError):
-    """An enumeration oracle was asked for more work than its guard allows."""
-
-
 def check_capacity(capacity: int) -> None:
     """Refuse a negative machine capacity before any route reads it."""
     if capacity < 0:
         raise CapacityError(f"capacity must be non-negative, got {capacity}")
 
 
-@dataclass(frozen=True)
-class TripleCost:
+class TripleCost(NamedTuple):
     key: TripleKey
     reserved: int
     first_stage: Fraction
@@ -88,8 +81,7 @@ class TripleCost:
         return self.first_stage + self.second_stage + self.penalty
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     """Reservation levels plus the exact expected cost decomposition.
 
     ``expected_second_stage`` is the qubit part (utilization + on-demand)
@@ -109,8 +101,7 @@ class Solution:
 # --- the marginal kernel -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CircuitTable:
+class CircuitTable(NamedTuple):
     """One circuit's marginals as integers over common denominators.
 
     ``levels`` are the distinct demand values in ascending order and

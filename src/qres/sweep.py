@@ -10,19 +10,18 @@ penalty term reacts to it, so each cell is curve(x) + penalty(w).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from itertools import pairwise
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .instance import Instance
+from .instance import CapacityError, Instance
 from .recourse import penalty_cost, penalty_time
-from .solver import CapacityError, CircuitTable, circuit_tables
+from .solver import CircuitTable, circuit_tables
 from .units import format_micro
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     reserved: int
     first_stage: Fraction  # micro-dollars
     second_stage: Fraction
@@ -30,20 +29,17 @@ class CurvePoint:
     total: Fraction
 
 
-@dataclass(frozen=True)
-class CostCurve:
+class CostCurve(NamedTuple):
     points: tuple[CurvePoint, ...]
 
 
-@dataclass(frozen=True)
-class SurfaceRow:
+class SurfaceRow(NamedTuple):
     reserved: int
     arranged_wait: int  # microseconds
     total: Fraction
 
 
-@dataclass(frozen=True)
-class CostSurface:
+class CostSurface(NamedTuple):
     rows: tuple[SurfaceRow, ...]
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from qres import extform, scenarios, solver
+from qres import cli, extform, scenarios, solver
 from qres.cli import run, write_atomic
 from qres.extform import build_extensive_form, parse_lp, render_lp
 from qres.instance import load_instance
@@ -142,6 +142,23 @@ def test_solve_output_file(tmp_path, capsys):
     assert run(["solve", REF, "-o", str(target)]) == 0
     assert target.read_text().startswith("circuit_id")
     assert capsys.readouterr().out == ""
+
+
+def test_solve_calls_the_solver_through_the_cli_global(tmp_path, monkeypatch):
+    # A caller may wrap cli.solve_instance to time or record the solver.
+    plain, wrapped = tmp_path / "plain.csv", tmp_path / "wrapped.csv"
+    assert run(["solve", REF, "-o", str(plain)]) == 0
+    calls = []
+    real_solve = cli.solve_instance
+
+    def counted(instance):
+        calls.append(instance)
+        return real_solve(instance)
+
+    monkeypatch.setattr(cli, "solve_instance", counted)
+    assert run(["solve", REF, "-o", str(wrapped)]) == 0
+    assert len(calls) == 1
+    assert wrapped.read_bytes() == plain.read_bytes()
 
 
 def test_solve_is_byte_identical(capsys):

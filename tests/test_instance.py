@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import REF_RATES, make_instance
 from qres.instance import (
@@ -10,6 +13,7 @@ from qres.instance import (
     TripleKey,
     instance_from_document,
     load_instance,
+    outcome_problems,
     popcount,
     synth_exec_time,
     validate,
@@ -65,6 +69,30 @@ def test_probability_sum_error():
     doc["circuits"][0]["demand_probs"] = [0.4, 0.5]
     with pytest.raises(InstanceError, match="sum"):
         instance_from_document(doc)
+
+
+# Probabilities over mixed denominators: decimal, dyadic and others.
+MIXED = st.builds(
+    Fraction,
+    st.integers(-3, 10**6),
+    st.sampled_from([1, 3, 7, 2**53, 10**6, 10**53, 3 * 2**20, 5**9]),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(head=st.lists(MIXED, max_size=8), miss=st.sampled_from([-1, 0, 1]))
+@example(head=[Fraction(1, 3), Fraction(1, 2**53)], miss=-1)
+@example(head=[], miss=1)
+def test_probability_sum_is_the_fraction_sum(head, miss):
+    # The vector sums to exactly 1, then misses it by 2^-53 or not at all.
+    probs = [*head, 1 - sum(head, Fraction(0)) + Fraction(miss, 2**53)]
+    expected = []
+    if any(p < 0 for p in probs):
+        expected.append("probabilities must be non-negative")
+    if (total := sum(probs, Fraction(0))) != 1:
+        expected.append(f"probabilities sum to {total}, not 1")
+    problems = outcome_problems(range(len(probs)), (0,), probs)
+    assert problems == [("demand_probs", problem) for problem in expected]
 
 
 def test_capacity_defaults_to_30():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 
 import qres
 import qres.cli
+import qres.solver
 from qres.instance import load_instance
 
 REF = Path(__file__).parent / "data" / "reference.json"
@@ -20,7 +22,8 @@ REF = Path(__file__).parent / "data" / "reference.json"
 def test_every_exported_name_resolves():
     missing = [name for name in qres.__all__ if not hasattr(qres, name)]
     assert missing == []
-    assert len(set(qres.__all__)) == len(qres.__all__)
+    listed = [name for names in qres._SOURCES.values() for name in names]
+    assert sorted(listed) == qres.__all__
 
 
 def test_star_import_is_clean():
@@ -29,21 +32,111 @@ def test_star_import_is_clean():
     assert set(qres.__all__) <= namespace.keys()
 
 
+# Each named-tuple record: its module, its name, its fields in order, its defaults.
+RECORDS = [
+    ("instance", "Machine", ("provider_id", "machine_id", "capacity_qubits"), {}),
+    (
+        "instance",
+        "Circuit",
+        ("circuit_id", "label", "num_qubits", "encoded_value"),
+        {"label": None, "num_qubits": None, "encoded_value": None},
+    ),
+    ("instance", "Diagnostic", ("severity", "location", "message"), {}),
+    (
+        "solver",
+        "TripleCost",
+        ("key", "reserved", "first_stage", "second_stage", "penalty"),
+        {},
+    ),
+    (
+        "solver",
+        "Solution",
+        (
+            "reservations",
+            "expected_first_stage",
+            "expected_second_stage",
+            "expected_penalty",
+            "expected_total",
+            "per_triple",
+        ),
+        {},
+    ),
+    (
+        "solver",
+        "CircuitTable",
+        ("levels", "common", "survival", "demand_above", "wait_common", "waits"),
+        {},
+    ),
+    (
+        "sweep",
+        "CurvePoint",
+        ("reserved", "first_stage", "second_stage", "penalty", "total"),
+        {},
+    ),
+    ("sweep", "CostCurve", ("points",), {}),
+    ("sweep", "SurfaceRow", ("reserved", "arranged_wait", "total"), {}),
+    ("sweep", "CostSurface", ("rows",), {}),
+]
+
+
+@pytest.mark.parametrize(
+    "module, name, fields, defaults", RECORDS, ids=[r[1] for r in RECORDS]
+)
+def test_records_keep_their_fields_and_defaults(module, name, fields, defaults):
+    record = getattr(importlib.import_module(f"qres.{module}"), name)
+    assert record._fields == fields
+    assert record._field_defaults == defaults
+
+
+def test_diagnostic_prints_as_before():
+    diagnostic = qres.Diagnostic("error", "circuit c1", "duplicate id")
+    assert str(diagnostic) == "error: circuit c1: duplicate id"
+
+
 def test_cli_takes_only_the_solver_entry_points():
+    # Only inside the bodies of the commands that run them, never at load.
     tree = ast.parse(Path(qres.cli.__file__).read_text(encoding="utf-8"))
-    from_solver = {
-        alias.name
+    in_functions = {
+        id(node)
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+    }
+    from_solver = [
+        node
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.module == "solver"
-        for alias in node.names
-    }
-    assert from_solver == {
-        "ModelError",
-        "Solution",
+    ]
+    assert {alias.name for node in from_solver for alias in node.names} == {
         "expected_cost",
         "solve_instance",
         "verify_solution",
     }
+    assert all(id(node) in in_functions for node in from_solver)
+
+
+# Resolves each error class through the package in a fresh interpreter.
+_ERRORS = """
+import sys
+import qres
+errors = [getattr(qres, name) for name in sys.argv[1:]]
+print(" ".join(sorted(m for m in sys.modules if m.startswith("qres."))))
+import qres.scenarios, qres.solver
+old = [getattr(qres.scenarios if n == "ScenarioError" else qres.solver, n)
+       for n in sys.argv[1:]]
+print(all(a is b for a, b in zip(errors, old)))
+"""
+
+
+def test_error_classes_resolve_without_the_solver():
+    names = ["CapacityError", "GuardError", "ModelError", "ScenarioError"]
+    env = dict(os.environ, PYTHONPATH=str(Path(qres.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", _ERRORS, *names],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert done.stdout.splitlines() == ["qres.instance qres.units", "True"]
+    assert qres.ModelError is qres.solver.ModelError
 
 
 # Runs one command in a fresh interpreter and prints the qres modules it loaded.
@@ -55,20 +148,25 @@ print(" ".join(sorted(m for m in sys.modules if m.startswith("qres."))))
 sys.exit(code)
 """
 
+_BASE = {"qres.cli", "qres.instance", "qres.units"}
+_SOLVER = _BASE | {"qres.recourse", "qres.scenarios", "qres.solver"}
 
-# Each command with the qres modules it must not load.
+# Each command with exactly the qres modules it loads.
 COMMANDS = [
-    (["validate"], {"qres.extform", "qres.sweep"}),
-    (["solve"], {"qres.extform", "qres.sweep"}),
-    (["eval", "--reservations", "{reservations}"], {"qres.extform", "qres.sweep"}),
-    (["sweep", "--grid", "0:30:10"], {"qres.extform"}),
-    (["surface", "--grid", "0:30:10", "--waits", "0:0.01:0.005"], {"qres.extform"}),
-    (["export-lp"], {"qres.sweep"}),
+    (["validate"], _BASE),
+    (["solve"], _SOLVER),
+    (["eval", "--reservations", "{reservations}"], _SOLVER),
+    (["sweep", "--grid", "0:30:10"], _SOLVER | {"qres.sweep"}),
+    (
+        ["surface", "--grid", "0:30:10", "--waits", "0:0.01:0.005"],
+        _SOLVER | {"qres.sweep"},
+    ),
+    (["export-lp"], _SOLVER | {"qres.extform"}),
 ]
 
 
-@pytest.mark.parametrize("command, unused", COMMANDS, ids=[c[0] for c, _ in COMMANDS])
-def test_each_command_loads_only_what_it_runs(tmp_path, command, unused):
+@pytest.mark.parametrize("command, modules", COMMANDS, ids=[c[0] for c, _ in COMMANDS])
+def test_each_command_loads_only_what_it_runs(tmp_path, command, modules):
     reservations = tmp_path / "reservations.csv"
     reservations.write_text(
         "circuit_id,provider_id,machine_id,reserved\n"
@@ -83,6 +181,4 @@ def test_each_command_loads_only_what_it_runs(tmp_path, command, unused):
         capture_output=True, text=True, env=env, check=False,
     )
     assert (done.returncode, done.stderr) == (0, "")
-    loaded = set(done.stdout.split())
-    assert "qres.solver" in loaded
-    assert loaded.isdisjoint(unused)
+    assert set(done.stdout.split()) == modules

@@ -233,7 +233,7 @@ def test_verify_solution_guards_every_triple_before_any_space(monkeypatch):
         solver, "space_for_circuit", lambda inst, cid: built.append(cid)
     )
     inst = make_instance(capacity=5, machines_per_provider=2)
-    big = replace(inst.machines[1], capacity_qubits=10**4 + 1)
+    big = inst.machines[1]._replace(capacity_qubits=10**4 + 1)
     inst = replace(inst, machines=(inst.machines[0], big))
     solution = solve_instance(inst)
     with pytest.raises(GuardError, match="capacity 10001 exceeds guard 10000"):
@@ -268,7 +268,7 @@ def test_verify_solution_holds_one_space_at_a_time(monkeypatch):
 
 def test_spot_check_refuses_a_cheaper_random_vector(reference_instance):
     solution = solve_instance(reference_instance)
-    inflated = replace(solution, expected_total=solution.expected_total + 10**12)
+    inflated = solution._replace(expected_total=solution.expected_total + 10**12)
     assert verify_solution(reference_instance, inflated) == (186, 21762)
     with pytest.raises(ModelError, match="beats the solver"):
         verify_solution(reference_instance, inflated, seed=7)

@@ -178,13 +178,14 @@ def test_sweeps_equal_cell_by_cell_route_with_explicit_probabilities():
 def test_surface_builds_only_the_instance_tables(monkeypatch):
     inst = make_instance(demand=(1, 4), wait=(1000, 2000), providers=2, capacity=4)
     built = []
-    real_init = CircuitTable.__init__
+    real_new = CircuitTable.__new__
 
-    def counted(self, *args, **kwargs):
-        built.append(self)
-        real_init(self, *args, **kwargs)
+    def counted(cls, *args, **kwargs):
+        table = real_new(cls, *args, **kwargs)
+        built.append(table)
+        return table
 
-    monkeypatch.setattr(CircuitTable, "__init__", counted)
+    monkeypatch.setattr(CircuitTable, "__new__", counted)
     surface = sweep_reservation_waiting(inst, range(5), range(0, 6001, 500))
     assert len(surface.rows) == 5 * 13
     assert len(built) == len(inst.circuits)
