@@ -38,9 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .instance import GRID_GUARD, Instance
+from .instance import GRID_GUARD, GuardError, Instance, ModelError, check_capacity
 from .scenarios import circuit_marginals, space_for_circuit
-from .solver import GuardError, ModelError, check_capacity
 from .units import MICRO, exact_decimal, fraction_from_decimal
 
 ENUMERATION_GUARD = 10**6
@@ -64,7 +63,8 @@ class LpParseError(ValueError):
 
 
 # A form holds tens of thousands of variables and rows, so both are named
-# tuples, built positionally: half the cost of a frozen dataclass each.
+# tuples. The builder makes each with tuple.__new__, which yields exactly
+# the named tuple without a call to its generated __new__.
 class Variable(NamedTuple):
     name: str
     kind: str  # "integer" | "continuous"
@@ -125,12 +125,7 @@ def build_extensive_form(instance: Instance) -> ExtensiveForm:
     variables: list[Variable] = []
     objective: list[tuple[int, Fraction]] = []
     rows: list[Row] = []
-
-    def add_var(name: str, kind: str, upper: Fraction | None, coef: Fraction) -> int:
-        index = len(variables)
-        variables.append(Variable(name, kind, _ZERO, upper))
-        objective.append((index, coef))
-        return index
+    new = tuple.__new__  # a record per term: skip the generated __new__ frame
 
     for cid, pid, mid in triples:
         tag = f"c{circuit_pos[cid]}_p{provider_pos[pid]}_m{machine_pos[(pid, mid)]}"
@@ -152,19 +147,26 @@ def build_extensive_form(instance: Instance) -> ExtensiveForm:
         demand_rhs = {d: Fraction(d) for d in outcomes[cid].demands}
         wait_rhs = {a: Fraction(a - exec_time, MICRO) for a in outcomes[cid].waits}
 
-        reserve = Fraction(rates.reserve_per_qubit, MICRO)
-        xr = add_var(f"xr_{tag}", "integer", Fraction(capacity), reserve)
+        xr = len(variables)
+        variables.append(new(Variable, (f"xr_{tag}", "integer", _ZERO, Fraction(capacity))))
+        objective.append((xr, Fraction(rates.reserve_per_qubit, MICRO)))
         for si, (scenario, w) in enumerate(zip(space.scenarios, weights)):
             cu, co, cp = coefs[w]
-            xu = add_var(f"xu_{tag}_s{si}", "integer", None, cu)
-            xo = add_var(f"xo_{tag}_s{si}", "integer", None, co)
-            y = add_var(f"y_{tag}_s{si}", "continuous", None, cp)
+            xu = len(variables)
+            xo, y = xu + 1, xu + 2
+            suffix = f"{tag}_s{si}"
+            variables += (
+                new(Variable, (f"xu_{suffix}", "integer", _ZERO, None)),
+                new(Variable, (f"xo_{suffix}", "integer", _ZERO, None)),
+                new(Variable, (f"y_{suffix}", "continuous", _ZERO, None)),
+            )
+            objective += ((xu, cu), (xo, co), (y, cp))
             demand = demand_rhs[scenario.demand_qubits]
             wait = wait_rhs[scenario.wait_time]
             rows += (
-                Row(f"use_{tag}_s{si}", ((xu, _ONE), (xr, _MINUS_ONE)), SENSE_LE, _ZERO),
-                Row(f"dem_{tag}_s{si}", ((xu, _ONE), (xo, _ONE)), SENSE_GE, demand),
-                Row(f"wait_{tag}_s{si}", ((y, _MINUS_ONE),), SENSE_LE, wait),
+                new(Row, (f"use_{suffix}", ((xu, _ONE), (xr, _MINUS_ONE)), SENSE_LE, _ZERO)),
+                new(Row, (f"dem_{suffix}", ((xu, _ONE), (xo, _ONE)), SENSE_GE, demand)),
+                new(Row, (f"wait_{suffix}", ((y, _MINUS_ONE),), SENSE_LE, wait)),
             )
 
     return ExtensiveForm(
@@ -208,7 +210,8 @@ def _lp_lines(form: ExtensiveForm, names: list[str]) -> Iterator[str]:
     # a safe first key; equal values that are distinct objects meet under
     # their integers (hashing a Fraction costs a modular pow). A value has
     # two texts, indexed by whether a term precedes it in its sum: "-0.5"
-    # and "- 0.5", "2" and "+ 2".
+    # and "- 0.5", "2" and "+ 2". The term loops read by_id inline and
+    # call decimal() only for a value not seen yet.
     by_id: dict[int, tuple[str, str]] = {}
     by_value: dict[tuple[int, int], tuple[str, str]] = {}
 
@@ -226,11 +229,13 @@ def _lp_lines(form: ExtensiveForm, names: list[str]) -> Iterator[str]:
 
     yield "Minimize"
     for i, (index, coef) in enumerate(form.objective):
-        yield f" {'obj: ' if i == 0 else ''}{decimal(coef)[i > 0]} {names[index]}"
+        text = (by_id.get(id(coef)) or decimal(coef))[i > 0]
+        yield f" {'obj: ' if i == 0 else ''}{text} {names[index]}"
     yield "Subject To"
     for name, terms, sense, rhs in form.constraints:
         parts = [
-            f"{decimal(coef)[i > 0]} {names[index]}" for i, (index, coef) in enumerate(terms)
+            f"{(by_id.get(id(coef)) or decimal(coef))[i > 0]} {names[index]}"
+            for i, (index, coef) in enumerate(terms)
         ]
         yield f" {name}: {' '.join(parts)} {sense} {decimal(rhs)[0]}"
     yield "Bounds"

@@ -56,6 +56,12 @@ class GuardError(ModelError):
     """An enumeration oracle was asked for more work than its guard allows."""
 
 
+def check_capacity(capacity: int) -> None:
+    """Refuse a negative machine capacity before any route reads it."""
+    if capacity < 0:
+        raise CapacityError(f"capacity must be non-negative, got {capacity}")
+
+
 @dataclass(frozen=True)
 class CostRates:
     """Per-qubit rates charged by one provider for one circuit (micro-dollars)."""
@@ -324,16 +330,25 @@ def _parse_circuit(entry: dict, where: str) -> Circuit:
 
 
 def _csv_records(
-    reader: csv.DictReader, columns: tuple[str, ...]
+    reader: csv.DictReader,
+    columns: tuple[str, ...],
+    skip: Callable[[dict], bool] | None = None,
 ) -> Iterator[tuple[str, dict]]:
     """The rows of a CSV, each with its line number and every column filled.
 
-    A row with more fields than the header files the rest under ``None``.
+    A row with more fields than the header files the rest under ``None``,
+    and a row with fewer has ``None`` for each missing column. Rows for
+    which ``skip`` is true are passed over.
     """
     for row in reader:
+        if skip is not None and skip(row):
+            continue
         where = f"line {reader.line_num}"
-        if None in row or any(row.get(col) in (None, "") for col in columns):
+        if None in row or any(row.get(col) is None for col in columns):
             raise InstanceError(f"{where}: malformed row (expected 4 columns)")
+        for col in columns:
+            if not row[col]:
+                raise InstanceError(f"{where}: empty {col}")
         yield where, row
 
 
@@ -550,11 +565,18 @@ def load_instance(path: str | Path, *, check: bool = True) -> Instance:
     return instance_from_document(doc, path.parent, check=check)
 
 
+def _is_total_row(row: dict) -> bool:
+    """The summary row of a solution CSV: no triple, only sums."""
+    return row["circuit_id"] == "TOTAL" and row["provider_id"] == row["machine_id"] == ""
+
+
 def load_reservations(path: str | Path) -> dict[tuple[str, str, str], int]:
     """A reservation vector from a CSV file, one level per triple.
 
     The header must name the columns circuit_id, provider_id, machine_id
-    and reserved, in any order; other columns are ignored.
+    and reserved, in any order; other columns are ignored. The ``TOTAL``
+    row that ends ``qres solve`` output is skipped, so a solved CSV reads
+    back as its reservation vector.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
@@ -562,7 +584,7 @@ def load_reservations(path: str | Path) -> dict[tuple[str, str, str], int]:
             raise InstanceError(
                 f"reservations CSV needs columns {','.join(_RESERVATION_COLUMNS)}"
             )
-        records = _csv_records(reader, _RESERVATION_COLUMNS)
+        records = _csv_records(reader, _RESERVATION_COLUMNS, _is_total_row)
         return _triple_entries(records, _RESERVATION_COLUMNS, parse_integer)
 
 

@@ -12,7 +12,11 @@ filled to min(reserved, demand) when it is free, and the over-wait is its
 smallest feasible value even when the penalty rate is zero.
 
 A decision is the named tuple ``(utilized, on_demand, over_wait)``; the
-scenario-route oracles unpack it in that order.
+scenario-route oracles unpack it in that order. The oracle makes one
+decision per (scenario, level), so :func:`optimal_recourse` builds it with
+``tuple.__new__`` (still exactly a :class:`RecourseDecision`, without the
+generated ``__new__`` frame) and :func:`penalty_time` takes the positive
+part with a conditional rather than a ``max()`` call.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ def penalty_time(exec_time: int, wait_time: int) -> int:
     """Over-waiting in microseconds: max(0, exec_time - wait_time)."""
     if exec_time < 0 or wait_time < 0:
         raise ValueError("times must be non-negative")
-    return max(0, exec_time - wait_time)
+    return exec_time - wait_time if exec_time > wait_time else 0
 
 
 def penalty_cost(penalty_per_second: int, over_wait: int) -> Fraction:
@@ -66,6 +70,7 @@ def optimal_recourse(
     utilized = 0
     if rates.utilize_per_qubit <= rates.on_demand_per_qubit:
         utilized = reserved if reserved < beta else beta
-    return RecourseDecision(
-        utilized, beta - utilized, penalty_time(exec_time, scenario.wait_time)
+    return tuple.__new__(
+        RecourseDecision,
+        (utilized, beta - utilized, penalty_time(exec_time, scenario.wait_time)),
     )

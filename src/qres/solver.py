@@ -46,6 +46,7 @@ from .instance import (
     Instance,
     ModelError,
     TripleKey,
+    check_capacity,
 )
 from .recourse import optimal_recourse, penalty_time
 from .scenarios import (
@@ -61,12 +62,6 @@ BRUTE_FORCE_CAPACITY_GUARD = 10**4
 BRUTE_FORCE_WORK_GUARD = 10**8  # scenario evaluations in one brute-force check
 JOINT_ENUMERATION_GUARD = 10**6
 SPOT_CHECK_VECTORS = 20
-
-
-def check_capacity(capacity: int) -> None:
-    """Refuse a negative machine capacity before any route reads it."""
-    if capacity < 0:
-        raise CapacityError(f"capacity must be non-negative, got {capacity}")
 
 
 class TripleCost(NamedTuple):

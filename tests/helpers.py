@@ -62,6 +62,36 @@ def make_instance(
     )
 
 
+def audit_shaped_doc() -> dict:
+    """12 triples of 40 demands x 10 waits: an LP of about 38,000 lines."""
+    providers = ["p1", "p2"]
+    machines = [
+        {"provider": p, "machine": m, "capacity": 30}
+        for p in providers
+        for m in ("m1", "m2")
+    ]
+    circuits = [
+        {
+            "id": f"c{i}",
+            "demand_set": {"lo": 2 * i, "hi": 2 * i + 39, "step": 1},
+            "wait_set": [(1000 * i + 500 * k) / 10**6 for k in range(10)],
+        }
+        for i in range(3)
+    ]
+    return {
+        "circuits": circuits,
+        "providers": providers,
+        "machines": machines,
+        "default_rates": {"reserve": 1.68, "utilize": 0.1, "on_demand": 7, "penalty": 10},
+        "exec_times": [
+            {"circuit": c["id"], "provider": m["provider"], "machine": m["machine"],
+             "seconds": 0.002 + 0.001 * i}
+            for i, c in enumerate(circuits)
+            for m in machines
+        ],
+    }
+
+
 def solve_one_triple(
     rates: CostRates,
     demand,

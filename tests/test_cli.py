@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from helpers import audit_shaped_doc
 from qres import cli, extform, scenarios, solver
 from qres.cli import run, write_atomic
 from qres.extform import build_extensive_form, parse_lp, render_lp
@@ -1155,36 +1156,6 @@ def test_export_lp_matches_golden(tmp_path, capsys, data_dir):
     assert out == (data_dir / "golden_single.lp").read_text(encoding="utf-8")
 
 
-def audit_shaped_doc() -> dict:
-    """12 triples of 40 demands x 10 waits: an LP of about 38,000 lines."""
-    providers = ["p1", "p2"]
-    machines = [
-        {"provider": p, "machine": m, "capacity": 30}
-        for p in providers
-        for m in ("m1", "m2")
-    ]
-    circuits = [
-        {
-            "id": f"c{i}",
-            "demand_set": {"lo": 2 * i, "hi": 2 * i + 39, "step": 1},
-            "wait_set": [(1000 * i + 500 * k) / 10**6 for k in range(10)],
-        }
-        for i in range(3)
-    ]
-    return {
-        "circuits": circuits,
-        "providers": providers,
-        "machines": machines,
-        "default_rates": single_triple_doc()["default_rates"],
-        "exec_times": [
-            {"circuit": c["id"], "provider": m["provider"], "machine": m["machine"],
-             "seconds": 0.002 + 0.001 * i}
-            for i, c in enumerate(circuits)
-            for m in machines
-        ],
-    }
-
-
 @pytest.mark.parametrize("shape", ["reference", "audit-shaped"])
 def test_export_lp_stdout_and_file_are_the_rendered_bytes(shape, tmp_path, capsys):
     path = REF if shape == "reference" else write_doc(tmp_path, audit_shaped_doc())
@@ -1284,6 +1255,28 @@ def test_eval_bad_row_is_one_error_line(rows, message, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_eval_reads_the_csv_that_solve_writes(tmp_path, capsys):
+    solved = tmp_path / "solution.csv"
+    assert run(["solve", REF]) == 0
+    printed = capsys.readouterr().out
+    assert run(["solve", REF, "-o", str(solved)]) == 0
+    assert solved.read_text(encoding="utf-8") == printed
+    assert run(["eval", REF, "--reservations", str(solved)]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (printed, "")
+
+
+def test_eval_empty_field_names_its_column(tmp_path, capsys):
+    vector = tmp_path / "vector.csv"
+    vector.write_text(
+        "circuit_id,provider_id,machine_id,reserved\nqft,p1,,3\n", encoding="utf-8"
+    )
+    assert run(["eval", REF, "--reservations", str(vector)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 2: empty machine_id\n"
 
 
 def test_row_longer_than_its_header_is_one_error_line(tmp_path, capsys):

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import REF_RATES, make_instance, make_rates, random_instance, random_probs
+from helpers import (
+    REF_RATES,
+    audit_shaped_doc,
+    make_instance,
+    make_rates,
+    random_instance,
+    random_probs,
+)
 from qres.extform import (
     SENSE_GE,
     SENSE_LE,
@@ -137,6 +144,20 @@ def test_build_is_deterministic(reference_instance):
     assert build_extensive_form(reference_instance) == build_extensive_form(
         reference_instance
     )
+
+
+@pytest.mark.parametrize("shape", ["reference", "audit-shaped"])
+def test_records_are_exactly_variables_and_rows(shape, reference_instance):
+    if shape == "reference":
+        instance = reference_instance
+    else:
+        instance = instance_from_document(audit_shaped_doc())
+    form = build_extensive_form(instance)
+    assert all(
+        type(v) is Variable and len(v) == len(Variable._fields) for v in form.variables
+    )
+    assert all(type(r) is Row and len(r) == len(Row._fields) for r in form.constraints)
+    assert parse_lp(render_lp(form)) == form
 
 
 def test_oversized_form_is_refused_naming_its_size():

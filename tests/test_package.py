@@ -13,6 +13,7 @@ import pytest
 
 import qres
 import qres.cli
+import qres.instance
 import qres.solver
 from qres.instance import load_instance
 
@@ -139,6 +140,10 @@ def test_error_classes_resolve_without_the_solver():
     assert qres.ModelError is qres.solver.ModelError
 
 
+def test_check_capacity_is_one_function():
+    assert qres.solver.check_capacity is qres.instance.check_capacity
+
+
 # Runs one command in a fresh interpreter and prints the qres modules it loaded.
 _LOADED = """
 import sys
@@ -161,7 +166,7 @@ COMMANDS = [
         ["surface", "--grid", "0:30:10", "--waits", "0:0.01:0.005"],
         _SOLVER | {"qres.sweep"},
     ),
-    (["export-lp"], _SOLVER | {"qres.extform"}),
+    (["export-lp"], _BASE | {"qres.scenarios", "qres.extform"}),
 ]
 
 

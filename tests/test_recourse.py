@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from helpers import REF_RATES, enumerate_recourse, make_rates
 from qres.recourse import (
@@ -131,3 +134,50 @@ def test_cost_non_increasing_in_reservation_when_utilization_cheaper():
             recourse_cost(rates, optimal_recourse(r, s, rates, t)) for r in range(11)
         ]
         assert all(a >= b for a, b in zip(costs, costs[1:]))
+
+
+# Small values make ties and off-by-one neighbours common; large ones stay in.
+quantities = st.integers(0, 30) | st.integers(0, 10**9)
+money = st.integers(0, 10**8)
+
+
+@given(
+    reserved=quantities,
+    beta=quantities,
+    wait=quantities,
+    exec_time=quantities,
+    utilize=money,
+    on_demand=money,
+)
+@example(reserved=3, beta=5, wait=7000, exec_time=7000, utilize=9, on_demand=5)
+@example(reserved=8, beta=5, wait=2000, exec_time=7000, utilize=5, on_demand=5)
+def test_decision_is_the_textbook_tuple(reserved, beta, wait, exec_time, utilize, on_demand):
+    rates = make_rates(utilize=utilize, on_demand=on_demand, penalty=10)
+    d = optimal_recourse(reserved, scen(beta, wait), rates, exec_time)
+    assert type(d) is RecourseDecision
+    used = min(reserved, beta) if utilize <= on_demand else 0
+    late = max(0, exec_time - wait)
+    assert d == (used, beta - used, late)
+    assert (d.utilized, d.on_demand, d.over_wait) == (used, beta - used, late)
+    assert penalty_time(exec_time, wait) == late
+
+
+def test_penalty_time_is_the_positive_part_on_a_small_grid():
+    for exec_time, wait in itertools.product(range(6), repeat=2):
+        late = max(0, exec_time - wait)
+        assert penalty_time(exec_time, wait) == late
+        assert optimal_recourse(2, scen(3, wait), REF_RATES, exec_time).over_wait == late
+
+
+@given(negative=st.integers(max_value=-1), other=quantities)
+def test_negative_time_or_reservation_raises(negative, other):
+    with pytest.raises(ValueError):
+        penalty_time(negative, other)
+    with pytest.raises(ValueError):
+        penalty_time(other, negative)
+    with pytest.raises(ValueError):
+        optimal_recourse(negative, scen(other, other), REF_RATES, other)
+    with pytest.raises(ValueError):
+        optimal_recourse(other, scen(other, negative), REF_RATES, other)
+    with pytest.raises(ValueError):
+        optimal_recourse(other, scen(other, other), REF_RATES, negative)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     REF_RATES,
+    audit_shaped_doc,
     make_instance,
     make_rates,
     probabilities,
@@ -21,7 +22,14 @@ from helpers import (
     solve_one_triple,
 )
 from qres import solver
-from qres.instance import CostRates, Circuit, Instance, Machine, validate
+from qres.instance import (
+    CostRates,
+    Circuit,
+    Instance,
+    Machine,
+    instance_from_document,
+    validate,
+)
 from qres.recourse import optimal_recourse, penalty_cost, recourse_cost
 from qres.extform import build_extensive_form
 from qres.scenarios import ScenarioError, space_for_circuit
@@ -325,6 +333,32 @@ def test_brute_force_prices_every_scenario_through_optimal_recourse(monkeypatch)
     monkeypatch.setattr(solver, "optimal_recourse", counted)
     brute_force_triple(REF_RATES, REF_DEMAND, REF_WAIT, 5000, 30)
     assert len(calls) == 31 * len(REF_DEMAND) * len(REF_WAIT)
+
+
+@pytest.mark.parametrize("shape", ["reference", "audit-shaped"])
+def test_verify_solution_prices_every_evaluation_through_optimal_recourse(
+    shape, reference_instance, monkeypatch
+):
+    if shape == "reference":
+        instance = reference_instance
+    else:
+        instance = instance_from_document(audit_shaped_doc())
+    solution = solve_instance(instance)
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return optimal_recourse(*args)
+
+    monkeypatch.setattr(solver, "optimal_recourse", counted)
+    _, evaluations = verify_solution(instance, solution, seed=1)
+    assert calls == evaluations
+    assert evaluations == sum(
+        (instance.machine(pid, mid).capacity_qubits + 1)
+        * len(space_for_circuit(instance, cid))
+        for cid, pid, mid in instance.triples()
+    )
 
 
 # --- joint enumeration oracle -----------------------------------------------

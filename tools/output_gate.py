@@ -1,0 +1,155 @@
+"""Byte-identity gate: two source trees must print and write the same bytes.
+
+    python3 tools/output_gate.py PARENT_SRC CHANGE_SRC [--seeds 1-10]
+
+PARENT_SRC and CHANGE_SRC are directories that hold the ``qres`` package,
+such as the ``src/`` of two checkouts. For each seed of each benchmark
+workload, the instance comes from ``perfbench/workloads.py`` (imported,
+never written), and both trees run, as ``python -m qres.cli`` children:
+``validate``, every command of the workload, ``solve --oracle --seed N -v``,
+``export-lp -o FILE`` and ``eval`` of the vector that their own ``solve``
+printed. Each child runs in a directory of its own tree with the same
+relative paths, so the bytes can be compared as they are. Every difference
+in stdout, stderr, exit code or written file is printed, and so is a
+command that fails in both trees; the exit status is 1 if there is one,
+2 on a usage error, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.dont_write_bytecode = True  # leave perfbench/ exactly as checked out
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from checks import reservations_csv  # noqa: E402
+from workloads import WORKLOADS, Shape, generate  # noqa: E402
+
+INSTANCE = "instance.json"
+VECTOR = "reservations.csv"
+
+
+def commands(shape: Shape, seed: int) -> list[list[str]]:
+    """The argument lists to compare, ``solve`` first: ``eval`` reads its vector."""
+    workload = {
+        "solve": ["solve", INSTANCE],
+        "eval": ["eval", INSTANCE, "--reservations", VECTOR],
+        "sweep": ["sweep", INSTANCE, "--grid", shape.sweep_grid],
+        "surface": [
+            "surface", INSTANCE, "--grid", shape.surface_grid,
+            "--waits", shape.surface_waits,
+        ],
+        "export-lp": ["export-lp", INSTANCE, "-o", "export.lp"],
+        "oracle": ["solve", INSTANCE, "--oracle", "--seed", str(seed)],
+    }
+    runs = [
+        workload["solve"],
+        ["validate", INSTANCE],
+        *(workload[name] for name in shape.commands),
+        ["solve", INSTANCE, "--oracle", "--seed", str(seed), "-v"],
+        workload["export-lp"],
+        workload["eval"],
+    ]
+    unique: list[list[str]] = []
+    for args in runs:
+        if args not in unique:
+            unique.append(args)
+    return unique
+
+
+def run(src: Path, cwd: Path, args: list[str]) -> tuple[int, bytes, bytes, bytes | None]:
+    """Exit code, stdout, stderr and the ``-o`` file of one CLI child."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    output = cwd / args[args.index("-o") + 1] if "-o" in args else None
+    if output is not None:
+        output.unlink(missing_ok=True)
+    done = subprocess.run(
+        [sys.executable, "-m", "qres.cli", *args],
+        cwd=cwd, env=env, capture_output=True, check=False,
+    )
+    written = output.read_bytes() if output is not None and output.exists() else None
+    return done.returncode, done.stdout, done.stderr, written
+
+
+def first_difference(a: bytes | None, b: bytes | None) -> str:
+    if a is None or b is None:
+        return "written by one tree only"
+    for number, (left, right) in enumerate(zip(a.splitlines(), b.splitlines()), 1):
+        if left != right:
+            start = max(0, len(os.path.commonprefix([left, right])) - 20)
+            return f"line {number}: {left[start:start + 60]!r} != {right[start:start + 60]!r}"
+    return f"{len(a)} bytes != {len(b)} bytes"
+
+
+def compare(trees: dict[str, Path], work: Path, name: str, seed: int) -> tuple[int, list[str]]:
+    """Run one seed of one workload in both trees; return (comparisons, differences).
+
+    A command that fails in both trees alike is a difference too: an
+    identical error would make the comparison vacuous.
+    """
+    shape = WORKLOADS[name]
+    dirs = {label: work / f"{name}-{seed}" / label for label in trees}
+    for d in dirs.values():
+        d.mkdir(parents=True)
+    instance = generate(shape, seed, dirs["parent"])
+    shutil.copy(instance, dirs["change"] / INSTANCE)
+    differences = []
+    runs = commands(shape, seed)
+    for args in runs:
+        results = {label: run(src, dirs[label], args) for label, src in trees.items()}
+        if args == ["solve", INSTANCE]:
+            for label, (code, out, _, _) in results.items():
+                text = reservations_csv(out.decode("utf-8")) if code == 0 else ""
+                (dirs[label] / VECTOR).write_text(text, encoding="utf-8")
+        parent, change = results["parent"], results["change"]
+        if parent[0] != 0 and parent == change:
+            differences.append(f"{name} seed {seed}: qres {' '.join(args)}: "
+                               f"exited {parent[0]} in both trees: {parent[2][-200:]!r}")
+        for what, a, b in zip(("exit code", "stdout", "stderr", "written file"), parent, change):
+            if a != b:
+                detail = f"{a} != {b}" if what == "exit code" else first_difference(a, b)
+                differences.append(f"{name} seed {seed}: qres {' '.join(args)}: {what}: {detail}")
+    return len(runs), differences
+
+
+def seeds(spec: str) -> list[int]:
+    lo, _, hi = spec.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_src", type=Path)
+    parser.add_argument("change_src", type=Path)
+    parser.add_argument("--seeds", type=seeds, default=seeds("1-10"), help="e.g. 1-10")
+    args = parser.parse_args(argv)
+    trees = {"parent": args.parent_src.resolve(), "change": args.change_src.resolve()}
+    for src in trees.values():
+        if not (src / "qres" / "__init__.py").is_file():
+            print(f"error: no qres package under {src}", file=sys.stderr)
+            return 2
+
+    total, differences = 0, []
+    with tempfile.TemporaryDirectory(prefix="output-gate-") as work:
+        for name in WORKLOADS:
+            for seed in args.seeds:
+                count, found = compare(trees, Path(work), name, seed)
+                total += count
+                differences += found
+                print(f"{name} seed {seed}: {count} commands, {len(found)} differences",
+                      flush=True)
+    for line in differences:
+        print(f"DIFFERS {line}")
+    print(f"{total} comparisons, {len(differences)} differences")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
