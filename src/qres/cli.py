@@ -240,16 +240,13 @@ def _cmd_surface(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_lp(args: argparse.Namespace) -> int:
-    from .extform import build_extensive_form, lp_chunks
+    from .extform import plan_form, plan_lp_chunks, plan_size
 
-    instance = load_instance(args.instance)
-    form = build_extensive_form(instance)
+    plans = plan_form(load_instance(args.instance))
     if args.verbose:
-        print(
-            f"{len(form.variables)} variables, {len(form.constraints)} rows",
-            file=sys.stderr,
-        )
-    _write_output(lp_chunks(form), args.output)
+        variables, rows = plan_size(plans)
+        print(f"{variables} variables, {rows} rows", file=sys.stderr)
+    _write_output(plan_lp_chunks(plans), args.output)
     return 0
 
 

@@ -8,15 +8,22 @@ are exact rationals in dollars and seconds, and the LP writer prints them
 as exact finite decimals, so export followed by parse reproduces the
 form bit for bit.
 
-A form has far fewer distinct values than terms. A scenario's
-coefficient is its integer weight times an integer micro-unit rate over
-the space's common denominator times 10^6, built once per distinct
-weight of a triple; each rhs is built once per distinct demand and wait,
-and the unit coefficients, zero rhs and lower bounds share one object
-each. The writer formats each distinct value once, and yields the text
-in chunks of whole lines (`lp_chunks`), so a caller can write each chunk
-as it is made instead of holding the whole LP beside the form; every
-name is checked before the first chunk.
+A form has far fewer distinct values than terms. Everything the model
+decides for a triple is computed once into its :class:`TriplePlan`: its
+name tag, the reservation coefficient and capacity bound, its circuit's
+scenario space, the coefficients per distinct scenario weight (the
+integer weight times an integer micro-unit rate over the space's common
+denominator times 10^6), and the rhs per distinct demand and wait. The
+unit coefficients, zero rhs and lower bounds share one object each.
+
+The plans have two consumers. `build_extensive_form` builds the explicit
+records from them. `plan_lp_chunks` writes the LP text straight from
+them, and `export-lp` uses it, so no record of the form is ever built
+there; its bytes equal `render_lp(build_extensive_form(instance))`.
+`lp_chunks` and `render_lp` write any form, parsed or built by hand.
+Both writers format each distinct value once, check every name before
+the first chunk, and yield the text in chunks of whole lines, so a
+caller can write each chunk as it is made and never hold the whole LP.
 
 Capacity is encoded as the reservation variable's upper bound rather
 than a constraint row, so each (triple, scenario) contributes exactly
@@ -39,7 +46,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from .instance import GRID_GUARD, GuardError, Instance, ModelError, check_capacity
-from .scenarios import circuit_marginals, space_for_circuit
+from .scenarios import ScenarioSpace, circuit_marginals, space_for_circuit
 from .units import MICRO, exact_decimal, fraction_from_decimal
 
 ENUMERATION_GUARD = 10**6
@@ -86,16 +93,31 @@ class ExtensiveForm:
     constraints: tuple[Row, ...]
 
 
-def build_extensive_form(instance: Instance) -> ExtensiveForm:
-    """Explicit deterministic equivalent of an instance.
+class TriplePlan(NamedTuple):
+    """Everything the model decides for one triple, computed once.
 
-    Variable order: triples sorted by id, and per triple the reservation
-    variable followed by (utilize, on-demand, over-wait) per scenario.
-    Names carry zero-based circuit/provider/machine positions and the
-    scenario index; that naming is a frozen contract (golden files and
-    the enumeration solver rely on it). A negative capacity, an unknown
-    circuit, or a form of more than GRID_GUARD scenarios summed over all
-    triples, is refused before any scenario space is built.
+    ``coefs`` maps each distinct scenario weight of the space to the
+    (utilize, on-demand, over-wait) objective coefficients; ``demand_rhs``
+    and ``wait_rhs`` map each distinct demand and wait to its row's rhs.
+    """
+
+    tag: str  # c{i}_p{j}_m{k}
+    reserve: Fraction  # the reservation variable's objective coefficient
+    capacity: Fraction  # and its upper bound
+    space: ScenarioSpace
+    coefs: dict[int, tuple[Fraction, Fraction, Fraction]]
+    demand_rhs: dict[int, Fraction]
+    wait_rhs: dict[int, Fraction]
+
+
+def plan_form(instance: Instance) -> list[TriplePlan]:
+    """The plan of every triple of an instance, in triple order.
+
+    Names carry zero-based circuit/provider/machine positions; that naming
+    is a frozen contract (golden files and the enumeration solver rely on
+    it). A negative capacity, an unknown circuit, or a form of more than
+    GRID_GUARD scenarios summed over all triples, is refused before any
+    scenario space is built.
     """
     triples = instance.triples()
     for _, pid, mid in triples:
@@ -122,35 +144,59 @@ def build_extensive_form(instance: Instance) -> ExtensiveForm:
 
     spaces = {cid: space_for_circuit(instance, cid) for cid in outcomes}
 
-    variables: list[Variable] = []
-    objective: list[tuple[int, Fraction]] = []
-    rows: list[Row] = []
-    new = tuple.__new__  # a record per term: skip the generated __new__ frame
-
+    plans = []
     for cid, pid, mid in triples:
         tag = f"c{circuit_pos[cid]}_p{provider_pos[pid]}_m{machine_pos[(pid, mid)]}"
         rates = instance.rate(cid, pid)
-        capacity = instance.machine(pid, mid).capacity_qubits
         exec_time = instance.exec_time(cid, pid, mid)
         space = spaces[cid]
         # p == w / L exactly, so p * rate / MICRO == w * rate / (L * MICRO).
         common, weights = space.weights
         scale = common * MICRO
-        coefs = {
-            w: (
-                Fraction(w * rates.utilize_per_qubit, scale),
-                Fraction(w * rates.on_demand_per_qubit, scale),
-                Fraction(w * rates.penalty_per_second, scale),
+        plans.append(
+            TriplePlan(
+                tag=tag,
+                reserve=Fraction(rates.reserve_per_qubit, MICRO),
+                capacity=Fraction(instance.machine(pid, mid).capacity_qubits),
+                space=space,
+                coefs={
+                    w: (
+                        Fraction(w * rates.utilize_per_qubit, scale),
+                        Fraction(w * rates.on_demand_per_qubit, scale),
+                        Fraction(w * rates.penalty_per_second, scale),
+                    )
+                    for w in set(weights)
+                },
+                demand_rhs={d: Fraction(d) for d in outcomes[cid].demands},
+                wait_rhs={
+                    a: Fraction(a - exec_time, MICRO) for a in outcomes[cid].waits
+                },
             )
-            for w in set(weights)
-        }
-        demand_rhs = {d: Fraction(d) for d in outcomes[cid].demands}
-        wait_rhs = {a: Fraction(a - exec_time, MICRO) for a in outcomes[cid].waits}
+        )
+    return plans
 
+
+def build_extensive_form(instance: Instance) -> ExtensiveForm:
+    """Explicit deterministic equivalent of an instance, built from its plan.
+
+    Variable order: triples sorted by id, and per triple the reservation
+    variable followed by (utilize, on-demand, over-wait) per scenario.
+    Refused as :func:`plan_form` refuses.
+    """
+    return _form(plan_form(instance))
+
+
+def _form(plans: list[TriplePlan]) -> ExtensiveForm:
+    variables: list[Variable] = []
+    objective: list[tuple[int, Fraction]] = []
+    rows: list[Row] = []
+    new = tuple.__new__  # a record per term: skip the generated __new__ frame
+
+    for tag, reserve, capacity, space, coefs, demand_rhs, wait_rhs in plans:
         xr = len(variables)
-        variables.append(new(Variable, (f"xr_{tag}", "integer", _ZERO, Fraction(capacity))))
-        objective.append((xr, Fraction(rates.reserve_per_qubit, MICRO)))
-        for si, (scenario, w) in enumerate(zip(space.scenarios, weights)):
+        variables.append(new(Variable, (f"xr_{tag}", "integer", _ZERO, capacity)))
+        objective.append((xr, reserve))
+        for si, (scenario, w) in enumerate(zip(space.scenarios, space.weights[1])):
             cu, co, cp = coefs[w]
             xu = len(variables)
             xo, y = xu + 1, xu + 2
@@ -176,6 +222,12 @@ def build_extensive_form(instance: Instance) -> ExtensiveForm:
     )
 
 
+def plan_size(plans: list[TriplePlan]) -> tuple[int, int]:
+    """The variables and rows of the form of these plans, counted from the spaces."""
+    scenarios = sum(len(plan.space) for plan in plans)
+    return len(plans) + 3 * scenarios, 3 * scenarios
+
+
 # ---------------------------------------------------------------------------
 # LP text format
 # ---------------------------------------------------------------------------
@@ -194,9 +246,7 @@ def lp_chunks(form: ExtensiveForm) -> Iterator[str]:
     for row in form.constraints:
         if not _NAME_RE.fullmatch(row.name):
             raise ValueError(f"constraint name not exportable: {row.name!r}")
-    lines = _lp_lines(form, names)
-    while batch := list(itertools.islice(lines, _CHUNK_LINES)):
-        yield "\n".join(batch) + "\n"
+    yield from _chunks(_lp_lines(form, names))
 
 
 def render_lp(form: ExtensiveForm) -> str:
@@ -204,14 +254,43 @@ def render_lp(form: ExtensiveForm) -> str:
     return "".join(lp_chunks(form))
 
 
+def plan_lp_chunks(plans: list[TriplePlan]) -> Iterator[str]:
+    """The LP text of the form of these plans, made without the form.
+
+    The chunks join to ``render_lp(build_extensive_form(instance))`` for
+    ``plans = plan_form(instance)``, and every name is checked as
+    :func:`lp_chunks` checks it, before the first chunk.
+    """
+    # Within a triple every name is a short prefix, the tag and a scenario
+    # suffix, and wait_{tag}_s{n-1} is the longest: when it can be written
+    # every name of the triple can. When one cannot, the form's own check
+    # names the first name that fails.
+    if not all(_NAME_RE.fullmatch(f"wait_{p.tag}_s{len(p.space) - 1}") for p in plans):
+        next(lp_chunks(_form(plans)))
+    yield from _chunks(_plan_lines(plans))
+
+
+def _chunks(lines: Iterator[str]) -> Iterator[str]:
+    while batch := list(itertools.islice(lines, _CHUNK_LINES)):
+        yield "\n".join(batch) + "\n"
+
+
+def _texts(value: Fraction) -> tuple[str, str]:
+    """A value's two texts, by whether a term precedes it in its sum.
+
+    "-0.5" and "- 0.5", "2" and "+ 2".
+    """
+    text = exact_decimal(value)
+    return text, f"- {text[1:]}" if text[0] == "-" else f"+ {text}"
+
+
 def _lp_lines(form: ExtensiveForm, names: list[str]) -> Iterator[str]:
     # A form repeats few distinct values many times: format each once. The
     # form keeps every value alive while it is written, so a value's id is
     # a safe first key; equal values that are distinct objects meet under
-    # their integers (hashing a Fraction costs a modular pow). A value has
-    # two texts, indexed by whether a term precedes it in its sum: "-0.5"
-    # and "- 0.5", "2" and "+ 2". The term loops read by_id inline and
-    # call decimal() only for a value not seen yet.
+    # their integers (hashing a Fraction costs a modular pow). The term
+    # loops read by_id inline and call decimal() only for a value not seen
+    # yet.
     by_id: dict[int, tuple[str, str]] = {}
     by_value: dict[tuple[int, int], tuple[str, str]] = {}
 
@@ -221,9 +300,7 @@ def _lp_lines(form: ExtensiveForm, names: list[str]) -> Iterator[str]:
             key = value.numerator, value.denominator
             texts = by_value.get(key)
             if texts is None:
-                text = exact_decimal(value)
-                texts = text, f"- {text[1:]}" if text[0] == "-" else f"+ {text}"
-                by_value[key] = texts
+                texts = by_value[key] = _texts(value)
             by_id[id(value)] = texts
         return texts
 
@@ -251,24 +328,99 @@ def _lp_lines(form: ExtensiveForm, names: list[str]) -> Iterator[str]:
     yield "End"
 
 
-def _parse_terms(tokens: list[str], line_no: int) -> list[tuple[Fraction, str]]:
+def _plan_lines(plans: list[TriplePlan]) -> Iterator[str]:
+    # The lines _lp_lines prints for the form of these plans, in its order
+    # and layouts, each distinct value of a plan formatted once. The
+    # layouts are written out here rather than shared with _lp_lines
+    # through helpers: a call per line cost about 14% of this writer.
+    by_value: dict[tuple[int, int], tuple[str, str]] = {}
+
+    def texts(value: Fraction) -> tuple[str, str]:
+        key = value.numerator, value.denominator
+        found = by_value.get(key)
+        if found is None:
+            found = by_value[key] = _texts(value)
+        return found
+
+    zero, one, minus_one = texts(_ZERO)[0], texts(_ONE), texts(_MINUS_ONE)
+
+    yield "Minimize"
+    for i, plan in enumerate(plans):
+        tag = plan.tag
+        reserve = texts(plan.reserve)
+        yield f" obj: {reserve[0]} xr_{tag}" if i == 0 else f" {reserve[1]} xr_{tag}"
+        coefs = {w: [texts(c)[1] for c in cs] for w, cs in plan.coefs.items()}
+        for si, w in enumerate(plan.space.weights[1]):
+            cu, co, cp = coefs[w]
+            yield f" {cu} xu_{tag}_s{si}"
+            yield f" {co} xo_{tag}_s{si}"
+            yield f" {cp} y_{tag}_s{si}"
+    yield "Subject To"
+    le, ge = SENSE_LE, SENSE_GE
+    for plan in plans:
+        tag = plan.tag
+        demand = {d: texts(v)[0] for d, v in plan.demand_rhs.items()}
+        wait = {a: texts(v)[0] for a, v in plan.wait_rhs.items()}
+        for si, scenario in enumerate(plan.space.scenarios):
+            s = f"{tag}_s{si}"
+            yield f" use_{s}: {one[0]} xu_{s} {minus_one[1]} xr_{tag} {le} {zero}"
+            yield (
+                f" dem_{s}: {one[0]} xu_{s} {one[1]} xo_{s} {ge} "
+                f"{demand[scenario.demand_qubits]}"
+            )
+            yield f" wait_{s}: {minus_one[0]} y_{s} {le} {wait[scenario.wait_time]}"
+    yield "Bounds"
+    for plan in plans:
+        yield f" {zero} <= xr_{plan.tag} <= {texts(plan.capacity)[0]}"
+    yield "Generals"
+    for plan in plans:
+        tag = plan.tag
+        yield f" xr_{tag}"
+        for si in range(len(plan.space)):
+            yield f" xu_{tag}_s{si}"
+            yield f" xo_{tag}_s{si}"
+    yield "End"
+
+
+def _number(
+    numbers: dict[tuple[str, bool], Fraction], text: str, negate: bool = False
+) -> Fraction:
+    """The number a text reads as, negated if asked, read once per text and sign.
+
+    A text that cannot be read raises at every reading.
+    """
+    value = numbers.get((text, negate))
+    if value is None:
+        value = fraction_from_decimal(text)
+        value = numbers[text, negate] = -value if negate else value
+    return value
+
+
+def _parse_terms(
+    tokens: list[str],
+    line_no: int,
+    numbers: dict[tuple[str, bool], Fraction],
+    names: set[str],
+) -> list[tuple[Fraction, str]]:
     terms: list[tuple[Fraction, str]] = []
     pos = 0
     while pos < len(tokens):
-        sign = 1
+        negate = False
         tok = tokens[pos]
         if tok in ("+", "-"):
-            sign = -1 if tok == "-" else 1
+            negate = tok == "-"
             pos += 1
         if pos + 1 >= len(tokens):
             raise LpParseError(f"line {line_no}: truncated term")
         try:
-            coef = sign * fraction_from_decimal(tokens[pos])
+            coef = _number(numbers, tokens[pos], negate)
         except ValueError as exc:
             raise LpParseError(f"line {line_no}: bad coefficient {tokens[pos]!r}") from exc
         name = tokens[pos + 1]
-        if not _NAME_RE.fullmatch(name):
-            raise LpParseError(f"line {line_no}: bad variable name {name!r}")
+        if name not in names:
+            if not _NAME_RE.fullmatch(name):
+                raise LpParseError(f"line {line_no}: bad variable name {name!r}")
+            names.add(name)
         terms.append((coef, name))
         pos += 2
     return terms
@@ -286,6 +438,8 @@ def parse_lp(text: str) -> ExtensiveForm:
     bounds: dict[str, tuple[Fraction, Fraction]] = {}
     generals: set[str] = set()
     saw_end = False
+    numbers: dict[tuple[str, bool], Fraction] = {}  # see _number
+    names: set[str] = set()  # variable names already found well formed
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -306,7 +460,7 @@ def parse_lp(text: str) -> ExtensiveForm:
                 tokens = line.split()
                 if not objective_terms or tokens[0] not in ("+", "-"):
                     raise LpParseError(f"line {line_no}: expected objective term")
-            terms = _parse_terms(tokens, line_no)
+            terms = _parse_terms(tokens, line_no, numbers, names)
             objective_terms.extend(terms)
         elif section == "Subject To":
             if ":" not in line:
@@ -323,11 +477,11 @@ def parse_lp(text: str) -> ExtensiveForm:
                     break
             if sense_pos is None or sense_pos != len(tokens) - 2:
                 raise LpParseError(f"line {line_no}: expected '<= rhs' or '>= rhs'")
-            terms = _parse_terms(tokens[:sense_pos], line_no)
+            terms = _parse_terms(tokens[:sense_pos], line_no, numbers, names)
             if not terms:
                 raise LpParseError(f"line {line_no}: constraint with no terms")
             try:
-                rhs = fraction_from_decimal(tokens[-1])
+                rhs = _number(numbers, tokens[-1])
             except ValueError as exc:
                 raise LpParseError(f"line {line_no}: bad rhs {tokens[-1]!r}") from exc
             raw_rows.append((name, terms, tokens[sense_pos], rhs))
@@ -336,14 +490,16 @@ def parse_lp(text: str) -> ExtensiveForm:
             if len(tokens) != 5 or tokens[1] != SENSE_LE or tokens[3] != SENSE_LE:
                 raise LpParseError(f"line {line_no}: expected 'lo <= var <= hi'")
             try:
-                lo = fraction_from_decimal(tokens[0])
-                hi = fraction_from_decimal(tokens[4])
+                lo = _number(numbers, tokens[0])
+                hi = _number(numbers, tokens[4])
             except ValueError as exc:
                 raise LpParseError(f"line {line_no}: bad bound value") from exc
             bounds[tokens[2]] = (lo, hi)
         elif section == "Generals":
             tokens = line.split()
-            if len(tokens) != 1 or not _NAME_RE.fullmatch(tokens[0]):
+            if len(tokens) != 1 or (
+                tokens[0] not in names and not _NAME_RE.fullmatch(tokens[0])
+            ):
                 raise LpParseError(f"line {line_no}: expected a variable name")
             generals.add(tokens[0])
         else:
@@ -354,23 +510,18 @@ def parse_lp(text: str) -> ExtensiveForm:
     if not objective_terms:
         raise LpParseError("missing objective")
 
+    new = tuple.__new__  # a record per variable and row, as the builder makes them
     index_of: dict[str, int] = {}
     variables: list[Variable] = []
     objective: list[tuple[int, Fraction]] = []
+    unbounded = (_ZERO, None)
     for coef, name in objective_terms:
         if name in index_of:
             raise LpParseError(f"variable {name} listed twice in objective")
-        index_of[name] = len(variables)
-        lower, upper = bounds.get(name, (Fraction(0), None))
-        variables.append(
-            Variable(
-                name=name,
-                kind="integer" if name in generals else "continuous",
-                lower=lower,
-                upper=upper,
-            )
-        )
-        objective.append((index_of[name], coef))
+        index = index_of[name] = len(variables)
+        kind = "integer" if name in generals else "continuous"
+        variables.append(new(Variable, (name, kind, *bounds.get(name, unbounded))))
+        objective.append((index, coef))
 
     unknown_generals = generals - set(index_of)
     if unknown_generals:
@@ -386,7 +537,7 @@ def parse_lp(text: str) -> ExtensiveForm:
             if var_name not in index_of:
                 raise LpParseError(f"constraint {name} references unknown {var_name}")
             indexed.append((index_of[var_name], coef))
-        rows.append(Row(name=name, terms=tuple(indexed), sense=sense, rhs=rhs))
+        rows.append(new(Row, (name, tuple(indexed), sense, rhs)))
 
     return ExtensiveForm(
         variables=tuple(variables),

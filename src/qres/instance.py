@@ -182,6 +182,12 @@ def synth_exec_time(num_qubits: int, encoded_value: int, base: int, slope: int) 
 # surface; checked before anything is built.
 GRID_GUARD = 10**6
 
+# Most demand and wait outcomes, summed over the circuits that have a
+# triple, that one instance may hold: each range is within GRID_GUARD, and
+# this keeps a few kilobytes of ranges from taking gigabytes. Counted
+# before any range is spelt out or any table is built.
+OUTCOME_GUARD = 2 * 10**6
+
 # The keys each block of a document may hold; any other key is an error.
 _DOCUMENT_KEYS = (
     "circuits",
@@ -270,8 +276,13 @@ def _optional_integer(block: dict, key: str, where: str) -> int | None:
     return None if value is None else _integer(value, f"{where}: {key}")
 
 
-def _parse_set(spec: Any, where: str, value: Callable[[Any], int]) -> tuple[int, ...]:
-    """A list, or an inclusive lo/hi/step range of at most GRID_GUARD values."""
+def _parse_set(
+    spec: Any, where: str, value: Callable[[Any], int]
+) -> tuple[int, ...] | range:
+    """A list, or an inclusive lo/hi/step range of at most GRID_GUARD values.
+
+    A range is returned as a ``range``, not yet spelt out.
+    """
     if isinstance(spec, dict):
         _known(spec, _RANGE_KEYS, where)
         raw = [_require(spec, "lo", where), _require(spec, "hi", where)]
@@ -293,7 +304,7 @@ def _parse_set(spec: Any, where: str, value: Callable[[Any], int]) -> tuple[int,
             raise InstanceError(
                 f"{where}: range has {size} values, more than {GRID_GUARD}"
             )
-        return tuple(range(lo, hi + 1, step))
+        return range(lo, hi + 1, step)
     return values
 
 
@@ -475,8 +486,8 @@ def instance_from_document(
     if not isinstance(raw_circuits, list) or not raw_circuits:
         raise InstanceError("circuits: expected a non-empty list")
     circuits = []
-    demand_sets: dict[str, tuple[int, ...]] = {}
-    wait_sets: dict[str, tuple[int, ...]] = {}
+    demand_sets: dict[str, Sequence[int]] = {}
+    wait_sets: dict[str, Sequence[int]] = {}
     demand_probs: dict[str, tuple[Fraction, ...]] = {}
     wait_probs: dict[str, tuple[Fraction, ...]] = {}
     for where, entry in _objects(raw_circuits, "circuits", _CIRCUIT_KEYS):
@@ -493,6 +504,14 @@ def instance_from_document(
             if name in entry:
                 probs[cid] = _parse_probs(entry[name], f"{where}.{name}")
     circuits = tuple(circuits)
+    # A loadable document has machines, so every circuit has a triple.
+    problem = outcome_total_problem(
+        len(demand_sets[cid]) + len(wait_sets[cid]) for cid in demand_sets
+    )
+    if problem:
+        raise InstanceError(f"circuits: {problem}")
+    demand_sets = {cid: tuple(values) for cid, values in demand_sets.items()}
+    wait_sets = {cid: tuple(values) for cid, values in wait_sets.items()}
 
     providers = _require(doc, "providers", "document")
     if not isinstance(providers, list) or not all(
@@ -634,6 +653,29 @@ def outcome_problems(
     return problems
 
 
+def outcome_total_problem(counts: Iterable[int]) -> str | None:
+    """Why circuits of these |D| + |W| outcome counts are too many, or None."""
+    total = sum(counts)
+    if total > OUTCOME_GUARD:
+        return f"{total} demand and wait outcomes in all, more than {OUTCOME_GUARD}"
+    return None
+
+
+def check_outcome_total(instance: Instance) -> None:
+    """Refuse an instance over OUTCOME_GUARD before any of its tables is built."""
+    problem = outcome_total_problem(_outcome_counts(instance))
+    if problem:
+        raise ScenarioError(f"circuits: {problem}")
+
+
+def _outcome_counts(instance: Instance) -> Iterator[int]:
+    """|D| + |W| of each circuit that has a triple."""
+    if not instance.machines:
+        return
+    for cid in dict.fromkeys(c.circuit_id for c in instance.circuits):
+        yield len(instance.demand_sets.get(cid, ())) + len(instance.wait_sets.get(cid, ()))
+
+
 def validate(instance: Instance) -> list[Diagnostic]:
     """Check every instance invariant; errors and warnings, never raises.
 
@@ -669,6 +711,8 @@ def validate(instance: Instance) -> list[Diagnostic]:
         for name, problem in outcome_problems(*sets, *probs):
             where = f"circuit {cid} {name}" if name else f"circuit {cid}"
             out.append(Diagnostic("error", where, problem))
+    if problem := outcome_total_problem(_outcome_counts(instance)):
+        out.append(Diagnostic("error", "circuits", problem))
 
     for c in instance.circuits:
         for p in instance.providers:

@@ -47,6 +47,7 @@ from .instance import (
     ModelError,
     TripleKey,
     check_capacity,
+    check_outcome_total,
 )
 from .recourse import optimal_recourse, penalty_time
 from .scenarios import (
@@ -203,7 +204,11 @@ def _table(m: Marginals) -> CircuitTable:
 
 
 def circuit_tables(instance: Instance) -> dict[str, CircuitTable]:
-    """The kernel table of every circuit that has a triple."""
+    """The kernel table of every circuit that has a triple.
+
+    An instance of more than OUTCOME_GUARD outcomes is refused first.
+    """
+    check_outcome_total(instance)
     return {
         cid: _table(circuit_marginals(instance, cid))
         for cid in dict.fromkeys(cid for cid, _, _ in instance.triples())

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qres.instance import CostRates, Circuit, Instance, Machine
 from qres.recourse import penalty_time
 from qres.solver import solve_instance
-from qres.units import MICRO, parse_money
+from qres.units import MICRO, exact_decimal, parse_money
 
 REF_RATES = CostRates(
     reserve_per_qubit=parse_money("1.68"),
@@ -215,3 +215,42 @@ def enumerate_recourse(
                 best_pair, best_qubit_cost = (used, extra), cost
     assert best_pair is not None and best_qubit_cost is not None
     return best_pair[0], best_pair[1], Fraction(best_qubit_cost) + pen
+
+
+# Money up to the 10^24-dollar limit, written with its micro digits.
+LIMIT_MONEY = st.integers(0, 10**30).map(lambda m: exact_decimal(Fraction(m, MICRO)))
+
+
+@st.composite
+def written_probs(draw, n: int):
+    """None (uniform), six-decimal weights, or 53-digit dyadic masses."""
+    kind = draw(st.sampled_from(["uniform", "decimal", "dyadic"]))
+    if kind == "uniform":
+        return None
+    if kind == "decimal":
+        return [exact_decimal(p) for p in random_probs(draw(st.randoms()), n)]
+    cuts = sorted(draw(st.lists(st.integers(0, 2**53), min_size=n - 1, max_size=n - 1)))
+    edges = [0, *cuts, 2**53]
+    return [exact_decimal(Fraction(b - a, 2**53)) for a, b in zip(edges, edges[1:])]
+
+
+@st.composite
+def documents_at_the_limits(draw) -> dict:
+    demand = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=3))
+    wait = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=3))
+    circuit = {"id": "c1", "demand_set": demand, "wait_set": [w / MICRO for w in wait]}
+    for name, n in (("demand_probs", len(demand)), ("wait_probs", len(wait))):
+        probs = draw(written_probs(n))
+        if probs is not None:
+            circuit[name] = probs
+    keys = ("reserve", "utilize", "on_demand", "penalty")
+    return {
+        "circuits": [circuit],
+        "providers": ["p1"],
+        "machines": [{"provider": "p1", "machine": "m1", "capacity": 3}],
+        "default_rates": {key: draw(LIMIT_MONEY) for key in keys},
+        "exec_times": [
+            {"circuit": "c1", "provider": "p1", "machine": "m1",
+             "seconds": draw(LIMIT_MONEY)}
+        ],
+    }

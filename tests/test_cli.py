@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import audit_shaped_doc
+from helpers import audit_shaped_doc, documents_at_the_limits
 from qres import cli, extform, scenarios, solver
 from qres.cli import run, write_atomic
 from qres.extform import build_extensive_form, parse_lp, render_lp
@@ -798,6 +798,23 @@ def test_product_space_guard_spares_the_kernel(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_document_over_the_total_guard_exits_1_naming_its_total(tmp_path, capsys):
+    doc = single_triple_doc()
+    doc["circuits"] = [
+        {"id": cid, "demand_set": {"lo": 0, "hi": 10**6 - 1}, "wait_set": [0.003]}
+        for cid in ("c1", "c2")
+    ]
+    path = write_doc(tmp_path, doc)
+    for command in ("validate", "solve", "export-lp"):
+        assert run([command, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: circuits: 2000002 demand and wait outcomes in all, "
+            "more than 2000000\n"
+        )
+
+
 def test_oracle_refuses_more_work_than_its_guard(tmp_path, monkeypatch, capsys):
     # 10001 levels x (10000 demands x 100 waits): about 10^10 evaluations.
     built = []
@@ -1169,17 +1186,17 @@ def test_export_lp_stdout_and_file_are_the_rendered_bytes(shape, tmp_path, capsy
     assert len(list(extform.lp_chunks(form))) > 1
 
 
-def _unwritable(form):
-    """The form with a constraint name the LP format cannot carry, last."""
-    bad = form.constraints[-1]._replace(name="1row")
-    return dataclasses.replace(form, constraints=(*form.constraints[:-1], bad))
+def _unwritable(plans):
+    """The plans with a tag that makes only the longest row names of the last
+    triple too long for the LP format: its wait rows from some scenario on."""
+    *rest, last = plans
+    tag = "t" * (256 - len(f"wait__s{len(last.space) - 1}"))
+    return [*rest, last._replace(tag=tag)]
 
 
 def test_export_lp_of_an_unwritable_form_writes_nothing(tmp_path, capsys, monkeypatch):
-    build = extform.build_extensive_form
-    monkeypatch.setattr(
-        extform, "build_extensive_form", lambda inst: _unwritable(build(inst))
-    )
+    plan_form = extform.plan_form
+    monkeypatch.setattr(extform, "plan_form", lambda inst: _unwritable(plan_form(inst)))
     with pytest.raises(ValueError, match="constraint name not exportable"):
         run(["export-lp", REF])
     assert capsys.readouterr().out == ""
@@ -1189,6 +1206,37 @@ def test_export_lp_of_an_unwritable_form_writes_nothing(tmp_path, capsys, monkey
         run(["export-lp", REF, "-o", str(target)])
     assert os.listdir(tmp_path) == ["model.lp"]
     assert target.read_bytes() == b"old"
+
+
+@settings(
+    derandomize=True,
+    max_examples=50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(doc=documents_at_the_limits())
+def test_export_lp_of_a_loadable_instance_is_its_rendered_form(doc, tmp_path, capsys):
+    path = write_doc(tmp_path, doc)
+    target = tmp_path / "model.lp"
+    assert run(["export-lp", path]) == 0
+    assert run(["export-lp", path, "-o", str(target)]) == 0
+    rendered = render_lp(build_extensive_form(load_instance(path))).encode("ascii")
+    assert capsys.readouterr().out.encode("ascii") == target.read_bytes() == rendered
+
+
+def test_export_lp_builds_no_extensive_form(tmp_path, capsys, monkeypatch):
+    path = write_doc(tmp_path, audit_shaped_doc())
+    expected = render_lp(build_extensive_form(load_instance(path)))
+    builds = []
+    monkeypatch.setattr(extform, "build_extensive_form", builds.append)
+    # Any record built now fails: tuple.__new__(None, ...) is a TypeError.
+    for record in ("Variable", "Row", "ExtensiveForm"):
+        monkeypatch.setattr(extform, record, None)
+    assert run(["export-lp", path, "-v"]) == 0
+    captured = capsys.readouterr()
+    assert builds == []
+    assert captured.out == expected
+    assert captured.err == "14412 variables, 14400 rows\n"
 
 
 def test_export_lp_never_holds_a_second_copy_of_the_lp(tmp_path):
@@ -1208,7 +1256,8 @@ def test_export_lp_never_holds_a_second_copy_of_the_lp(tmp_path):
     finally:
         tracemalloc.stop()
     assert (tmp_path / "model.lp").stat().st_size == lp_size
-    assert export_peak < build_peak + lp_size
+    # The LP is written from the plans, without the form's records.
+    assert export_peak < build_peak / 2
 
 
 def test_eval_reservation_vector(tmp_path, capsys):

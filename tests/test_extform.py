@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 from helpers import (
     REF_RATES,
     audit_shaped_doc,
+    documents_at_the_limits,
     make_instance,
     make_rates,
     random_instance,
-    random_probs,
 )
 from qres.extform import (
     SENSE_GE,
@@ -352,6 +352,42 @@ def test_lp_chunks_checks_every_name_before_the_first_chunk(reference_instance):
         next(chunks)
 
 
+@pytest.mark.parametrize(
+    "bad_tag, what",
+    [
+        pytest.param(lambda n: "c0-p0", "variable", id="bad-character"),
+        pytest.param(
+            lambda n: "t" * (256 - len(f"xu__s{n - 1}")), "variable", id="long-variable"
+        ),
+        pytest.param(
+            lambda n: "t" * (256 - len(f"wait__s{n - 1}")), "constraint", id="long-row"
+        ),
+    ],
+)
+def test_plan_lp_chunks_checks_every_name_as_lp_chunks_does(
+    bad_tag, what, reference_instance, monkeypatch
+):
+    plan_form = extform.plan_form
+
+    def altered(instance):
+        *rest, last = plan_form(instance)
+        return [*rest, last._replace(tag=bad_tag(len(last.space)))]
+
+    monkeypatch.setattr(extform, "plan_form", altered)
+    chunks = extform.plan_lp_chunks(altered(reference_instance))
+    with pytest.raises(ValueError, match=f"{what} name not exportable") as streamed:
+        next(chunks)
+    with pytest.raises(ValueError) as rendered:
+        render_lp(build_extensive_form(reference_instance))
+    assert str(streamed.value) == str(rendered.value)
+
+
+def test_plans_of_no_triple_write_the_empty_form():
+    empty = ExtensiveForm(variables=(), objective=(), constraints=())
+    assert "".join(extform.plan_lp_chunks([])) == render_lp(empty)
+    assert extform.plan_size([]) == (0, 0)
+
+
 def test_round_trip_identity(reference_instance):
     form = build_extensive_form(reference_instance)
     assert parse_lp(render_lp(form)) == form
@@ -362,45 +398,6 @@ def test_round_trip_random_forms():
     for _ in range(10):
         form = build_extensive_form(random_instance(rng))
         assert parse_lp(render_lp(form)) == form
-
-
-# Money up to the 10^24-dollar limit, written with its micro digits.
-LIMIT_MONEY = st.integers(0, 10**30).map(lambda m: exact_decimal(Fraction(m, MICRO)))
-
-
-@st.composite
-def written_probs(draw, n: int):
-    """None (uniform), six-decimal weights, or 53-digit dyadic masses."""
-    kind = draw(st.sampled_from(["uniform", "decimal", "dyadic"]))
-    if kind == "uniform":
-        return None
-    if kind == "decimal":
-        return [exact_decimal(p) for p in random_probs(draw(st.randoms()), n)]
-    cuts = sorted(draw(st.lists(st.integers(0, 2**53), min_size=n - 1, max_size=n - 1)))
-    edges = [0, *cuts, 2**53]
-    return [exact_decimal(Fraction(b - a, 2**53)) for a, b in zip(edges, edges[1:])]
-
-
-@st.composite
-def documents_at_the_limits(draw) -> dict:
-    demand = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=3))
-    wait = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=3))
-    circuit = {"id": "c1", "demand_set": demand, "wait_set": [w / MICRO for w in wait]}
-    for name, n in (("demand_probs", len(demand)), ("wait_probs", len(wait))):
-        probs = draw(written_probs(n))
-        if probs is not None:
-            circuit[name] = probs
-    keys = ("reserve", "utilize", "on_demand", "penalty")
-    return {
-        "circuits": [circuit],
-        "providers": ["p1"],
-        "machines": [{"provider": "p1", "machine": "m1", "capacity": 3}],
-        "default_rates": {key: draw(LIMIT_MONEY) for key in keys},
-        "exec_times": [
-            {"circuit": "c1", "provider": "p1", "machine": "m1",
-             "seconds": draw(LIMIT_MONEY)}
-        ],
-    }
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

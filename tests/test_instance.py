@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import REF_RATES, make_instance
+from qres import instance as instance_module
 from qres.instance import (
+    OUTCOME_GUARD,
     InstanceError,
     TripleKey,
     instance_from_document,
@@ -305,6 +308,60 @@ def test_range_of_exactly_the_guard_loads():
     doc["circuits"][0]["demand_set"] = {"lo": 0, "hi": 10**6 - 1}
     inst = instance_from_document(doc)
     assert inst.demand_sets["c1"] == tuple(range(10**6))
+
+
+# --- total-size guard --------------------------------------------------------
+
+
+def two_range_doc(second_hi: int) -> dict:
+    """Two circuits of one wait each: 10^6 demands, and second_hi + 1 more."""
+    doc = minimal_doc()
+    doc["circuits"] = [
+        {"id": "c1", "demand_set": {"lo": 0, "hi": 10**6 - 1}, "wait_set": [1.0]},
+        {"id": "c2", "demand_set": {"lo": 0, "hi": second_hi}, "wait_set": [1.0]},
+    ]
+    doc["exec_times"].append(
+        {"circuit": "c2", "provider": "p1", "machine": "m1", "seconds": 0.004}
+    )
+    return doc
+
+
+def test_outcomes_of_exactly_the_total_guard_load():
+    assert OUTCOME_GUARD == 2 * 10**6
+    inst = instance_from_document(two_range_doc(10**6 - 3))
+    total = sum(len(inst.demand_sets[c]) + len(inst.wait_sets[c]) for c in ("c1", "c2"))
+    assert total == OUTCOME_GUARD
+    assert inst.demand_sets["c2"] == tuple(range(10**6 - 2))
+
+
+def test_one_outcome_over_the_total_guard_is_refused_before_any_range_is_built():
+    doc = two_range_doc(10**6 - 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InstanceError) as caught:
+            instance_from_document(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(caught.value) == (
+        "circuits: 2000001 demand and wait outcomes in all, more than 2000000"
+    )
+    # Spelling out either range would take 8 MB for its tuple alone.
+    assert peak < 2**20
+
+
+def test_validate_counts_the_outcomes_of_circuits_that_have_a_triple(monkeypatch):
+    monkeypatch.setattr(instance_module, "OUTCOME_GUARD", 3)
+    inst = make_instance(demand=(1, 2), wait=(1000, 2000))
+    assert [str(d) for d in validate(inst)] == [
+        "error: circuits: 4 demand and wait outcomes in all, more than 3"
+    ]
+    monkeypatch.setattr(instance_module, "OUTCOME_GUARD", 4)
+    assert validate(inst) == []
+    monkeypatch.setattr(instance_module, "OUTCOME_GUARD", 3)
+    # Without a machine no circuit has a triple, and nothing is counted.
+    no_triple = dataclasses.replace(inst, machines=(), exec_times={})
+    assert "circuits" not in [d.location for d in validate(no_triple)]
 
 
 # --- magnitude limit ---------------------------------------------------------

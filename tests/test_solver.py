@@ -145,6 +145,21 @@ def test_brute_force_capacity_zero():
     assert cost == Fraction(35_000_000)
 
 
+def test_kernel_refuses_an_instance_over_the_total_guard_before_any_table(monkeypatch):
+    from qres import instance as instance_module
+
+    monkeypatch.setattr(instance_module, "OUTCOME_GUARD", 3)
+    monkeypatch.setattr(solver, "_table", None)  # never reached
+    inst = make_instance(demand=(1, 2), wait=(1000, 2000))
+    (diagnostic,) = validate(inst)
+    with pytest.raises(ScenarioError) as caught:
+        solver.solve_instance(inst)
+    assert str(caught.value) == f"{diagnostic.location}: {diagnostic.message}"
+    assert str(caught.value) == (
+        "circuits: 4 demand and wait outcomes in all, more than 3"
+    )
+
+
 def test_brute_force_guard():
     with pytest.raises(GuardError):
         brute_force_triple(REF_RATES, (5,), (3000,), 3000, 10**4 + 1)
