@@ -21,10 +21,11 @@ _SOURCES = {
         "Row",
         "Variable",
         "build_extensive_form",
+        "check_certificate",
         "lp_chunks",
+        "optimality_certificate",
         "parse_lp",
         "render_lp",
-        "solve_enumerative",
     ),
     "instance": (
         "CapacityError",

@@ -1,4 +1,4 @@
-"""Deterministic-equivalent MILP: explicit matrix, LP text export, enumeration.
+"""Deterministic-equivalent MILP: explicit matrix, LP text export, certificate.
 
 The two-stage program is replicated per scenario into one mixed-integer
 program: a reservation variable per triple, plus utilization, on-demand,
@@ -29,29 +29,24 @@ Capacity is encoded as the reservation variable's upper bound rather
 than a constraint row, so each (triple, scenario) contributes exactly
 three rows: utilization cap, demand cover, and wait slack.
 
-`solve_enumerative` is a verification path, not a MILP solver: it
-enumerates the first-stage integer variables (names without a scenario
-suffix), splits the rest into per-scenario blocks via shared rows,
-enumerates each block within bounds implied by its rows, and resolves
-each continuous variable to the smallest value its rows allow.
+`check_certificate` proves a point optimal for any form by weak LP
+duality, in exact arithmetic. `optimality_certificate` builds that point
+and its duals from the plans for a vector of levels, so the kernel's
+levels are proven optimal for the very form `export-lp` writes.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .instance import GRID_GUARD, GuardError, Instance, ModelError, check_capacity
 from .scenarios import ScenarioSpace, circuit_marginals, space_for_circuit
 from .units import MICRO, exact_decimal, fraction_from_decimal
 
-ENUMERATION_GUARD = 10**6
-
-_SCENARIO_SUFFIX = re.compile(r"_s\d+$")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]{0,254}")
 # Lines per chunk of LP text: enough to amortise each write, few enough
 # that a chunk is a small fraction of the whole text.
@@ -114,10 +109,9 @@ def plan_form(instance: Instance) -> list[TriplePlan]:
     """The plan of every triple of an instance, in triple order.
 
     Names carry zero-based circuit/provider/machine positions; that naming
-    is a frozen contract (golden files and the enumeration solver rely on
-    it). A negative capacity, an unknown circuit, or a form of more than
-    GRID_GUARD scenarios summed over all triples, is refused before any
-    scenario space is built.
+    is a frozen contract (golden files rely on it). A negative capacity, an
+    unknown circuit, or a form of more than GRID_GUARD scenarios summed
+    over all triples, is refused before any scenario space is built.
     """
     triples = instance.triples()
     for _, pid, mid in triples:
@@ -547,274 +541,127 @@ def parse_lp(text: str) -> ExtensiveForm:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration solver
+# Optimality certificate
 # ---------------------------------------------------------------------------
 
 
-def _is_second_stage(name: str) -> bool:
-    return _SCENARIO_SUFFIX.search(name) is not None
+def optimality_certificate(
+    instance: Instance, levels: Mapping[tuple[str, str, str], int]
+) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """A primal point, row duals and bound duals for a vector of levels.
 
+    Returns ``(values, row_duals, bound_duals)`` in the variable and row
+    order of ``build_extensive_form(instance)``. Each triple reserves its
+    level x and every scenario takes its cheapest recourse. The duals
+    charge each demand row its marginal qubit rate and each wait row the
+    penalty rate. A use row is charged the margin (on-demand minus
+    utilize) where the demand exceeds x, and a share of it where the
+    demand equals x, chosen to zero the reservation's reduced cost; what
+    is left over is the reservation's bound dual.
 
-def _blocks(form: ExtensiveForm, second_stage: list[int]) -> list[tuple[list[int], list[Row]]]:
-    """Group second-stage variables into components joined by shared rows."""
-    parent = {i: i for i in second_stage}
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(a: int, b: int) -> None:
-        parent[find(a)] = find(b)
-
-    row_members: list[list[int]] = []
-    for row in form.constraints:
-        members = [i for i, _ in row.terms if i in parent]
-        row_members.append(members)
-        for other in members[1:]:
-            union(members[0], other)
-
-    groups: dict[int, list[int]] = {}
-    for i in second_stage:
-        groups.setdefault(find(i), []).append(i)
-    block_rows: dict[int, list[Row]] = {root: [] for root in groups}
-    for row, members in zip(form.constraints, row_members):
-        if members:
-            block_rows[find(members[0])].append(row)
-    return [(sorted(members), block_rows[root]) for root, members in sorted(groups.items())]
-
-
-def solve_enumerative(
-    form: ExtensiveForm,
-) -> tuple[Fraction, dict[str, Fraction | int]]:
-    """Exhaustive minimum of a form, for cross-checking the solver.
-
-    Enumerates first-stage integer assignments (guarded), then minimizes
-    each scenario block independently: block integers are enumerated
-    within row-implied bounds, continuous variables take the smallest
-    value their rows allow, and every row is re-checked exactly. Raises
-    GuardError when the work bound is exceeded or when the form falls
-    outside the shapes this enumerator understands.
+    The relaxation's cost is convex and piecewise linear in each
+    reservation, with kinks at the integer demands, so with non-negative
+    rates an optimal level always has such a certificate and, as
+    :func:`check_certificate` proves, a costlier level never has one.
     """
-    n = len(form.variables)
-    obj = [Fraction(0)] * n
-    for index, coef in form.objective:
-        obj[index] += coef
-
-    second = [i for i, v in enumerate(form.variables) if _is_second_stage(v.name)]
-    second_set = set(second)
-    first = [i for i in range(n) if i not in second_set]
-
-    for i in first:
-        var = form.variables[i]
-        if var.kind != "integer":
-            raise GuardError(f"cannot enumerate continuous first-stage {var.name}")
-        if var.upper is None:
-            raise GuardError(f"first-stage {var.name} is unbounded")
-    for i in second:
-        if form.variables[i].kind == "continuous" and obj[i] < 0:
-            raise GuardError(
-                f"{form.variables[i].name}: negative-cost continuous variable"
-            )
-
-    outer = 1
-    for i in first:
-        var = form.variables[i]
-        outer *= math.floor(var.upper) - math.ceil(var.lower) + 1
-        if outer > ENUMERATION_GUARD:
-            raise GuardError(
-                f"first-stage enumeration needs {outer} > {ENUMERATION_GUARD} nodes"
-            )
-
-    blocks = _blocks(form, second)
-    in_block = {i for members, _ in blocks for i in members}
-    loose = [i for i in second if i not in in_block]  # vars in no row at all
-
-    first_rows = [
-        row
-        for row in form.constraints
-        if all(i not in second_set for i, _ in row.terms)
-    ]
-
-    best_total: Fraction | None = None
-    best_assignment: dict[str, Fraction | int] | None = None
-
-    first_ranges = [
-        range(math.ceil(form.variables[i].lower), math.floor(form.variables[i].upper) + 1)
-        for i in first
-    ]
-    for combo in itertools.product(*first_ranges):
-        fixed: dict[int, Fraction] = {
-            i: Fraction(value) for i, value in zip(first, combo)
-        }
-        if any(not _row_holds(row, fixed) for row in first_rows):
-            continue
-        total = sum((obj[i] * fixed[i] for i in first), Fraction(0))
-        assignment: dict[str, Fraction | int] = {
-            form.variables[i].name: value for i, value in zip(first, combo)
-        }
-        feasible = True
-        for members, rows in blocks:
-            result = _minimize_block(form, obj, members, rows, fixed)
-            if result is None:
-                feasible = False
-                break
-            block_cost, block_values = result
-            total += block_cost
-            assignment.update(block_values)
-        if not feasible:
-            continue
-        for i in loose:
-            var = form.variables[i]
-            value = math.ceil(var.lower) if var.kind == "integer" else var.lower
-            total += obj[i] * value
-            assignment[var.name] = value
-        if best_total is None or total < best_total:
-            best_total, best_assignment = total, assignment
-
-    if best_total is None or best_assignment is None:
-        raise ModelError("no feasible assignment")
-    return best_total, best_assignment
-
-
-def _row_holds(row: Row, values: dict[int, Fraction]) -> bool:
-    lhs = sum((coef * values[i] for i, coef in row.terms), Fraction(0))
-    return lhs <= row.rhs if row.sense == SENSE_LE else lhs >= row.rhs
-
-
-def _minimize_block(
-    form: ExtensiveForm,
-    obj: list[Fraction],
-    members: list[int],
-    rows: list[Row],
-    fixed: dict[int, Fraction],
-) -> tuple[Fraction, dict[str, Fraction | int]] | None:
-    """Best cost of one block given the first-stage values, or None."""
-    integers = [i for i in members if form.variables[i].kind == "integer"]
-    continuous = [i for i in members if form.variables[i].kind == "continuous"]
-    member_set = set(members)
-
-    # Residual rhs once first-stage contributions are moved across.
-    residuals: list[tuple[Row, Fraction, list[tuple[int, Fraction]]]] = []
-    for row in rows:
-        residual = row.rhs
-        free_terms = []
-        for i, coef in row.terms:
-            if i in member_set:
-                free_terms.append((i, coef))
+    values: list[Fraction] = []
+    row_duals: list[Fraction] = []
+    bound_duals: list[Fraction] = []
+    for key, (_, reserve, _, space, coefs, _, wait_rhs) in zip(
+        instance.triples(), plan_form(instance)
+    ):
+        x = levels[key]
+        cases = [
+            (scenario.demand_qubits, *coefs[w], wait_rhs[scenario.wait_time])
+            for scenario, w in zip(space.scenarios, space.weights[1])
+        ]
+        # The margins at stake above the level and at it.
+        above = sum((co - cu for d, cu, co, _, _ in cases if cu < co and d > x), _ZERO)
+        at = sum((co - cu for d, cu, co, _, _ in cases if cu < co and d == x > 0), _ZERO)
+        theta = min(max((reserve - above) / at, _ZERO), _ONE) if at else _ZERO
+        xr = len(values)
+        values.append(Fraction(x))
+        bound_duals += [_ZERO] * (1 + 3 * len(cases))
+        use_total = _ZERO
+        for d, cu, co, cp, wait in cases:
+            used = min(x, d) if cu <= co else 0
+            values += (Fraction(used), Fraction(d - used), max(_ZERO, -wait))
+            if cu < co and d > x:
+                use, dem = cu - co, co
+            elif cu < co and d == x > 0:
+                use, dem = theta * (cu - co), cu + theta * (co - cu)
+            elif d > 0:
+                use, dem = _ZERO, min(cu, co)
             else:
-                residual -= coef * fixed[i]
-        residuals.append((row, residual, free_terms))
+                use, dem = _ZERO, _ZERO
+            use_total += use
+            row_duals += (use, dem, -cp if wait < 0 else _ZERO)
+        bound_duals[xr] = max(_ZERO, -(reserve + use_total))
+    return tuple(values), tuple(row_duals), tuple(bound_duals)
 
-    lower: dict[int, int] = {}
-    upper: dict[int, int | None] = {}
-    for i in integers:
-        var = form.variables[i]
-        lower[i] = math.ceil(var.lower)
-        upper[i] = None if var.upper is None else math.floor(var.upper)
 
-    # Hard univariate bounds: rows reduced to a single free variable.
-    for row, residual, free_terms in residuals:
-        if len(free_terms) != 1 or free_terms[0][0] not in lower:
-            continue
-        i, coef = free_terms[0]
-        limit = residual / coef
-        at_most = (coef > 0) == (row.sense == SENSE_LE)
-        if at_most:
-            cap = math.floor(limit)
-            upper[i] = cap if upper[i] is None else min(upper[i], cap)
-        else:
-            lower[i] = max(lower[i], math.ceil(limit))
+def check_certificate(
+    form: ExtensiveForm,
+    values: Sequence[Fraction],
+    row_duals: Sequence[Fraction],
+    bound_duals: Sequence[Fraction],
+) -> Fraction:
+    """The optimum of a form, proven by weak duality of its LP relaxation.
 
-    # Covering bounds: a variable only in all-nonnegative >= rows (over
-    # variables with non-negative lower bounds) never needs to exceed the
-    # largest single-row requirement.
-    for i in integers:
-        if upper[i] is not None:
-            continue
-        best_bound: int | None = None
-        eligible = True
-        for row, residual, free_terms in residuals:
-            coefs = dict(free_terms)
-            if i not in coefs:
-                continue
-            if (
-                row.sense != SENSE_GE
-                or coefs[i] <= 0
-                or any(c < 0 for c in coefs.values())
-                or any(form.variables[j].lower < 0 for j in coefs)
-            ):
-                eligible = False
-                break
-            need = math.ceil(residual / coefs[i])
-            best_bound = need if best_bound is None else max(best_bound, need)
-        if not eligible or best_bound is None:
-            raise GuardError(
-                f"cannot bound integer variable {form.variables[i].name}"
-            )
-        upper[i] = max(lower[i], best_bound)
+    ``values`` is a point x, ``row_duals`` a multiplier pi per row and
+    ``bound_duals`` a multiplier sigma per variable's upper bound. In exact
+    arithmetic and in this order, it checks that:
 
-    tight_upper: dict[int, int] = {}
-    work = 1
-    for i in integers:
-        hi = upper[i]
-        assert hi is not None
-        if hi < lower[i]:
-            return None
-        tight_upper[i] = hi
-        work *= hi - lower[i] + 1
-        if work > ENUMERATION_GUARD:
-            raise GuardError(
-                f"block enumeration needs {work} > {ENUMERATION_GUARD} nodes"
-            )
+    - the sizes match the form;
+    - each value is within its bounds, and integral where the kind is integer;
+    - every row holds;
+    - pi <= 0 on a <= row and pi >= 0 on a >= row;
+    - sigma >= 0, and sigma == 0 on a variable with no upper bound;
+    - every reduced cost c - A^T pi + sigma is >= 0;
+    - c.x == b.pi - u.sigma + l.(c - A^T pi + sigma).
 
-    best_cost: Fraction | None = None
-    best_values: dict[str, Fraction | int] | None = None
-    spans = [range(lower[i], tight_upper[i] + 1) for i in integers]
-    for combo in itertools.product(*spans):
-        values = dict(fixed)
-        for i, value in zip(integers, combo):
-            values[i] = Fraction(value)
-        ok = True
-        # Continuous variables: smallest value the rows allow.
-        for i in continuous:
-            var = form.variables[i]
-            level = var.lower
-            for row, _, free_terms in residuals:
-                coefs = dict(free_terms)
-                if i not in coefs:
-                    continue
-                others = [j for j in coefs if j != i and j not in values]
-                if others:
-                    raise GuardError(
-                        f"cannot resolve coupled continuous variables in {row.name}"
-                    )
-                partial = sum(
-                    (coef * values[j] for j, coef in row.terms if j != i), Fraction(0)
-                )
-                coef = coefs[i]
-                if (coef > 0 and row.sense == SENSE_GE) or (
-                    coef < 0 and row.sense == SENSE_LE
-                ):
-                    level = max(level, (row.rhs - partial) / coef)
-            if var.upper is not None and level > var.upper:
-                ok = False
-                break
-            values[i] = level
-        if not ok:
-            continue
-        if any(not _row_holds(row, values) for row, _, _ in residuals):
-            continue
-        cost = sum((obj[i] * values[i] for i in members), Fraction(0))
-        if best_cost is None or cost < best_cost:
-            best_cost = cost
-            best_values = {
-                form.variables[i].name: (
-                    int(values[i]) if form.variables[i].kind == "integer" else values[i]
-                )
-                for i in members
-            }
-    if best_cost is None or best_values is None:
-        return None
-    return best_cost, best_values
+    The right side of the last check bounds c.x' from below for every
+    point x' of the relaxation, so x is optimal for the relaxation and, as
+    it is integral, for the MILP. Returns c.x; raises ModelError naming
+    the first check that fails.
+    """
+    variables, rows = form.variables, form.constraints
+    sizes = (len(values), len(row_duals), len(bound_duals))
+    expected = (len(variables), len(rows), len(variables))
+    if sizes != expected:
+        raise ModelError(f"certificate sizes: {sizes} != {expected}")
+    for var, value in zip(variables, values):
+        if value < var.lower or (var.upper is not None and value > var.upper):
+            raise ModelError(f"certificate bounds: {var.name} = {value} is outside")
+        if var.kind == "integer" and value.denominator != 1:
+            raise ModelError(f"certificate integrality: {var.name} = {value}")
+    for row in rows:
+        lhs = sum((coef * values[i] for i, coef in row.terms), _ZERO)
+        if not (lhs <= row.rhs if row.sense == SENSE_LE else lhs >= row.rhs):
+            raise ModelError(f"certificate row: {row.name} does not hold")
+    for row, pi in zip(rows, row_duals):
+        if pi > 0 if row.sense == SENSE_LE else pi < 0:
+            raise ModelError(f"certificate dual sign: {row.name} has dual {pi}")
+    for var, sigma in zip(variables, bound_duals):
+        if sigma < 0:
+            raise ModelError(f"certificate bound dual: {var.name} has {sigma} < 0")
+        if sigma and var.upper is None:
+            raise ModelError(f"certificate bound dual: {var.name} has no upper bound")
+
+    reduced = list(bound_duals)
+    for i, coef in form.objective:
+        reduced[i] += coef
+    cost = sum((coef * values[i] for i, coef in form.objective), _ZERO)
+    dual = _ZERO
+    for row, pi in zip(rows, row_duals):
+        if pi:
+            dual += row.rhs * pi
+            for i, coef in row.terms:
+                reduced[i] -= coef * pi
+    for var, sigma, rc in zip(variables, bound_duals, reduced):
+        if rc < 0:
+            raise ModelError(f"certificate reduced cost: {var.name} has {rc} < 0")
+        dual += var.lower * rc - (var.upper * sigma if sigma else _ZERO)
+    if cost != dual:
+        raise ModelError(f"certificate objective: primal {cost} != dual {dual}")
+    return cost

@@ -21,13 +21,13 @@ from the argmin and added back to every reported cost.
 
 The scenario route prices every (demand, wait) scenario at every level
 through one :func:`~qres.recourse.optimal_recourse` call. It is the oracle:
-:func:`brute_force_triple`, :func:`scenario_costs` and
-:func:`verify_solution` (``qres solve --oracle``) use it, and the tests
-compare it with the kernel. A brute-force check is refused before any
-space is built when a capacity exceeds BRUTE_FORCE_CAPACITY_GUARD or its
-scenario evaluations exceed BRUTE_FORCE_WORK_GUARD. All expectations are
-exact rationals (see :mod:`qres.units`), so the routes are compared with
-``==``.
+:func:`brute_force_triple`, :func:`scenario_costs`,
+:func:`joint_enumeration_oracle` and :func:`verify_solution`
+(``qres solve --oracle``) use it, and the tests compare it with the
+kernel. A brute-force check is refused before any space is built when a
+capacity exceeds BRUTE_FORCE_CAPACITY_GUARD or its scenario evaluations
+exceed BRUTE_FORCE_WORK_GUARD. All expectations are exact rationals (see
+:mod:`qres.units`), so the routes are compared with ``==``.
 """
 
 from __future__ import annotations
@@ -332,6 +332,23 @@ def _recourse_expectation(
     )
 
 
+def _scenario_row(
+    instance: Instance, space: ScenarioSpace, key: TripleKey, reserved: int
+) -> TripleCost:
+    """One triple's cost row at a level, priced scenario by scenario."""
+    rates = instance.rate(key.circuit_id, key.provider_id)
+    second, penalty = _recourse_expectation(
+        space, rates, instance.exec_time(*key), reserved
+    )
+    return TripleCost(
+        key=key,
+        reserved=reserved,
+        first_stage=Fraction(rates.reserve_per_qubit * reserved),
+        second_stage=second,
+        penalty=penalty,
+    )
+
+
 def scenario_costs(
     instance: Instance, reservations: Mapping[tuple[str, str, str], int]
 ) -> list[TripleCost]:
@@ -341,19 +358,7 @@ def scenario_costs(
     for key, reserved, _ in _checked_levels(instance, reservations):
         if key.circuit_id not in spaces:
             spaces[key.circuit_id] = space_for_circuit(instance, key.circuit_id)
-        rates = instance.rate(key.circuit_id, key.provider_id)
-        second, penalty = _recourse_expectation(
-            spaces[key.circuit_id], rates, instance.exec_time(*key), reserved
-        )
-        rows.append(
-            TripleCost(
-                key=key,
-                reserved=reserved,
-                first_stage=Fraction(rates.reserve_per_qubit * reserved),
-                second_stage=second,
-                penalty=penalty,
-            )
-        )
+        rows.append(_scenario_row(instance, spaces[key.circuit_id], key, reserved))
     return rows
 
 
@@ -471,33 +476,44 @@ def verify_solution(
 def joint_enumeration_oracle(instance: Instance) -> Solution:
     """Oracle for :func:`solve_instance`: enumerate whole reservation vectors.
 
-    Checks the separability argument by brute force; ties break to the
-    lexicographically smallest vector (enumeration order).
+    Checks the separability argument by brute force, independently of the
+    kernel: each (triple, level) is priced once through the scenario
+    route, over each circuit's space built once, and a vector costs the
+    sum of its rows. Ties break to the lexicographically smallest vector
+    (enumeration order). The vector guard is checked first and the
+    brute-force guards next, before any space is built.
     """
     triples = instance.triples()
-    ranges = []
+    capacities = []
     total_vectors = 1
     for key in triples:
         capacity = instance.machine(key.provider_id, key.machine_id).capacity_qubits
         check_capacity(capacity)
-        ranges.append(range(capacity + 1))
+        capacities.append(capacity)
         total_vectors *= capacity + 1
         if total_vectors > JOINT_ENUMERATION_GUARD:
             raise GuardError(
                 f"joint enumeration needs {total_vectors} > "
                 f"{JOINT_ENUMERATION_GUARD} vectors"
             )
+    _check_scan(
+        [
+            (capacity, _space_size(instance, key.circuit_id))
+            for key, capacity in zip(triples, capacities)
+        ]
+    )
 
-    tables = circuit_tables(instance)
-
-    def priced(vector: tuple[int, ...]) -> Solution:
-        return _solution(_kernel_costs(instance, tables, dict(zip(triples, vector))))
-
-    best_vector: tuple[int, ...] | None = None
-    best_cost: Fraction | None = None
-    for vector in itertools.product(*ranges):
-        cost = priced(vector).expected_total
-        if best_cost is None or cost < best_cost:
-            best_vector, best_cost = vector, cost
-    assert best_vector is not None
-    return priced(best_vector)
+    spaces = {
+        cid: space_for_circuit(instance, cid)
+        for cid in dict.fromkeys(key.circuit_id for key in triples)
+    }
+    priced = [
+        [_scenario_row(instance, spaces[key.circuit_id], key, x) for x in range(cap + 1)]
+        for key, cap in zip(triples, capacities)
+    ]
+    totals = [[row.total for row in rows] for rows in priced]
+    best = min(
+        itertools.product(*(range(cap + 1) for cap in capacities)),
+        key=lambda vector: sum(t[x] for t, x in zip(totals, vector)),
+    )
+    return _solution(rows[x] for rows, x in zip(priced, best))

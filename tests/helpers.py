@@ -7,6 +7,13 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from qres.extform import (
+    build_extensive_form,
+    check_certificate,
+    optimality_certificate,
+    parse_lp,
+    render_lp,
+)
 from qres.instance import CostRates, Circuit, Instance, Machine
 from qres.recourse import penalty_time
 from qres.solver import solve_instance
@@ -119,6 +126,21 @@ def solve_one_triple(
     )
     (level,) = solution.reservations.values()
     return level, solution.expected_total
+
+
+def lp_form(instance: Instance):
+    """The instance's extensive form as its LP text reads back."""
+    return parse_lp(render_lp(build_extensive_form(instance)))
+
+
+def certified_optimum(instance: Instance, levels, form=None) -> Fraction:
+    """The optimum that the certificate of these levels proves, in dollars.
+
+    Checked on ``form``, by default the form read back from the LP text;
+    raises ModelError when the levels are not optimal.
+    """
+    form = lp_form(instance) if form is None else form
+    return check_certificate(form, *optimality_certificate(instance, levels))
 
 
 def random_probs(rng: random.Random, n: int) -> tuple[Fraction, ...]:

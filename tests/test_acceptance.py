@@ -17,13 +17,15 @@ import pytest
 
 from helpers import (
     REF_RATES,
+    audit_shaped_doc,
+    certified_optimum,
     enumerate_recourse,
     make_rates,
     random_instance,
 )
 from qres.cli import run
-from qres.extform import build_extensive_form, parse_lp, render_lp, solve_enumerative
-from qres.instance import load_instance
+from qres.extform import build_extensive_form, parse_lp, render_lp
+from qres.instance import instance_from_document, load_instance
 from qres.recourse import optimal_recourse, penalty_time, recourse_cost
 from qres.scenarios import Scenario, build_space, space_for_circuit
 from qres.solver import (
@@ -134,15 +136,18 @@ def test_criterion_3_separability_on_random_instances():
 
 
 def test_criterion_4_extensive_form_consistency():
-    with criterion(4, "enumerating the extensive form reproduces the solver"):
+    with criterion(4, "the extensive form's optimality certificate proves the solver"):
         rng = random.Random(2718)
-        for _ in range(20):
-            inst = random_instance(
+        instances = [
+            random_instance(
                 rng, max_triples=2, max_capacity=4, max_demand=4, max_outcomes=3,
                 max_waits=2,
             )
-            objective, _ = solve_enumerative(build_extensive_form(inst))
-            assert objective == solve_instance(inst).expected_total / MICRO
+            for _ in range(20)
+        ]
+        for inst in [*instances, instance_from_document(audit_shaped_doc())]:
+            sol = solve_instance(inst)
+            assert certified_optimum(inst, sol.reservations) == sol.expected_total / MICRO
 
 
 def test_criterion_5_reservation_curve_shape(reference):

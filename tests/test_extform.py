@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from helpers import (
     REF_RATES,
     audit_shaped_doc,
+    certified_optimum,
     documents_at_the_limits,
+    lp_form,
     make_instance,
     make_rates,
     random_instance,
@@ -27,14 +29,15 @@ from qres.extform import (
     Row,
     Variable,
     build_extensive_form,
+    check_certificate,
     lp_chunks,
+    optimality_certificate,
     parse_lp,
     render_lp,
-    solve_enumerative,
 )
 from qres import extform
 from qres.scenarios import ScenarioError, space_for_circuit
-from qres.solver import CapacityError, GuardError, solve_instance
+from qres.solver import CapacityError, GuardError, ModelError, expected_cost, solve_instance
 from qres.instance import instance_from_document, validate
 from qres.units import MICRO, exact_decimal
 
@@ -494,43 +497,132 @@ def test_parse_reports_line_numbers():
         parse_lp("Minimize\n obj: 1 x\nSubject To\n broken line here\nEnd\n")
 
 
-# --- enumeration solver -------------------------------------------------------
+# --- optimality certificate ---------------------------------------------------
 
 
 def test_enumeration_matches_solver_cross_module():
     inst = make_instance(demand=(1, 2, 3, 4), wait=(3000, 6000), capacity=5)
-    objective, assignment = solve_enumerative(build_extensive_form(inst))
     sol = solve_instance(inst)
-    assert objective == sol.expected_total / MICRO
-    assert assignment["xr_c0_p0_m0"] == sol.reservations[("c1", "p1", "m1")]
+    form = lp_form(inst)
+    (key,) = inst.triples()
+    assert certified_optimum(inst, sol.reservations, form) == sol.expected_total / MICRO
+    for x in set(range(6)) - {sol.reservations[key]}:  # each costs strictly more
+        with pytest.raises(ModelError, match="certificate objective"):
+            certified_optimum(inst, {key: x}, form)
 
 
 def test_enumeration_singleton_capacity_zero():
     inst = make_instance(demand=(5,), wait=(3000,), capacity=0, exec_time=5000)
-    objective, assignment = solve_enumerative(build_extensive_form(inst))
+    levels = solve_instance(inst).reservations
     # all on demand plus the unavoidable 2 ms over-wait at 10 $/s
-    assert objective == Fraction(5 * 7) + Fraction(10 * 2, 1000)
-    assert assignment["xr_c0_p0_m0"] == 0
-    assert assignment["xo_c0_p0_m0_s0"] == 5
-    assert assignment["y_c0_p0_m0_s0"] == Fraction(2, 1000)
+    assert certified_optimum(inst, levels) == Fraction(5 * 7) + Fraction(10 * 2, 1000)
+    values, _, _ = optimality_certificate(inst, levels)
+    point = {var.name: value for var, value in zip(lp_form(inst).variables, values)}
+    assert point["xr_c0_p0_m0"] == 0
+    assert point["xo_c0_p0_m0_s0"] == 5
+    assert point["y_c0_p0_m0_s0"] == Fraction(2, 1000)
 
 
 def test_enumeration_zero_rates():
     inst = make_instance(rates=make_rates(), demand=(3,), wait=(1000,), capacity=2)
-    objective, _ = solve_enumerative(build_extensive_form(inst))
-    assert objective == 0
-
-
-def test_enumeration_guard():
-    inst = make_instance(capacity=10**6)
-    with pytest.raises(GuardError, match="1000001 > 1000000"):
-        solve_enumerative(build_extensive_form(inst))
+    (key,) = inst.triples()
+    for x in range(3):
+        assert certified_optimum(inst, {key: x}) == 0
 
 
 def test_enumeration_random_instances_match_solver():
     rng = random.Random(3102)
     for _ in range(5):
         inst = random_instance(rng, max_capacity=4, max_demand=4)
-        form = build_extensive_form(inst)
-        objective, _ = solve_enumerative(form)
-        assert objective == solve_instance(inst).expected_total / MICRO
+        sol = solve_instance(inst)
+        assert certified_optimum(inst, sol.reservations) == sol.expected_total / MICRO
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(documents_at_the_limits())
+def test_kernel_levels_are_certified_on_every_exported_lp(doc):
+    inst = instance_from_document(doc)
+    sol = solve_instance(inst)
+    assert certified_optimum(inst, sol.reservations) == sol.expected_total / MICRO
+
+
+@pytest.mark.parametrize("shape", ["reference", "golden", "audit-shaped"])
+def test_kernel_levels_are_certified_at_full_size(shape, reference_instance, data_dir):
+    if shape == "reference":
+        inst, form = reference_instance, None
+    elif shape == "golden":
+        inst = single_triple_instance()
+        form = parse_lp((data_dir / "golden_single.lp").read_text(encoding="utf-8"))
+    else:
+        inst, form = instance_from_document(audit_shaped_doc()), None
+    sol = solve_instance(inst)
+    assert certified_optimum(inst, sol.reservations, form) == sol.expected_total / MICRO
+
+
+def _tied_instances():
+    # margin 2 against a reserve of 1: the unit that half the mass needs
+    # exactly pays for itself, at a demand level (1, 2) and between two (0, 3).
+    rates = make_rates(reserve=1, on_demand=2)
+    yield make_instance(rates=rates, demand=(1, 2), wait=(1000,), capacity=3)
+    yield make_instance(rates=rates, demand=(0, 3), wait=(1000,), capacity=4)
+
+
+def test_certificate_refuses_every_costlier_level_and_certifies_every_tie():
+    rng = random.Random(1776)
+    instances = [random_instance(rng) for _ in range(100)] + list(_tied_instances())
+    refused = ties = 0
+    for inst in instances:
+        sol = solve_instance(inst)
+        form = lp_form(inst)
+        for key in inst.triples():
+            capacity = inst.machine(key.provider_id, key.machine_id).capacity_qubits
+            for x in range(capacity + 1):
+                levels = {**sol.reservations, key: x}
+                cost = expected_cost(inst, levels).expected_total
+                if cost > sol.expected_total:
+                    with pytest.raises(ModelError, match="certificate objective"):
+                        certified_optimum(inst, levels, form)
+                    refused += 1
+                else:
+                    assert certified_optimum(inst, levels, form) == cost / MICRO
+                    ties += x != sol.reservations[key]
+    assert refused > 600 and ties >= 4
+
+
+# Indices into the certificate of _MUTATED: variable 0 is the reservation
+# (level 4 of capacity 5); scenario 0 (demand 1, wait 3 ms < 5 ms) owns
+# variables 1-3 (xu, xo, y) and rows 0-2 (use, dem, wait).
+_MUTATED = make_instance(demand=(1, 2, 3, 4), wait=(3000, 6000), capacity=5)
+
+
+@pytest.mark.parametrize(
+    "part, index, change, match",
+    [
+        ("values", None, None, "certificate sizes"),
+        ("values", 0, lambda v: v + 2, "certificate bounds: xr_c0_p0_m0 = 6"),
+        ("values", 1, lambda v: v + Fraction(1, 2), "certificate integrality: xu_"),
+        ("values", 3, lambda v: 0, "certificate row: wait_c0_p0_m0_s0"),
+        ("rows", 1, lambda pi: -pi, "certificate dual sign: dem_c0_p0_m0_s0"),
+        ("bounds", 0, lambda s: s - 1, "certificate bound dual: xr_c0_p0_m0 has -1 < 0"),
+        ("bounds", 1, lambda s: s + 1, "xu_c0_p0_m0_s0 has no upper bound"),
+        ("rows", 1, lambda pi: pi + 100, "certificate reduced cost: xu_c0_p0_m0_s0"),
+        ("values", 0, lambda v: v + 1, "certificate objective"),
+    ],
+    ids=[
+        "sizes", "bound", "integrality", "row", "dual-sign", "negative-sigma",
+        "sigma-unbounded", "reduced-cost", "objective-gap",
+    ],
+)
+def test_each_checker_rule_refuses_its_mutation(part, index, change, match):
+    form = lp_form(_MUTATED)
+    certificate = optimality_certificate(_MUTATED, solve_instance(_MUTATED).reservations)
+    assert check_certificate(form, *certificate) > 0
+    pos = ("values", "rows", "bounds").index(part)
+    vector = list(certificate[pos])
+    if index is None:
+        vector.pop()
+    else:
+        vector[index] = change(vector[index])
+    mutated = (*certificate[:pos], tuple(vector), *certificate[pos + 1:])
+    with pytest.raises(ModelError, match=match):
+        check_certificate(form, *mutated)

@@ -413,7 +413,7 @@ def test_joint_oracle_guard():
 
 
 def test_joint_oracle_refuses_a_negative_capacity_before_enumerating(monkeypatch):
-    monkeypatch.setattr(solver, "circuit_tables", None)  # never reached
+    monkeypatch.setattr(solver, "space_for_circuit", None)  # never reached
     with pytest.raises(CapacityError) as caught:
         joint_enumeration_oracle(make_instance(capacity=-1))
     assert str(caught.value) == "capacity must be non-negative, got -1"
@@ -421,16 +421,20 @@ def test_joint_oracle_refuses_a_negative_capacity_before_enumerating(monkeypatch
 
 def test_joint_oracle_builds_its_tables_once(monkeypatch):
     calls = []
-    real = solver.circuit_tables
+    real = solver.space_for_circuit
 
-    def counted(instance):
-        calls.append(instance)
-        return real(instance)
+    def counted(instance, circuit_id):
+        calls.append(circuit_id)
+        return real(instance, circuit_id)
 
-    monkeypatch.setattr(solver, "circuit_tables", counted)
     inst = make_instance(demand=(1, 4), wait=(1000, 2000), capacity=5, providers=2)
-    joint_enumeration_oracle(inst)
-    assert len(calls) == 1
+    kernel = solve_instance(inst)
+    monkeypatch.setattr(solver, "space_for_circuit", counted)
+    monkeypatch.setattr(solver, "circuit_tables", None)  # never called
+    monkeypatch.setattr(solver, "_kernel_costs", None)  # never called
+    oracle = joint_enumeration_oracle(inst)
+    assert calls == ["c1"]
+    assert oracle == kernel
 
 
 # --- structural invariants ---------------------------------------------------
