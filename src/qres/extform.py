@@ -44,7 +44,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .instance import GRID_GUARD, GuardError, Instance, ModelError, check_capacity
-from .scenarios import ScenarioSpace, circuit_marginals, space_for_circuit
+from .scenarios import ScenarioSpace, circuit_marginals, product_space
 from .units import MICRO, exact_decimal, fraction_from_decimal
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]{0,254}")
@@ -136,7 +136,7 @@ def plan_form(instance: Instance) -> list[TriplePlan]:
         machine_pos[(m.provider_id, m.machine_id)] = per_provider.get(m.provider_id, 0)
         per_provider[m.provider_id] = per_provider.get(m.provider_id, 0) + 1
 
-    spaces = {cid: space_for_circuit(instance, cid) for cid in outcomes}
+    spaces = {cid: product_space(cid, m) for cid, m in outcomes.items()}
 
     plans = []
     for cid, pid, mid in triples:

@@ -36,6 +36,9 @@ from .units import (
 DEFAULT_CAPACITY = 30
 
 
+Weights = tuple[int, tuple[int, ...]]  # (L, w): Pr[i] == w[i] / L, sum(w) == L
+
+
 class InstanceError(ValueError):
     """Raised when a document or CSV cannot be turned into a valid Instance."""
 
@@ -612,12 +615,15 @@ def load_reservations(path: str | Path) -> dict[tuple[str, str, str], int]:
 # ---------------------------------------------------------------------------
 
 
-def outcome_problems(
+def outcome_weights(
     demand: Sequence[int], wait: Sequence[int], demand_probs=None, wait_probs=None
-) -> list[tuple[str, str]]:
-    """Why a circuit's outcomes are not two distributions, as (field, problem).
+) -> tuple[list[tuple[str, str]], Weights | None, Weights | None]:
+    """``(problems, demand_weights, wait_weights)`` of a circuit's outcomes.
 
-    ``field`` is ``""`` for a set, else ``demand_probs`` or ``wait_probs``.
+    ``problems`` says why they are not two distributions, as (field,
+    problem) with ``field`` ``""`` for a set, else the vector's name. A
+    vector that was read is ``(L, w)``, over L the lcm of its reduced
+    denominators; an absent or unreadable one is ``None``.
     """
     problems = []
     if not demand:
@@ -628,6 +634,7 @@ def outcome_problems(
         problems.append(("", "negative demand value"))
     if min(wait, default=0) < 0:
         problems.append(("", "negative wait time"))
+    weights: dict[str, Weights] = {}
     for name, probs, n in (
         ("demand_probs", demand_probs, len(demand)),
         ("wait_probs", wait_probs, len(wait)),
@@ -638,19 +645,19 @@ def outcome_problems(
             problems.append((name, f"expected {n} probabilities, got {len(probs)}"))
             continue
         try:
-            exact = [parse_probability(p) for p in probs]
+            ratios = [parse_probability(p).as_integer_ratio() for p in probs]
         except UnitError as exc:
             problems.append((name, str(exc)))
             continue
-        # Integer numerators over the lcm of the denominators: no Fraction per term.
-        ratios = [p.as_integer_ratio() for p in exact]
         if any(n < 0 for n, _ in ratios):
             problems.append((name, "probabilities must be non-negative"))
         common = math.lcm(*(d for _, d in ratios))
-        if (total := sum(n * (common // d) for n, d in ratios)) != common:
+        w = tuple(n * (common // d) for n, d in ratios)
+        if (total := sum(w)) != common:
             total = Fraction(total, common)
             problems.append((name, f"probabilities sum to {total}, not 1"))
-    return problems
+        weights[name] = common, w
+    return problems, weights.get("demand_probs"), weights.get("wait_probs")
 
 
 def outcome_total_problem(counts: Iterable[int]) -> str | None:
@@ -708,7 +715,7 @@ def validate(instance: Instance) -> list[Diagnostic]:
         cid = c.circuit_id
         sets = instance.demand_sets.get(cid, ()), instance.wait_sets.get(cid, ())
         probs = instance.demand_probs.get(cid), instance.wait_probs.get(cid)
-        for name, problem in outcome_problems(*sets, *probs):
+        for name, problem in outcome_weights(*sets, *probs)[0]:
             where = f"circuit {cid} {name}" if name else f"circuit {cid}"
             out.append(Diagnostic("error", where, problem))
     if problem := outcome_total_problem(_outcome_counts(instance)):

@@ -9,23 +9,21 @@ golden tests are reproducible.
 
 The solver's marginal kernel needs only the checked marginals
 (:func:`marginals`, :func:`circuit_marginals`); the product space itself
-serves the scenario-route oracles and the extensive form. Probabilities
-are exact rationals: an explicit vector holds each written decimal and
-sums to exactly 1, and a uniform marginal is made of dyadic rationals
-within one part in 2^53 of 1/n (which has no finite decimal for the LP)
-that sum to exactly 1. Equality tests downstream are therefore exact.
+serves the scenario-route oracles and the extensive form. Each vector is
+held as exact integer weights ``(L, w)``, ``Pr[i] == w[i] / L``: a written
+one as :func:`qres.instance.outcome_weights` reads it, an absent one as
+the dyadic uniform weights over 2^53 (1/n has no finite decimal for the
+LP). A space's weights are the products of its marginals' over L_d * L_w.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, NamedTuple
 
-from .instance import GRID_GUARD, Instance, ScenarioError, outcome_problems
-from .units import PROBABILITY_DIGITS, parse_probability
+from .instance import GRID_GUARD, Instance, ScenarioError, Weights, outcome_weights
+from .units import PROBABILITY_DIGITS
 
 _DYADIC_ONE = 1 << PROBABILITY_DIGITS
 
@@ -39,41 +37,30 @@ class Scenario:
 @dataclass(frozen=True)
 class ScenarioSpace:
     scenarios: tuple[Scenario, ...]
-    exact_probabilities: tuple[Fraction, ...]
+    weights: Weights
 
     def __len__(self) -> int:
         return len(self.scenarios)
 
-    @cached_property
-    def weights(self) -> tuple[int, tuple[int, ...]]:
-        """``(L, w)``: each probability as ``w[i] / L`` over one common denominator.
-
-        L is the lcm of the probabilities' denominators, so ``sum(w) == L``
-        and an expectation over the space is an integer sum divided by L.
-        """
-        common = math.lcm(*(p.denominator for p in self.exact_probabilities))
-        return common, tuple(
-            p.numerator * (common // p.denominator) for p in self.exact_probabilities
-        )
+    @property
+    def exact_probabilities(self) -> tuple[Fraction, ...]:
+        common, weights = self.weights
+        return tuple(Fraction(w, common) for w in weights)
 
 
-def _exact(probs: tuple | None, n: int) -> tuple[Fraction, ...]:
-    """A checked vector as written, or the dyadic uniform one if none is given."""
-    if probs is not None:
-        return tuple(map(parse_probability, probs))
+def _uniform(n: int) -> Weights:
+    """The dyadic uniform weights of n outcomes over 2^53."""
     base, extra = divmod(_DYADIC_ONE, n)
-    return tuple(
-        Fraction(base + (1 if i < extra else 0), _DYADIC_ONE) for i in range(n)
-    )
+    return _DYADIC_ONE, tuple(base + 1 if i < extra else base for i in range(n))
 
 
 class Marginals(NamedTuple):
-    """Checked demand and wait outcomes of one circuit, exact probabilities."""
+    """Checked demand and wait outcomes of one circuit, with exact weights."""
 
     demands: tuple[int, ...]
-    demand_probs: tuple[Fraction, ...]
+    demand_weights: Weights
     waits: tuple[int, ...]  # microseconds
-    wait_probs: tuple[Fraction, ...]
+    wait_weights: Weights
 
 
 def marginals(
@@ -83,19 +70,22 @@ def marginals(
     demand_probs: Iterable | None = None,
     wait_probs: Iterable | None = None,
 ) -> Marginals:
-    """Check one circuit's outcomes by validate's rule; attach exact probabilities."""
+    """Check one circuit's outcomes by validate's rule; attach exact weights."""
     demands, waits = tuple(demand_set), tuple(wait_set)
     demand_probs, wait_probs = (
         None if p is None else tuple(p) for p in (demand_probs, wait_probs)
     )
-    for name, problem in outcome_problems(demands, waits, demand_probs, wait_probs):
+    problems, demand_weights, wait_weights = outcome_weights(
+        demands, waits, demand_probs, wait_probs
+    )
+    for name, problem in problems:
         where = f"{circuit_id} {name}" if name else circuit_id
         raise ScenarioError(f"{where}: {problem}")
     return Marginals(
         demands,
-        _exact(demand_probs, len(demands)),
+        demand_weights or _uniform(len(demands)),
         waits,
-        _exact(wait_probs, len(waits)),
+        wait_weights or _uniform(len(waits)),
     )
 
 
@@ -116,19 +106,18 @@ def circuit_marginals(instance: Instance, circuit_id: str) -> Marginals:
     )
 
 
-def _product_space(circuit_id: str, m: Marginals) -> ScenarioSpace:
+def product_space(circuit_id: str, m: Marginals) -> ScenarioSpace:
+    """The product space of checked marginals, refused over GRID_GUARD scenarios."""
     size = len(m.demands) * len(m.waits)
     if size > GRID_GUARD:
         raise ScenarioError(
             f"{circuit_id}: product space has {size} scenarios, more than {GRID_GUARD}"
         )
-    scenarios = []
-    exact = []
-    for beta, pd in zip(m.demands, m.demand_probs):
-        for alpha, pw in zip(m.waits, m.wait_probs):
-            scenarios.append(Scenario(demand_qubits=beta, wait_time=alpha))
-            exact.append(pd * pw)
-    return ScenarioSpace(scenarios=tuple(scenarios), exact_probabilities=tuple(exact))
+    demand_common, demand_weights = m.demand_weights
+    wait_common, wait_weights = m.wait_weights
+    scenarios = tuple(Scenario(beta, alpha) for beta in m.demands for alpha in m.waits)
+    weights = tuple(wd * ww for wd in demand_weights for ww in wait_weights)
+    return ScenarioSpace(scenarios, (demand_common * wait_common, weights))
 
 
 def build_space(
@@ -142,7 +131,7 @@ def build_space(
 
     A space of more than GRID_GUARD scenarios is refused before it is built.
     """
-    return _product_space(
+    return product_space(
         circuit_id,
         marginals(circuit_id, demand_set, wait_set, demand_probs, wait_probs),
     )
@@ -150,4 +139,4 @@ def build_space(
 
 def space_for_circuit(instance: Instance, circuit_id: str) -> ScenarioSpace:
     """Build the scenario space of one circuit of an instance."""
-    return _product_space(circuit_id, circuit_marginals(instance, circuit_id))
+    return product_space(circuit_id, circuit_marginals(instance, circuit_id))

@@ -9,13 +9,14 @@ demand and wait marginals.
 The kernel gives every answer. It builds one :class:`CircuitTable` per
 circuit from its marginals alone: the distinct demand levels, the
 survival ``Pr(demand >= level)``, the expected demand at or above each
-level, and the grouped wait masses, all as integer numerators over the
-lcm of the marginal's denominators. Both marginals sum to exactly 1, so
-each mass equals its product-space sum. The level reserves the x-th
-qubit while the saving (on_demand - utilize) * Pr(demand >= x) strictly
-exceeds the reservation rate, compared in integers; survival is constant
-between two demand levels, so the search steps level by level. Costs
-come from closed forms over the same table, one ``Fraction`` per value.
+level, and the grouped wait masses, all as sums of the marginals' integer
+weights. Both marginals sum to exactly 1, so each mass equals its
+product-space sum. The level reserves the x-th qubit while the saving
+(on_demand - utilize) * Pr(demand >= x) strictly exceeds the reservation
+rate, compared in integers; with no saving, only a negative rate fills
+the capacity. Survival is constant between two demand levels, so the
+search steps level by level. Costs come from closed forms over the same
+table, one ``Fraction`` per value.
 The over-wait penalty never depends on any decision, so it is excluded
 from the argmin and added back to every reported cost.
 
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
 import random
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
@@ -101,12 +101,12 @@ class CircuitTable(NamedTuple):
     """One circuit's marginals as integers over common denominators.
 
     ``levels`` are the distinct demand values in ascending order and
-    ``common`` is L, the lcm of the demand probabilities' denominators.
+    ``common`` is L, the denominator of the demand weights.
     ``survival[i]`` is L * Pr(demand >= levels[i]), so ``survival[0] == L``,
     and ``demand_above[i]`` is L * E[demand; demand >= levels[i]]; both end
     with a 0 entry for "above the largest level". ``waits`` pairs each
-    distinct wait time with its mass times ``wait_common``, the lcm of the
-    wait probabilities' denominators. The layout is private to this module;
+    distinct wait time with its mass times ``wait_common``, the
+    denominator of the wait weights. The layout is private to this module;
     callers use the methods.
     """
 
@@ -131,7 +131,8 @@ class CircuitTable(NamedTuple):
         check_capacity(capacity)
         margin = rates.on_demand_per_qubit - rates.utilize_per_qubit
         if margin <= 0 or capacity == 0:
-            return 0
+            # A reserved unit saves nothing, so it pays off only at a negative rate.
+            return capacity if rates.reserve_per_qubit < 0 else 0
         cost = rates.reserve_per_qubit * self.common
         best = 0
         for top, survival in zip(self.levels, self.survival):
@@ -170,22 +171,19 @@ class CircuitTable(NamedTuple):
         return Fraction(rates.penalty_per_second * over_wait, self.wait_common * MICRO)
 
 
-def _masses(
-    values: tuple[int, ...], probs: tuple[Fraction, ...]
-) -> tuple[int, dict[int, int]]:
-    """``(L, mass)``: each distinct value's probability times L, the lcm of
-    the probabilities' denominators."""
-    ratios = [p.as_integer_ratio() for p in probs]
-    common = math.lcm(*(d for _, d in ratios))
+def _masses(values: tuple[int, ...], weights: tuple[int, ...]) -> dict[int, int]:
+    """Each distinct value's weight: the sum of its outcomes' weights."""
     mass: dict[int, int] = {}
-    for value, (n, d) in zip(values, ratios):
-        mass[value] = mass.get(value, 0) + n * (common // d)
-    return common, mass
+    for value, weight in zip(values, weights):
+        mass[value] = mass.get(value, 0) + weight
+    return mass
 
 
 def _table(m: Marginals) -> CircuitTable:
-    common, demand_mass = _masses(m.demands, m.demand_probs)
-    wait_common, wait_mass = _masses(m.waits, m.wait_probs)
+    common, demand_weights = m.demand_weights
+    wait_common, wait_weights = m.wait_weights
+    demand_mass = _masses(m.demands, demand_weights)
+    wait_mass = _masses(m.waits, wait_weights)
     levels = sorted(demand_mass)
     survival = [0] * (len(levels) + 1)
     demand_above = [0] * (len(levels) + 1)

@@ -3,9 +3,10 @@
 Money is held as integer micro-dollars and time as integer microseconds,
 so every deterministic cost is exact integer arithmetic. Probabilities
 are read as the exact decimal written (a float counts as its ``repr``)
-and held as `fractions.Fraction`, and so are expected values; two
-different summation orders of the same terms therefore compare equal
-with `==`, which is what the oracle tests rely on.
+and held as integer weights over one denominator per vector (see
+:func:`qres.instance.outcome_weights`); expected values are exact
+`fractions.Fraction`s, so two summation orders of the same terms
+compare equal with `==`, which is what the oracle tests rely on.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ import errno
 import json
 import os
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from helpers import audit_shaped_doc, documents_at_the_limits
 from qres import cli, extform, scenarios, solver
+from qres import instance as instance_module
 from qres.cli import run, write_atomic
 from qres.extform import build_extensive_form, parse_lp, render_lp
 from qres.instance import load_instance
@@ -95,7 +97,7 @@ def two_circuit_doc() -> dict:
 
 def test_oracle_run_builds_each_table_and_space_once(tmp_path, monkeypatch, capsys):
     tables, spaces = [], []
-    real_tables, real_space = solver.circuit_tables, scenarios._product_space
+    real_tables, real_space = solver.circuit_tables, scenarios.product_space
 
     def counted_tables(instance):
         tables.append(instance)
@@ -106,7 +108,7 @@ def test_oracle_run_builds_each_table_and_space_once(tmp_path, monkeypatch, caps
         return real_space(circuit_id, marginals)
 
     monkeypatch.setattr(solver, "circuit_tables", counted_tables)
-    monkeypatch.setattr(scenarios, "_product_space", counted_space)
+    monkeypatch.setattr(scenarios, "product_space", counted_space)
     path = write_doc(tmp_path, two_circuit_doc())
     assert run(["solve", path, "--oracle", "--seed", "7", "-v"]) == 0
     # Each circuit is scanned over 31 + 7 levels: c1 has 1 scenario, c2 has 4.
@@ -117,6 +119,28 @@ def test_oracle_run_builds_each_table_and_space_once(tmp_path, monkeypatch, caps
     # One table pass to solve and one for the 20 spot-check vectors.
     assert len(tables) == 2
     assert spaces == ["c1", "c2"]
+
+
+def test_each_circuits_vectors_are_converted_twice_per_command(
+    tmp_path, monkeypatch
+):
+    calls = []
+    real = instance_module.outcome_weights
+
+    def counted(demand, *args):
+        calls.append(tuple(demand))
+        return real(demand, *args)
+
+    monkeypatch.setattr(instance_module, "outcome_weights", counted)
+    monkeypatch.setattr(scenarios, "outcome_weights", counted)
+    doc = two_circuit_doc()
+    doc["circuits"][1].update(demand_probs=[0.25, 0.75], wait_probs=[0.5, 0.5])
+    path = write_doc(tmp_path, doc)
+    for command in ("solve", "export-lp"):
+        calls.clear()
+        assert run([command, path, "-o", str(tmp_path / "out")]) == 0
+        # Once when the document is validated on load, once for its marginals.
+        assert Counter(calls) == {(5,): 2, (2, 4): 2}, command
 
 
 def test_verbose_oracle_counts_its_work_on_stderr_only(capsys):
@@ -819,7 +843,7 @@ def test_oracle_refuses_more_work_than_its_guard(tmp_path, monkeypatch, capsys):
     # 10001 levels x (10000 demands x 100 waits): about 10^10 evaluations.
     built = []
     monkeypatch.setattr(
-        scenarios, "_product_space", lambda cid, marginals: built.append(cid)
+        scenarios, "product_space", lambda cid, marginals: built.append(cid)
     )
     doc = single_triple_doc()
     doc["circuits"][0]["demand_set"] = {"lo": 0, "hi": 9999}

@@ -172,7 +172,7 @@ def test_oversized_form_is_refused_naming_its_size():
 
 
 def test_negative_capacity_is_refused_before_any_space(monkeypatch):
-    monkeypatch.setattr(extform, "space_for_circuit", None)  # never reached
+    monkeypatch.setattr(extform, "product_space", None)  # never reached
     with pytest.raises(CapacityError) as caught:
         build_extensive_form(make_instance(capacity=-1))
     assert str(caught.value) == "capacity must be non-negative, got -1"
@@ -183,7 +183,7 @@ def test_unknown_circuit_is_refused_like_solve_instance(monkeypatch):
     assert [str(d) for d in validate(inst)] == ["error: circuit c1: empty demand set"]
     with pytest.raises(ScenarioError) as solved:
         solve_instance(inst)
-    monkeypatch.setattr(extform, "space_for_circuit", None)  # never reached
+    monkeypatch.setattr(extform, "product_space", None)  # never reached
     with pytest.raises(ScenarioError) as built:
         build_extensive_form(inst)
     assert str(built.value) == str(solved.value) == "unknown circuit 'c1'"
@@ -194,7 +194,7 @@ def test_missing_wait_set_is_refused_like_validate(monkeypatch):
     assert [str(d) for d in validate(inst)] == ["error: circuit c1: empty wait set"]
     with pytest.raises(ScenarioError) as solved:
         solve_instance(inst)
-    monkeypatch.setattr(extform, "space_for_circuit", None)  # never reached
+    monkeypatch.setattr(extform, "product_space", None)  # never reached
     with pytest.raises(ScenarioError) as built:
         build_extensive_form(inst)
     assert str(built.value) == str(solved.value) == "c1: empty wait set"

@@ -16,7 +16,7 @@ from qres.instance import (
     TripleKey,
     instance_from_document,
     load_instance,
-    outcome_problems,
+    outcome_weights,
     popcount,
     synth_exec_time,
     validate,
@@ -94,7 +94,7 @@ def test_probability_sum_is_the_fraction_sum(head, miss):
         expected.append("probabilities must be non-negative")
     if (total := sum(probs, Fraction(0))) != 1:
         expected.append(f"probabilities sum to {total}, not 1")
-    problems = outcome_problems(range(len(probs)), (0,), probs)
+    problems = outcome_weights(range(len(probs)), (0,), probs)[0]
     assert problems == [("demand_probs", problem) for problem in expected]
 
 

@@ -116,6 +116,27 @@ def test_cli_takes_only_the_solver_entry_points():
     assert all(id(node) in in_functions for node in from_solver)
 
 
+def test_exact_weights_are_made_in_one_function():
+    # A probability vector's exact form is made by instance.outcome_weights
+    # alone: no other code takes an lcm or a numerator/denominator pair.
+    tokens = ("math.lcm", ".as_integer_ratio()", "from math import")
+    found = {
+        (path.name, token)
+        for path in Path(qres.__file__).parent.rglob("*.py")
+        for token in tokens
+        if token in path.read_text(encoding="utf-8")
+    }
+    assert found == {("instance.py", t) for t in tokens[:2]}
+    source = Path(qres.instance.__file__).read_text(encoding="utf-8")
+    (function,) = [
+        node
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name == "outcome_weights"
+    ]
+    body = ast.get_source_segment(source, function)
+    assert [body.count(t) for t in tokens[:2]] == [source.count(t) for t in tokens[:2]]
+
+
 # Resolves each error class through the package in a fresh interpreter.
 _ERRORS = """
 import sys

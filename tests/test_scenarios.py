@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -9,12 +11,14 @@ from hypothesis import strategies as st
 
 from helpers import make_instance, random_probs
 from qres import scenarios
-from qres.instance import validate
+from qres.instance import outcome_weights, validate
 from qres.scenarios import (
     ScenarioError,
     build_space,
+    marginals,
     space_for_circuit,
 )
+from qres.units import PROBABILITY_DIGITS, exact_decimal, parse_probability
 
 REF_DEMAND = tuple(range(10, 23))
 REF_WAIT = tuple(range(1000, 9001, 1000))
@@ -146,3 +150,84 @@ def test_validate_flags_probs_exactly_when_build_space_rejects(
         assert str(exc) == f"{first.location.removeprefix('circuit ')}: {first.message}"
     else:
         assert not flagged
+
+
+# --- the exact form of a probability vector --------------------------------
+
+
+@st.composite
+def distributions(draw, values):
+    """A value list (repeats allowed) and its vector: absent, written or Fraction."""
+    outcomes = draw(st.lists(values, min_size=1, max_size=6))
+    shares = draw(
+        st.lists(st.integers(0, 10**6), min_size=len(outcomes), max_size=len(outcomes))
+        .filter(any)
+    )
+    total = sum(shares)
+    style = draw(st.sampled_from(["absent", "written", "fraction"]))
+    if style == "absent":
+        return outcomes, None
+    if style == "fraction":  # denominators such as 3 or 7 that no decimal has
+        return outcomes, [Fraction(share, total) for share in shares]
+    digits = draw(st.integers(0, PROBABILITY_DIGITS))
+    units = [share * 10**digits // total for share in shares]
+    units[0] += 10**digits - sum(units)
+    written = [exact_decimal(Fraction(u, 10**digits)) for u in units]
+    # Text, Decimal and (where it round-trips) float are all read as written.
+    kind = draw(st.sampled_from([str, Decimal, float]))
+    if kind is float and any(repr(float(text)) != text for text in written):
+        kind = str
+    return outcomes, [kind(text) for text in written]
+
+
+def _exact(probs, n):
+    """The probabilities a vector stands for; an absent one is dyadic uniform."""
+    if probs is not None:
+        return [parse_probability(p) for p in probs]
+    one = 2**PROBABILITY_DIGITS
+    return [Fraction(one // n + (i < one % n), one) for i in range(n)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    demand=distributions(st.integers(0, 4)),
+    wait=distributions(st.sampled_from([0, 1000, 2500])),
+)
+@example(demand=([1, 2, 3], [Fraction(1, 3)] * 3), wait=([0, 0], None))
+@example(
+    demand=([7], ["1"]), wait=([0, 1000], ["0." + "0" * 52 + "1", "0." + "9" * 53])
+)
+def test_each_vector_has_one_exact_form(demand, wait):
+    (demands, demand_probs), (waits, wait_probs) = demand, wait
+    problems, *forms = outcome_weights(demands, waits, demand_probs, wait_probs)
+    assert problems == []
+    m = marginals("c", demands, waits, demand_probs, wait_probs)
+    exact = []
+    for probs, form, weights, n in (
+        (demand_probs, forms[0], m.demand_weights, len(demands)),
+        (wait_probs, forms[1], m.wait_weights, len(waits)),
+    ):
+        p = _exact(probs, n)
+        assert form == (None if probs is None else weights)
+        common, w = weights
+        assert sum(w) == common
+        assert [Fraction(wi, common) for wi in w] == p
+        if probs is not None:  # over the lcm of the reduced denominators
+            assert common == math.lcm(*(pi.denominator for pi in p))
+        exact.append(p)
+    space = build_space("c", demands, waits, demand_probs, wait_probs)
+    assert sum(space.weights[1]) == space.weights[0]
+    assert space.exact_probabilities == tuple(
+        pd * pw for pd in exact[0] for pw in exact[1]
+    )
+
+
+def test_an_empty_set_with_an_empty_vector_keeps_both_problems():
+    problems, demand_weights, wait_weights = outcome_weights([], [1000], [], None)
+    assert problems == [
+        ("", "empty demand set"),
+        ("demand_probs", "probabilities sum to 0, not 1"),
+    ]
+    assert wait_weights is None
+    with pytest.raises(ScenarioError, match="^c: empty demand set$"):
+        build_space("c", [], [1000], [])

@@ -133,6 +133,19 @@ def test_reservation_never_pays_off():
     assert solve_one_triple(rates, REF_DEMAND, REF_WAIT, 5000, 30)[0] == 0
 
 
+@pytest.mark.parametrize("capacity, level, cost", [(3, 3, 7), (0, 0, 10)])
+@pytest.mark.parametrize(
+    "utilize, on_demand", [(5, 2), (2, 2)], ids=["utilize-dearer", "equal-rates"]
+)
+def test_negative_reservation_rate_without_a_margin_fills_capacity(
+    utilize, on_demand, capacity, level, cost
+):
+    # No reserved unit saves a recourse cost, yet each one earns its rate.
+    rates = make_rates(reserve=-1, utilize=utilize, on_demand=on_demand)
+    args = rates, (5,), (3000,), 5000, capacity
+    assert solve_one_triple(*args) == brute_force_triple(*args) == (level, cost)
+
+
 def test_deterministic_newsvendor_singleton():
     rates = make_rates(reserve=1_000_000, utilize=100_000, on_demand=7_000_000)
     best, _ = brute_force_triple(rates, (8,), (1000,), 1000, 30)
