@@ -11,18 +11,18 @@ utilization wins when its rate equals the on-demand rate, utilization is
 filled to min(reserved, demand) when it is free, and the over-wait is its
 smallest feasible value even when the penalty rate is zero.
 
-A decision is the named tuple ``(utilized, on_demand, over_wait)``; the
-scenario-route oracles unpack it in that order. The oracle makes one
-decision per (scenario, level), so :func:`optimal_recourse` builds it with
-``tuple.__new__`` (still exactly a :class:`RecourseDecision`, without the
-generated ``__new__`` frame) and :func:`penalty_time` takes the positive
-part with a conditional rather than a ``max()`` call.
+A decision is the named tuple ``(utilized, on_demand, over_wait)``.
+:func:`qubit_costs` is the same rule in cost form: the utilization plus
+on-demand cost of the optimal decision, for each scenario of a sequence
+at one level. The scenario-route oracles price through it, and through
+:func:`penalty_time` for the over-wait, which takes no level.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from operator import attrgetter
+from typing import Iterable, Iterator, NamedTuple
 
 from .instance import CostRates
 from .scenarios import Scenario
@@ -64,13 +64,39 @@ def optimal_recourse(
     demand): over-provisioning can never reduce cost at non-negative
     rates, and the convention makes the minimizer unique.
     """
-    if reserved < 0:
-        raise ValueError(f"reserved must be non-negative, got {reserved}")
+    _check_reserved(reserved)
     beta = scenario.demand_qubits
     utilized = 0
     if rates.utilize_per_qubit <= rates.on_demand_per_qubit:
-        utilized = reserved if reserved < beta else beta
-    return tuple.__new__(
-        RecourseDecision,
-        (utilized, beta - utilized, penalty_time(exec_time, scenario.wait_time)),
+        utilized = min(reserved, beta)
+    return RecourseDecision(
+        utilized, beta - utilized, penalty_time(exec_time, scenario.wait_time)
     )
+
+
+def qubit_costs(
+    reserved: int, scenarios: Iterable[Scenario], rates: CostRates
+) -> Iterator[int]:
+    """Utilization plus on-demand cost of the optimal recourse, per scenario.
+
+    Yields, in scenario order, the integer micro-dollar cost of the
+    qubits of :func:`optimal_recourse` at level ``reserved``: u * beta
+    when the reservation covers demand beta, else
+    o * beta - (o - u) * reserved, and o * beta when u > o. A negative
+    level is refused here, before any scenario is read.
+    """
+    _check_reserved(reserved)
+    utilize, on_demand = rates.utilize_per_qubit, rates.on_demand_per_qubit
+    demands = map(attrgetter("demand_qubits"), scenarios)
+    if utilize > on_demand:
+        return (on_demand * beta for beta in demands)
+    rebate = (on_demand - utilize) * reserved
+    return (
+        utilize * beta if beta <= reserved else on_demand * beta - rebate
+        for beta in demands
+    )
+
+
+def _check_reserved(reserved: int) -> None:
+    if reserved < 0:
+        raise ValueError(f"reserved must be non-negative, got {reserved}")

@@ -21,7 +21,12 @@ The over-wait penalty never depends on any decision, so it is excluded
 from the argmin and added back to every reported cost.
 
 The scenario route prices every (demand, wait) scenario at every level
-through one :func:`~qres.recourse.optimal_recourse` call. It is the oracle:
+through the recourse rule: each level's qubit cost is one integer dot
+product of the scenario weights with the costs that
+:func:`~qres.recourse.qubit_costs` streams, and each triple's over-wait
+penalty is one sum of :func:`~qres.recourse.penalty_time` over its
+scenarios, as the over-wait takes no level. It reads no kernel table and
+uses no survival or convexity argument. It is the oracle:
 :func:`brute_force_triple`, :func:`scenario_costs`,
 :func:`joint_enumeration_oracle` and :func:`verify_solution`
 (``qres solve --oracle``) use it, and the tests compare it with the
@@ -37,6 +42,7 @@ import bisect
 import itertools
 import random
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, NamedTuple
 
 from .instance import (
@@ -49,7 +55,7 @@ from .instance import (
     check_capacity,
     check_outcome_total,
 )
-from .recourse import optimal_recourse, penalty_time
+from .recourse import penalty_time, qubit_costs
 from .scenarios import (
     Marginals,
     ScenarioSpace,
@@ -304,47 +310,53 @@ def solve_instance(instance: Instance) -> Solution:
 # --- the scenario route: oracles ---------------------------------------------
 
 
-def _recourse_expectation(
-    space: ScenarioSpace,
-    rates: CostRates,
-    exec_time: int,
-    reserved: int,
-) -> tuple[Fraction, Fraction]:
-    """Scenario-by-scenario expectation of the optimal recourse.
+def _penalty_expectation(
+    space: ScenarioSpace, rates: CostRates, exec_time: int
+) -> Fraction:
+    """Expected over-wait penalty in micro-dollars, scenario by scenario.
 
-    Returns (qubit cost, penalty cost) in micro-dollars. This is the
-    oracle's evaluation path, independent of the kernel's closed forms.
-    Each scenario adds its integer weight times its integer cost, and one
-    division by the space's common denominator ends each expectation.
+    The over-wait takes no level, so a triple takes this sum once.
     """
     common, weights = space.weights
-    utilize, on_demand = rates.utilize_per_qubit, rates.on_demand_per_qubit
-    qubits = over_wait = 0
-    for scenario, weight in zip(space.scenarios, weights):
-        used, bought, late = optimal_recourse(reserved, scenario, rates, exec_time)
-        qubits += weight * (utilize * used + on_demand * bought)
-        over_wait += weight * late
-    return (
-        Fraction(qubits, common),
-        Fraction(rates.penalty_per_second * over_wait, common * MICRO),
+    over_wait = sum(
+        weight * penalty_time(exec_time, scenario.wait_time)
+        for scenario, weight in zip(space.scenarios, weights)
+    )
+    return Fraction(rates.penalty_per_second * over_wait, common * MICRO)
+
+
+def _qubit_expectation(
+    space: ScenarioSpace, rates: CostRates, reserved: int
+) -> Fraction:
+    """Expected utilization plus on-demand cost at a level, scenario by scenario.
+
+    This is the oracle's evaluation path, independent of the kernel's
+    closed forms: one integer dot product of the space's weights with the
+    costs :func:`~qres.recourse.qubit_costs` streams, and one division by
+    the space's common denominator.
+    """
+    common, weights = space.weights
+    return Fraction(
+        sum(map(mul, weights, qubit_costs(reserved, space.scenarios, rates))), common
     )
 
 
-def _scenario_row(
-    instance: Instance, space: ScenarioSpace, key: TripleKey, reserved: int
-) -> TripleCost:
-    """One triple's cost row at a level, priced scenario by scenario."""
+def _scenario_rows(
+    instance: Instance, space: ScenarioSpace, key: TripleKey, levels: Iterable[int]
+) -> list[TripleCost]:
+    """One triple's cost rows at some levels, priced scenario by scenario."""
     rates = instance.rate(key.circuit_id, key.provider_id)
-    second, penalty = _recourse_expectation(
-        space, rates, instance.exec_time(*key), reserved
-    )
-    return TripleCost(
-        key=key,
-        reserved=reserved,
-        first_stage=Fraction(rates.reserve_per_qubit * reserved),
-        second_stage=second,
-        penalty=penalty,
-    )
+    penalty = _penalty_expectation(space, rates, instance.exec_time(*key))
+    return [
+        TripleCost(
+            key=key,
+            reserved=reserved,
+            first_stage=Fraction(rates.reserve_per_qubit * reserved),
+            second_stage=_qubit_expectation(space, rates, reserved),
+            penalty=penalty,
+        )
+        for reserved in levels
+    ]
 
 
 def scenario_costs(
@@ -356,7 +368,7 @@ def scenario_costs(
     for key, reserved, _ in _checked_levels(instance, reservations):
         if key.circuit_id not in spaces:
             spaces[key.circuit_id] = space_for_circuit(instance, key.circuit_id)
-        rows.append(_scenario_row(instance, spaces[key.circuit_id], key, reserved))
+        rows += _scenario_rows(instance, spaces[key.circuit_id], key, (reserved,))
     return rows
 
 
@@ -390,10 +402,11 @@ def _scan(
     space: ScenarioSpace, rates: CostRates, exec_time: int, capacity: int
 ) -> tuple[int, Fraction]:
     """Smallest argmin over [0, capacity] of the scenario-route total."""
+    penalty = _penalty_expectation(space, rates, exec_time)
     best_x = 0
     best_cost: Fraction | None = None
     for x in range(capacity + 1):
-        second, penalty = _recourse_expectation(space, rates, exec_time, x)
+        second = _qubit_expectation(space, rates, x)
         total = Fraction(rates.reserve_per_qubit * x) + second + penalty
         if best_cost is None or total < best_cost:
             best_x, best_cost = x, total
@@ -413,8 +426,9 @@ def brute_force_triple(
     """Oracle for the kernel's level: scan every level in [0, capacity].
 
     The triple is given by its rates, marginals, execution time and
-    capacity. Evaluates the full expectation through
-    :func:`optimal_recourse` at every level and keeps the smallest argmin,
+    capacity. Evaluates the full expectation over every scenario at every
+    level through :func:`~qres.recourse.qubit_costs` and
+    :func:`~qres.recourse.penalty_time` and keeps the smallest argmin,
     independently of the marginal analysis.
     """
     demand_set, wait_set = tuple(demand_set), tuple(wait_set)
@@ -506,7 +520,7 @@ def joint_enumeration_oracle(instance: Instance) -> Solution:
         for cid in dict.fromkeys(key.circuit_id for key in triples)
     }
     priced = [
-        [_scenario_row(instance, spaces[key.circuit_id], key, x) for x in range(cap + 1)]
+        _scenario_rows(instance, spaces[key.circuit_id], key, range(cap + 1))
         for key, cap in zip(triples, capacities)
     ]
     totals = [[row.total for row in rows] for rows in priced]

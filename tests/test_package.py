@@ -137,6 +137,26 @@ def test_exact_weights_are_made_in_one_function():
     assert [body.count(t) for t in tokens[:2]] == [source.count(t) for t in tokens[:2]]
 
 
+def test_the_oracles_read_the_qubit_rule_only_through_qubit_costs():
+    # Below the marker, solver.py reads no demand and no qubit rate: every
+    # (scenario, level) cost comes from qres.recourse.qubit_costs.
+    source = Path(qres.solver.__file__).read_text(encoding="utf-8")
+    (marker,) = [
+        number
+        for number, line in enumerate(source.splitlines(), 1)
+        if line.startswith("# --- the scenario route: oracles")
+    ]
+    names = {
+        node.attr if isinstance(node, ast.Attribute) else node.id
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Attribute, ast.Name)) and node.lineno > marker
+    }
+    assert "qubit_costs" in names
+    assert names.isdisjoint(
+        {"demand_qubits", "utilize_per_qubit", "on_demand_per_qubit"}
+    )
+
+
 # Resolves each error class through the package in a fresh interpreter.
 _ERRORS = """
 import sys

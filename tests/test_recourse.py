@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import REF_RATES, enumerate_recourse, make_rates
@@ -13,6 +13,7 @@ from qres.recourse import (
     RecourseDecision,
     optimal_recourse,
     penalty_time,
+    qubit_costs,
     recourse_cost,
 )
 from qres.scenarios import Scenario
@@ -181,3 +182,44 @@ def test_negative_time_or_reservation_raises(negative, other):
         optimal_recourse(other, scen(other, negative), REF_RATES, other)
     with pytest.raises(ValueError):
         optimal_recourse(other, scen(other, other), REF_RATES, negative)
+
+
+# Rates from 0 to 10^9 micro-dollars; small values make u == o and zeros common.
+rates_up_to_1e9 = st.integers(0, 3) | st.integers(0, 10**9)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(
+    reserved=quantities,
+    offsets=st.lists(st.integers(-3, 3), max_size=8),
+    others=st.lists(quantities, max_size=8),
+    utilize=rates_up_to_1e9,
+    on_demand=rates_up_to_1e9,
+    exec_time=quantities,
+)
+@example(reserved=4, offsets=[-1, 0, 1], others=[0, 0], utilize=5, on_demand=9, exec_time=7)
+@example(reserved=4, offsets=[-1, 0, 1], others=[0, 0], utilize=9, on_demand=9, exec_time=7)
+@example(reserved=4, offsets=[-1, 0, 1], others=[0, 0], utilize=9, on_demand=5, exec_time=7)
+@example(reserved=4, offsets=[-1, 0, 1], others=[0, 0], utilize=0, on_demand=0, exec_time=7)
+@example(reserved=0, offsets=[0, 1], others=[0], utilize=0, on_demand=10**9, exec_time=0)
+def test_qubit_costs_price_the_optimal_decisions(
+    reserved, offsets, others, utilize, on_demand, exec_time
+):
+    # Demands on both sides of the level, at it, at 0, and repeated.
+    demands = [0, reserved, *(max(0, reserved + k) for k in offsets), *others, reserved]
+    scenarios = [scen(beta, wait) for wait, beta in enumerate(demands)]
+    rates = make_rates(utilize=utilize, on_demand=on_demand, penalty=10)
+    costs = list(qubit_costs(reserved, scenarios, rates))
+    assert len(costs) == len(scenarios)
+    for cost, scenario in zip(costs, scenarios):
+        d = optimal_recourse(reserved, scenario, rates, exec_time)
+        assert cost == utilize * d.utilized + on_demand * d.on_demand
+
+
+def test_qubit_costs_refuse_a_negative_level_when_called():
+    # Raised by the call itself, before any scenario is read.
+    for rates in (REF_RATES, make_rates(utilize=9, on_demand=5)):
+        scenarios = iter([scen(3)])
+        with pytest.raises(ValueError, match="reserved must be non-negative, got -1"):
+            qubit_costs(-1, scenarios, rates)
+        assert next(scenarios) == scen(3)

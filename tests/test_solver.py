@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 import weakref
 from dataclasses import replace
 from fractions import Fraction
@@ -30,9 +31,15 @@ from qres.instance import (
     instance_from_document,
     validate,
 )
-from qres.recourse import optimal_recourse, penalty_cost, recourse_cost
+from qres.recourse import (
+    optimal_recourse,
+    penalty_cost,
+    penalty_time,
+    qubit_costs,
+    recourse_cost,
+)
 from qres.extform import build_extensive_form
-from qres.scenarios import ScenarioError, space_for_circuit
+from qres.scenarios import ScenarioError, build_space, space_for_circuit
 from qres.solver import (
     CapacityError,
     GuardError,
@@ -351,20 +358,35 @@ def test_single_triple_singleton_matches_hand_solution():
     assert sol.expected_total == Fraction(8_900_000)
 
 
-def test_brute_force_prices_every_scenario_through_optimal_recourse(monkeypatch):
-    calls = []
+def _count_the_recourse_rule(monkeypatch) -> dict[str, int]:
+    """Count the entries solver.qubit_costs yields and the penalty_time calls."""
+    counts = {"entries": 0, "penalty_time": 0}
 
-    def counted(*args):
-        calls.append(args)
-        return optimal_recourse(*args)
+    def costs(*args):
+        for cost in qubit_costs(*args):
+            counts["entries"] += 1
+            yield cost
 
-    monkeypatch.setattr(solver, "optimal_recourse", counted)
+    def late(*args):
+        counts["penalty_time"] += 1
+        return penalty_time(*args)
+
+    monkeypatch.setattr(solver, "qubit_costs", costs)
+    monkeypatch.setattr(solver, "penalty_time", late)
+    return counts
+
+
+def test_brute_force_prices_every_scenario_through_the_recourse_rule(monkeypatch):
+    counts = _count_the_recourse_rule(monkeypatch)
     brute_force_triple(REF_RATES, REF_DEMAND, REF_WAIT, 5000, 30)
-    assert len(calls) == 31 * len(REF_DEMAND) * len(REF_WAIT)
+    assert counts == {
+        "entries": 31 * len(REF_DEMAND) * len(REF_WAIT),
+        "penalty_time": len(REF_DEMAND) * len(REF_WAIT),
+    }
 
 
 @pytest.mark.parametrize("shape", ["reference", "audit-shaped"])
-def test_verify_solution_prices_every_evaluation_through_optimal_recourse(
+def test_verify_solution_prices_every_evaluation_through_the_recourse_rule(
     shape, reference_instance, monkeypatch
 ):
     if shape == "reference":
@@ -372,21 +394,32 @@ def test_verify_solution_prices_every_evaluation_through_optimal_recourse(
     else:
         instance = instance_from_document(audit_shaped_doc())
     solution = solve_instance(instance)
-    calls = 0
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return optimal_recourse(*args)
-
-    monkeypatch.setattr(solver, "optimal_recourse", counted)
+    sizes = [len(space_for_circuit(instance, cid)) for cid, _, _ in instance.triples()]
+    counts = _count_the_recourse_rule(monkeypatch)
     _, evaluations = verify_solution(instance, solution, seed=1)
-    assert calls == evaluations
+    assert counts["entries"] == evaluations
     assert evaluations == sum(
-        (instance.machine(pid, mid).capacity_qubits + 1)
-        * len(space_for_circuit(instance, cid))
-        for cid, pid, mid in instance.triples()
+        (instance.machine(pid, mid).capacity_qubits + 1) * size
+        for (_, pid, mid), size in zip(instance.triples(), sizes)
     )
+    # The kernel's spot check also takes over-waits, so the scan is counted alone.
+    counts["penalty_time"] = 0
+    verify_solution(instance, solution)
+    assert counts["penalty_time"] == sum(sizes)
+
+
+def test_the_scan_streams_its_columns():
+    # A level's costs are summed as they are made: no list of len(space).
+    space = build_space("c", range(200), range(0, 200_000, 1000))
+    rates = make_rates(utilize=100_000, on_demand=7_000_000, penalty=10_000_000)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        solver._scan(space, rates, 50_000, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 64 * 1024
 
 
 # --- joint enumeration oracle -----------------------------------------------
