@@ -65,7 +65,6 @@ _SOURCES = {
         "CostSurface",
         "sweep_reservation",
         "sweep_reservation_waiting",
-        "with_wait_singleton",
     ),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}

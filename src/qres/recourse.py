@@ -47,14 +47,6 @@ def penalty_cost(penalty_per_second: int, over_wait: int) -> Fraction:
     return Fraction(penalty_per_second * over_wait, MICRO)
 
 
-def recourse_cost(rates: CostRates, decision: RecourseDecision) -> Fraction:
-    """Exact cost of a decision in micro-dollars."""
-    return Fraction(
-        rates.utilize_per_qubit * decision.utilized
-        + rates.on_demand_per_qubit * decision.on_demand
-    ) + penalty_cost(rates.penalty_per_second, decision.over_wait)
-
-
 def optimal_recourse(
     reserved: int, scenario: Scenario, rates: CostRates, exec_time: int
 ) -> RecourseDecision:

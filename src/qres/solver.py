@@ -25,15 +25,19 @@ through the recourse rule: each level's qubit cost is one integer dot
 product of the scenario weights with the costs that
 :func:`~qres.recourse.qubit_costs` streams, and each triple's over-wait
 penalty is one sum of :func:`~qres.recourse.penalty_time` over its
-scenarios, as the over-wait takes no level. It reads no kernel table and
+scenarios, as the over-wait takes no level. The qubit cost depends on the
+circuit, the rates and the level, not on the machine, so
+:func:`verify_solution` prices each level once per circuit and distinct
+rates, for all the machines that share them. It reads no kernel table and
 uses no survival or convexity argument. It is the oracle:
 :func:`brute_force_triple`, :func:`scenario_costs`,
 :func:`joint_enumeration_oracle` and :func:`verify_solution`
 (``qres solve --oracle``) use it, and the tests compare it with the
 kernel. A brute-force check is refused before any space is built when a
-capacity exceeds BRUTE_FORCE_CAPACITY_GUARD or its scenario evaluations
-exceed BRUTE_FORCE_WORK_GUARD. All expectations are exact rationals (see
-:mod:`qres.units`), so the routes are compared with ``==``.
+capacity exceeds BRUTE_FORCE_CAPACITY_GUARD or its scenario evaluations,
+the (level, scenario) pairs it covers, exceed BRUTE_FORCE_WORK_GUARD. All
+expectations are exact rationals (see :mod:`qres.units`), so the routes
+are compared with ``==``.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import itertools
 import random
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .instance import (
     CapacityError,
@@ -325,37 +329,41 @@ def _penalty_expectation(
     return Fraction(rates.penalty_per_second * over_wait, common * MICRO)
 
 
-def _qubit_expectation(
-    space: ScenarioSpace, rates: CostRates, reserved: int
-) -> Fraction:
-    """Expected utilization plus on-demand cost at a level, scenario by scenario.
+def _qubit_numerators(
+    space: ScenarioSpace, rates: CostRates, levels: Sequence[int]
+) -> list[int]:
+    """Each level's expected utilization plus on-demand cost, times L.
 
-    This is the oracle's evaluation path, independent of the kernel's
-    closed forms: one integer dot product of the space's weights with the
-    costs :func:`~qres.recourse.qubit_costs` streams, and one division by
-    the space's common denominator.
+    L is the space's common denominator. This is the oracle's evaluation
+    path, independent of the kernel's closed forms: per level, one integer
+    dot product of the space's weights with the costs
+    :func:`~qres.recourse.qubit_costs` streams. The costs depend on the
+    rates and the level only, so the machines that share rates share them.
     """
-    common, weights = space.weights
-    return Fraction(
-        sum(map(mul, weights, qubit_costs(reserved, space.scenarios, rates))), common
-    )
+    _, weights = space.weights
+    return [
+        sum(map(mul, weights, qubit_costs(x, space.scenarios, rates))) for x in levels
+    ]
 
 
 def _scenario_rows(
-    instance: Instance, space: ScenarioSpace, key: TripleKey, levels: Iterable[int]
+    instance: Instance, space: ScenarioSpace, key: TripleKey, levels: Sequence[int]
 ) -> list[TripleCost]:
     """One triple's cost rows at some levels, priced scenario by scenario."""
     rates = instance.rate(key.circuit_id, key.provider_id)
     penalty = _penalty_expectation(space, rates, instance.exec_time(*key))
+    common, _ = space.weights
     return [
         TripleCost(
             key=key,
             reserved=reserved,
             first_stage=Fraction(rates.reserve_per_qubit * reserved),
-            second_stage=_qubit_expectation(space, rates, reserved),
+            second_stage=Fraction(numerator, common),
             penalty=penalty,
         )
-        for reserved in levels
+        for reserved, numerator in zip(
+            levels, _qubit_numerators(space, rates, levels)
+        )
     ]
 
 
@@ -398,20 +406,33 @@ def _space_size(instance: Instance, circuit_id: str) -> int:
     return len(demands) * len(instance.wait_sets.get(circuit_id, ()))
 
 
+def _cheapest(
+    space: ScenarioSpace,
+    rates: CostRates,
+    exec_time: int,
+    capacity: int,
+    numerators: list[int],
+) -> tuple[int, Fraction]:
+    """Smallest argmin over [0, capacity] of the scenario-route total.
+
+    ``numerators`` are the levels' qubit costs from :func:`_qubit_numerators`,
+    at least up to ``capacity``. The levels are compared in integers over
+    the space's common denominator; the over-wait penalty takes no level,
+    so it is summed once and added to the winner only.
+    """
+    common, _ = space.weights
+    reserve = rates.reserve_per_qubit * common
+    best_x = min(range(capacity + 1), key=lambda x: reserve * x + numerators[x])
+    qubits = Fraction(reserve * best_x + numerators[best_x], common)
+    return best_x, qubits + _penalty_expectation(space, rates, exec_time)
+
+
 def _scan(
     space: ScenarioSpace, rates: CostRates, exec_time: int, capacity: int
 ) -> tuple[int, Fraction]:
-    """Smallest argmin over [0, capacity] of the scenario-route total."""
-    penalty = _penalty_expectation(space, rates, exec_time)
-    best_x = 0
-    best_cost: Fraction | None = None
-    for x in range(capacity + 1):
-        second = _qubit_expectation(space, rates, x)
-        total = Fraction(rates.reserve_per_qubit * x) + second + penalty
-        if best_cost is None or total < best_cost:
-            best_x, best_cost = x, total
-    assert best_cost is not None
-    return best_x, best_cost
+    """Price every level in [0, capacity], then take the smallest argmin."""
+    numerators = _qubit_numerators(space, rates, range(capacity + 1))
+    return _cheapest(space, rates, exec_time, capacity, numerators)
 
 
 def brute_force_triple(
@@ -443,11 +464,13 @@ def verify_solution(
     """Re-derive every level of a solution by brute force; raise on a mismatch.
 
     A solution of other triples is a mismatch. Each circuit's space is
-    built once and scanned for each of its triples, as
-    :func:`brute_force_triple` scans one. With a seed, also price
+    built once. Its levels are priced once per distinct rates, up to the
+    largest capacity among the triples that share them, and each triple
+    then takes the smallest argmin over its own levels, as
+    :func:`brute_force_triple` does for one. With a seed, also price
     SPOT_CHECK_VECTORS random reservation vectors with the kernel and raise
-    if one costs less than the solution. Returns how many levels were
-    scanned and how many scenario evaluations they took.
+    if one costs less than the solution. Returns how many levels the check
+    covers and how many (level, scenario) pairs.
     """
     rows = {row.key: row for row in solution.per_triple}
     checked = _checked_levels(instance, {k: r.reserved for k, r in rows.items()})
@@ -455,13 +478,23 @@ def verify_solution(
     _check_scan(
         [(cap, _space_size(instance, key.circuit_id)) for key, cap in caps.items()]
     )
+    rates = {key: instance.rate(key.circuit_id, key.provider_id) for key in caps}
     levels = evaluations = 0
     for circuit_id, group in itertools.groupby(checked, lambda kr: kr[0].circuit_id):
+        group = list(group)
+        top: dict[CostRates, int] = {}
+        for key, _, capacity in group:
+            top[rates[key]] = max(top.get(rates[key], 0), capacity)
         space = space_for_circuit(instance, circuit_id)
+        numerators = {
+            shared: _qubit_numerators(space, shared, range(cap + 1))
+            for shared, cap in top.items()
+        }
         for key, reserved, capacity in group:
-            row = rows[key]
-            rates = instance.rate(circuit_id, key.provider_id)
-            best_x, best_cost = _scan(space, rates, instance.exec_time(*key), capacity)
+            row, shared = rows[key], rates[key]
+            best_x, best_cost = _cheapest(
+                space, shared, instance.exec_time(*key), capacity, numerators[shared]
+            )
             levels += capacity + 1
             evaluations += (capacity + 1) * len(space)
             if best_x != reserved or best_cost != row.total:
@@ -474,9 +507,20 @@ def verify_solution(
     if seed is not None:
         rng = random.Random(seed)
         tables = circuit_tables(instance)
+        # Every vector pays the same penalty: it takes no level.
+        penalty = sum(
+            tables[key.circuit_id].penalty(rates[key], instance.exec_time(*key))
+            for key in caps
+        )
+        staged: dict[tuple[TripleKey, int], Fraction] = {}
         for _ in range(SPOT_CHECK_VECTORS):
             vector = {key: rng.randint(0, cap) for key, cap in caps.items()}
-            cost = _solution(_kernel_costs(instance, tables, vector)).expected_total
+            for key, x in vector.items():
+                if (key, x) not in staged:
+                    table, rate = tables[key.circuit_id], rates[key]
+                    first = rate.reserve_per_qubit * x
+                    staged[key, x] = first + table.qubit_cost(rate, x)
+            cost = penalty + sum(staged[item] for item in vector.items())
             if cost < solution.expected_total:
                 raise ModelError(
                     f"random vector {vector} beats the solver: "

@@ -10,7 +10,6 @@ penalty term reacts to it, so each cell is curve(x) + penalty(w).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from itertools import pairwise
 from typing import Iterable, NamedTuple
@@ -104,17 +103,6 @@ def sweep_reservation(instance: Instance, grid: Iterable[int]) -> CostCurve:
             )
         )
     return CostCurve(points=tuple(points))
-
-
-def with_wait_singleton(instance: Instance, arranged_wait: int) -> Instance:
-    """Copy of the instance with every wait set collapsed to one value."""
-    if arranged_wait < 0:
-        raise ValueError("arranged wait must be non-negative")
-    return replace(
-        instance,
-        wait_sets={cid: (arranged_wait,) for cid in instance.wait_sets},
-        wait_probs={},
-    )
 
 
 def sweep_reservation_waiting(

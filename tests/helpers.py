@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -15,7 +16,7 @@ from qres.extform import (
     render_lp,
 )
 from qres.instance import CostRates, Circuit, Instance, Machine
-from qres.recourse import penalty_time
+from qres.recourse import RecourseDecision, penalty_cost, penalty_time
 from qres.solver import solve_instance
 from qres.units import MICRO, exact_decimal, parse_money
 
@@ -25,6 +26,25 @@ REF_RATES = CostRates(
     on_demand_per_qubit=parse_money(7),
     penalty_per_second=parse_money(10),
 )
+
+
+def recourse_cost(rates: CostRates, decision: RecourseDecision) -> Fraction:
+    """Exact cost of a recourse decision in micro-dollars."""
+    return Fraction(
+        rates.utilize_per_qubit * decision.utilized
+        + rates.on_demand_per_qubit * decision.on_demand
+    ) + penalty_cost(rates.penalty_per_second, decision.over_wait)
+
+
+def with_wait_singleton(instance: Instance, arranged_wait: int) -> Instance:
+    """Copy of the instance with every wait set collapsed to one value."""
+    if arranged_wait < 0:
+        raise ValueError("arranged wait must be non-negative")
+    return replace(
+        instance,
+        wait_sets={cid: (arranged_wait,) for cid in instance.wait_sets},
+        wait_probs={},
+    )
 
 
 def usd(value) -> int:

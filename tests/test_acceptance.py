@@ -22,11 +22,13 @@ from helpers import (
     enumerate_recourse,
     make_rates,
     random_instance,
+    recourse_cost,
+    with_wait_singleton,
 )
 from qres.cli import run
 from qres.extform import build_extensive_form, parse_lp, render_lp
 from qres.instance import instance_from_document, load_instance
-from qres.recourse import optimal_recourse, penalty_time, recourse_cost
+from qres.recourse import optimal_recourse, penalty_time
 from qres.scenarios import Scenario, build_space, space_for_circuit
 from qres.solver import (
     brute_force_triple,
@@ -35,7 +37,7 @@ from qres.solver import (
     scenario_costs,
     solve_instance,
 )
-from qres.sweep import sweep_reservation, sweep_reservation_waiting, with_wait_singleton
+from qres.sweep import sweep_reservation, sweep_reservation_waiting
 from qres.units import MICRO
 
 DATA = Path(__file__).parent / "data"

@@ -156,6 +156,34 @@ def test_verbose_oracle_counts_its_work_on_stderr_only(capsys):
     )
 
 
+def test_verbose_oracle_on_machines_of_unequal_capacity(tmp_path, capsys):
+    # One provider's two machines share its rates: the levels priced up to
+    # capacity 30 also serve the machine of capacity 3, listed first.
+    doc = single_triple_doc()
+    doc["circuits"][0].update(
+        demand_set={"lo": 10, "hi": 22, "step": 1}, wait_set=[0.001, 0.004]
+    )
+    doc["machines"] = [
+        {"provider": "p1", "machine": "m1", "capacity": 3},
+        {"provider": "p1", "machine": "m2", "capacity": 30},
+    ]
+    doc["exec_times"] = [
+        {"circuit": "c1", "provider": "p1", "machine": m, "seconds": seconds}
+        for m, seconds in (("m1", 0.002), ("m2", 0.005))
+    ]
+    path = write_doc(tmp_path, doc)
+    assert run(["solve", path]) == 0
+    plain = capsys.readouterr().out
+    assert [row.split(",")[3] for row in plain.splitlines()[1:3]] == ["3", "19"]
+    assert run(["solve", path, "--oracle", "-v"]) == 0
+    verbose = capsys.readouterr()
+    assert verbose.out == plain
+    # 4 + 31 levels, each over 13 demands x 2 waits.
+    assert verbose.err == (
+        "oracle: brute force agrees on 2 triples (35 levels, 910 scenario evaluations)\n"
+    )
+
+
 def test_solve_human_table(capsys):
     assert run(["solve", REF, "--human"]) == 0
     out = capsys.readouterr().out

@@ -8,13 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import REF_RATES, enumerate_recourse, make_rates
+from helpers import REF_RATES, enumerate_recourse, make_rates, recourse_cost
 from qres.recourse import (
     RecourseDecision,
     optimal_recourse,
     penalty_time,
     qubit_costs,
-    recourse_cost,
 )
 from qres.scenarios import Scenario
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -20,6 +21,7 @@ from helpers import (
     random_instance,
     random_marginals,
     random_rates,
+    recourse_cost,
     solve_one_triple,
 )
 from qres import solver
@@ -36,7 +38,6 @@ from qres.recourse import (
     penalty_cost,
     penalty_time,
     qubit_costs,
-    recourse_cost,
 )
 from qres.extform import build_extensive_form
 from qres.scenarios import ScenarioError, build_space, space_for_circuit
@@ -317,6 +318,72 @@ def test_spot_check_refuses_a_cheaper_random_vector(reference_instance):
         verify_solution(reference_instance, inflated, seed=7)
 
 
+STEPS = st.integers(0, 12).map(lambda v: v * 1000)  # microseconds
+
+
+@st.composite
+def shared_rate_instances(draw) -> Instance:
+    """1-2 circuits on 1-3 providers x 1-3 machines.
+
+    Each provider's machines have distinct capacities, the smaller listed
+    first, and execution times of their own; p2 has p1's rates.
+    """
+    providers = tuple(f"p{i}" for i in range(1, draw(st.integers(1, 3)) + 1))
+    per_provider = draw(st.integers(1, 3))
+    unique = st.lists(
+        st.integers(0, 12), min_size=per_provider, max_size=per_provider, unique=True
+    )
+    machines = tuple(
+        Machine(pid, f"m{j}", cap)
+        for pid in providers
+        for j, cap in enumerate(sorted(draw(unique)), 1)
+    )
+    cids = ("c1", "c2")[: draw(st.integers(1, 2))]
+    rates = {}
+    for cid, pid in itertools.product(cids, providers):
+        own = CostRates(*(draw(MONEY) for _ in range(4)))
+        rates[cid, pid] = rates[cid, "p1"] if pid == "p2" else own
+    demand = {
+        cid: tuple(sorted(draw(st.sets(st.integers(0, 14), min_size=1, max_size=6))))
+        for cid in cids
+    }
+    wait = {cid: tuple(draw(st.sets(STEPS, min_size=1, max_size=3))) for cid in cids}
+    demand_probs = {cid: draw(probabilities(len(demand[cid]))) for cid in cids}
+    return Instance(
+        circuits=tuple(Circuit(cid) for cid in cids),
+        providers=providers,
+        machines=machines,
+        rates=rates,
+        exec_times={
+            (cid, m.provider_id, m.machine_id): draw(STEPS)
+            for cid in cids
+            for m in machines
+        },
+        demand_sets=demand,
+        wait_sets=wait,
+        demand_probs={cid: p for cid, p in demand_probs.items() if p},
+    )
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(shared_rate_instances())
+def test_verify_solution_accepts_the_kernel_and_refuses_each_level_off_by_one(inst):
+    solution = solve_instance(inst)
+    caps = {
+        key: inst.machine(key.provider_id, key.machine_id).capacity_qubits
+        for key in inst.triples()
+    }
+    assert verify_solution(inst, solution)[0] == sum(cap + 1 for cap in caps.values())
+    for key, level in solution.reservations.items():
+        for moved in (level - 1, level + 1):
+            if 0 <= moved <= caps[key]:
+                wrong = expected_cost(inst, {**solution.reservations, key: moved})
+                with pytest.raises(
+                    ModelError, match=re.escape(f"oracle mismatch on {key}: ")
+                ):
+                    verify_solution(inst, wrong)
+
+
 def test_solve_matches_brute_force_on_500_random_triples():
     rng = random.Random(90210)
     for _ in range(500):
@@ -385,23 +452,52 @@ def test_brute_force_prices_every_scenario_through_the_recourse_rule(monkeypatch
     }
 
 
-@pytest.mark.parametrize("shape", ["reference", "audit-shaped"])
+def _audit_shaped_with_own_rates() -> Instance:
+    """The audit-shaped instance with p2 on rates of its own for each circuit."""
+    doc = audit_shaped_doc()
+    doc["rates"] = [
+        {"circuit": c["id"], "provider": "p2", "reserve": 1.5, "utilize": 0.2,
+         "on_demand": 6, "penalty": 12}
+        for c in doc["circuits"]
+    ]
+    return instance_from_document(doc)
+
+
+# (qubit_costs entries, scenario evaluations) of verify_solution.
+STREAMED = {
+    "reference": (31 * 117, 186 * 117),  # all three providers share rates
+    "audit-shaped": (3 * 31 * 400, 12 * 31 * 400),  # both providers share rates
+    "audit-shaped-own-rates": (6 * 31 * 400, 12 * 31 * 400),
+}
+
+
+@pytest.mark.parametrize("shape", list(STREAMED))
 def test_verify_solution_prices_every_evaluation_through_the_recourse_rule(
     shape, reference_instance, monkeypatch
 ):
     if shape == "reference":
         instance = reference_instance
-    else:
+    elif shape == "audit-shaped":
         instance = instance_from_document(audit_shaped_doc())
+    else:
+        instance = _audit_shaped_with_own_rates()
     solution = solve_instance(instance)
     sizes = [len(space_for_circuit(instance, cid)) for cid, _, _ in instance.triples()]
     counts = _count_the_recourse_rule(monkeypatch)
     _, evaluations = verify_solution(instance, solution, seed=1)
-    assert counts["entries"] == evaluations
     assert evaluations == sum(
         (instance.machine(pid, mid).capacity_qubits + 1) * size
         for (_, pid, mid), size in zip(instance.triples(), sizes)
     )
+    # Each level is priced once per (circuit, rates), up to the largest
+    # capacity among the machines that share them.
+    top, size = {}, {}
+    for (cid, pid, mid), n in zip(instance.triples(), sizes):
+        group = (cid, instance.rate(cid, pid))
+        cap = instance.machine(pid, mid).capacity_qubits
+        top[group], size[group] = max(top.get(group, 0), cap), n
+    assert counts["entries"] == sum((top[g] + 1) * size[g] for g in top)
+    assert (counts["entries"], evaluations) == STREAMED[shape]
     # The kernel's spot check also takes over-waits, so the scan is counted alone.
     counts["penalty_time"] = 0
     verify_solution(instance, solution)

@@ -4,14 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import make_instance
+from helpers import make_instance, with_wait_singleton
 from qres.solver import CapacityError, CircuitTable, expected_cost, solve_instance
 from qres.sweep import (
     min_capacity,
     render_csv,
     sweep_reservation,
     sweep_reservation_waiting,
-    with_wait_singleton,
 )
 
 SLOPE = Fraction(6 * 1_680_000)  # six triples at 1.68 $/qubit

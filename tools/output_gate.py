@@ -8,16 +8,20 @@ workload, the instance comes from ``perfbench/workloads.py`` (imported,
 never written), and both trees run, as ``python -m qres.cli`` children:
 ``validate``, every command of the workload, ``solve --oracle --seed N -v``,
 ``export-lp -o FILE`` and ``eval`` of the vector that their own ``solve``
-printed. Each child runs in a directory of its own tree with the same
-relative paths, so the bytes can be compared as they are. Every difference
-in stdout, stderr, exit code or written file is printed, and so is a
-command that fails in both trees; the exit status is 1 if there is one,
-2 on a usage error, else 0.
+printed. The workloads give every machine the same capacity, so each seed
+also writes a copy of its instance in which each provider's first machine
+has half the capacity, and runs ``solve`` and ``solve --oracle --seed N -v``
+on it: machines that share rates but not a capacity. Each child runs in a
+directory of its own tree with the same relative paths, so the bytes can be
+compared as they are. Every difference in stdout, stderr, exit code or
+written file is printed, and so is a command that fails in both trees; the
+exit status is 1 if there is one, 2 on a usage error, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import shutil
 import subprocess
@@ -33,6 +37,7 @@ from checks import reservations_csv  # noqa: E402
 from workloads import WORKLOADS, Shape, generate  # noqa: E402
 
 INSTANCE = "instance.json"
+UNEQUAL = "unequal.json"
 VECTOR = "reservations.csv"
 
 
@@ -56,12 +61,25 @@ def commands(shape: Shape, seed: int) -> list[list[str]]:
         ["solve", INSTANCE, "--oracle", "--seed", str(seed), "-v"],
         workload["export-lp"],
         workload["eval"],
+        ["solve", UNEQUAL],
+        ["solve", UNEQUAL, "--oracle", "--seed", str(seed), "-v"],
     ]
     unique: list[list[str]] = []
     for args in runs:
         if args not in unique:
             unique.append(args)
     return unique
+
+
+def halve_first_machines(instance: Path) -> str:
+    """The instance document with each provider's first machine at half capacity."""
+    doc = json.loads(instance.read_text(encoding="utf-8"))
+    seen = set()
+    for machine in doc["machines"]:
+        if machine["provider"] not in seen:
+            seen.add(machine["provider"])
+            machine["capacity"] //= 2
+    return json.dumps(doc)
 
 
 def run(src: Path, cwd: Path, args: list[str]) -> tuple[int, bytes, bytes, bytes | None]:
@@ -100,6 +118,9 @@ def compare(trees: dict[str, Path], work: Path, name: str, seed: int) -> tuple[i
         d.mkdir(parents=True)
     instance = generate(shape, seed, dirs["parent"])
     shutil.copy(instance, dirs["change"] / INSTANCE)
+    unequal = halve_first_machines(instance)
+    for d in dirs.values():
+        (d / UNEQUAL).write_text(unequal, encoding="utf-8")
     differences = []
     runs = commands(shape, seed)
     for args in runs:
