@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -81,8 +80,7 @@ class Row(NamedTuple):
     rhs: Fraction
 
 
-@dataclass(frozen=True)
-class ExtensiveForm:
+class ExtensiveForm(NamedTuple):
     variables: tuple[Variable, ...]
     objective: tuple[tuple[int, Fraction], ...]
     constraints: tuple[Row, ...]

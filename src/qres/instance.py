@@ -65,8 +65,7 @@ def check_capacity(capacity: int) -> None:
         raise CapacityError(f"capacity must be non-negative, got {capacity}")
 
 
-@dataclass(frozen=True)
-class CostRates:
+class CostRates(NamedTuple):
     """Per-qubit rates charged by one provider for one circuit (micro-dollars)."""
 
     reserve_per_qubit: int

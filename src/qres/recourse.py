@@ -20,13 +20,11 @@ at one level. The scenario-route oracles price through it, and through
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .instance import CostRates
 from .scenarios import Scenario
-from .units import MICRO
 
 
 class RecourseDecision(NamedTuple):
@@ -40,11 +38,6 @@ def penalty_time(exec_time: int, wait_time: int) -> int:
     if exec_time < 0 or wait_time < 0:
         raise ValueError("times must be non-negative")
     return exec_time - wait_time if exec_time > wait_time else 0
-
-
-def penalty_cost(penalty_per_second: int, over_wait: int) -> Fraction:
-    """Exact penalty in micro-dollars for ``over_wait`` microseconds."""
-    return Fraction(penalty_per_second * over_wait, MICRO)
 
 
 def optimal_recourse(

@@ -18,7 +18,6 @@ LP). A space's weights are the products of its marginals' over L_d * L_w.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -28,19 +27,37 @@ from .units import PROBABILITY_DIGITS
 _DYADIC_ONE = 1 << PROBABILITY_DIGITS
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     demand_qubits: int
     wait_time: int  # microseconds
 
 
-@dataclass(frozen=True)
 class ScenarioSpace:
-    scenarios: tuple[Scenario, ...]
-    weights: Weights
+    """The scenarios of a product space, demand-major, with exact weights.
+
+    A class with slots rather than a named tuple: its ``len()`` is its
+    scenario count, which a tuple's own length would contradict.
+    """
+
+    __slots__ = ("scenarios", "weights", "__weakref__")
+
+    def __init__(self, scenarios: tuple[Scenario, ...], weights: Weights) -> None:
+        self.scenarios = scenarios
+        self.weights = weights
 
     def __len__(self) -> int:
         return len(self.scenarios)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not ScenarioSpace:
+            return NotImplemented
+        return (self.scenarios, self.weights) == (other.scenarios, other.weights)
+
+    def __hash__(self) -> int:
+        return hash((self.scenarios, self.weights))
+
+    def __repr__(self) -> str:
+        return f"ScenarioSpace(scenarios={self.scenarios!r}, weights={self.weights!r})"
 
     @property
     def exact_probabilities(self) -> tuple[Fraction, ...]:

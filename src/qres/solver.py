@@ -16,7 +16,8 @@ product-space sum. The level reserves the x-th qubit while the saving
 rate, compared in integers; with no saving, only a negative rate fills
 the capacity. Survival is constant between two demand levels, so the
 search steps level by level. Costs come from closed forms over the same
-table, one ``Fraction`` per value.
+table as integers over its denominators; callers add them as integers and
+make one ``Fraction`` per value they report (see :func:`exact_sum`).
 The over-wait penalty never depends on any decision, so it is excluded
 from the argmin and added back to every reported cost.
 
@@ -70,7 +71,11 @@ from .scenarios import (
 from .units import MICRO, format_micro
 
 BRUTE_FORCE_CAPACITY_GUARD = 10**4
-BRUTE_FORCE_WORK_GUARD = 10**8  # scenario evaluations in one brute-force check
+# Scenario evaluations in one brute-force check: the (level, scenario) pairs
+# it covers, not the fewer it prices. Machines that share rates share
+# their priced levels, so on audit seed 1 the check covers 148,800 pairs
+# and prices 74,400.
+BRUTE_FORCE_WORK_GUARD = 10**8
 JOINT_ENUMERATION_GUARD = 10**6
 SPOT_CHECK_VECTORS = 20
 
@@ -156,29 +161,42 @@ class CircuitTable(NamedTuple):
         # Above the largest level the survival is 0.
         return capacity if rates.reserve_per_qubit < 0 else best
 
-    def qubit_cost(self, rates: CostRates, reserved: int) -> Fraction:
-        """Expected utilization plus on-demand cost at a reservation level."""
+    def qubit_cost(self, rates: CostRates, reserved: int) -> int:
+        """Expected utilization plus on-demand cost at a level, times L."""
         if rates.utilize_per_qubit > rates.on_demand_per_qubit:
-            return Fraction(
-                rates.on_demand_per_qubit * self.demand_above[0], self.common
-            )
+            return rates.on_demand_per_qubit * self.demand_above[0]
         i = bisect.bisect_left(self.levels, reserved)
         # Times L: E[reserved; demand >= reserved] and E[min(reserved, demand)].
         covered = reserved * self.survival[i]
         above = self.demand_above[i]
         utilized = self.demand_above[0] - above + covered
-        return Fraction(
+        return (
             rates.utilize_per_qubit * utilized
-            + rates.on_demand_per_qubit * (above - covered),
-            self.common,
+            + rates.on_demand_per_qubit * (above - covered)
         )
 
-    def penalty(self, rates: CostRates, exec_time: int) -> Fraction:
-        """Expected over-wait penalty; it does not depend on the level."""
+    def penalty(self, rates: CostRates, exec_time: int) -> int:
+        """Expected over-wait penalty times ``wait_common * MICRO``.
+
+        It does not depend on the level.
+        """
         over_wait = sum(
             mass * penalty_time(exec_time, wait) for wait, mass in self.waits
         )
-        return Fraction(rates.penalty_per_second * over_wait, self.wait_common * MICRO)
+        return rates.penalty_per_second * over_wait
+
+
+def exact_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
+    """The exact sum of n / d over ``(d, n)`` pairs of integers.
+
+    The numerators over each denominator are added as integers first, so
+    one ``Fraction`` is made per distinct denominator, not per term: a
+    table's costs are over its own L, and circuits often share one.
+    """
+    sums: dict[int, int] = {}
+    for common, numerator in terms:
+        sums[common] = sums.get(common, 0) + numerator
+    return sum((Fraction(n, d) for d, n in sums.items()), Fraction(0))
 
 
 def _masses(values: tuple[int, ...], weights: tuple[int, ...]) -> dict[int, int]:
@@ -259,8 +277,11 @@ def _kernel_costs(
                 key=key,
                 reserved=reserved,
                 first_stage=Fraction(rates.reserve_per_qubit * reserved),
-                second_stage=table.qubit_cost(rates, reserved),
-                penalty=table.penalty(rates, instance.exec_time(*key)),
+                second_stage=Fraction(table.qubit_cost(rates, reserved), table.common),
+                penalty=Fraction(
+                    table.penalty(rates, instance.exec_time(*key)),
+                    table.wait_common * MICRO,
+                ),
             )
         )
     return rows
@@ -384,7 +405,10 @@ def _check_scan(scans: list[tuple[int, int]]) -> None:
     """The brute-force guards over (capacity, scenario count) scans.
 
     Checked before any space is built: each capacity first, then the
-    scenario evaluations of all the scans together.
+    scenario evaluations of all the scans together. Those are the
+    (level, scenario) pairs the scans cover, (capacity + 1) * size each,
+    even where :func:`verify_solution` prices a level once for several
+    machines: 148,800 pairs on audit seed 1, of which it prices 74,400.
     """
     for capacity, _ in scans:
         if capacity > BRUTE_FORCE_CAPACITY_GUARD:
@@ -508,19 +532,23 @@ def verify_solution(
         rng = random.Random(seed)
         tables = circuit_tables(instance)
         # Every vector pays the same penalty: it takes no level.
-        penalty = sum(
-            tables[key.circuit_id].penalty(rates[key], instance.exec_time(*key))
+        penalty = exact_sum(
+            (
+                tables[key.circuit_id].wait_common * MICRO,
+                tables[key.circuit_id].penalty(rates[key], instance.exec_time(*key)),
+            )
             for key in caps
         )
-        staged: dict[tuple[TripleKey, int], Fraction] = {}
+        # Each drawn (triple, level) is priced once, times its table's L.
+        staged: dict[tuple[TripleKey, int], tuple[int, int]] = {}
         for _ in range(SPOT_CHECK_VECTORS):
             vector = {key: rng.randint(0, cap) for key, cap in caps.items()}
             for key, x in vector.items():
                 if (key, x) not in staged:
                     table, rate = tables[key.circuit_id], rates[key]
-                    first = rate.reserve_per_qubit * x
-                    staged[key, x] = first + table.qubit_cost(rate, x)
-            cost = penalty + sum(staged[item] for item in vector.items())
+                    first = rate.reserve_per_qubit * x * table.common
+                    staged[key, x] = table.common, first + table.qubit_cost(rate, x)
+            cost = penalty + exact_sum(staged[item] for item in vector.items())
             if cost < solution.expected_total:
                 raise ModelError(
                     f"random vector {vector} beats the solver: "

@@ -14,10 +14,10 @@ from fractions import Fraction
 from itertools import pairwise
 from typing import Iterable, NamedTuple
 
-from .instance import CapacityError, Instance
-from .recourse import penalty_cost, penalty_time
-from .solver import CircuitTable, circuit_tables
-from .units import format_micro
+from .instance import CapacityError, CostRates, Instance
+from .recourse import penalty_time
+from .solver import CircuitTable, circuit_tables, exact_sum
+from .units import MICRO, format_micro
 
 
 class CurvePoint(NamedTuple):
@@ -64,35 +64,36 @@ def _reservation_grid(instance: Instance, grid: Iterable[int]) -> tuple[int, ...
     return grid
 
 
-def _uniform_stages(
-    instance: Instance, tables: dict[str, CircuitTable], reserved: int
-) -> tuple[Fraction, Fraction]:
-    """First-stage and qubit cost with every triple reserving ``reserved``."""
-    first = Fraction(0)
-    second = Fraction(0)
-    for cid, pid, _ in instance.triples():
-        rates = instance.rate(cid, pid)
-        first += rates.reserve_per_qubit * reserved
-        second += tables[cid].qubit_cost(rates, reserved)
-    return first, second
+def _priced_triples(instance: Instance) -> list[tuple[CircuitTable, CostRates, int]]:
+    """Each triple's kernel table, rates and execution time, read once."""
+    tables = circuit_tables(instance)
+    return [
+        (tables[cid], instance.rate(cid, pid), instance.exec_time(cid, pid, mid))
+        for cid, pid, mid in instance.triples()
+    ]
 
 
-def _penalty(instance: Instance, tables: dict[str, CircuitTable]) -> Fraction:
-    total = Fraction(0)
-    for cid, pid, mid in instance.triples():
-        rates = instance.rate(cid, pid)
-        total += tables[cid].penalty(rates, instance.exec_time(cid, pid, mid))
-    return total
+def _qubit_cost(
+    triples: list[tuple[CircuitTable, CostRates, int]], reserved: int
+) -> Fraction:
+    """Expected qubit cost with every triple reserving ``reserved``."""
+    return exact_sum(
+        (table.common, table.qubit_cost(rates, reserved)) for table, rates, _ in triples
+    )
 
 
 def sweep_reservation(instance: Instance, grid: Iterable[int]) -> CostCurve:
     """Expected cost decomposition at each forced uniform reservation level."""
     grid = _reservation_grid(instance, grid)
-    tables = circuit_tables(instance)
-    penalty = _penalty(instance, tables)
+    triples = _priced_triples(instance)
+    reserve = sum(rates.reserve_per_qubit for _, rates, _ in triples)
+    penalty = exact_sum(
+        (table.wait_common * MICRO, table.penalty(rates, exec_time))
+        for table, rates, exec_time in triples
+    )
     points = []
     for x in grid:
-        first, second = _uniform_stages(instance, tables, x)
+        first, second = Fraction(reserve * x), _qubit_cost(triples, x)
         points.append(
             CurvePoint(
                 reserved=x,
@@ -111,21 +112,24 @@ def sweep_reservation_waiting(
     """Total expected cost over (reservation level, arranged wait) pairs."""
     x_grid = _reservation_grid(instance, x_grid)
     wait_grid = _increasing(wait_grid, "wait grid")
-    tables = circuit_tables(instance)
-    curve = {x: sum(_uniform_stages(instance, tables, x)) for x in x_grid}
+    triples = _priced_triples(instance)
+    reserve = sum(rates.reserve_per_qubit for _, rates, _ in triples)
+    curve = [reserve * x + _qubit_cost(triples, x) for x in x_grid]
     # An arranged wait is certain: each triple pays its penalty at that wait.
-    triples = [
-        (instance.rate(cid, pid).penalty_per_second, instance.exec_time(cid, pid, mid))
-        for cid, pid, mid in instance.triples()
+    penalty = [
+        Fraction(
+            sum(
+                rates.penalty_per_second * penalty_time(exec_time, wait)
+                for _, rates, exec_time in triples
+            ),
+            MICRO,
+        )
+        for wait in wait_grid
     ]
-    penalty = {
-        wait: sum(penalty_cost(rate, penalty_time(t, wait)) for rate, t in triples)
-        for wait in wait_grid
-    }
     rows = tuple(
-        SurfaceRow(reserved=x, arranged_wait=wait, total=curve[x] + penalty[wait])
-        for x in x_grid
-        for wait in wait_grid
+        SurfaceRow(reserved=x, arranged_wait=wait, total=cost + over_wait)
+        for x, cost in zip(x_grid, curve)
+        for wait, over_wait in zip(wait_grid, penalty)
     )
     return CostSurface(rows=rows)
 

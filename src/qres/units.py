@@ -105,10 +105,16 @@ def parse_seconds(value: int | float | str | Decimal) -> int:
 def format_micro(value: int | Fraction) -> str:
     """Render a micro-unit quantity as a decimal with 6 fraction digits.
 
-    Fractions are rounded to the nearest micro-unit (ties to even) so the
-    output is deterministic.
+    Fractions are rounded to the nearest micro-unit (ties to even, as
+    ``round()`` does) so the output is deterministic.
     """
-    micro = value if isinstance(value, int) else round(value)
+    if isinstance(value, int):
+        micro = value
+    else:
+        den = value.denominator
+        micro, rest = divmod(value.numerator, den)
+        if 2 * rest > den or (2 * rest == den and micro & 1):
+            micro += 1
     sign = "-" if micro < 0 else ""
     whole, frac = divmod(abs(micro), MICRO)
     return f"{sign}{whole}.{frac:06d}"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -16,8 +17,8 @@ from qres.extform import (
     render_lp,
 )
 from qres.instance import CostRates, Circuit, Instance, Machine
-from qres.recourse import RecourseDecision, penalty_cost, penalty_time
-from qres.solver import solve_instance
+from qres.recourse import RecourseDecision, penalty_time
+from qres.solver import CircuitTable, Solution, TripleCost, circuit_tables, solve_instance
 from qres.units import MICRO, exact_decimal, parse_money
 
 REF_RATES = CostRates(
@@ -26,6 +27,11 @@ REF_RATES = CostRates(
     on_demand_per_qubit=parse_money(7),
     penalty_per_second=parse_money(10),
 )
+
+
+def penalty_cost(penalty_per_second: int, over_wait: int) -> Fraction:
+    """Exact penalty in micro-dollars for ``over_wait`` microseconds."""
+    return Fraction(penalty_per_second * over_wait, MICRO)
 
 
 def recourse_cost(rates: CostRates, decision: RecourseDecision) -> Fraction:
@@ -296,3 +302,100 @@ def documents_at_the_limits(draw) -> dict:
              "seconds": draw(LIMIT_MONEY)}
         ],
     }
+
+
+# --- the kernel's prices as Fraction sums --------------------------------------
+# The kernel table prices in integers, and its callers add integers. These
+# are the same closed forms, each made a Fraction and then summed as
+# Fractions: an independent summation to compare the callers with.
+
+
+def reference_qubit_cost(table: CircuitTable, rates: CostRates, reserved: int) -> Fraction:
+    """Expected utilization plus on-demand cost at a level, as a Fraction."""
+    if rates.utilize_per_qubit > rates.on_demand_per_qubit:
+        return Fraction(rates.on_demand_per_qubit * table.demand_above[0], table.common)
+    i = bisect.bisect_left(table.levels, reserved)
+    covered = reserved * table.survival[i]
+    above = table.demand_above[i]
+    utilized = table.demand_above[0] - above + covered
+    return Fraction(
+        rates.utilize_per_qubit * utilized + rates.on_demand_per_qubit * (above - covered),
+        table.common,
+    )
+
+
+def reference_penalty(table: CircuitTable, rates: CostRates, exec_time: int) -> Fraction:
+    """Expected over-wait penalty, as a Fraction."""
+    over_wait = sum(mass * penalty_time(exec_time, wait) for wait, mass in table.waits)
+    return Fraction(rates.penalty_per_second * over_wait, table.wait_common * MICRO)
+
+
+def reference_per_triple_costs(instance: Instance, reservations) -> list[TripleCost]:
+    tables = circuit_tables(instance)
+    rows = []
+    for key in instance.triples():
+        table = tables[key.circuit_id]
+        rates = instance.rate(key.circuit_id, key.provider_id)
+        reserved = reservations[key]
+        rows.append(
+            TripleCost(
+                key,
+                reserved,
+                Fraction(rates.reserve_per_qubit * reserved),
+                reference_qubit_cost(table, rates, reserved),
+                reference_penalty(table, rates, instance.exec_time(*key)),
+            )
+        )
+    return rows
+
+
+def reference_expected_cost(instance: Instance, reservations) -> Solution:
+    rows = tuple(reference_per_triple_costs(instance, reservations))
+    first = sum((row.first_stage for row in rows), Fraction(0))
+    second = sum((row.second_stage for row in rows), Fraction(0))
+    penalty = sum((row.penalty for row in rows), Fraction(0))
+    return Solution(
+        {row.key: row.reserved for row in rows},
+        first,
+        second,
+        penalty,
+        first + second + penalty,
+        rows,
+    )
+
+
+def reference_sweep(instance: Instance, grid) -> list[tuple]:
+    """(reserved, first stage, qubit cost, penalty, total) at each level."""
+    tables = circuit_tables(instance)
+    triples = [
+        (tables[cid], instance.rate(cid, pid), instance.exec_time(cid, pid, mid))
+        for cid, pid, mid in instance.triples()
+    ]
+    penalty = sum(
+        (reference_penalty(table, rates, t) for table, rates, t in triples), Fraction(0)
+    )
+    points = []
+    for x in grid:
+        first, second = Fraction(0), Fraction(0)
+        for table, rates, _ in triples:
+            first += rates.reserve_per_qubit * x
+            second += reference_qubit_cost(table, rates, x)
+        points.append((x, first, second, penalty, first + second + penalty))
+    return points
+
+
+def reference_surface(instance: Instance, x_grid, wait_grid) -> list[tuple]:
+    """(reserved, arranged wait, total) at each pair, the waits certain."""
+    curve = {x: first + second for x, first, second, _, _ in reference_sweep(instance, x_grid)}
+    rates_and_times = [
+        (instance.rate(cid, pid).penalty_per_second, instance.exec_time(cid, pid, mid))
+        for cid, pid, mid in instance.triples()
+    ]
+    penalty = {
+        wait: sum(
+            (penalty_cost(rate, penalty_time(t, wait)) for rate, t in rates_and_times),
+            Fraction(0),
+        )
+        for wait in wait_grid
+    }
+    return [(x, wait, curve[x] + penalty[wait]) for x in x_grid for wait in wait_grid]

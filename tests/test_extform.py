@@ -338,10 +338,10 @@ def test_render_lp_refuses_a_name_it_cannot_write(where, name):
     form = build_extensive_form(single_triple_instance())
     if where == "variable":
         bad = form.variables[0]._replace(name=name)
-        form = dataclasses.replace(form, variables=(bad, *form.variables[1:]))
+        form = form._replace(variables=(bad, *form.variables[1:]))
     else:
         bad = form.constraints[0]._replace(name=name)
-        form = dataclasses.replace(form, constraints=(bad, *form.constraints[1:]))
+        form = form._replace(constraints=(bad, *form.constraints[1:]))
     with pytest.raises(ValueError, match=f"{where} name not exportable"):
         render_lp(form)
 
@@ -349,7 +349,7 @@ def test_render_lp_refuses_a_name_it_cannot_write(where, name):
 def test_lp_chunks_checks_every_name_before_the_first_chunk(reference_instance):
     form = build_extensive_form(reference_instance)
     bad = form.constraints[-1]._replace(name="1row")
-    form = dataclasses.replace(form, constraints=(*form.constraints[:-1], bad))
+    form = form._replace(constraints=(*form.constraints[:-1], bad))
     chunks = lp_chunks(form)
     with pytest.raises(ValueError, match="constraint name not exportable: '1row'"):
         next(chunks)

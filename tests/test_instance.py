@@ -166,14 +166,14 @@ def test_validate_reference_is_clean(reference_instance):
 
 
 def test_validate_pricing_warning():
-    rates = dataclasses.replace(REF_RATES, utilize_per_qubit=8_000_000)
+    rates = REF_RATES._replace(utilize_per_qubit=8_000_000)
     diags = validate(make_instance(rates=rates))
     assert [d.severity for d in diags] == ["warning"]
     assert "c1,p1" in diags[0].location
 
 
 def test_validate_reserve_not_below_on_demand_warns():
-    rates = dataclasses.replace(REF_RATES, reserve_per_qubit=7_000_000)
+    rates = REF_RATES._replace(reserve_per_qubit=7_000_000)
     diags = validate(make_instance(rates=rates))
     assert [d.severity for d in diags] == ["warning"]
 

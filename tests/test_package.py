@@ -44,6 +44,19 @@ RECORDS = [
     ),
     ("instance", "Diagnostic", ("severity", "location", "message"), {}),
     (
+        "instance",
+        "CostRates",
+        (
+            "reserve_per_qubit",
+            "utilize_per_qubit",
+            "on_demand_per_qubit",
+            "penalty_per_second",
+        ),
+        {},
+    ),
+    ("scenarios", "Scenario", ("demand_qubits", "wait_time"), {}),
+    ("extform", "ExtensiveForm", ("variables", "objective", "constraints"), {}),
+    (
         "solver",
         "TripleCost",
         ("key", "reserved", "first_stage", "second_stage", "penalty"),
@@ -87,6 +100,19 @@ def test_records_keep_their_fields_and_defaults(module, name, fields, defaults):
     record = getattr(importlib.import_module(f"qres.{module}"), name)
     assert record._fields == fields
     assert record._field_defaults == defaults
+
+
+def test_only_instance_is_a_dataclass():
+    # Every other record is a named tuple, or ScenarioSpace's slotted class.
+    decorated = {
+        (path.name, node.name)
+        for path in Path(qres.__file__).parent.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        for decorator in node.decorator_list
+        if "dataclass" in ast.unparse(decorator)
+    }
+    assert decorated == {("instance.py", "Instance")}
 
 
 def test_diagnostic_prints_as_before():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import weakref
 from decimal import Decimal
 from fractions import Fraction
 
@@ -53,6 +54,21 @@ def test_ordering_is_demand_major_and_deterministic():
     seen = [(s.demand_qubits, s.wait_time) for s in space.scenarios]
     assert seen == [(1, 10), (1, 20), (2, 10), (2, 20)]
     assert build_space("c", [1, 2], [10, 20]) == space
+
+
+def test_a_space_is_a_slotted_record_of_its_scenarios():
+    probs = {"demand_probs": [0.25, 0.75], "wait_probs": [0.5, 0.25, 0.25]}
+    space = build_space("c", [1, 2], [10, 20, 30], **probs)
+    assert len(space) == 6  # the scenarios, not the two fields
+    assert not hasattr(space, "__dict__")
+    assert weakref.ref(space)() is space
+    same = build_space("c", [1, 2], [10, 20, 30], **probs)
+    assert same == space and hash(same) == hash(space)
+    assert build_space("c", [1, 2], [10, 20, 30]) != space
+    assert space != (space.scenarios, space.weights)
+    assert space.exact_probabilities[:3] == (
+        Fraction(1, 8), Fraction(1, 16), Fraction(1, 16)
+    )
 
 
 def test_oversized_product_space_is_refused_naming_its_size():

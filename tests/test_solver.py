@@ -17,11 +17,16 @@ from helpers import (
     audit_shaped_doc,
     make_instance,
     make_rates,
+    penalty_cost,
     probabilities,
     random_instance,
     random_marginals,
     random_rates,
     recourse_cost,
+    reference_expected_cost,
+    reference_per_triple_costs,
+    reference_surface,
+    reference_sweep,
     solve_one_triple,
 )
 from qres import solver
@@ -33,12 +38,7 @@ from qres.instance import (
     instance_from_document,
     validate,
 )
-from qres.recourse import (
-    optimal_recourse,
-    penalty_cost,
-    penalty_time,
-    qubit_costs,
-)
+from qres.recourse import optimal_recourse, penalty_time, qubit_costs
 from qres.extform import build_extensive_form
 from qres.scenarios import ScenarioError, build_space, space_for_circuit
 from qres.solver import (
@@ -54,6 +54,7 @@ from qres.solver import (
     solve_instance,
     verify_solution,
 )
+from qres.sweep import sweep_reservation, sweep_reservation_waiting
 
 REF_DEMAND = tuple(range(10, 23))
 REF_WAIT = tuple(range(1000, 9001, 1000))
@@ -897,3 +898,70 @@ def test_kernel_table_holds_integers_over_its_denominators(demand_probs, wait_pr
 def test_kernel_table_holds_integers_on_mixed_denominators(inst):
     for table in solver.circuit_tables(inst).values():
         _assert_integer_table(table)
+
+
+# --- integer prices against the Fraction-summing reference ----------------------
+
+
+def _assert_priced_as_fraction_sums(inst: Instance) -> None:
+    """The kernel's callers price each level as the reference's Fraction sums.
+
+    Every reported number must also still be a Fraction.
+    """
+    caps = {
+        key: inst.machine(key.provider_id, key.machine_id).capacity_qubits
+        for key in inst.triples()
+    }
+    for x in range(max(caps.values()) + 1):
+        vector = {key: min(x, cap) for key, cap in caps.items()}
+        rows = per_triple_costs(inst, vector)
+        assert rows == reference_per_triple_costs(inst, vector)
+        assert all(type(n) is Fraction for row in rows for n in row[2:])
+        solution = expected_cost(inst, vector)
+        assert solution == reference_expected_cost(inst, vector)
+    grid = range(min(caps.values()) + 1)
+    points = sweep_reservation(inst, grid).points
+    assert list(points) == reference_sweep(inst, grid)
+    assert all(type(n) is Fraction for point in points for n in point[1:])
+    times = set(inst.exec_times.values())
+    waits = sorted({0, *times, *(t + 500 for t in times)})
+    rows = sweep_reservation_waiting(inst, grid, waits).rows
+    assert list(rows) == reference_surface(inst, grid, waits)
+    assert all(type(row.total) is Fraction for row in rows)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.one_of(small_instances(), mixed_denominator_instances(), shared_rate_instances()))
+def test_integer_prices_equal_fraction_sums(inst):
+    _assert_priced_as_fraction_sums(inst)
+
+
+def test_integer_prices_equal_fraction_sums_over_thirds_and_sevenths():
+    # Denominators that no written decimal has, and both signs of margin:
+    # p1 charges more to utilize than on demand, p2 pays to reserve.
+    cids = ("c1", "c2")
+    machines = (Machine("p1", "m1", 5), Machine("p2", "m1", 7), Machine("p2", "m2", 9))
+    inst = Instance(
+        circuits=tuple(Circuit(cid) for cid in cids),
+        providers=("p1", "p2"),
+        machines=machines,
+        rates={
+            ("c1", "p1"): make_rates(1_000_000, 3_000_000, 2_000_000, 10_000_000),
+            ("c1", "p2"): make_rates(-250_000, 100_000, 7_000_000, 1_000_000),
+            ("c2", "p1"): make_rates(2_000_000, 8_000_000, 7_000_000, 3_000_000),
+            ("c2", "p2"): REF_RATES,
+        },
+        exec_times={
+            (cid, m.provider_id, m.machine_id): 1000 * (i + j)
+            for i, cid in enumerate(cids)
+            for j, m in enumerate(machines)
+        },
+        demand_sets={"c1": (0, 2, 5), "c2": (1, 3, 4, 8)},
+        wait_sets={"c1": (0, 1500, 3000), "c2": (500, 2500)},
+        demand_probs={
+            "c1": (Fraction(1, 3),) * 3,
+            "c2": (Fraction(1, 7), Fraction(2, 7), Fraction(3, 7), Fraction(1, 7)),
+        },
+        wait_probs={"c1": (Fraction(1, 7), Fraction(4, 7), Fraction(2, 7))},
+    )
+    _assert_priced_as_fraction_sums(inst)

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import make_instance, with_wait_singleton
+from helpers import make_instance, random_probs, random_rates, with_wait_singleton
+from qres.instance import Circuit, Instance, Machine
 from qres.solver import CapacityError, CircuitTable, expected_cost, solve_instance
 from qres.sweep import (
     min_capacity,
@@ -188,6 +190,59 @@ def test_surface_builds_only_the_instance_tables(monkeypatch):
     surface = sweep_reservation_waiting(inst, range(5), range(0, 6001, 500))
     assert len(surface.rows) == 5 * 13
     assert len(built) == len(inst.circuits)
+
+
+def surface_shaped(providers: int, machines: int) -> Instance:
+    """3 circuits of 30 demands x 12 waits on every machine, capacity 40.
+
+    Every demand vector and the wait vectors of circuits 0 and 2 are
+    written six-decimal probabilities, as in the surface benchmark.
+    """
+    rng = random.Random(2024)
+    cids = ("c0", "c1", "c2")
+    provider_ids = tuple(f"p{j}" for j in range(providers))
+    machine_list = tuple(
+        Machine(p, f"m{k}", 40) for p in provider_ids for k in range(machines)
+    )
+    return Instance(
+        circuits=tuple(Circuit(cid) for cid in cids),
+        providers=provider_ids,
+        machines=machine_list,
+        rates={(cid, p): random_rates(rng) for cid in cids for p in provider_ids},
+        exec_times={
+            (cid, m.provider_id, m.machine_id): rng.randint(0, 20) * 1000
+            for cid in cids
+            for m in machine_list
+        },
+        demand_sets={cid: tuple(range(i, i + 30)) for i, cid in enumerate(cids)},
+        wait_sets={cid: tuple(range(0, 12000, 1000)) for cid in cids},
+        demand_probs={cid: random_probs(rng, 30) for cid in cids},
+        wait_probs={cid: random_probs(rng, 12) for cid in ("c0", "c2")},
+    )
+
+
+@pytest.mark.parametrize("providers, machines", [(3, 2), (1, 1), (6, 4)])
+def test_surface_makes_one_fraction_per_cell(monkeypatch, providers, machines):
+    # Each cell is made once from its level's cost and its wait's penalty.
+    # A level's cost adds its triples as integers over each table's own
+    # denominator, so the Fractions it makes are bounded by the circuits,
+    # not the triples: at most two per circuit, plus two.
+    inst = surface_shaped(providers, machines)
+    x_grid, wait_grid = range(0, 41, 2), range(0, 20001, 1000)
+    made = []
+    real_new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(None)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    surface = sweep_reservation_waiting(inst, x_grid, wait_grid)
+    monkeypatch.undo()
+    cells = len(x_grid) * len(wait_grid)
+    assert len(surface.rows) == cells
+    per_level = 2 * len(inst.circuits) + 2
+    assert len(made) <= cells + len(wait_grid) + per_level * len(x_grid)
 
 
 def test_with_wait_singleton_keeps_demand(reference_instance):

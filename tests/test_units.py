@@ -5,9 +5,12 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qres.units import (
     FRACTION_DIGITS_LIMIT,
+    MICRO,
     PROBABILITY_DIGITS,
     UnitError,
     exact_decimal,
@@ -48,6 +51,43 @@ def test_format_micro():
     assert format_micro(1_680_000) == "1.680000"
     assert format_micro(Fraction(62_200_000, 13)) == "4.784615"
     assert format_micro(0) == "0.000000"
+
+
+def round_format_micro(value: Fraction) -> str:
+    """format_micro's text with round() doing the rounding."""
+    micro = round(value)
+    sign = "-" if micro < 0 else ""
+    whole, frac = divmod(abs(micro), MICRO)
+    return f"{sign}{whole}.{frac:06d}"
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        st.fractions(),
+        st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**30)),
+        # Halves land on a tie at every odd numerator.
+        st.builds(Fraction, st.integers(-(10**13), 10**13), st.just(2)),
+    )
+)
+def test_format_micro_rounds_as_round_does(value):
+    assert format_micro(value) == round_format_micro(value)
+
+
+@pytest.mark.parametrize(
+    "halves, text",
+    [
+        (1, "0.000000"),
+        (-1, "0.000000"),
+        (3, "0.000002"),
+        (-3, "-0.000002"),
+        (5, "0.000002"),
+        (-5, "-0.000002"),
+    ],
+)
+def test_format_micro_rounds_ties_to_even(halves, text):
+    value = Fraction(halves, 2)  # ±0.5, ±1.5 and ±2.5 micro-units
+    assert format_micro(value) == round_format_micro(value) == text
 
 
 @pytest.mark.parametrize(

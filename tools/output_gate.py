@@ -7,11 +7,14 @@ such as the ``src/`` of two checkouts. For each seed of each benchmark
 workload, the instance comes from ``perfbench/workloads.py`` (imported,
 never written), and both trees run, as ``python -m qres.cli`` children:
 ``validate``, every command of the workload, ``solve --oracle --seed N -v``,
-``export-lp -o FILE`` and ``eval`` of the vector that their own ``solve``
-printed. The workloads give every machine the same capacity, so each seed
-also writes a copy of its instance in which each provider's first machine
-has half the capacity, and runs ``solve`` and ``solve --oracle --seed N -v``
-on it: machines that share rates but not a capacity. Each child runs in a
+``export-lp -o FILE``, ``eval`` of the vector that their own ``solve``
+printed, and ``sweep`` and ``surface`` over the workload's grids, so the
+kernel's prices are compared over uniform, mixed and explicit probability
+denominators alike. The workloads give every machine the same capacity, so
+each seed also writes a copy of its instance in which each provider's
+first machine has half the capacity, and runs ``solve`` and ``solve
+--oracle --seed N -v`` on it: machines that share rates but not a capacity.
+The grids would exceed the halved capacity, so no sweep runs on the copy. Each child runs in a
 directory of its own tree with the same relative paths, so the bytes can be
 compared as they are. Every difference in stdout, stderr, exit code or
 written file is printed, and so is a command that fails in both trees; the
@@ -61,6 +64,8 @@ def commands(shape: Shape, seed: int) -> list[list[str]]:
         ["solve", INSTANCE, "--oracle", "--seed", str(seed), "-v"],
         workload["export-lp"],
         workload["eval"],
+        workload["sweep"],
+        workload["surface"],
         ["solve", UNEQUAL],
         ["solve", UNEQUAL, "--oracle", "--seed", str(seed), "-v"],
     ]
