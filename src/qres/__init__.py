@@ -44,6 +44,7 @@ _SOURCES = {
         "synth_exec_time",
         "validate",
     ),
+    "oracles": ("brute_force_triple", "joint_enumeration_oracle", "scenario_costs"),
     "recourse": ("RecourseDecision", "optimal_recourse", "penalty_time"),
     "scenarios": (
         "Scenario",
@@ -51,15 +52,7 @@ _SOURCES = {
         "build_space",
         "space_for_circuit",
     ),
-    "solver": (
-        "Solution",
-        "brute_force_triple",
-        "expected_cost",
-        "joint_enumeration_oracle",
-        "per_triple_costs",
-        "scenario_costs",
-        "solve_instance",
-    ),
+    "solver": ("Solution", "expected_cost", "per_triple_costs", "solve_instance"),
     "sweep": (
         "CostCurve",
         "CostSurface",

@@ -2,9 +2,10 @@
 
 Data outputs are plain CSV (or LP text) with no timestamps, so identical
 inputs give byte-identical outputs. Exit codes: 0 success, 1 validation
-or model error, 2 usage error. The solver, sweep and LP modules are
-imported by the commands that use them, so no command loads code it does
-not run: ``validate`` loads neither the solver nor the scenarios.
+or model error, 2 usage error. The solver, oracle, sweep and LP modules
+are imported by the commands that use them, so no command loads code it
+does not run: ``validate`` loads neither the solver nor the scenarios, and
+only ``solve --oracle`` loads the oracles.
 """
 
 from __future__ import annotations
@@ -180,13 +181,13 @@ def solve_instance(instance: Instance):
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    from .solver import verify_solution
-
     if args.seed is not None and not args.oracle:
         raise UsageError("--seed needs --oracle")
     instance = load_instance(args.instance)
     solution = solve_instance(instance)
     if args.oracle:
+        from .oracles import verify_solution
+
         levels, evaluations = verify_solution(instance, solution, args.seed)
         if args.verbose:
             print(

@@ -27,9 +27,9 @@ from .units import (
     MICRO,
     UnitError,
     check_magnitude,
+    exact_probability,
     parse_integer,
     parse_money,
-    parse_probability,
     parse_seconds,
 )
 
@@ -37,6 +37,8 @@ DEFAULT_CAPACITY = 30
 
 
 Weights = tuple[int, tuple[int, ...]]  # (L, w): Pr[i] == w[i] / L, sum(w) == L
+# (problems, demand weights, wait weights); see outcome_weights.
+OutcomeWeights = tuple[list[tuple[str, str]], Weights | None, Weights | None]
 
 
 class InstanceError(ValueError):
@@ -93,6 +95,17 @@ class TripleKey(NamedTuple):
     machine_id: str
 
 
+class WrittenProbabilities(tuple):
+    """A probability vector as a document wrote it, and the weights read from it.
+
+    ``weights`` is the vector's ``(L, w)``, read once when the document
+    is loaded; :func:`outcome_weights` takes it instead of reading the
+    values again. The values cannot change, so neither can their weights.
+    """
+
+    weights: Weights | None = None
+
+
 class Diagnostic(NamedTuple):
     severity: str  # "error" | "warning"
     location: str
@@ -104,7 +117,12 @@ class Diagnostic(NamedTuple):
 
 @dataclass(frozen=True)
 class Instance:
-    """Full static problem data. Immutable after construction."""
+    """Full static problem data. Immutable after construction.
+
+    A probability vector is a sequence of probabilities as written (see
+    :func:`qres.units.exact_probability`). Each circuit's vectors are
+    checked and made exact once per instance, by :meth:`circuit_weights`.
+    """
 
     circuits: tuple[Circuit, ...]
     providers: tuple[str, ...]
@@ -113,10 +131,13 @@ class Instance:
     exec_times: dict[tuple[str, str, str], int]  # (circuit, provider, machine)
     demand_sets: dict[str, tuple[int, ...]]  # circuit_id -> qubit counts
     wait_sets: dict[str, tuple[int, ...]]  # circuit_id -> microseconds
-    demand_probs: dict[str, tuple[Fraction, ...]] = field(default_factory=dict)
-    wait_probs: dict[str, tuple[Fraction, ...]] = field(default_factory=dict)
+    demand_probs: dict[str, Sequence] = field(default_factory=dict)
+    wait_probs: dict[str, Sequence] = field(default_factory=dict)
     _machines_by_key: dict[tuple[str, str], Machine] = field(
         init=False, repr=False, compare=False
+    )
+    _weights: dict[str, OutcomeWeights] = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -140,6 +161,18 @@ class Instance:
             return self._machines_by_key[(provider_id, machine_id)]
         except KeyError:
             raise KeyError(f"unknown machine {provider_id}/{machine_id}") from None
+
+    def circuit_weights(self, circuit_id: str) -> OutcomeWeights:
+        """:func:`outcome_weights` of one circuit's outcomes, made on first use."""
+        weights = self._weights.get(circuit_id)
+        if weights is None:
+            weights = self._weights[circuit_id] = outcome_weights(
+                self.demand_sets.get(circuit_id, ()),
+                self.wait_sets.get(circuit_id, ()),
+                self.demand_probs.get(circuit_id),
+                self.wait_probs.get(circuit_id),
+            )
+        return weights
 
     def rate(self, circuit_id: str, provider_id: str) -> CostRates:
         return self.rates[(circuit_id, provider_id)]
@@ -310,13 +343,16 @@ def _parse_set(
     return values
 
 
-def _parse_probs(spec: Any, where: str) -> tuple[Fraction, ...]:
+def _parse_probs(spec: Any, where: str) -> WrittenProbabilities:
     if not isinstance(spec, list) or not spec:
         raise InstanceError(f"{where}: expected a non-empty list of probabilities")
-    try:
-        return tuple(parse_probability(v) for v in spec)
-    except UnitError as exc:
-        raise InstanceError(f"{where}: {exc}") from exc
+    # Read as the vector of outcomes 0..n-1, where only a value can fail.
+    problems, weights, _ = outcome_weights(range(len(spec)), (0,), spec)
+    if weights is None:
+        raise InstanceError(f"{where}: {problems[0][1]}")
+    vector = WrittenProbabilities(spec)
+    vector.weights = weights
+    return vector
 
 
 def _parse_rates(block: dict, where: str) -> CostRates:
@@ -490,8 +526,8 @@ def instance_from_document(
     circuits = []
     demand_sets: dict[str, Sequence[int]] = {}
     wait_sets: dict[str, Sequence[int]] = {}
-    demand_probs: dict[str, tuple[Fraction, ...]] = {}
-    wait_probs: dict[str, tuple[Fraction, ...]] = {}
+    demand_probs: dict[str, WrittenProbabilities] = {}
+    wait_probs: dict[str, WrittenProbabilities] = {}
     for where, entry in _objects(raw_circuits, "circuits", _CIRCUIT_KEYS):
         circuit = _parse_circuit(entry, where)
         circuits.append(circuit)
@@ -616,13 +652,15 @@ def load_reservations(path: str | Path) -> dict[tuple[str, str, str], int]:
 
 def outcome_weights(
     demand: Sequence[int], wait: Sequence[int], demand_probs=None, wait_probs=None
-) -> tuple[list[tuple[str, str]], Weights | None, Weights | None]:
+) -> OutcomeWeights:
     """``(problems, demand_weights, wait_weights)`` of a circuit's outcomes.
 
     ``problems`` says why they are not two distributions, as (field,
     problem) with ``field`` ``""`` for a set, else the vector's name. A
     vector that was read is ``(L, w)``, over L the lcm of its reduced
-    denominators; an absent or unreadable one is ``None``.
+    denominators; an absent or unreadable one is ``None``. Each value is
+    read straight to its integer ratio (a written decimal makes no
+    ``Fraction``), and a :class:`WrittenProbabilities` is not read again.
     """
     problems = []
     if not demand:
@@ -643,15 +681,18 @@ def outcome_weights(
         if len(probs) != n:
             problems.append((name, f"expected {n} probabilities, got {len(probs)}"))
             continue
-        try:
-            ratios = [parse_probability(p).as_integer_ratio() for p in probs]
-        except UnitError as exc:
-            problems.append((name, str(exc)))
-            continue
-        if any(n < 0 for n, _ in ratios):
+        if isinstance(probs, WrittenProbabilities) and probs.weights is not None:
+            common, w = probs.weights
+        else:
+            try:
+                ratios = [exact_probability(p).as_integer_ratio() for p in probs]
+            except UnitError as exc:
+                problems.append((name, str(exc)))
+                continue
+            common = math.lcm(*(d for _, d in ratios))
+            w = tuple(n * (common // d) for n, d in ratios)
+        if any(n < 0 for n in w):
             problems.append((name, "probabilities must be non-negative"))
-        common = math.lcm(*(d for _, d in ratios))
-        w = tuple(n * (common // d) for n, d in ratios)
         if (total := sum(w)) != common:
             total = Fraction(total, common)
             problems.append((name, f"probabilities sum to {total}, not 1"))
@@ -712,9 +753,7 @@ def validate(instance: Instance) -> list[Diagnostic]:
 
     for c in instance.circuits:
         cid = c.circuit_id
-        sets = instance.demand_sets.get(cid, ()), instance.wait_sets.get(cid, ())
-        probs = instance.demand_probs.get(cid), instance.wait_probs.get(cid)
-        for name, problem in outcome_weights(*sets, *probs)[0]:
+        for name, problem in instance.circuit_weights(cid)[0]:
             where = f"circuit {cid} {name}" if name else f"circuit {cid}"
             out.append(Diagnostic("error", where, problem))
     if problem := outcome_total_problem(_outcome_counts(instance)):

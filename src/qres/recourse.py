@@ -13,14 +13,14 @@ smallest feasible value even when the penalty rate is zero.
 
 A decision is the named tuple ``(utilized, on_demand, over_wait)``.
 :func:`qubit_costs` is the same rule in cost form: the utilization plus
-on-demand cost of the optimal decision, for each scenario of a sequence
-at one level. The scenario-route oracles price through it, and through
-:func:`penalty_time` for the over-wait, which takes no level.
+on-demand cost of the optimal decision, for each scenario demand of a
+sequence at one level. The scenario-route oracles (:mod:`qres.oracles`)
+price through it, and through :func:`penalty_time` for the over-wait,
+which takes no level.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .instance import CostRates
@@ -60,19 +60,19 @@ def optimal_recourse(
 
 
 def qubit_costs(
-    reserved: int, scenarios: Iterable[Scenario], rates: CostRates
+    reserved: int, demands: Iterable[int], rates: CostRates
 ) -> Iterator[int]:
     """Utilization plus on-demand cost of the optimal recourse, per scenario.
 
-    Yields, in scenario order, the integer micro-dollar cost of the
-    qubits of :func:`optimal_recourse` at level ``reserved``: u * beta
-    when the reservation covers demand beta, else
-    o * beta - (o - u) * reserved, and o * beta when u > o. A negative
-    level is refused here, before any scenario is read.
+    ``demands`` holds each scenario's demand beta, in scenario order.
+    Yields, in that order, the integer micro-dollar cost of the qubits of
+    :func:`optimal_recourse` at level ``reserved``: u * beta when the
+    reservation covers demand beta, else o * beta - (o - u) * reserved,
+    and o * beta when u > o. A negative level is refused here, before any
+    demand is read.
     """
     _check_reserved(reserved)
     utilize, on_demand = rates.utilize_per_qubit, rates.on_demand_per_qubit
-    demands = map(attrgetter("demand_qubits"), scenarios)
     if utilize > on_demand:
         return (on_demand * beta for beta in demands)
     rebate = (on_demand - utilize) * reserved

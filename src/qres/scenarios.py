@@ -21,7 +21,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .instance import GRID_GUARD, Instance, ScenarioError, Weights, outcome_weights
+from .instance import (
+    GRID_GUARD,
+    Instance,
+    OutcomeWeights,
+    ScenarioError,
+    Weights,
+    outcome_weights,
+)
 from .units import PROBABILITY_DIGITS
 
 _DYADIC_ONE = 1 << PROBABILITY_DIGITS
@@ -35,15 +42,18 @@ class Scenario(NamedTuple):
 class ScenarioSpace:
     """The scenarios of a product space, demand-major, with exact weights.
 
-    A class with slots rather than a named tuple: its ``len()`` is its
-    scenario count, which a tuple's own length would contradict.
+    ``demands`` holds each scenario's demand, in scenario order, so a
+    pass over the space at one level reads no scenario record. A class
+    with slots rather than a named tuple: its ``len()`` is its scenario
+    count, which a tuple's own length would contradict.
     """
 
-    __slots__ = ("scenarios", "weights", "__weakref__")
+    __slots__ = ("scenarios", "weights", "demands", "__weakref__")
 
     def __init__(self, scenarios: tuple[Scenario, ...], weights: Weights) -> None:
         self.scenarios = scenarios
         self.weights = weights
+        self.demands = tuple(scenario.demand_qubits for scenario in scenarios)
 
     def __len__(self) -> int:
         return len(self.scenarios)
@@ -92,9 +102,22 @@ def marginals(
     demand_probs, wait_probs = (
         None if p is None else tuple(p) for p in (demand_probs, wait_probs)
     )
-    problems, demand_weights, wait_weights = outcome_weights(
-        demands, waits, demand_probs, wait_probs
+    return _checked(
+        circuit_id,
+        demands,
+        waits,
+        outcome_weights(demands, waits, demand_probs, wait_probs),
     )
+
+
+def _checked(
+    circuit_id: str,
+    demands: tuple[int, ...],
+    waits: tuple[int, ...],
+    weights: OutcomeWeights,
+) -> Marginals:
+    """The marginals, or the first of the problems that outcome_weights found."""
+    problems, demand_weights, wait_weights = weights
     for name, problem in problems:
         where = f"{circuit_id} {name}" if name else circuit_id
         raise ScenarioError(f"{where}: {problem}")
@@ -107,19 +130,18 @@ def marginals(
 
 
 def circuit_marginals(instance: Instance, circuit_id: str) -> Marginals:
-    """The marginals of one circuit of an instance.
+    """The marginals of one circuit of an instance, from its checked weights.
 
     A circuit without a wait set is refused as validate refuses it: its
     wait set is empty.
     """
     if circuit_id not in instance.demand_sets:
         raise ScenarioError(f"unknown circuit '{circuit_id}'")
-    return marginals(
+    return _checked(
         circuit_id,
-        instance.demand_sets[circuit_id],
-        instance.wait_sets.get(circuit_id, ()),
-        instance.demand_probs.get(circuit_id),
-        instance.wait_probs.get(circuit_id),
+        tuple(instance.demand_sets[circuit_id]),
+        tuple(instance.wait_sets.get(circuit_id, ())),
+        instance.circuit_weights(circuit_id),
     )
 
 

@@ -148,23 +148,44 @@ def exact_decimal(value: Fraction | int) -> str:
     return f"{sign}{whole}.{text}"
 
 
-def fraction_from_decimal(
+def checked_decimal(
     value: int | float | str | Decimal, digits: int = FRACTION_DIGITS_LIMIT
-) -> Fraction:
-    """Exact inverse of :func:`exact_decimal` (accepts any plain decimal).
+) -> Decimal:
+    """A plain decimal number as an exact ``Decimal``.
 
     The number must be finite, at most :data:`MAGNITUDE_LIMIT` in size and
-    have at most ``digits`` fraction digits; all are checked before the
-    fraction is built.
+    have at most ``digits`` fraction digits; all are checked before any
+    integer of its value is built.
     """
     value = _decimal(value, "value")
     if value.as_tuple().exponent < -digits:
         raise UnitError(f"value has more than {digits} fraction digits")
-    return Fraction(value)
+    return value
+
+
+def fraction_from_decimal(
+    value: int | float | str | Decimal, digits: int = FRACTION_DIGITS_LIMIT
+) -> Fraction:
+    """Exact inverse of :func:`exact_decimal`; see :func:`checked_decimal`."""
+    return Fraction(checked_decimal(value, digits))
+
+
+def exact_probability(
+    value: int | float | str | Decimal | Fraction,
+) -> Decimal | Fraction:
+    """A probability as read: a ``Fraction`` unchanged, else a checked ``Decimal``.
+
+    Either one gives its value's integer ratio, so no ``Fraction`` is
+    made for a written decimal.
+    """
+    if isinstance(value, Fraction):
+        return value
+    return checked_decimal(value, PROBABILITY_DIGITS)
 
 
 def parse_probability(value: int | float | str | Decimal | Fraction) -> Fraction:
-    """The exact value of a probability; a ``Fraction`` is taken unchanged."""
-    if isinstance(value, Fraction):
-        return value
-    return fraction_from_decimal(value, PROBABILITY_DIGITS)
+    """The exact value of a probability as a ``Fraction``.
+
+    See :func:`exact_probability`; a ``Fraction`` keeps its value.
+    """
+    return Fraction(exact_probability(value))

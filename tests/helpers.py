@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -19,7 +20,14 @@ from qres.extform import (
 from qres.instance import CostRates, Circuit, Instance, Machine
 from qres.recourse import RecourseDecision, penalty_time
 from qres.solver import CircuitTable, Solution, TripleCost, circuit_tables, solve_instance
-from qres.units import MICRO, exact_decimal, parse_money
+from qres.units import (
+    MICRO,
+    PROBABILITY_DIGITS,
+    UnitError,
+    _decimal,
+    exact_decimal,
+    parse_money,
+)
 
 REF_RATES = CostRates(
     reserve_per_qubit=parse_money("1.68"),
@@ -399,3 +407,39 @@ def reference_surface(instance: Instance, x_grid, wait_grid) -> list[tuple]:
         for wait in wait_grid
     }
     return [(x, wait, curve[x] + penalty[wait]) for x in x_grid for wait in wait_grid]
+
+
+def reference_probability(value) -> Fraction:
+    """A probability read as the package read it before it skipped the Fraction.
+
+    A ``Fraction`` is taken unchanged; anything else is made a checked
+    ``Decimal`` (type, finiteness, magnitude), held to its written
+    exponent, and only then made a ``Fraction``.
+    """
+    if isinstance(value, Fraction):
+        return value
+    value = _decimal(value, "value")
+    if value.as_tuple().exponent < -PROBABILITY_DIGITS:
+        raise UnitError(f"value has more than {PROBABILITY_DIGITS} fraction digits")
+    return Fraction(value)
+
+
+def reference_vector_read(probs) -> tuple[list[str], tuple | None]:
+    """One probability vector read value by value into Fractions, then weighed.
+
+    Each value through :func:`reference_probability`, then the vector
+    over the lcm of the denominators. Returns (problems, (L, w)); an
+    unreadable vector has one problem, the first value's, and no weights.
+    """
+    try:
+        ratios = [reference_probability(p).as_integer_ratio() for p in probs]
+    except UnitError as exc:
+        return [str(exc)], None
+    problems = []
+    if any(n < 0 for n, _ in ratios):
+        problems.append("probabilities must be non-negative")
+    common = math.lcm(*(d for _, d in ratios))
+    w = tuple(n * (common // d) for n, d in ratios)
+    if sum(w) != common:
+        problems.append(f"probabilities sum to {Fraction(sum(w), common)}, not 1")
+    return problems, (common, w)

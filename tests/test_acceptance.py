@@ -30,13 +30,8 @@ from qres.extform import build_extensive_form, parse_lp, render_lp
 from qres.instance import instance_from_document, load_instance
 from qres.recourse import optimal_recourse, penalty_time
 from qres.scenarios import Scenario, build_space, space_for_circuit
-from qres.solver import (
-    brute_force_triple,
-    expected_cost,
-    joint_enumeration_oracle,
-    scenario_costs,
-    solve_instance,
-)
+from qres.oracles import brute_force_triple, joint_enumeration_oracle, scenario_costs
+from qres.solver import expected_cost, solve_instance
 from qres.sweep import sweep_reservation, sweep_reservation_waiting
 from qres.units import MICRO
 

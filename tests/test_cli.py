@@ -6,6 +6,7 @@ import json
 import os
 import tracemalloc
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import audit_shaped_doc, documents_at_the_limits
-from qres import cli, extform, scenarios, solver
+from qres import cli, extform, oracles, scenarios, solver
 from qres import instance as instance_module
 from qres.cli import run, write_atomic
 from qres.extform import build_extensive_form, parse_lp, render_lp
@@ -108,6 +109,7 @@ def test_oracle_run_builds_each_table_and_space_once(tmp_path, monkeypatch, caps
         return real_space(circuit_id, marginals)
 
     monkeypatch.setattr(solver, "circuit_tables", counted_tables)
+    monkeypatch.setattr(oracles, "circuit_tables", counted_tables)
     monkeypatch.setattr(scenarios, "product_space", counted_space)
     path = write_doc(tmp_path, two_circuit_doc())
     assert run(["solve", path, "--oracle", "--seed", "7", "-v"]) == 0
@@ -121,26 +123,36 @@ def test_oracle_run_builds_each_table_and_space_once(tmp_path, monkeypatch, caps
     assert spaces == ["c1", "c2"]
 
 
-def test_each_circuits_vectors_are_converted_twice_per_command(
-    tmp_path, monkeypatch
-):
-    calls = []
+def test_each_written_probability_is_read_once_per_command(tmp_path, monkeypatch):
+    calls, reads = [], []
     real = instance_module.outcome_weights
 
     def counted(demand, *args):
         calls.append(tuple(demand))
         return real(demand, *args)
 
+    class Counted(Decimal):
+        """A decimal of the document: each read of it makes its integer ratio."""
+
+        def as_integer_ratio(self):
+            reads.append(str(self))
+            return super().as_integer_ratio()
+
     monkeypatch.setattr(instance_module, "outcome_weights", counted)
     monkeypatch.setattr(scenarios, "outcome_weights", counted)
+    monkeypatch.setattr(instance_module, "Decimal", Counted)
     doc = two_circuit_doc()
     doc["circuits"][1].update(demand_probs=[0.25, 0.75], wait_probs=[0.5, 0.5])
     path = write_doc(tmp_path, doc)
     for command in ("solve", "export-lp"):
         calls.clear()
+        reads.clear()
         assert run([command, path, "-o", str(tmp_path / "out")]) == 0
-        # Once when the document is validated on load, once for its marginals.
-        assert Counter(calls) == {(5,): 2, (2, 4): 2}, command
+        # Each vector is read as it is loaded, as the one vector of outcomes
+        # 0 and 1. Each circuit's outcomes are then checked once, and
+        # validate and the marginals share that check.
+        assert Counter(calls) == {(0, 1): 2, (5,): 1, (2, 4): 1}, command
+        assert Counter(reads) == {"0.25": 1, "0.75": 1, "0.5": 2}, command
 
 
 def test_verbose_oracle_counts_its_work_on_stderr_only(capsys):

@@ -37,8 +37,8 @@ from qres.extform import (
 )
 from qres import extform
 from qres.scenarios import ScenarioError, space_for_circuit
-from qres.solver import CapacityError, GuardError, ModelError, expected_cost, solve_instance
-from qres.instance import instance_from_document, validate
+from qres.solver import CapacityError, ModelError, expected_cost, solve_instance
+from qres.instance import GuardError, instance_from_document, validate
 from qres.units import MICRO, exact_decimal
 
 

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import dataclasses
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import REF_RATES, make_instance
+from helpers import REF_RATES, make_instance, reference_vector_read
 from qres import instance as instance_module
 from qres.instance import (
     OUTCOME_GUARD,
@@ -96,6 +97,59 @@ def test_probability_sum_is_the_fraction_sum(head, miss):
         expected.append(f"probabilities sum to {total}, not 1")
     problems = outcome_weights(range(len(probs)), (0,), probs)[0]
     assert problems == [("demand_probs", problem) for problem in expected]
+
+
+def _decimal_text(sign: str, whole: str, fraction: str) -> str:
+    return sign + whole + ("." + fraction if fraction else "")
+
+
+DECIMAL_TEXT = st.builds(
+    _decimal_text,
+    st.sampled_from(["", "-"]),
+    st.sampled_from(["0", "1", "2", "999999999999999999999999", "1000000000000000000000000"]),
+    st.text("0123456789", max_size=54),
+)
+SPECIAL_TEXT = st.sampled_from(
+    ["1E-53", "5e-54", "1e-54", "-0", "0.0", "1e24", "1.0000000000000000000000001e24",
+     "nan", "inf", "-inf", "1e-999999999"]
+)
+WRITTEN = st.one_of(
+    st.builds(lambda kind, text: kind(text), st.sampled_from([str, Decimal]),
+              st.one_of(DECIMAL_TEXT, SPECIAL_TEXT)),
+    st.sampled_from([" 1", "1_0", "x", ""]),  # text that Decimal() alone would read
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0, 1, -1, 10**24, 10**24 + 1, -(10**24) - 1, True, False]),
+    st.fractions(max_denominator=2**60),
+    st.builds(Fraction, st.integers(-3, 10**6), st.sampled_from([1, 3, 2**53, 10**53])),
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(probs=st.lists(WRITTEN, min_size=1, max_size=4))
+@example(probs=["0." + "0" * 52 + "1", "0." + "9" * 53])
+@example(probs=["0.1" + "0" * 53])
+@example(probs=[Decimal("-0"), 1])
+def test_each_value_is_read_as_the_fraction_route_reads_it(probs):
+    problems, weights = reference_vector_read(probs)
+    n = len(probs)
+    # Called on the function, as an API instance is checked.
+    found = outcome_weights(range(n), (0,), probs)
+    assert found[1:] == (weights, None)
+    assert found[0] == [("demand_probs", problem) for problem in problems]
+    # Loaded from a document: a value that cannot be read is refused on
+    # load; the rest are validate's problems, from weights read once.
+    doc = minimal_doc()
+    doc["circuits"][0].update(demand_set=list(range(n)), demand_probs=list(probs))
+    if weights is None:
+        with pytest.raises(InstanceError) as caught:
+            instance_from_document(doc, check=False)
+        assert str(caught.value) == f"circuits[0].demand_probs: {problems[0]}"
+        return
+    instance = instance_from_document(doc, check=False)
+    assert instance.circuit_weights("c1")[1] == weights
+    assert [str(d) for d in validate(instance) if d.severity == "error"] == [
+        f"error: circuit c1 demand_probs: {problem}" for problem in problems
+    ]
 
 
 def test_capacity_defaults_to_30():

@@ -14,6 +14,7 @@ import pytest
 import qres
 import qres.cli
 import qres.instance
+import qres.oracles
 import qres.solver
 from qres.instance import load_instance
 
@@ -129,17 +130,23 @@ def test_cli_takes_only_the_solver_entry_points():
         if isinstance(function, ast.FunctionDef)
         for node in ast.walk(function)
     }
-    from_solver = [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "solver"
-    ]
-    assert {alias.name for node in from_solver for alias in node.names} == {
-        "expected_cost",
-        "solve_instance",
-        "verify_solution",
+    imports = {
+        module: [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == module
+        ]
+        for module in ("solver", "oracles")
     }
-    assert all(id(node) in in_functions for node in from_solver)
+    names = {
+        module: {alias.name for node in nodes for alias in node.names}
+        for module, nodes in imports.items()
+    }
+    assert names == {
+        "solver": {"expected_cost", "solve_instance"},
+        "oracles": {"verify_solution"},
+    }
+    assert all(id(node) in in_functions for nodes in imports.values() for node in nodes)
 
 
 def test_exact_weights_are_made_in_one_function():
@@ -164,23 +171,35 @@ def test_exact_weights_are_made_in_one_function():
 
 
 def test_the_oracles_read_the_qubit_rule_only_through_qubit_costs():
-    # Below the marker, solver.py reads no demand and no qubit rate: every
-    # (scenario, level) cost comes from qres.recourse.qubit_costs.
-    source = Path(qres.solver.__file__).read_text(encoding="utf-8")
-    (marker,) = [
-        number
-        for number, line in enumerate(source.splitlines(), 1)
-        if line.startswith("# --- the scenario route: oracles")
-    ]
+    # oracles.py reads no demand and no qubit rate: every (scenario, level)
+    # cost comes from qres.recourse.qubit_costs.
+    tree = ast.parse(Path(qres.oracles.__file__).read_text(encoding="utf-8"))
     names = {
         node.attr if isinstance(node, ast.Attribute) else node.id
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, (ast.Attribute, ast.Name)) and node.lineno > marker
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Attribute, ast.Name))
     }
     assert "qubit_costs" in names
     assert names.isdisjoint(
         {"demand_qubits", "utilize_per_qubit", "on_demand_per_qubit"}
     )
+    # Of the kernel's entry points, only the spot check's circuit_tables is
+    # imported; the rest is the shared records, the vector check and sums.
+    from_solver = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "solver"
+        for alias in node.names
+    }
+    assert from_solver == {
+        "Solution",
+        "TripleCost",
+        "_checked_levels",
+        "_solution",
+        "circuit_tables",
+        "exact_sum",
+    }
+    assert names.isdisjoint({"qres", "solver"})  # no other way into the kernel
 
 
 # Resolves each error class through the package in a fresh interpreter.
@@ -189,9 +208,9 @@ import sys
 import qres
 errors = [getattr(qres, name) for name in sys.argv[1:]]
 print(" ".join(sorted(m for m in sys.modules if m.startswith("qres."))))
-import qres.scenarios, qres.solver
-old = [getattr(qres.scenarios if n == "ScenarioError" else qres.solver, n)
-       for n in sys.argv[1:]]
+import qres.oracles, qres.scenarios, qres.solver
+home = {"ScenarioError": qres.scenarios, "GuardError": qres.oracles}
+old = [getattr(home.get(n, qres.solver), n) for n in sys.argv[1:]]
 print(all(a is b for a, b in zip(errors, old)))
 """
 
@@ -205,6 +224,28 @@ def test_error_classes_resolve_without_the_solver():
     )
     assert done.stdout.splitlines() == ["qres.instance qres.units", "True"]
     assert qres.ModelError is qres.solver.ModelError
+
+
+# Imports the kernel's sweep in a fresh interpreter, then the old oracle name.
+_REEXPORT = """
+import sys
+import qres.sweep
+print("qres.oracles" in sys.modules)
+import qres.oracles, qres.solver
+print(qres.solver.brute_force_triple is qres.oracles.brute_force_triple)
+"""
+
+
+def test_the_kernel_loads_no_oracle_and_keeps_one_old_name():
+    env = dict(os.environ, PYTHONPATH=str(Path(qres.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", _REEXPORT],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert done.stdout.splitlines() == ["False", "True"]
+    for name in ("verify_solution", "scenario_costs", "BRUTE_FORCE_WORK_GUARD"):
+        with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+            getattr(qres.solver, name)
 
 
 def test_check_capacity_is_one_function():
@@ -227,6 +268,7 @@ _SOLVER = _BASE | {"qres.recourse", "qres.scenarios", "qres.solver"}
 COMMANDS = [
     (["validate"], _BASE),
     (["solve"], _SOLVER),
+    (["solve", "--oracle"], _SOLVER | {"qres.oracles"}),
     (["eval", "--reservations", "{reservations}"], _SOLVER),
     (["sweep", "--grid", "0:30:10"], _SOLVER | {"qres.sweep"}),
     (
@@ -237,7 +279,11 @@ COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("command, modules", COMMANDS, ids=[c[0] for c, _ in COMMANDS])
+@pytest.mark.parametrize(
+    "command, modules",
+    COMMANDS,
+    ids=[c[0] + "-oracle" * ("--oracle" in c) for c, _ in COMMANDS],
+)
 def test_each_command_loads_only_what_it_runs(tmp_path, command, modules):
     reservations = tmp_path / "reservations.csv"
     reservations.write_text(

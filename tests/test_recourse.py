@@ -208,7 +208,7 @@ def test_qubit_costs_price_the_optimal_decisions(
     demands = [0, reserved, *(max(0, reserved + k) for k in offsets), *others, reserved]
     scenarios = [scen(beta, wait) for wait, beta in enumerate(demands)]
     rates = make_rates(utilize=utilize, on_demand=on_demand, penalty=10)
-    costs = list(qubit_costs(reserved, scenarios, rates))
+    costs = list(qubit_costs(reserved, demands, rates))
     assert len(costs) == len(scenarios)
     for cost, scenario in zip(costs, scenarios):
         d = optimal_recourse(reserved, scenario, rates, exec_time)
@@ -216,9 +216,9 @@ def test_qubit_costs_price_the_optimal_decisions(
 
 
 def test_qubit_costs_refuse_a_negative_level_when_called():
-    # Raised by the call itself, before any scenario is read.
+    # Raised by the call itself, before any demand is read.
     for rates in (REF_RATES, make_rates(utilize=9, on_demand=5)):
-        scenarios = iter([scen(3)])
+        demands = iter([3])
         with pytest.raises(ValueError, match="reserved must be non-negative, got -1"):
-            qubit_costs(-1, scenarios, rates)
-        assert next(scenarios) == scen(3)
+            qubit_costs(-1, demands, rates)
+        assert next(demands) == 3

@@ -29,10 +29,11 @@ from helpers import (
     reference_sweep,
     solve_one_triple,
 )
-from qres import solver
+from qres import oracles, solver
 from qres.instance import (
     CostRates,
     Circuit,
+    GuardError,
     Instance,
     Machine,
     instance_from_document,
@@ -41,18 +42,19 @@ from qres.instance import (
 from qres.recourse import optimal_recourse, penalty_time, qubit_costs
 from qres.extform import build_extensive_form
 from qres.scenarios import ScenarioError, build_space, space_for_circuit
+from qres.oracles import (
+    brute_force_triple,
+    joint_enumeration_oracle,
+    scenario_costs,
+    verify_solution,
+)
 from qres.solver import (
     CapacityError,
-    GuardError,
     ModelError,
     TripleKey,
-    brute_force_triple,
     expected_cost,
-    joint_enumeration_oracle,
     per_triple_costs,
-    scenario_costs,
     solve_instance,
-    verify_solution,
 )
 from qres.sweep import sweep_reservation, sweep_reservation_waiting
 
@@ -199,7 +201,7 @@ def test_scan_guards_come_before_any_space(capacity, error):
 
 def test_brute_force_work_guard_comes_before_any_space(monkeypatch):
     built = []
-    monkeypatch.setattr(solver, "build_space", lambda *args: built.append(args))
+    monkeypatch.setattr(oracles, "build_space", lambda *args: built.append(args))
     # 10001 levels x 10000 scenarios: one scan just over the guard.
     with pytest.raises(
         GuardError,
@@ -215,7 +217,7 @@ def test_verify_solution_guards_the_work_of_all_triples_together(monkeypatch):
     # guard on its own; together they are over it.
     built = []
     monkeypatch.setattr(
-        solver, "space_for_circuit", lambda inst, cid: built.append(cid)
+        oracles, "space_for_circuit", lambda inst, cid: built.append(cid)
     )
     inst = make_instance(
         range(100), range(0, 50000, 1000), capacity=10**4, machines_per_provider=2
@@ -275,7 +277,7 @@ def test_verify_solution_guards_every_triple_before_any_space(monkeypatch):
     # shares must not be built before that guard is checked.
     built = []
     monkeypatch.setattr(
-        solver, "space_for_circuit", lambda inst, cid: built.append(cid)
+        oracles, "space_for_circuit", lambda inst, cid: built.append(cid)
     )
     inst = make_instance(capacity=5, machines_per_provider=2)
     big = inst.machines[1]._replace(capacity_qubits=10**4 + 1)
@@ -306,7 +308,7 @@ def test_verify_solution_holds_one_space_at_a_time(monkeypatch):
         live.add(space)
         return space
 
-    monkeypatch.setattr(solver, "space_for_circuit", tracked)
+    monkeypatch.setattr(oracles, "space_for_circuit", tracked)
     verify_solution(inst, solve_instance(inst))
     assert seen == [0, 0, 0]
 
@@ -427,7 +429,7 @@ def test_single_triple_singleton_matches_hand_solution():
 
 
 def _count_the_recourse_rule(monkeypatch) -> dict[str, int]:
-    """Count the entries solver.qubit_costs yields and the penalty_time calls."""
+    """Count the entries oracles.qubit_costs yields and the penalty_time calls."""
     counts = {"entries": 0, "penalty_time": 0}
 
     def costs(*args):
@@ -439,8 +441,8 @@ def _count_the_recourse_rule(monkeypatch) -> dict[str, int]:
         counts["penalty_time"] += 1
         return penalty_time(*args)
 
-    monkeypatch.setattr(solver, "qubit_costs", costs)
-    monkeypatch.setattr(solver, "penalty_time", late)
+    monkeypatch.setattr(oracles, "qubit_costs", costs)
+    monkeypatch.setattr(oracles, "penalty_time", late)
     return counts
 
 
@@ -512,7 +514,7 @@ def test_the_scan_streams_its_columns():
     tracemalloc.start()
     try:
         start, _ = tracemalloc.get_traced_memory()
-        solver._scan(space, rates, 50_000, 3)
+        oracles._scan(space, rates, 50_000, 3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -556,7 +558,7 @@ def test_joint_oracle_guard():
 
 
 def test_joint_oracle_refuses_a_negative_capacity_before_enumerating(monkeypatch):
-    monkeypatch.setattr(solver, "space_for_circuit", None)  # never reached
+    monkeypatch.setattr(oracles, "space_for_circuit", None)  # never reached
     with pytest.raises(CapacityError) as caught:
         joint_enumeration_oracle(make_instance(capacity=-1))
     assert str(caught.value) == "capacity must be non-negative, got -1"
@@ -564,7 +566,7 @@ def test_joint_oracle_refuses_a_negative_capacity_before_enumerating(monkeypatch
 
 def test_joint_oracle_builds_its_tables_once(monkeypatch):
     calls = []
-    real = solver.space_for_circuit
+    real = oracles.space_for_circuit
 
     def counted(instance, circuit_id):
         calls.append(circuit_id)
@@ -572,8 +574,8 @@ def test_joint_oracle_builds_its_tables_once(monkeypatch):
 
     inst = make_instance(demand=(1, 4), wait=(1000, 2000), capacity=5, providers=2)
     kernel = solve_instance(inst)
-    monkeypatch.setattr(solver, "space_for_circuit", counted)
-    monkeypatch.setattr(solver, "circuit_tables", None)  # never called
+    monkeypatch.setattr(oracles, "space_for_circuit", counted)
+    monkeypatch.setattr(oracles, "circuit_tables", None)  # never called
     monkeypatch.setattr(solver, "_kernel_costs", None)  # never called
     oracle = joint_enumeration_oracle(inst)
     assert calls == ["c1"]

@@ -14,10 +14,16 @@ denominators alike. The workloads give every machine the same capacity, so
 each seed also writes a copy of its instance in which each provider's
 first machine has half the capacity, and runs ``solve`` and ``solve
 --oracle --seed N -v`` on it: machines that share rates but not a capacity.
-The grids would exceed the halved capacity, so no sweep runs on the copy. Each child runs in a
+The grids would exceed the halved capacity, so no sweep runs on the copy.
+Each seed of a workload with written probabilities also writes copies of
+its instance with the first one broken in one way (54 fraction digits,
+``1e-54``, text that is no plain number, a negative value, a vector that
+sums to 1 - 10^-53), and runs ``validate`` and ``solve`` on each: the
+messages that refuse them are compared too. Each child runs in a
 directory of its own tree with the same relative paths, so the bytes can be
 compared as they are. Every difference in stdout, stderr, exit code or
-written file is printed, and so is a command that fails in both trees; the
+written file is printed, and so is a command that fails in both trees,
+except on a broken copy, where a command that succeeds is printed; the
 exit status is 1 if there is one, 2 on a usage error, else 0.
 """
 
@@ -30,6 +36,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from decimal import Context, Decimal
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,6 +49,16 @@ from workloads import WORKLOADS, Shape, generate  # noqa: E402
 INSTANCE = "instance.json"
 UNEQUAL = "unequal.json"
 VECTOR = "reservations.csv"
+
+# Each way to break the first written probability p, as the number text
+# that replaces it.
+BREAKS = {
+    "digits54": lambda p: f"{p}{'0' * (54 - len(p.partition('.')[2]) - 1)}1",
+    "tiny": lambda p: "1e-54",
+    "text": lambda p: json.dumps(f" {p}"),
+    "negative": lambda p: f"-{p}",
+    "short-sum": lambda p: str(Context(prec=60).subtract(Decimal(p), Decimal("1e-53"))),
+}
 
 
 def commands(shape: Shape, seed: int) -> list[list[str]]:
@@ -87,6 +104,24 @@ def halve_first_machines(instance: Path) -> str:
     return json.dumps(doc)
 
 
+def broken_copies(instance: Path) -> dict[str, str]:
+    """Documents with the first written probability broken, by file name.
+
+    Empty when the instance writes no probability.
+    """
+    doc = json.loads(instance.read_text(encoding="utf-8"))
+    circuit = next((c for c in doc["circuits"] if "demand_probs" in c), None)
+    if circuit is None:
+        return {}
+    first = f"{circuit['demand_probs'][0]:.6f}"
+    circuit["demand_probs"][0] = "BROKEN"
+    text = json.dumps(doc)
+    return {
+        f"broken-{name}.json": text.replace('"BROKEN"', write(first))
+        for name, write in BREAKS.items()
+    }
+
+
 def run(src: Path, cwd: Path, args: list[str]) -> tuple[int, bytes, bytes, bytes | None]:
     """Exit code, stdout, stderr and the ``-o`` file of one CLI child."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
@@ -124,25 +159,32 @@ def compare(trees: dict[str, Path], work: Path, name: str, seed: int) -> tuple[i
     instance = generate(shape, seed, dirs["parent"])
     shutil.copy(instance, dirs["change"] / INSTANCE)
     unequal = halve_first_machines(instance)
+    broken = broken_copies(instance)
     for d in dirs.values():
         (d / UNEQUAL).write_text(unequal, encoding="utf-8")
+        for file, text in broken.items():
+            (d / file).write_text(text, encoding="utf-8")
     differences = []
     runs = commands(shape, seed)
-    for args in runs:
+    refused = [[command, file] for file in broken for command in ("validate", "solve")]
+    for args in runs + refused:
         results = {label: run(src, dirs[label], args) for label, src in trees.items()}
         if args == ["solve", INSTANCE]:
             for label, (code, out, _, _) in results.items():
                 text = reservations_csv(out.decode("utf-8")) if code == 0 else ""
                 (dirs[label] / VECTOR).write_text(text, encoding="utf-8")
         parent, change = results["parent"], results["change"]
-        if parent[0] != 0 and parent == change:
+        if args in refused and parent[0] == 0:
+            differences.append(f"{name} seed {seed}: qres {' '.join(args)}: "
+                               f"a broken copy was not refused")
+        elif args not in refused and parent[0] != 0 and parent == change:
             differences.append(f"{name} seed {seed}: qres {' '.join(args)}: "
                                f"exited {parent[0]} in both trees: {parent[2][-200:]!r}")
         for what, a, b in zip(("exit code", "stdout", "stderr", "written file"), parent, change):
             if a != b:
                 detail = f"{a} != {b}" if what == "exit code" else first_difference(a, b)
                 differences.append(f"{name} seed {seed}: qres {' '.join(args)}: {what}: {detail}")
-    return len(runs), differences
+    return len(runs) + len(refused), differences
 
 
 def seeds(spec: str) -> list[int]:
