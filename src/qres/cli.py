@@ -14,7 +14,6 @@ import argparse
 import csv
 import os
 import sys
-import tempfile
 from itertools import pairwise
 from pathlib import Path
 from typing import Callable, Iterable
@@ -90,6 +89,8 @@ def write_atomic(path: str | Path, data: str | Iterable[str]) -> int:
     including the chunk iterable itself, and an error about a file names
     ``path``, never the temp file.
     """
+    import tempfile
+
     given = os.fspath(path)
     path = Path(path)
     chunks = [data] if isinstance(data, str) else data

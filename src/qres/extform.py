@@ -14,7 +14,9 @@ name tag, the reservation coefficient and capacity bound, its circuit's
 scenario space, the coefficients per distinct scenario weight (the
 integer weight times an integer micro-unit rate over the space's common
 denominator times 10^6), and the rhs per distinct demand and wait. The
-unit coefficients, zero rhs and lower bounds share one object each.
+space is read as the ``(demand, wait, weight)`` triples it yields, so no
+scenario record is made. The unit coefficients, zero rhs and lower
+bounds share one object each.
 
 The plans have two consumers. `build_extensive_form` builds the explicit
 records from them. `plan_lp_chunks` writes the LP text straight from
@@ -188,7 +190,7 @@ def _form(plans: list[TriplePlan]) -> ExtensiveForm:
         xr = len(variables)
         variables.append(new(Variable, (f"xr_{tag}", "integer", _ZERO, capacity)))
         objective.append((xr, reserve))
-        for si, (scenario, w) in enumerate(zip(space.scenarios, space.weights[1])):
+        for si, (d, a, w) in enumerate(space):
             cu, co, cp = coefs[w]
             xu = len(variables)
             xo, y = xu + 1, xu + 2
@@ -199,8 +201,8 @@ def _form(plans: list[TriplePlan]) -> ExtensiveForm:
                 new(Variable, (f"y_{suffix}", "continuous", _ZERO, None)),
             )
             objective += ((xu, cu), (xo, co), (y, cp))
-            demand = demand_rhs[scenario.demand_qubits]
-            wait = wait_rhs[scenario.wait_time]
+            demand = demand_rhs[d]
+            wait = wait_rhs[a]
             rows += (
                 new(Row, (f"use_{suffix}", ((xu, _ONE), (xr, _MINUS_ONE)), SENSE_LE, _ZERO)),
                 new(Row, (f"dem_{suffix}", ((xu, _ONE), (xo, _ONE)), SENSE_GE, demand)),
@@ -353,14 +355,11 @@ def _plan_lines(plans: list[TriplePlan]) -> Iterator[str]:
         tag = plan.tag
         demand = {d: texts(v)[0] for d, v in plan.demand_rhs.items()}
         wait = {a: texts(v)[0] for a, v in plan.wait_rhs.items()}
-        for si, scenario in enumerate(plan.space.scenarios):
+        for si, (d, a, _) in enumerate(plan.space):
             s = f"{tag}_s{si}"
             yield f" use_{s}: {one[0]} xu_{s} {minus_one[1]} xr_{tag} {le} {zero}"
-            yield (
-                f" dem_{s}: {one[0]} xu_{s} {one[1]} xo_{s} {ge} "
-                f"{demand[scenario.demand_qubits]}"
-            )
-            yield f" wait_{s}: {minus_one[0]} y_{s} {le} {wait[scenario.wait_time]}"
+            yield f" dem_{s}: {one[0]} xu_{s} {one[1]} xo_{s} {ge} {demand[d]}"
+            yield f" wait_{s}: {minus_one[0]} y_{s} {le} {wait[a]}"
     yield "Bounds"
     for plan in plans:
         yield f" {zero} <= xr_{plan.tag} <= {texts(plan.capacity)[0]}"
@@ -569,10 +568,7 @@ def optimality_certificate(
         instance.triples(), plan_form(instance)
     ):
         x = levels[key]
-        cases = [
-            (scenario.demand_qubits, *coefs[w], wait_rhs[scenario.wait_time])
-            for scenario, w in zip(space.scenarios, space.weights[1])
-        ]
+        cases = [(d, *coefs[w], wait_rhs[a]) for d, a, w in space]
         # The margins at stake above the level and at it.
         above = sum((co - cu for d, cu, co, _, _ in cases if cu < co and d > x), _ZERO)
         at = sum((co - cu for d, cu, co, _, _ in cases if cu < co and d == x > 0), _ZERO)

@@ -4,14 +4,15 @@ The scenario route prices every (demand, wait) scenario at every level
 through the recourse rule: each level's qubit cost is one integer dot
 product of the scenario weights with the costs that
 :func:`~qres.recourse.qubit_costs` streams from the space's scenario
-demands, and each triple's over-wait penalty is one sum of
-:func:`~qres.recourse.penalty_time` over its scenarios, as the over-wait
-takes no level. The qubit cost depends on the circuit, the rates and the
-level, not on the machine, so :func:`verify_solution` prices each level
-once per circuit and distinct rates, for all the machines that share
-them. The route reads no kernel table and uses no survival or convexity
-argument; only the ``--seed`` spot check of :func:`verify_solution`
-prices random vectors with the kernel's :func:`~qres.solver.circuit_tables`.
+demands, and each triple's over-wait penalty, which takes no level, is
+one sum of :func:`~qres.recourse.penalty_time` over every ``(demand,
+wait, weight)`` triple the space yields. The qubit cost depends on the
+circuit, the rates and the level, not on the machine, so
+:func:`verify_solution` prices each level once per circuit and distinct
+rates, for all the machines that share them. The route reads no kernel
+table and uses no survival or convexity argument; only the ``--seed``
+spot check of :func:`verify_solution` prices random vectors with the
+kernel's :func:`~qres.solver.circuit_tables`.
 
 :func:`brute_force_triple`, :func:`scenario_costs`,
 :func:`joint_enumeration_oracle` and :func:`verify_solution`
@@ -69,12 +70,10 @@ def _penalty_expectation(
 
     The over-wait takes no level, so a triple takes this sum once.
     """
-    common, weights = space.weights
     over_wait = sum(
-        weight * penalty_time(exec_time, scenario.wait_time)
-        for scenario, weight in zip(space.scenarios, weights)
+        weight * penalty_time(exec_time, wait) for _, wait, weight in space
     )
-    return Fraction(rates.penalty_per_second * over_wait, common * MICRO)
+    return Fraction(rates.penalty_per_second * over_wait, space.weights[0] * MICRO)
 
 
 def _qubit_numerators(

@@ -14,12 +14,13 @@ held as exact integer weights ``(L, w)``, ``Pr[i] == w[i] / L``: a written
 one as :func:`qres.instance.outcome_weights` reads it, an absent one as
 the dyadic uniform weights over 2^53 (1/n has no finite decimal for the
 LP). A space's weights are the products of its marginals' over L_d * L_w.
+A space is a view over its marginals, so no command builds a :class:`Scenario`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, NamedTuple
+from itertools import chain, cycle, repeat
+from typing import Iterable, Iterator, NamedTuple
 
 from .instance import (
     GRID_GUARD,
@@ -40,39 +41,53 @@ class Scenario(NamedTuple):
 
 
 class ScenarioSpace:
-    """The scenarios of a product space, demand-major, with exact weights.
+    """The product space of checked marginals, demand-major, with exact weights.
 
-    ``demands`` holds each scenario's demand, in scenario order, so a
-    pass over the space at one level reads no scenario record. A class
-    with slots rather than a named tuple: its ``len()`` is its scenario
-    count, which a tuple's own length would contradict.
+    Beside its :class:`Marginals` it stores the two columns a pass at one
+    level streams: the weights ``(L, w)`` and each scenario's demand.
+    Iterating yields ``(demand, wait, weight)`` per scenario, the wait read
+    off ``cycle(marginals.waits)``. A class with slots rather than a named
+    tuple: its ``len()`` is its scenario count, which a tuple's own length
+    would contradict.
     """
 
-    __slots__ = ("scenarios", "weights", "demands", "__weakref__")
+    __slots__ = ("marginals", "weights", "demands", "__weakref__")
 
-    def __init__(self, scenarios: tuple[Scenario, ...], weights: Weights) -> None:
-        self.scenarios = scenarios
-        self.weights = weights
-        self.demands = tuple(scenario.demand_qubits for scenario in scenarios)
+    def __init__(self, marginals: Marginals) -> None:
+        demand_common, demand_weights = marginals.demand_weights
+        wait_common, wait_weights = marginals.wait_weights
+        n = len(marginals.waits)
+        self.marginals = marginals
+        self.weights = (
+            demand_common * wait_common,
+            tuple(wd * ww for wd in demand_weights for ww in wait_weights),
+        )
+        self.demands = tuple(
+            chain.from_iterable(map(repeat, marginals.demands, repeat(n)))
+        )
 
     def __len__(self) -> int:
-        return len(self.scenarios)
+        return len(self.demands)
+
+    def __iter__(self) -> Iterator[tuple[int, int, int]]:
+        return zip(self.demands, cycle(self.marginals.waits), self.weights[1])
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not ScenarioSpace:
             return NotImplemented
-        return (self.scenarios, self.weights) == (other.scenarios, other.weights)
+        key = self.demands, self.marginals.waits, self.weights
+        return key == (other.demands, other.marginals.waits, other.weights)
 
     def __hash__(self) -> int:
-        return hash((self.scenarios, self.weights))
+        return hash((self.demands, self.marginals.waits, self.weights))
 
     def __repr__(self) -> str:
-        return f"ScenarioSpace(scenarios={self.scenarios!r}, weights={self.weights!r})"
+        return f"ScenarioSpace({self.marginals!r})"
 
     @property
-    def exact_probabilities(self) -> tuple[Fraction, ...]:
-        common, weights = self.weights
-        return tuple(Fraction(w, common) for w in weights)
+    def scenarios(self) -> tuple[Scenario, ...]:
+        """A new tuple of one :class:`Scenario` per pair; no command reads it."""
+        return tuple(map(Scenario, self.demands, cycle(self.marginals.waits)))
 
 
 def _uniform(n: int) -> Weights:
@@ -152,11 +167,7 @@ def product_space(circuit_id: str, m: Marginals) -> ScenarioSpace:
         raise ScenarioError(
             f"{circuit_id}: product space has {size} scenarios, more than {GRID_GUARD}"
         )
-    demand_common, demand_weights = m.demand_weights
-    wait_common, wait_weights = m.wait_weights
-    scenarios = tuple(Scenario(beta, alpha) for beta in m.demands for alpha in m.waits)
-    weights = tuple(wd * ww for wd in demand_weights for ww in wait_weights)
-    return ScenarioSpace(scenarios, (demand_common * wait_common, weights))
+    return ScenarioSpace(m)
 
 
 def build_space(

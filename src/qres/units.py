@@ -181,11 +181,3 @@ def exact_probability(
     if isinstance(value, Fraction):
         return value
     return checked_decimal(value, PROBABILITY_DIGITS)
-
-
-def parse_probability(value: int | float | str | Decimal | Fraction) -> Fraction:
-    """The exact value of a probability as a ``Fraction``.
-
-    See :func:`exact_probability`; a ``Fraction`` keeps its value.
-    """
-    return Fraction(exact_probability(value))

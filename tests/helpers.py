@@ -5,6 +5,7 @@ from __future__ import annotations
 import bisect
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -48,6 +49,12 @@ def recourse_cost(rates: CostRates, decision: RecourseDecision) -> Fraction:
         rates.utilize_per_qubit * decision.utilized
         + rates.on_demand_per_qubit * decision.on_demand
     ) + penalty_cost(rates.penalty_per_second, decision.over_wait)
+
+
+def exact_probabilities(space) -> tuple[Fraction, ...]:
+    """Each scenario's probability, ``Fraction(w, L)`` over the space's weights."""
+    common, weights = space.weights
+    return tuple(Fraction(w, common) for w in weights)
 
 
 def with_wait_singleton(instance: Instance, arranged_wait: int) -> Instance:
@@ -101,6 +108,29 @@ def make_instance(
         demand_probs={"c1": tuple(demand_probs)} if demand_probs else {},
         wait_probs={"c1": tuple(wait_probs)} if wait_probs else {},
     )
+
+
+def wide_single_triple() -> Instance:
+    """One triple of 500 demands x 400 waits at capacity 0: 200,000 scenarios."""
+    return make_instance(demand=range(500), wait=range(0, 400_000, 1000), capacity=0)
+
+
+# A space of 200,000 scenarios holds a weight and a demand reference per
+# scenario (about 11 MiB traced with its weight ints); one Scenario record
+# per scenario more would bring it to about 25 MiB.
+WIDE_PEAK_LIMIT = 14 * 2**20
+
+
+def traced_peak(call) -> int:
+    """The most memory tracemalloc sees allocated during one call."""
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - start
 
 
 def audit_shaped_doc() -> dict:

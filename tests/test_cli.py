@@ -123,6 +123,28 @@ def test_oracle_run_builds_each_table_and_space_once(tmp_path, monkeypatch, caps
     assert spaces == ["c1", "c2"]
 
 
+def test_export_lp_and_the_oracle_build_no_scenario_record(
+    tmp_path, monkeypatch, capsys
+):
+    path = write_doc(tmp_path, audit_shaped_doc())
+    commands = (
+        ["export-lp", path, "-v"],
+        ["solve", path, "--oracle", "--seed", "7", "-v"],
+    )
+    before = []
+    for argv in commands:
+        assert run(argv) == 0
+        before.append(capsys.readouterr())
+
+    def refused(*fields):
+        raise AssertionError(f"Scenario{fields} built")
+
+    monkeypatch.setattr(scenarios, "Scenario", refused)
+    for argv, expected in zip(commands, before):
+        assert run(argv) == 0
+        assert capsys.readouterr() == expected
+
+
 def test_each_written_probability_is_read_once_per_command(tmp_path, monkeypatch):
     calls, reads = [], []
     real = instance_module.outcome_weights

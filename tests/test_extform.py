@@ -13,13 +13,17 @@ from hypothesis import strategies as st
 
 from helpers import (
     REF_RATES,
+    WIDE_PEAK_LIMIT,
     audit_shaped_doc,
     certified_optimum,
     documents_at_the_limits,
+    exact_probabilities,
     lp_form,
     make_instance,
     make_rates,
     random_instance,
+    traced_peak,
+    wide_single_triple,
 )
 from qres.extform import (
     SENSE_GE,
@@ -121,7 +125,7 @@ def test_objective_coefficients_are_probability_times_rate(demand_probs, wait_pr
             continue
         si = int(rest.rpartition("_s")[2])
         rate = getattr(rates, RATE_OF_KIND[kind])
-        assert coef == space.exact_probabilities[si] * Fraction(rate, MICRO)
+        assert coef == exact_probabilities(space)[si] * Fraction(rate, MICRO)
         checked += 1
     assert checked == 2 * 3 * len(space)
 
@@ -389,6 +393,11 @@ def test_plans_of_no_triple_write_the_empty_form():
     empty = ExtensiveForm(variables=(), objective=(), constraints=())
     assert "".join(extform.plan_lp_chunks([])) == render_lp(empty)
     assert extform.plan_size([]) == (0, 0)
+
+
+def test_a_plan_holds_its_space_as_two_columns():
+    inst = wide_single_triple()
+    assert traced_peak(lambda: extform.plan_form(inst)) < WIDE_PEAK_LIMIT
 
 
 def test_round_trip_identity(reference_instance):

@@ -300,3 +300,29 @@ def test_each_command_loads_only_what_it_runs(tmp_path, command, modules):
     )
     assert (done.returncode, done.stderr) == (0, "")
     assert set(done.stdout.split()) == modules
+
+
+# Runs one command in a fresh interpreter and reports on stderr whether it
+# loaded tempfile. The child runs without site (-S), which on some systems
+# imports tempfile itself through a .pth file.
+_TEMPFILE = """
+import sys
+import qres.cli
+code = qres.cli.run(sys.argv[1:])
+print("tempfile" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["validate"], ["solve"], ["sweep", "--grid", "0:30:10"]],
+    ids=lambda command: command[0],
+)
+def test_a_command_that_writes_to_stdout_loads_no_tempfile(command):
+    env = dict(os.environ, PYTHONPATH=str(Path(qres.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _TEMPFILE, command[0], str(REF), *command[1:]],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert (done.returncode, done.stderr) == (0, "False\n")

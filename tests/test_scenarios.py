@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import make_instance, random_probs
+from helpers import exact_probabilities, make_instance, random_probs
 from qres import scenarios
 from qres.instance import outcome_weights, validate
 from qres.scenarios import (
@@ -19,7 +19,7 @@ from qres.scenarios import (
     marginals,
     space_for_circuit,
 )
-from qres.units import PROBABILITY_DIGITS, exact_decimal, parse_probability
+from qres.units import PROBABILITY_DIGITS, exact_decimal, exact_probability
 
 REF_DEMAND = tuple(range(10, 23))
 REF_WAIT = tuple(range(1000, 9001, 1000))
@@ -32,21 +32,21 @@ def reference_space():
 def test_reference_space_size_and_probabilities():
     space = reference_space()
     assert len(space) == 117
-    assert all(float(p) == pytest.approx(1 / 117) for p in space.exact_probabilities)
-    assert sum(space.exact_probabilities) == 1
+    assert all(float(p) == pytest.approx(1 / 117) for p in exact_probabilities(space))
+    assert sum(exact_probabilities(space)) == 1
 
 
 def test_singleton_product():
     space = build_space("c", [5], [2000])
     assert len(space) == 1
-    assert space.exact_probabilities == (1,)
+    assert exact_probabilities(space) == (1,)
     assert space.scenarios[0].demand_qubits == 5
     assert space.scenarios[0].wait_time == 2000
 
 
 def test_marginal_product_probabilities():
     space = build_space("c", [1, 2], [1_000_000], demand_probs=[0.3, 0.7])
-    assert space.exact_probabilities == (Fraction(3, 10), Fraction(7, 10))
+    assert exact_probabilities(space) == (Fraction(3, 10), Fraction(7, 10))
 
 
 def test_ordering_is_demand_major_and_deterministic():
@@ -66,7 +66,7 @@ def test_a_space_is_a_slotted_record_of_its_scenarios():
     assert same == space and hash(same) == hash(space)
     assert build_space("c", [1, 2], [10, 20, 30]) != space
     assert space != (space.scenarios, space.weights)
-    assert space.exact_probabilities[:3] == (
+    assert exact_probabilities(space)[:3] == (
         Fraction(1, 8), Fraction(1, 16), Fraction(1, 16)
     )
 
@@ -87,7 +87,7 @@ def test_product_space_of_exactly_the_guard_is_built(monkeypatch):
     monkeypatch.setattr(scenarios, "GRID_GUARD", 12)
     space = build_space("c", range(3), range(4))
     assert len(space) == 12
-    assert sum(space.exact_probabilities) == 1
+    assert sum(exact_probabilities(space)) == 1
     with pytest.raises(ScenarioError, match="13 scenarios, more than 12"):
         build_space("c", range(13), range(1))
 
@@ -127,7 +127,7 @@ def test_probabilities_always_normalized_property():
             demand_probs=random_probs(rng, n_d),
         )
         assert len(space) == n_d * n_w
-        assert sum(space.exact_probabilities) == 1
+        assert sum(exact_probabilities(space)) == 1
 
 
 PROB = st.one_of(
@@ -199,7 +199,7 @@ def distributions(draw, values):
 def _exact(probs, n):
     """The probabilities a vector stands for; an absent one is dyadic uniform."""
     if probs is not None:
-        return [parse_probability(p) for p in probs]
+        return [Fraction(exact_probability(p)) for p in probs]
     one = 2**PROBABILITY_DIGITS
     return [Fraction(one // n + (i < one % n), one) for i in range(n)]
 
@@ -233,9 +233,18 @@ def test_each_vector_has_one_exact_form(demand, wait):
         exact.append(p)
     space = build_space("c", demands, waits, demand_probs, wait_probs)
     assert sum(space.weights[1]) == space.weights[0]
-    assert space.exact_probabilities == tuple(
+    assert exact_probabilities(space) == tuple(
         pd * pw for pd in exact[0] for pw in exact[1]
     )
+    # Iterating the space yields each (demand, wait) pair, demand-major,
+    # with the product of its two weights.
+    (_, demand_weights), (_, wait_weights) = m.demand_weights, m.wait_weights
+    assert list(space) == [
+        (d, a, wd * ww)
+        for d, wd in zip(demands, demand_weights)
+        for a, ww in zip(waits, wait_weights)
+    ]
+    assert sum(w for _, _, w in space) == space.weights[0]
 
 
 def test_an_empty_set_with_an_empty_vector_keeps_both_problems():

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from helpers import (
     REF_RATES,
+    WIDE_PEAK_LIMIT,
     audit_shaped_doc,
+    exact_probabilities,
     make_instance,
     make_rates,
     penalty_cost,
@@ -28,6 +30,8 @@ from helpers import (
     reference_surface,
     reference_sweep,
     solve_one_triple,
+    traced_peak,
+    wide_single_triple,
 )
 from qres import oracles, solver
 from qres.instance import (
@@ -311,6 +315,12 @@ def test_verify_solution_holds_one_space_at_a_time(monkeypatch):
     monkeypatch.setattr(oracles, "space_for_circuit", tracked)
     verify_solution(inst, solve_instance(inst))
     assert seen == [0, 0, 0]
+
+
+def test_verify_solution_holds_a_space_as_two_columns():
+    inst = wide_single_triple()
+    solution = solve_instance(inst)
+    assert traced_peak(lambda: verify_solution(inst, solution)) < WIDE_PEAK_LIMIT
 
 
 def test_spot_check_refuses_a_cheaper_random_vector(reference_instance):
@@ -787,7 +797,7 @@ def test_integer_weight_oracle_on_mixed_denominators(inst):
         common, weights = space.weights
         assert sum(weights) == common
         exact = [Fraction(w, common) for w in weights]
-        assert exact == list(space.exact_probabilities)
+        assert exact == list(exact_probabilities(space))
     triples = inst.triples()
     caps = {key: inst.machine(key[1], key[2]).capacity_qubits for key in triples}
     for x in range(max(caps.values()) + 1):
@@ -824,7 +834,7 @@ def _assert_rows_are_textbook_expectations(inst: Instance) -> None:
                 optimal_recourse(row.reserved, s, rates, inst.exec_time(cid, pid, mid))
                 for s in space.scenarios
             ]
-            probs = space.exact_probabilities
+            probs = exact_probabilities(space)
             assert row.second_stage + row.penalty == sum(
                 p * recourse_cost(rates, d) for p, d in zip(probs, decisions)
             )

@@ -14,11 +14,11 @@ from qres.units import (
     PROBABILITY_DIGITS,
     UnitError,
     exact_decimal,
+    exact_probability,
     format_micro,
     fraction_from_decimal,
     parse_integer,
     parse_money,
-    parse_probability,
     parse_seconds,
 )
 
@@ -189,7 +189,7 @@ def test_fraction_from_decimal_accepts_the_limits():
     ],
 )
 def test_probability_is_the_decimal_written(value, exact):
-    assert parse_probability(value) == exact
+    assert Fraction(exact_probability(value)) == exact
 
 
 @pytest.mark.parametrize(
@@ -207,7 +207,7 @@ def test_probability_is_the_decimal_written(value, exact):
 )
 def test_probability_refusals(value, message):
     with pytest.raises(UnitError, match=message):
-        parse_probability(value)
+        Fraction(exact_probability(value))
 
 
 # --- text must be plain decimal ------------------------------------------------
@@ -215,7 +215,11 @@ def test_probability_refusals(value, message):
 NOT_PLAIN = ["1_0", " 0.5\n", " 7 ", "7 ", "\t1", "\u0661\u0662"]
 
 
-@pytest.mark.parametrize("parse", [parse_money, parse_seconds, parse_probability])
+@pytest.mark.parametrize(
+    "parse",
+    [parse_money, parse_seconds, lambda value: Fraction(exact_probability(value))],
+    ids=["parse_money", "parse_seconds", "parse_probability"],
+)
 @pytest.mark.parametrize("text", NOT_PLAIN)
 def test_number_text_must_be_plain_decimal(parse, text):
     with pytest.raises(UnitError, match="not a plain decimal number"):

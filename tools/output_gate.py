@@ -7,9 +7,10 @@ such as the ``src/`` of two checkouts. For each seed of each benchmark
 workload, the instance comes from ``perfbench/workloads.py`` (imported,
 never written), and both trees run, as ``python -m qres.cli`` children:
 ``validate``, every command of the workload, ``solve --oracle --seed N -v``,
-``export-lp -o FILE``, ``eval`` of the vector that their own ``solve``
-printed, and ``sweep`` and ``surface`` over the workload's grids, so the
-kernel's prices are compared over uniform, mixed and explicit probability
+``export-lp -o FILE -v`` (whose "N variables, M rows" line counts each
+scenario space), ``eval`` of the vector that their own ``solve`` printed,
+and ``sweep`` and ``surface`` over the workload's grids, so the kernel's
+prices are compared over uniform, mixed and explicit probability
 denominators alike. The workloads give every machine the same capacity, so
 each seed also writes a copy of its instance in which each provider's
 first machine has half the capacity, and runs ``solve`` and ``solve
@@ -71,7 +72,7 @@ def commands(shape: Shape, seed: int) -> list[list[str]]:
             "surface", INSTANCE, "--grid", shape.surface_grid,
             "--waits", shape.surface_waits,
         ],
-        "export-lp": ["export-lp", INSTANCE, "-o", "export.lp"],
+        "export-lp": ["export-lp", INSTANCE, "-o", "export.lp", "-v"],
         "oracle": ["solve", INSTANCE, "--oracle", "--seed", str(seed)],
     }
     runs = [
