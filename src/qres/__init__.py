@@ -22,7 +22,6 @@ _SOURCES = {
         "Variable",
         "build_extensive_form",
         "check_certificate",
-        "lp_chunks",
         "optimality_certificate",
         "parse_lp",
         "render_lp",

@@ -21,11 +21,13 @@ bounds share one object each.
 The plans have two consumers. `build_extensive_form` builds the explicit
 records from them. `plan_lp_chunks` writes the LP text straight from
 them, and `export-lp` uses it, so no record of the form is ever built
-there; its bytes equal `render_lp(build_extensive_form(instance))`.
-`lp_chunks` and `render_lp` write any form, parsed or built by hand.
-Both writers format each distinct value once, check every name before
-the first chunk, and yield the text in chunks of whole lines, so a
-caller can write each chunk as it is made and never hold the whole LP.
+there: it checks every name before the first chunk and yields the text
+in chunks of whole lines, so the caller writes each chunk as it is made
+and never holds the whole LP. Its bytes equal
+`render_lp(build_extensive_form(instance))`. `render_lp` writes any
+form, parsed or built by hand, as one string, once its names are
+checked. Both writers format each distinct value once, through the
+memo that `_formatter` makes for each call.
 
 Capacity is encoded as the reservation variable's upper bound rather
 than a constraint row, so each (triple, scenario) contributes exactly
@@ -42,7 +44,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .instance import GRID_GUARD, GuardError, Instance, ModelError, check_capacity
 from .scenarios import ScenarioSpace, circuit_marginals, product_space
@@ -66,8 +68,7 @@ class LpParseError(ValueError):
 
 
 # A form holds tens of thousands of variables and rows, so both are named
-# tuples. The builder makes each with tuple.__new__, which yields exactly
-# the named tuple without a call to its generated __new__.
+# tuples.
 class Variable(NamedTuple):
     name: str
     kind: str  # "integer" | "continuous"
@@ -184,11 +185,10 @@ def _form(plans: list[TriplePlan]) -> ExtensiveForm:
     variables: list[Variable] = []
     objective: list[tuple[int, Fraction]] = []
     rows: list[Row] = []
-    new = tuple.__new__  # a record per term: skip the generated __new__ frame
 
     for tag, reserve, capacity, space, coefs, demand_rhs, wait_rhs in plans:
         xr = len(variables)
-        variables.append(new(Variable, (f"xr_{tag}", "integer", _ZERO, capacity)))
+        variables.append(Variable(f"xr_{tag}", "integer", _ZERO, capacity))
         objective.append((xr, reserve))
         for si, (d, a, w) in enumerate(space):
             cu, co, cp = coefs[w]
@@ -196,17 +196,17 @@ def _form(plans: list[TriplePlan]) -> ExtensiveForm:
             xo, y = xu + 1, xu + 2
             suffix = f"{tag}_s{si}"
             variables += (
-                new(Variable, (f"xu_{suffix}", "integer", _ZERO, None)),
-                new(Variable, (f"xo_{suffix}", "integer", _ZERO, None)),
-                new(Variable, (f"y_{suffix}", "continuous", _ZERO, None)),
+                Variable(f"xu_{suffix}", "integer", _ZERO, None),
+                Variable(f"xo_{suffix}", "integer", _ZERO, None),
+                Variable(f"y_{suffix}", "continuous", _ZERO, None),
             )
             objective += ((xu, cu), (xo, co), (y, cp))
             demand = demand_rhs[d]
             wait = wait_rhs[a]
             rows += (
-                new(Row, (f"use_{suffix}", ((xu, _ONE), (xr, _MINUS_ONE)), SENSE_LE, _ZERO)),
-                new(Row, (f"dem_{suffix}", ((xu, _ONE), (xo, _ONE)), SENSE_GE, demand)),
-                new(Row, (f"wait_{suffix}", ((y, _MINUS_ONE),), SENSE_LE, wait)),
+                Row(f"use_{suffix}", ((xu, _ONE), (xr, _MINUS_ONE)), SENSE_LE, _ZERO),
+                Row(f"dem_{suffix}", ((xu, _ONE), (xo, _ONE)), SENSE_GE, demand),
+                Row(f"wait_{suffix}", ((y, _MINUS_ONE),), SENSE_LE, wait),
             )
 
     return ExtensiveForm(
@@ -227,25 +227,24 @@ def plan_size(plans: list[TriplePlan]) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def lp_chunks(form: ExtensiveForm) -> Iterator[str]:
-    """The LP text for a form, in chunks of whole lines (LF endings, ASCII).
+def render_lp(form: ExtensiveForm) -> str:
+    """The LP text for a form (LF line endings, ASCII).
 
-    Every variable and constraint name is checked before the first chunk
-    is yielded, so a form that cannot be written yields nothing.
+    Every variable and constraint name is checked before any line is made:
+    each must be well formed, and no two variables or two rows may share one,
+    since :func:`parse_lp` could not read such a text back.
     """
     names = [var.name for var in form.variables]
-    for name in names:
-        if not _NAME_RE.fullmatch(name):
-            raise ValueError(f"variable name not exportable: {name!r}")
-    for row in form.constraints:
-        if not _NAME_RE.fullmatch(row.name):
-            raise ValueError(f"constraint name not exportable: {row.name!r}")
-    yield from _chunks(_lp_lines(form, names))
-
-
-def render_lp(form: ExtensiveForm) -> str:
-    """The LP text for a form (LF line endings, ASCII)."""
-    return "".join(lp_chunks(form))
+    row_names = [row.name for row in form.constraints]
+    for what, listed in (("variable", names), ("constraint", row_names)):
+        seen: set[str] = set()
+        for name in listed:
+            if not _NAME_RE.fullmatch(name):
+                raise ValueError(f"{what} name not exportable: {name!r}")
+            if name in seen:
+                raise ValueError(f"{what} name not exportable: {name!r} is repeated")
+            seen.add(name)
+    return "\n".join(_lp_lines(form, names)) + "\n"
 
 
 def plan_lp_chunks(plans: list[TriplePlan]) -> Iterator[str]:
@@ -253,14 +252,14 @@ def plan_lp_chunks(plans: list[TriplePlan]) -> Iterator[str]:
 
     The chunks join to ``render_lp(build_extensive_form(instance))`` for
     ``plans = plan_form(instance)``, and every name is checked as
-    :func:`lp_chunks` checks it, before the first chunk.
+    :func:`render_lp` checks it, before the first chunk.
     """
     # Within a triple every name is a short prefix, the tag and a scenario
     # suffix, and wait_{tag}_s{n-1} is the longest: when it can be written
     # every name of the triple can. When one cannot, the form's own check
     # names the first name that fails.
     if not all(_NAME_RE.fullmatch(f"wait_{p.tag}_s{len(p.space) - 1}") for p in plans):
-        next(lp_chunks(_form(plans)))
+        render_lp(_form(plans))
     yield from _chunks(_plan_lines(plans))
 
 
@@ -269,51 +268,42 @@ def _chunks(lines: Iterator[str]) -> Iterator[str]:
         yield "\n".join(batch) + "\n"
 
 
-def _texts(value: Fraction) -> tuple[str, str]:
-    """A value's two texts, by whether a term precedes it in its sum.
+def _formatter() -> Callable[[Fraction], tuple[str, str]]:
+    """A memo of each value's two texts, by whether a term precedes it in its sum.
 
-    "-0.5" and "- 0.5", "2" and "+ 2".
+    "-0.5" and "- 0.5", "2" and "+ 2". A form repeats few distinct values
+    many times, so each is formatted once; the memo is keyed by a value's
+    integers, as hashing a Fraction costs a modular pow.
     """
-    text = exact_decimal(value)
-    return text, f"- {text[1:]}" if text[0] == "-" else f"+ {text}"
+    memo: dict[tuple[int, int], tuple[str, str]] = {}
+
+    def texts(value: Fraction) -> tuple[str, str]:
+        key = value.numerator, value.denominator
+        found = memo.get(key)
+        if found is None:
+            text = exact_decimal(value)
+            found = memo[key] = text, f"- {text[1:]}" if text[0] == "-" else f"+ {text}"
+        return found
+
+    return texts
 
 
 def _lp_lines(form: ExtensiveForm, names: list[str]) -> Iterator[str]:
-    # A form repeats few distinct values many times: format each once. The
-    # form keeps every value alive while it is written, so a value's id is
-    # a safe first key; equal values that are distinct objects meet under
-    # their integers (hashing a Fraction costs a modular pow). The term
-    # loops read by_id inline and call decimal() only for a value not seen
-    # yet.
-    by_id: dict[int, tuple[str, str]] = {}
-    by_value: dict[tuple[int, int], tuple[str, str]] = {}
-
-    def decimal(value: Fraction) -> tuple[str, str]:
-        texts = by_id.get(id(value))
-        if texts is None:
-            key = value.numerator, value.denominator
-            texts = by_value.get(key)
-            if texts is None:
-                texts = by_value[key] = _texts(value)
-            by_id[id(value)] = texts
-        return texts
-
+    texts = _formatter()
     yield "Minimize"
     for i, (index, coef) in enumerate(form.objective):
-        text = (by_id.get(id(coef)) or decimal(coef))[i > 0]
-        yield f" {'obj: ' if i == 0 else ''}{text} {names[index]}"
+        yield f" {'obj: ' if i == 0 else ''}{texts(coef)[i > 0]} {names[index]}"
     yield "Subject To"
     for name, terms, sense, rhs in form.constraints:
         parts = [
-            f"{(by_id.get(id(coef)) or decimal(coef))[i > 0]} {names[index]}"
-            for i, (index, coef) in enumerate(terms)
+            f"{texts(coef)[i > 0]} {names[index]}" for i, (index, coef) in enumerate(terms)
         ]
-        yield f" {name}: {' '.join(parts)} {sense} {decimal(rhs)[0]}"
+        yield f" {name}: {' '.join(parts)} {sense} {texts(rhs)[0]}"
     yield "Bounds"
     integers = []
     for name, kind, lower, upper in form.variables:
         if upper is not None:
-            yield f" {decimal(lower)[0]} <= {name} <= {decimal(upper)[0]}"
+            yield f" {texts(lower)[0]} <= {name} <= {texts(upper)[0]}"
         if kind == "integer":
             integers.append(name)
     yield "Generals"
@@ -327,15 +317,7 @@ def _plan_lines(plans: list[TriplePlan]) -> Iterator[str]:
     # and layouts, each distinct value of a plan formatted once. The
     # layouts are written out here rather than shared with _lp_lines
     # through helpers: a call per line cost about 14% of this writer.
-    by_value: dict[tuple[int, int], tuple[str, str]] = {}
-
-    def texts(value: Fraction) -> tuple[str, str]:
-        key = value.numerator, value.denominator
-        found = by_value.get(key)
-        if found is None:
-            found = by_value[key] = _texts(value)
-        return found
-
+    texts = _formatter()
     zero, one, minus_one = texts(_ZERO)[0], texts(_ONE), texts(_MINUS_ONE)
 
     yield "Minimize"
@@ -391,7 +373,6 @@ def _parse_terms(
     tokens: list[str],
     line_no: int,
     numbers: dict[tuple[str, bool], Fraction],
-    names: set[str],
 ) -> list[tuple[Fraction, str]]:
     terms: list[tuple[Fraction, str]] = []
     pos = 0
@@ -408,10 +389,8 @@ def _parse_terms(
         except ValueError as exc:
             raise LpParseError(f"line {line_no}: bad coefficient {tokens[pos]!r}") from exc
         name = tokens[pos + 1]
-        if name not in names:
-            if not _NAME_RE.fullmatch(name):
-                raise LpParseError(f"line {line_no}: bad variable name {name!r}")
-            names.add(name)
+        if not _NAME_RE.fullmatch(name):
+            raise LpParseError(f"line {line_no}: bad variable name {name!r}")
         terms.append((coef, name))
         pos += 2
     return terms
@@ -421,16 +400,17 @@ def parse_lp(text: str) -> ExtensiveForm:
     """Parse LP text produced by :func:`render_lp` back into a form.
 
     Only the emitted subset of the format is understood; variable order
-    is recovered from the objective, which lists every variable.
+    is recovered from the objective, which lists every variable. A
+    constraint name used twice, or a variable bounded twice, is refused.
     """
     section = None
     objective_terms: list[tuple[Fraction, str]] = []
     raw_rows: list[tuple[str, list[tuple[Fraction, str]], str, Fraction]] = []
     bounds: dict[str, tuple[Fraction, Fraction]] = {}
     generals: set[str] = set()
+    row_names: set[str] = set()
     saw_end = False
     numbers: dict[tuple[str, bool], Fraction] = {}  # see _number
-    names: set[str] = set()  # variable names already found well formed
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -451,7 +431,7 @@ def parse_lp(text: str) -> ExtensiveForm:
                 tokens = line.split()
                 if not objective_terms or tokens[0] not in ("+", "-"):
                     raise LpParseError(f"line {line_no}: expected objective term")
-            terms = _parse_terms(tokens, line_no, numbers, names)
+            terms = _parse_terms(tokens, line_no, numbers)
             objective_terms.extend(terms)
         elif section == "Subject To":
             if ":" not in line:
@@ -460,6 +440,9 @@ def parse_lp(text: str) -> ExtensiveForm:
             name = name.strip()
             if not _NAME_RE.fullmatch(name):
                 raise LpParseError(f"line {line_no}: bad constraint name {name!r}")
+            if name in row_names:
+                raise LpParseError(f"line {line_no}: constraint {name} named twice")
+            row_names.add(name)
             tokens = rest.split()
             sense_pos = None
             for i, tok in enumerate(tokens):
@@ -468,7 +451,7 @@ def parse_lp(text: str) -> ExtensiveForm:
                     break
             if sense_pos is None or sense_pos != len(tokens) - 2:
                 raise LpParseError(f"line {line_no}: expected '<= rhs' or '>= rhs'")
-            terms = _parse_terms(tokens[:sense_pos], line_no, numbers, names)
+            terms = _parse_terms(tokens[:sense_pos], line_no, numbers)
             if not terms:
                 raise LpParseError(f"line {line_no}: constraint with no terms")
             try:
@@ -485,12 +468,12 @@ def parse_lp(text: str) -> ExtensiveForm:
                 hi = _number(numbers, tokens[4])
             except ValueError as exc:
                 raise LpParseError(f"line {line_no}: bad bound value") from exc
+            if tokens[2] in bounds:
+                raise LpParseError(f"line {line_no}: variable {tokens[2]} bounded twice")
             bounds[tokens[2]] = (lo, hi)
         elif section == "Generals":
             tokens = line.split()
-            if len(tokens) != 1 or (
-                tokens[0] not in names and not _NAME_RE.fullmatch(tokens[0])
-            ):
+            if len(tokens) != 1 or not _NAME_RE.fullmatch(tokens[0]):
                 raise LpParseError(f"line {line_no}: expected a variable name")
             generals.add(tokens[0])
         else:
@@ -501,7 +484,6 @@ def parse_lp(text: str) -> ExtensiveForm:
     if not objective_terms:
         raise LpParseError("missing objective")
 
-    new = tuple.__new__  # a record per variable and row, as the builder makes them
     index_of: dict[str, int] = {}
     variables: list[Variable] = []
     objective: list[tuple[int, Fraction]] = []
@@ -511,7 +493,7 @@ def parse_lp(text: str) -> ExtensiveForm:
             raise LpParseError(f"variable {name} listed twice in objective")
         index = index_of[name] = len(variables)
         kind = "integer" if name in generals else "continuous"
-        variables.append(new(Variable, (name, kind, *bounds.get(name, unbounded))))
+        variables.append(Variable(name, kind, *bounds.get(name, unbounded)))
         objective.append((index, coef))
 
     unknown_generals = generals - set(index_of)
@@ -528,7 +510,7 @@ def parse_lp(text: str) -> ExtensiveForm:
             if var_name not in index_of:
                 raise LpParseError(f"constraint {name} references unknown {var_name}")
             indexed.append((index_of[var_name], coef))
-        rows.append(new(Row, (name, tuple(indexed), sense, rhs)))
+        rows.append(Row(name, tuple(indexed), sense, rhs))
 
     return ExtensiveForm(
         variables=tuple(variables),

@@ -631,16 +631,22 @@ def load_reservations(path: str | Path) -> dict[tuple[str, str, str], int]:
     """A reservation vector from a CSV file, one level per triple.
 
     The header must name the columns circuit_id, provider_id, machine_id
-    and reserved, in any order; other columns are ignored. The ``TOTAL``
-    row that ends ``qres solve`` output is skipped, so a solved CSV reads
-    back as its reservation vector.
+    and reserved once each, in any order; other columns are ignored. The
+    ``TOTAL`` row that ends ``qres solve`` output is skipped, so a solved
+    CSV reads back as its reservation vector.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
-        if not set(_RESERVATION_COLUMNS).issubset(reader.fieldnames or ()):
+        header = reader.fieldnames or []
+        if not set(_RESERVATION_COLUMNS).issubset(header):
             raise InstanceError(
                 f"reservations CSV needs columns {','.join(_RESERVATION_COLUMNS)}"
             )
+        for column in _RESERVATION_COLUMNS:
+            if header.count(column) > 1:
+                raise InstanceError(
+                    f"reservations CSV header names {column} more than once"
+                )
         records = _csv_records(reader, _RESERVATION_COLUMNS, _is_total_row)
         return _triple_entries(records, _RESERVATION_COLUMNS, parse_integer)
 

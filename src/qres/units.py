@@ -163,11 +163,9 @@ def checked_decimal(
     return value
 
 
-def fraction_from_decimal(
-    value: int | float | str | Decimal, digits: int = FRACTION_DIGITS_LIMIT
-) -> Fraction:
+def fraction_from_decimal(value: int | float | str | Decimal) -> Fraction:
     """Exact inverse of :func:`exact_decimal`; see :func:`checked_decimal`."""
-    return Fraction(checked_decimal(value, digits))
+    return Fraction(checked_decimal(value))
 
 
 def exact_probability(

@@ -1265,11 +1265,11 @@ def test_export_lp_stdout_and_file_are_the_rendered_bytes(shape, tmp_path, capsy
     target = tmp_path / "model.lp"
     assert run(["export-lp", path]) == 0
     assert run(["export-lp", path, "-o", str(target)]) == 0
-    form = build_extensive_form(load_instance(path))
-    rendered = render_lp(form).encode("ascii")
+    instance = load_instance(path)
+    rendered = render_lp(build_extensive_form(instance)).encode("ascii")
     assert capsys.readouterr().out.encode("ascii") == target.read_bytes() == rendered
     # Written in several chunks, whose seams must not show.
-    assert len(list(extform.lp_chunks(form))) > 1
+    assert len(list(extform.plan_lp_chunks(extform.plan_form(instance)))) > 1
 
 
 def _unwritable(plans):
@@ -1315,7 +1315,7 @@ def test_export_lp_builds_no_extensive_form(tmp_path, capsys, monkeypatch):
     expected = render_lp(build_extensive_form(load_instance(path)))
     builds = []
     monkeypatch.setattr(extform, "build_extensive_form", builds.append)
-    # Any record built now fails: tuple.__new__(None, ...) is a TypeError.
+    # Any record built now fails: calling None is a TypeError.
     for record in ("Variable", "Row", "ExtensiveForm"):
         monkeypatch.setattr(extform, record, None)
     assert run(["export-lp", path, "-v"]) == 0
@@ -1439,6 +1439,19 @@ def test_eval_bad_header(tmp_path, capsys):
     vector = tmp_path / "vector.csv"
     vector.write_text("a,b\n1,2\n", encoding="utf-8")
     assert run(["eval", path, "--reservations", str(vector)]) == 1
+
+
+def test_eval_refuses_a_header_that_names_a_column_twice(tmp_path, capsys):
+    path = write_doc(tmp_path, single_triple_doc())
+    vector = tmp_path / "vector.csv"
+    vector.write_text(
+        "circuit_id,provider_id,machine_id,reserved,reserved\nc1,p1,m1,0,5\n",
+        encoding="utf-8",
+    )
+    assert run(["eval", path, "--reservations", str(vector)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: reservations CSV header names reserved more than once\n"
 
 
 # --- usage ---------------------------------------------------------------------

@@ -34,7 +34,6 @@ from qres.extform import (
     Variable,
     build_extensive_form,
     check_certificate,
-    lp_chunks,
     optimality_certificate,
     parse_lp,
     render_lp,
@@ -304,15 +303,19 @@ EVERY_KIND_OF_VALUE = ExtensiveForm(
 def test_render_lp_matches_the_reference_writer(form):
     text = reference_render_lp(form)
     assert render_lp(form) == text
-    assert "".join(lp_chunks(form)) == text
 
 
-def test_render_lp_formats_each_distinct_value_once(reference_instance, monkeypatch):
-    form = build_extensive_form(reference_instance)
+def _printed_values(form: ExtensiveForm) -> list[Fraction]:
+    """Every value the LP text of a form prints, once per time it is printed."""
     values = [coef for _, coef in form.objective]
     values += [coef for row in form.constraints for _, coef in row.terms]
     values += [row.rhs for row in form.constraints]
     values += [b for v in form.variables if v.upper is not None for b in (v.lower, v.upper)]
+    return values
+
+
+def _count_formatting(monkeypatch) -> collections.Counter:
+    """The values the LP writers format from now on, with their call counts."""
     calls = collections.Counter()
 
     def counted(value):
@@ -320,12 +323,32 @@ def test_render_lp_formats_each_distinct_value_once(reference_instance, monkeypa
         return exact_decimal(value)
 
     monkeypatch.setattr(extform, "exact_decimal", counted)
+    return calls
+
+
+def test_render_lp_formats_each_distinct_value_once(reference_instance, monkeypatch):
+    form = build_extensive_form(reference_instance)
+    values = _printed_values(form)
+    calls = _count_formatting(monkeypatch)
     text = render_lp(form)
     assert calls == collections.Counter(set(values))
     # The form repeats its values, so a per-term count would show.
     assert len(calls) < len(values) // 100
     monkeypatch.undo()
     assert text == reference_render_lp(form)
+
+
+def test_plan_lp_chunks_formats_each_distinct_value_once(monkeypatch):
+    instance = instance_from_document(audit_shaped_doc())
+    form = build_extensive_form(instance)
+    values = _printed_values(form)
+    plans = extform.plan_form(instance)
+    calls = _count_formatting(monkeypatch)
+    text = "".join(extform.plan_lp_chunks(plans))
+    assert calls == collections.Counter(set(values))
+    assert len(calls) < len(values) // 100
+    monkeypatch.undo()
+    assert text == render_lp(form)
 
 
 @pytest.mark.parametrize(
@@ -336,6 +359,9 @@ def test_render_lp_formats_each_distinct_value_once(reference_instance, monkeypa
         # A regex "$" also matches before a final newline.
         pytest.param("variable", "x\n", id="variable-trailing-newline"),
         pytest.param("constraint", "r\n", id="constraint-trailing-newline"),
+        # parse_lp could not read a name given twice back.
+        pytest.param("variable", "xu_c0_p0_m0_s0", id="variable-repeated"),
+        pytest.param("constraint", "dem_c0_p0_m0_s0", id="constraint-repeated"),
     ],
 )
 def test_render_lp_refuses_a_name_it_cannot_write(where, name):
@@ -350,13 +376,15 @@ def test_render_lp_refuses_a_name_it_cannot_write(where, name):
         render_lp(form)
 
 
-def test_lp_chunks_checks_every_name_before_the_first_chunk(reference_instance):
+def test_render_lp_checks_every_name_before_any_line(reference_instance, monkeypatch):
     form = build_extensive_form(reference_instance)
     bad = form.constraints[-1]._replace(name="1row")
     form = form._replace(constraints=(*form.constraints[:-1], bad))
-    chunks = lp_chunks(form)
+    writes = []
+    monkeypatch.setattr(extform, "_lp_lines", lambda *args: writes.append(args))
     with pytest.raises(ValueError, match="constraint name not exportable: '1row'"):
-        next(chunks)
+        render_lp(form)
+    assert writes == []
 
 
 @pytest.mark.parametrize(
@@ -440,6 +468,14 @@ def test_every_exported_lp_of_a_loadable_instance_parses_back(doc):
         ("Minimize\n obj: 1_0 x\nEnd\n", "bad coefficient"),
         ("Minimize\n obj: 1 x\nSubject To\n r: 1 x <= 1_0\nEnd\n", "bad rhs"),
         ("Minimize\n obj: 1 x\nBounds\n 0 <= x <= 1_0\nEnd\n", "bad bound"),
+        (
+            "Minimize\n obj: 1 x\nBounds\n 0 <= x <= 5\n 0 <= x <= 7\nEnd\n",
+            "line 5: variable x bounded twice",
+        ),
+        (
+            "Minimize\n obj: 1 x\nSubject To\n r: 1 x <= 0\n r: 1 x >= 0\nEnd\n",
+            "line 5: constraint r named twice",
+        ),
     ],
 )
 def test_parse_errors(text, match):

@@ -8,13 +8,15 @@ workload, the instance comes from ``perfbench/workloads.py`` (imported,
 never written), and both trees run, as ``python -m qres.cli`` children:
 ``validate``, every command of the workload, ``solve --oracle --seed N -v``,
 ``export-lp -o FILE -v`` (whose "N variables, M rows" line counts each
-scenario space), ``eval`` of the vector that their own ``solve`` printed,
-and ``sweep`` and ``surface`` over the workload's grids, so the kernel's
-prices are compared over uniform, mixed and explicit probability
-denominators alike. The workloads give every machine the same capacity, so
-each seed also writes a copy of its instance in which each provider's
-first machine has half the capacity, and runs ``solve`` and ``solve
---oracle --seed N -v`` on it: machines that share rates but not a capacity.
+scenario space), ``export-lp`` to stdout (the LP is compared both as
+written to a file and as streamed to stdout), ``eval`` of the vector that
+their own ``solve`` printed, and ``sweep`` and ``surface`` over the
+workload's grids, so the kernel's prices are compared over uniform, mixed
+and explicit probability denominators alike. The workloads give every
+machine the same capacity, so each seed also writes a copy of its instance
+in which each provider's first machine has half the capacity, and runs
+``solve`` and ``solve --oracle --seed N -v`` on it: machines that share
+rates but not a capacity.
 The grids would exceed the halved capacity, so no sweep runs on the copy.
 Each seed of a workload with written probabilities also writes copies of
 its instance with the first one broken in one way (54 fraction digits,
@@ -81,6 +83,7 @@ def commands(shape: Shape, seed: int) -> list[list[str]]:
         *(workload[name] for name in shape.commands),
         ["solve", INSTANCE, "--oracle", "--seed", str(seed), "-v"],
         workload["export-lp"],
+        ["export-lp", INSTANCE],
         workload["eval"],
         workload["sweep"],
         workload["surface"],
