@@ -40,11 +40,12 @@ _SOURCES = {
         "TripleKey",
         "instance_from_document",
         "load_instance",
+        "penalty_time",
         "synth_exec_time",
         "validate",
     ),
     "oracles": ("brute_force_triple", "joint_enumeration_oracle", "scenario_costs"),
-    "recourse": ("RecourseDecision", "optimal_recourse", "penalty_time"),
+    "recourse": ("RecourseDecision", "optimal_recourse"),
     "scenarios": (
         "Scenario",
         "ScenarioSpace",

@@ -2,16 +2,15 @@
 
 Data outputs are plain CSV (or LP text) with no timestamps, so identical
 inputs give byte-identical outputs. Exit codes: 0 success, 1 validation
-or model error, 2 usage error. The solver, oracle, sweep and LP modules
-are imported by the commands that use them, so no command loads code it
-does not run: ``validate`` loads neither the solver nor the scenarios, and
-only ``solve --oracle`` loads the oracles.
+or model error, 2 usage error. The solver, oracle, sweep, LP and CSV
+modules are imported by the commands that use them, so no command loads
+code it does not run: the kernel commands load no scenario space, and
+only ``solve --oracle`` loads the oracles and only ``eval`` a CSV reader.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from itertools import pairwise
@@ -25,7 +24,6 @@ from .instance import (
     ModelError,
     ScenarioError,
     load_instance,
-    load_reservations,
     validate,
 )
 from .units import UnitError, format_micro, parse_integer, parse_seconds
@@ -202,6 +200,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from .csvio import load_reservations
     from .solver import expected_cost
 
     instance = load_instance(args.instance)
@@ -352,7 +351,6 @@ def run(argv: list[str]) -> int:
         UnitError,
         OSError,
         UnicodeDecodeError,
-        csv.Error,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -24,10 +24,10 @@ them, and `export-lp` uses it, so no record of the form is ever built
 there: it checks every name before the first chunk and yields the text
 in chunks of whole lines, so the caller writes each chunk as it is made
 and never holds the whole LP. Its bytes equal
-`render_lp(build_extensive_form(instance))`. `render_lp` writes any
-form, parsed or built by hand, as one string, once its names are
-checked. Both writers format each distinct value once, through the
-memo that `_formatter` makes for each call.
+`render_lp(build_extensive_form(instance))`. `render_lp` writes a form,
+parsed or built by hand, that `parse_lp` can read back, as one string.
+Both writers format each distinct value once, through the memo that
+`_formatter` makes for each call.
 
 Capacity is encoded as the reservation variable's upper bound rather
 than a constraint row, so each (triple, scenario) contributes exactly
@@ -230,9 +230,11 @@ def plan_size(plans: list[TriplePlan]) -> tuple[int, int]:
 def render_lp(form: ExtensiveForm) -> str:
     """The LP text for a form (LF line endings, ASCII).
 
-    Every variable and constraint name is checked before any line is made:
-    each must be well formed, and no two variables or two rows may share one,
-    since :func:`parse_lp` could not read such a text back.
+    The form is checked before any line is made, for what :func:`parse_lp`
+    could not read back: a name that is malformed or repeated, an
+    objective that does not list each variable once, in order (the parser
+    takes the variables from it), and a non-zero lower bound with no upper
+    bound (only a bounded variable gets a ``Bounds`` line).
     """
     names = [var.name for var in form.variables]
     row_names = [row.name for row in form.constraints]
@@ -244,6 +246,13 @@ def render_lp(form: ExtensiveForm) -> str:
             if name in seen:
                 raise ValueError(f"{what} name not exportable: {name!r} is repeated")
             seen.add(name)
+    if [index for index, _ in form.objective] != list(range(len(names))):
+        raise ValueError("objective not exportable: not each variable once, in order")
+    for name, _, lower, upper in form.variables:
+        if upper is None and lower != 0:
+            raise ValueError(
+                f"variable bound not exportable: {name!r} has lower {lower}, no upper"
+            )
     return "\n".join(_lp_lines(form, names)) + "\n"
 
 

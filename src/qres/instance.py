@@ -2,10 +2,12 @@
 
 An :class:`Instance` is the immutable input to everything else in the
 package. It is normally built from a JSON document (see ``load_instance``)
-plus an optional execution-time CSV. Construction and validation are
-separate: the records can be assembled with inconsistent data, and
-:func:`validate` reports every violation as a diagnostic instead of
-raising, so the CLI can show all problems at once.
+plus an optional execution-time CSV (:mod:`qres.csvio`). Construction
+and validation are separate: the records can be assembled with
+inconsistent data, and :func:`validate` reports every violation as a
+diagnostic instead of raising, so the CLI can show all problems at once.
+The rules every route shares live here too: the checked
+:class:`Marginals`, the capacity check and :func:`penalty_time`.
 
 Units follow :mod:`qres.units`: money fields are integer micro-dollars,
 time fields integer microseconds.
@@ -13,7 +15,6 @@ time fields integer microseconds.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -25,6 +26,7 @@ from typing import Any, Callable, Collection, Iterable, Iterator, NamedTuple, Se
 from .units import (
     MAGNITUDE_LIMIT,
     MICRO,
+    PROBABILITY_DIGITS,
     UnitError,
     check_magnitude,
     exact_probability,
@@ -65,6 +67,13 @@ def check_capacity(capacity: int) -> None:
     """Refuse a negative machine capacity before any route reads it."""
     if capacity < 0:
         raise CapacityError(f"capacity must be non-negative, got {capacity}")
+
+
+def penalty_time(exec_time: int, wait_time: int) -> int:
+    """Over-waiting in microseconds: max(0, exec_time - wait_time)."""
+    if exec_time < 0 or wait_time < 0:
+        raise ValueError("times must be non-negative")
+    return exec_time - wait_time if exec_time > wait_time else 0
 
 
 class CostRates(NamedTuple):
@@ -249,8 +258,6 @@ _RATE_KEYS = ("reserve", "utilize", "on_demand", "penalty")
 _RATE_ENTRY_KEYS = ("circuit", "provider", *_RATE_KEYS)
 _SYNTHETIC_KEYS = ("base", "slope")
 _RECORD_KEYS = ("circuit", "provider", "machine", "seconds")
-_CSV_COLUMNS = ("circuit_id", "provider_id", "machine_id", "seconds")
-_RESERVATION_COLUMNS = ("circuit_id", "provider_id", "machine_id", "reserved")
 
 
 def _require(doc: dict, key: str, where: str) -> Any:
@@ -378,29 +385,6 @@ def _parse_circuit(entry: dict, where: str) -> Circuit:
     )
 
 
-def _csv_records(
-    reader: csv.DictReader,
-    columns: tuple[str, ...],
-    skip: Callable[[dict], bool] | None = None,
-) -> Iterator[tuple[str, dict]]:
-    """The rows of a CSV, each with its line number and every column filled.
-
-    A row with more fields than the header files the rest under ``None``,
-    and a row with fewer has ``None`` for each missing column. Rows for
-    which ``skip`` is true are passed over.
-    """
-    for row in reader:
-        if skip is not None and skip(row):
-            continue
-        where = f"line {reader.line_num}"
-        if None in row or any(row.get(col) is None for col in columns):
-            raise InstanceError(f"{where}: malformed row (expected 4 columns)")
-        for col in columns:
-            if not row[col]:
-                raise InstanceError(f"{where}: empty {col}")
-        yield where, row
-
-
 def _triple_entries(
     records: Iterable[tuple[str, dict]],
     keys: tuple[str, ...],
@@ -468,24 +452,12 @@ def _read_exec_times(
     if exec_block is not None and csv_path is not None:
         raise InstanceError("give either exec_times or exec_times_csv, not both")
     if csv_path is not None:
+        from .csvio import read_exec_times_csv
+
         path = Path(_id(csv_path, "exec_times_csv"))
         if not path.is_absolute() and base_dir is not None:
             path = Path(base_dir) / path
-        try:
-            handle = open(path, "r", encoding="utf-8", newline="")
-        except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
-            raise InstanceError(f"exec_times_csv: {exc}") from exc
-        with handle:
-            # A space after a comma is ignored, in the header and in every row.
-            reader = csv.DictReader(handle, skipinitialspace=True)
-            header = reader.fieldnames
-            if header is not None and tuple(header) != _CSV_COLUMNS:
-                raise InstanceError(
-                    f"execution-time CSV header must be {','.join(_CSV_COLUMNS)}, "
-                    f"got {','.join(header)}"
-                )
-            records = _csv_records(reader, _CSV_COLUMNS)
-            return _triple_entries(records, _CSV_COLUMNS, parse_seconds)
+        return read_exec_times_csv(path)
     if isinstance(exec_block, dict) and exec_block:
         # Once checked, a non-empty object holds "synthetic" and nothing else.
         synthetic = _known(exec_block, ("synthetic",), "exec_times")["synthetic"]
@@ -622,35 +594,6 @@ def load_instance(path: str | Path, *, check: bool = True) -> Instance:
     return instance_from_document(doc, path.parent, check=check)
 
 
-def _is_total_row(row: dict) -> bool:
-    """The summary row of a solution CSV: no triple, only sums."""
-    return row["circuit_id"] == "TOTAL" and row["provider_id"] == row["machine_id"] == ""
-
-
-def load_reservations(path: str | Path) -> dict[tuple[str, str, str], int]:
-    """A reservation vector from a CSV file, one level per triple.
-
-    The header must name the columns circuit_id, provider_id, machine_id
-    and reserved once each, in any order; other columns are ignored. The
-    ``TOTAL`` row that ends ``qres solve`` output is skipped, so a solved
-    CSV reads back as its reservation vector.
-    """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        if not set(_RESERVATION_COLUMNS).issubset(header):
-            raise InstanceError(
-                f"reservations CSV needs columns {','.join(_RESERVATION_COLUMNS)}"
-            )
-        for column in _RESERVATION_COLUMNS:
-            if header.count(column) > 1:
-                raise InstanceError(
-                    f"reservations CSV header names {column} more than once"
-                )
-        records = _csv_records(reader, _RESERVATION_COLUMNS, _is_total_row)
-        return _triple_entries(records, _RESERVATION_COLUMNS, parse_integer)
-
-
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -727,6 +670,73 @@ def _outcome_counts(instance: Instance) -> Iterator[int]:
         return
     for cid in dict.fromkeys(c.circuit_id for c in instance.circuits):
         yield len(instance.demand_sets.get(cid, ())) + len(instance.wait_sets.get(cid, ()))
+
+
+def _uniform(n: int) -> Weights:
+    """The dyadic uniform weights of n outcomes over 2^53."""
+    one = 1 << PROBABILITY_DIGITS
+    base, extra = divmod(one, n)
+    return one, tuple(base + 1 if i < extra else base for i in range(n))
+
+
+class Marginals(NamedTuple):
+    """Checked demand and wait outcomes of one circuit, with exact weights."""
+
+    demands: tuple[int, ...]
+    demand_weights: Weights
+    waits: tuple[int, ...]  # microseconds
+    wait_weights: Weights
+
+
+def marginals(
+    circuit_id: str,
+    demand_set: Iterable[int],
+    wait_set: Iterable[int],
+    demand_probs: Iterable | None = None,
+    wait_probs: Iterable | None = None,
+) -> Marginals:
+    """Check one circuit's outcomes by validate's rule; attach exact weights."""
+    demands, waits = tuple(demand_set), tuple(wait_set)
+    demand_probs, wait_probs = (
+        None if p is None else tuple(p) for p in (demand_probs, wait_probs)
+    )
+    weights = outcome_weights(demands, waits, demand_probs, wait_probs)
+    return _checked(circuit_id, demands, waits, weights)
+
+
+def _checked(
+    circuit_id: str,
+    demands: tuple[int, ...],
+    waits: tuple[int, ...],
+    weights: OutcomeWeights,
+) -> Marginals:
+    """The marginals, or the first of the problems that outcome_weights found."""
+    problems, demand_weights, wait_weights = weights
+    for name, problem in problems:
+        where = f"{circuit_id} {name}" if name else circuit_id
+        raise ScenarioError(f"{where}: {problem}")
+    return Marginals(
+        demands,
+        demand_weights or _uniform(len(demands)),
+        waits,
+        wait_weights or _uniform(len(waits)),
+    )
+
+
+def circuit_marginals(instance: Instance, circuit_id: str) -> Marginals:
+    """The marginals of one circuit of an instance, from its checked weights.
+
+    A circuit without a wait set is refused as validate refuses it: its
+    wait set is empty.
+    """
+    if circuit_id not in instance.demand_sets:
+        raise ScenarioError(f"unknown circuit '{circuit_id}'")
+    return _checked(
+        circuit_id,
+        tuple(instance.demand_sets[circuit_id]),
+        tuple(instance.wait_sets.get(circuit_id, ())),
+        instance.circuit_weights(circuit_id),
+    )
 
 
 def validate(instance: Instance) -> list[Diagnostic]:

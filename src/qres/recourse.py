@@ -16,28 +16,24 @@ A decision is the named tuple ``(utilized, on_demand, over_wait)``.
 on-demand cost of the optimal decision, for each scenario demand of a
 sequence at one level. The scenario-route oracles (:mod:`qres.oracles`)
 price through it, and through :func:`penalty_time` for the over-wait,
-which takes no level.
+which takes no level. The kernel shares that rule, so it lives in
+:mod:`qres.instance`, and no kernel command loads this module.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from .instance import CostRates
-from .scenarios import Scenario
+from .instance import CostRates, penalty_time
+
+if TYPE_CHECKING:
+    from .scenarios import Scenario
 
 
 class RecourseDecision(NamedTuple):
     utilized: int
     on_demand: int
     over_wait: int  # microseconds
-
-
-def penalty_time(exec_time: int, wait_time: int) -> int:
-    """Over-waiting in microseconds: max(0, exec_time - wait_time)."""
-    if exec_time < 0 or wait_time < 0:
-        raise ValueError("times must be non-negative")
-    return exec_time - wait_time if exec_time > wait_time else 0
 
 
 def optimal_recourse(

@@ -7,14 +7,15 @@ table can be had by building a space per joint cell). Ordering is
 demand-major lexicographic and deterministic, so downstream CSV output and
 golden tests are reproducible.
 
-The solver's marginal kernel needs only the checked marginals
-(:func:`marginals`, :func:`circuit_marginals`); the product space itself
-serves the scenario-route oracles and the extensive form. Each vector is
-held as exact integer weights ``(L, w)``, ``Pr[i] == w[i] / L``: a written
-one as :func:`qres.instance.outcome_weights` reads it, an absent one as
-the dyadic uniform weights over 2^53 (1/n has no finite decimal for the
-LP). A space's weights are the products of its marginals' over L_d * L_w.
-A space is a view over its marginals, so no command builds a :class:`Scenario`.
+The solver's marginal kernel needs only the checked marginals, which
+live in :mod:`qres.instance` (importable from here too); the product space
+serves the oracles and the extensive form, so only ``solve --oracle`` and
+``export-lp`` load this module. Each vector is held as exact integer
+weights ``(L, w)``, ``Pr[i] == w[i] / L``: a written one as
+:func:`qres.instance.outcome_weights` reads it, an absent one as the dyadic
+uniform weights over 2^53 (1/n has no finite decimal for the LP). A
+space's weights are the products of its marginals' over L_d * L_w. A
+space is a view over its marginals, so no command builds a :class:`Scenario`.
 """
 
 from __future__ import annotations
@@ -25,14 +26,11 @@ from typing import Iterable, Iterator, NamedTuple
 from .instance import (
     GRID_GUARD,
     Instance,
-    OutcomeWeights,
+    Marginals,
     ScenarioError,
-    Weights,
-    outcome_weights,
+    circuit_marginals,
+    marginals,
 )
-from .units import PROBABILITY_DIGITS
-
-_DYADIC_ONE = 1 << PROBABILITY_DIGITS
 
 
 class Scenario(NamedTuple):
@@ -88,76 +86,6 @@ class ScenarioSpace:
     def scenarios(self) -> tuple[Scenario, ...]:
         """A new tuple of one :class:`Scenario` per pair; no command reads it."""
         return tuple(map(Scenario, self.demands, cycle(self.marginals.waits)))
-
-
-def _uniform(n: int) -> Weights:
-    """The dyadic uniform weights of n outcomes over 2^53."""
-    base, extra = divmod(_DYADIC_ONE, n)
-    return _DYADIC_ONE, tuple(base + 1 if i < extra else base for i in range(n))
-
-
-class Marginals(NamedTuple):
-    """Checked demand and wait outcomes of one circuit, with exact weights."""
-
-    demands: tuple[int, ...]
-    demand_weights: Weights
-    waits: tuple[int, ...]  # microseconds
-    wait_weights: Weights
-
-
-def marginals(
-    circuit_id: str,
-    demand_set: Iterable[int],
-    wait_set: Iterable[int],
-    demand_probs: Iterable | None = None,
-    wait_probs: Iterable | None = None,
-) -> Marginals:
-    """Check one circuit's outcomes by validate's rule; attach exact weights."""
-    demands, waits = tuple(demand_set), tuple(wait_set)
-    demand_probs, wait_probs = (
-        None if p is None else tuple(p) for p in (demand_probs, wait_probs)
-    )
-    return _checked(
-        circuit_id,
-        demands,
-        waits,
-        outcome_weights(demands, waits, demand_probs, wait_probs),
-    )
-
-
-def _checked(
-    circuit_id: str,
-    demands: tuple[int, ...],
-    waits: tuple[int, ...],
-    weights: OutcomeWeights,
-) -> Marginals:
-    """The marginals, or the first of the problems that outcome_weights found."""
-    problems, demand_weights, wait_weights = weights
-    for name, problem in problems:
-        where = f"{circuit_id} {name}" if name else circuit_id
-        raise ScenarioError(f"{where}: {problem}")
-    return Marginals(
-        demands,
-        demand_weights or _uniform(len(demands)),
-        waits,
-        wait_weights or _uniform(len(waits)),
-    )
-
-
-def circuit_marginals(instance: Instance, circuit_id: str) -> Marginals:
-    """The marginals of one circuit of an instance, from its checked weights.
-
-    A circuit without a wait set is refused as validate refuses it: its
-    wait set is empty.
-    """
-    if circuit_id not in instance.demand_sets:
-        raise ScenarioError(f"unknown circuit '{circuit_id}'")
-    return _checked(
-        circuit_id,
-        tuple(instance.demand_sets[circuit_id]),
-        tuple(instance.wait_sets.get(circuit_id, ())),
-        instance.circuit_weights(circuit_id),
-    )
 
 
 def product_space(circuit_id: str, m: Marginals) -> ScenarioSpace:

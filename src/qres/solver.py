@@ -39,13 +39,14 @@ from .instance import (
     CapacityError,
     CostRates,
     Instance,
+    Marginals,
     ModelError,
     TripleKey,
     check_capacity,
     check_outcome_total,
+    circuit_marginals,
+    penalty_time,
 )
-from .recourse import penalty_time
-from .scenarios import Marginals, circuit_marginals
 from .units import MICRO
 
 

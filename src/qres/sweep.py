@@ -14,8 +14,7 @@ from fractions import Fraction
 from itertools import pairwise
 from typing import Iterable, NamedTuple
 
-from .instance import CapacityError, CostRates, Instance
-from .recourse import penalty_time
+from .instance import CapacityError, CostRates, Instance, penalty_time
 from .solver import CircuitTable, circuit_tables, exact_sum
 from .units import MICRO, format_micro
 

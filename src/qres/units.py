@@ -11,10 +11,12 @@ compare equal with `==`, which is what the oracle tests rely on.
 
 from __future__ import annotations
 
-from decimal import MAX_PREC, Decimal, InvalidOperation, localcontext
+from decimal import MAX_PREC, Context, Decimal, InvalidOperation
 from fractions import Fraction
 
 MICRO = 10**6
+
+_EXACT = Context(prec=MAX_PREC)  # arithmetic that never rounds
 
 # Largest magnitude of a number read from outside the program: money in
 # dollars, times in seconds, qubit counts and LP numbers. It is checked
@@ -43,6 +45,9 @@ def check_magnitude(value: int | Decimal, what: str) -> None:
 
 def _decimal(value: int | float | str | Decimal, what: str) -> Decimal:
     """A number from outside as an exact, finite Decimal; never a boolean."""
+    # A JSON number below 10^24 (MAGNITUDE_LIMIT), the common case, first.
+    if type(value) is Decimal and value.is_finite() and value.adjusted() < 24:
+        return value
     if isinstance(value, bool):
         raise UnitError(f"{what} must be a number, got a boolean")
     if isinstance(value, int):
@@ -83,10 +88,9 @@ def parse_integer(text: str) -> int:
 
 def _to_micro(value: int | float | str | Decimal, what: str) -> int:
     value = _decimal(value, what)
-    # Exact: the default 28-digit context would round away sub-micro digits.
-    with localcontext() as exact:
-        exact.prec = MAX_PREC
-        scaled = value * MICRO
+    # value * MICRO, exact: the default 28-digit context would round away
+    # sub-micro digits.
+    scaled = value.scaleb(6, _EXACT)
     if scaled != scaled.to_integral_value():
         raise UnitError(f"{what} has sub-micro precision: {value}")
     return int(scaled)

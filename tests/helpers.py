@@ -7,6 +7,7 @@ import math
 import random
 import tracemalloc
 from dataclasses import replace
+from decimal import MAX_PREC, Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -25,7 +26,7 @@ from qres.units import (
     MICRO,
     PROBABILITY_DIGITS,
     UnitError,
-    _decimal,
+    check_magnitude,
     exact_decimal,
     parse_money,
 )
@@ -439,6 +440,45 @@ def reference_surface(instance: Instance, x_grid, wait_grid) -> list[tuple]:
     return [(x, wait, curve[x] + penalty[wait]) for x in x_grid for wait in wait_grid]
 
 
+def reference_decimal(value, what: str) -> Decimal:
+    """A number from outside as an exact, finite Decimal, as first written.
+
+    Each type is tested in turn, a Decimal last, and the magnitude of
+    every value is checked against MAGNITUDE_LIMIT.
+    """
+    if isinstance(value, bool):
+        raise UnitError(f"{what} must be a number, got a boolean")
+    if isinstance(value, int):
+        check_magnitude(value, what)
+        value = Decimal(value)
+    elif isinstance(value, float):
+        value = Decimal(repr(value))
+    elif isinstance(value, str):
+        if "_" in value or not value.isascii() or value != value.strip():
+            raise UnitError(f"{what} is not a plain decimal number: {value!r}")
+        try:
+            value = Decimal(value)
+        except InvalidOperation as exc:
+            raise UnitError(f"{what} is not a number: {value!r}") from exc
+    elif not isinstance(value, Decimal):
+        raise UnitError(f"{what} must be a number, got {type(value).__name__}")
+    if not value.is_finite():
+        raise UnitError(f"{what} is not a finite number: {value}")
+    check_magnitude(value, what)
+    return value
+
+
+def reference_to_micro(value, what: str) -> int:
+    """Dollars or seconds in micro-units, scaled in a local exact context."""
+    value = reference_decimal(value, what)
+    with localcontext() as exact:
+        exact.prec = MAX_PREC
+        scaled = value * MICRO
+    if scaled != scaled.to_integral_value():
+        raise UnitError(f"{what} has sub-micro precision: {value}")
+    return int(scaled)
+
+
 def reference_probability(value) -> Fraction:
     """A probability read as the package read it before it skipped the Fraction.
 
@@ -448,7 +488,7 @@ def reference_probability(value) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    value = _decimal(value, "value")
+    value = reference_decimal(value, "value")
     if value.as_tuple().exponent < -PROBABILITY_DIGITS:
         raise UnitError(f"value has more than {PROBABILITY_DIGITS} fraction digits")
     return Fraction(value)

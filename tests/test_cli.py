@@ -160,8 +160,8 @@ def test_each_written_probability_is_read_once_per_command(tmp_path, monkeypatch
             reads.append(str(self))
             return super().as_integer_ratio()
 
+    # The marginals are made in qres.instance, beside outcome_weights.
     monkeypatch.setattr(instance_module, "outcome_weights", counted)
-    monkeypatch.setattr(scenarios, "outcome_weights", counted)
     monkeypatch.setattr(instance_module, "Decimal", Counted)
     doc = two_circuit_doc()
     doc["circuits"][1].update(demand_probs=[0.25, 0.75], wait_probs=[0.5, 0.5])

@@ -261,25 +261,39 @@ LP_VALUES = st.one_of(
 )
 
 
+# The ways to break a form so that parse_lp could not read its text back.
+BREAKS = ("unbounded-lower", "omit", "twice", "swap")
+
+
 @st.composite
 def hand_built_forms(draw) -> ExtensiveForm:
+    """Forms of 1-5 variables; about one in three is broken by one of BREAKS."""
     n = draw(st.integers(1, 5))
-    variables = tuple(
-        Variable(
-            name=f"v{i}",
-            kind=draw(st.sampled_from(["integer", "continuous"])),
-            lower=draw(LP_VALUES),
-            upper=draw(st.none() | LP_VALUES),
-        )
-        for i in range(n)
-    )
+    variables = []
+    for i in range(n):
+        upper = draw(st.none() | LP_VALUES)
+        lower = Fraction(0) if upper is None else draw(LP_VALUES)
+        kind = draw(st.sampled_from(["integer", "continuous"]))
+        variables.append(Variable(f"v{i}", kind, lower, upper))
+    objective = [(i, draw(LP_VALUES)) for i in range(n)]
     terms = st.lists(st.tuples(st.integers(0, n - 1), LP_VALUES), min_size=1, max_size=4)
     rows = tuple(
         Row(f"r{i}", tuple(draw(terms)), draw(st.sampled_from([SENSE_LE, SENSE_GE])),
             draw(LP_VALUES))
         for i in range(draw(st.integers(0, 4)))
     )
-    return ExtensiveForm(variables, tuple(draw(terms)), rows)
+    broken = draw(st.sampled_from([None] * 8 + [*BREAKS]))
+    i = draw(st.integers(0, n - 1))
+    if broken == "unbounded-lower":
+        lower = draw(LP_VALUES.filter(bool))
+        variables[i] = variables[i]._replace(lower=lower, upper=None)
+    elif broken == "omit":
+        del objective[i]
+    elif broken == "twice":
+        objective.insert(draw(st.integers(0, n)), objective[i])
+    elif broken == "swap" and i + 1 < n:
+        objective[i], objective[i + 1] = objective[i + 1], objective[i]
+    return ExtensiveForm(tuple(variables), tuple(objective), rows)
 
 
 EVERY_KIND_OF_VALUE = ExtensiveForm(
@@ -288,11 +302,12 @@ EVERY_KIND_OF_VALUE = ExtensiveForm(
         Variable("b", "continuous", Fraction(0), None),
         Variable("c", "integer", Fraction(1, 2**112), Fraction(10**24)),
     ),
-    objective=((0, Fraction(-1, 2**112)), (1, Fraction(0)), (2, Fraction(-5)),
-               (0, Fraction(3, 10**112)), (1, Fraction(-7, 4))),
+    objective=((0, Fraction(-1, 2**112)), (1, Fraction(0)), (2, Fraction(-5))),
     constraints=(
-        Row("r0", ((1, Fraction(0)), (0, Fraction(-1, 2**112))), SENSE_LE, Fraction(-9, 8)),
-        Row("r1", ((2, Fraction(-12)), (1, Fraction(12))), SENSE_GE, Fraction(0)),
+        Row("r0", ((1, Fraction(0)), (0, Fraction(-1, 2**112)), (2, Fraction(3, 10**112))),
+            SENSE_LE, Fraction(-9, 8)),
+        Row("r1", ((2, Fraction(-12)), (1, Fraction(12)), (0, Fraction(-7, 4))),
+            SENSE_GE, Fraction(0)),
     ),
 )
 
@@ -301,8 +316,58 @@ EVERY_KIND_OF_VALUE = ExtensiveForm(
 @given(hand_built_forms())
 @example(EVERY_KIND_OF_VALUE)
 def test_render_lp_matches_the_reference_writer(form):
+    # render_lp writes what the reference writes when parse_lp reads that
+    # text back to the form, and refuses every other form.
     text = reference_render_lp(form)
-    assert render_lp(form) == text
+    try:
+        readable = parse_lp(text) == form
+    except LpParseError:
+        readable = False
+    if readable:
+        assert render_lp(form) == text
+    else:
+        with pytest.raises(ValueError, match="not exportable"):
+            render_lp(form)
+
+
+OBJECTIVE = "objective not exportable: not each variable once, in order"
+
+# Two variables and a row that reads both, as render_lp accepts them.
+TWO_VARIABLES = ExtensiveForm(
+    variables=(
+        Variable("a", "integer", Fraction(0), Fraction(4)),
+        Variable("b", "continuous", Fraction(0), None),
+    ),
+    objective=((0, Fraction(1)), (1, Fraction(2))),
+    constraints=(Row("r", ((0, Fraction(1)), (1, Fraction(1))), SENSE_GE, Fraction(1)),),
+)
+
+
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        pytest.param(
+            {"variables": (TWO_VARIABLES.variables[0],
+                           Variable("b", "continuous", Fraction(-3), None))},
+            "variable bound not exportable: 'b' has lower -3, no upper",
+            id="lower-bound-without-upper",
+        ),
+        pytest.param({"objective": ((0, Fraction(1)),)}, OBJECTIVE, id="omits-b"),
+        pytest.param(
+            {"objective": ((0, Fraction(1)), (1, Fraction(2)), (0, Fraction(3)))},
+            OBJECTIVE,
+            id="lists-a-twice",
+        ),
+        pytest.param(
+            {"objective": ((1, Fraction(2)), (0, Fraction(1)))}, OBJECTIVE, id="b-first"
+        ),
+    ],
+)
+def test_render_lp_refuses_a_form_parse_lp_cannot_read_back(change, match):
+    assert parse_lp(render_lp(TWO_VARIABLES)) == TWO_VARIABLES
+    form = TWO_VARIABLES._replace(**change)
+    with pytest.raises(ValueError, match=match):
+        render_lp(form)
 
 
 def _printed_values(form: ExtensiveForm) -> list[Fraction]:

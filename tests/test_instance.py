@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import REF_RATES, make_instance, reference_vector_read
 from qres import instance as instance_module
+from qres.csvio import load_reservations
 from qres.instance import (
     OUTCOME_GUARD,
     InstanceError,
@@ -308,6 +309,22 @@ def test_load_exec_times_malformed_row(tmp_path):
 def test_load_exec_times_empty_is_empty_table(tmp_path):
     doc = csv_doc(tmp_path, CSV_HEADER)
     assert instance_from_document(doc, tmp_path, check=False).exec_times == {}
+
+
+@pytest.mark.parametrize("row", [CSV_HEADER, ""], ids=["row", "header"])
+def test_a_csv_field_over_the_reader_limit_is_an_instance_error(row, tmp_path):
+    doc = csv_doc(tmp_path, row + "c1,p1,m1," + "9" * 200_000 + "\n")
+    with pytest.raises(InstanceError, match=r"^field larger than field limit \(131072\)$"):
+        instance_from_document(doc, tmp_path)
+
+
+
+def test_a_reservations_field_over_the_reader_limit_is_an_instance_error(tmp_path):
+    path = tmp_path / "vector.csv"
+    header = "circuit_id,provider_id,machine_id,reserved\n"
+    path.write_text(header + "c1,p1,m1," + "9" * 200_000 + "\n", encoding="utf-8")
+    with pytest.raises(InstanceError, match=r"^field larger than field limit \(131072\)$"):
+        load_reservations(path)
 
 
 def test_load_exec_times_bad_header(tmp_path):

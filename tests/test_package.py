@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ast
+import csv
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -262,21 +264,41 @@ sys.exit(code)
 """
 
 _BASE = {"qres.cli", "qres.instance", "qres.units"}
-_SOLVER = _BASE | {"qres.recourse", "qres.scenarios", "qres.solver"}
+_KERNEL = _BASE | {"qres.solver"}
+_SCENARIO_ROUTE = {"qres.recourse", "qres.scenarios"}
 
 # Each command with exactly the qres modules it loads.
 COMMANDS = [
     (["validate"], _BASE),
-    (["solve"], _SOLVER),
-    (["solve", "--oracle"], _SOLVER | {"qres.oracles"}),
-    (["eval", "--reservations", "{reservations}"], _SOLVER),
-    (["sweep", "--grid", "0:30:10"], _SOLVER | {"qres.sweep"}),
+    (["solve"], _KERNEL),
+    (["solve", "--oracle"], _KERNEL | _SCENARIO_ROUTE | {"qres.oracles"}),
+    (["eval", "--reservations", "{reservations}"], _KERNEL | {"qres.csvio"}),
+    (["sweep", "--grid", "0:30:10"], _KERNEL | {"qres.sweep"}),
     (
         ["surface", "--grid", "0:30:10", "--waits", "0:0.01:0.005"],
-        _SOLVER | {"qres.sweep"},
+        _KERNEL | {"qres.sweep"},
     ),
     (["export-lp"], _BASE | {"qres.scenarios", "qres.extform"}),
 ]
+
+
+def inline_reference(tmp_path: Path) -> Path:
+    """A copy of the reference instance with its execution times inline.
+
+    The reference names an execution-time CSV, and reading one loads the
+    CSV module whatever the command.
+    """
+    doc = json.loads(REF.read_text(encoding="utf-8"))
+    times = REF.parent / doc.pop("exec_times_csv")
+    with open(times, encoding="utf-8", newline="") as handle:
+        doc["exec_times"] = [
+            {"circuit": c, "provider": p, "machine": m, "seconds": float(seconds)}
+            for c, p, m, seconds in list(csv.reader(handle))[1:]
+        ]
+    path = tmp_path / "inline.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert load_instance(path) == load_instance(REF)
+    return path
 
 
 @pytest.mark.parametrize(
@@ -294,8 +316,8 @@ def test_each_command_loads_only_what_it_runs(tmp_path, command, modules):
     argv = [a.format(reservations=reservations) for a in command]
     env = dict(os.environ, PYTHONPATH=str(Path(qres.__file__).parent.parent))
     done = subprocess.run(
-        [sys.executable, "-c", _LOADED, argv[0], str(REF), *argv[1:],
-         "-o", str(tmp_path / "out")],
+        [sys.executable, "-c", _LOADED, argv[0], str(inline_reference(tmp_path)),
+         *argv[1:], "-o", str(tmp_path / "out")],
         capture_output=True, text=True, env=env, check=False,
     )
     assert (done.returncode, done.stderr) == (0, "")
@@ -303,15 +325,26 @@ def test_each_command_loads_only_what_it_runs(tmp_path, command, modules):
 
 
 # Runs one command in a fresh interpreter and reports on stderr whether it
-# loaded tempfile. The child runs without site (-S), which on some systems
-# imports tempfile itself through a .pth file.
-_TEMPFILE = """
+# loaded the named stdlib module. The child runs without site (-S), which
+# on some systems imports tempfile itself through a .pth file.
+_STDLIB = """
 import sys
 import qres.cli
-code = qres.cli.run(sys.argv[1:])
-print("tempfile" in sys.modules, file=sys.stderr)
+module, *argv = sys.argv[1:]
+code = qres.cli.run(argv)
+print(module in sys.modules, file=sys.stderr)
 sys.exit(code)
 """
+
+
+def _loads(module: str, command: list[str], instance: Path = REF) -> tuple[int, str]:
+    env = dict(os.environ, PYTHONPATH=str(Path(qres.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _STDLIB, module, command[0], str(instance),
+         *command[1:]],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    return done.returncode, done.stderr
 
 
 @pytest.mark.parametrize(
@@ -320,9 +353,19 @@ sys.exit(code)
     ids=lambda command: command[0],
 )
 def test_a_command_that_writes_to_stdout_loads_no_tempfile(command):
-    env = dict(os.environ, PYTHONPATH=str(Path(qres.__file__).parent.parent))
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", _TEMPFILE, command[0], str(REF), *command[1:]],
-        capture_output=True, text=True, env=env, check=False,
-    )
-    assert (done.returncode, done.stderr) == (0, "False\n")
+    assert _loads("tempfile", command) == (0, "False\n")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["validate"],
+        ["solve"],
+        ["sweep", "--grid", "0:30:10"],
+        ["surface", "--grid", "0:30:10", "--waits", "0:0.01:0.005"],
+        ["export-lp"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_a_command_that_reads_no_csv_loads_no_csv_module(tmp_path, command):
+    assert _loads("csv", command, inline_reference(tmp_path)) == (0, "False\n")

@@ -5,9 +5,11 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_decimal, reference_to_micro
+from qres import units
 from qres.units import (
     FRACTION_DIGITS_LIMIT,
     MICRO,
@@ -248,3 +250,47 @@ def test_exact_decimal_round_trips_every_power_of_two_and_five(twos, fives):
     text = exact_decimal(value)
     assert len(text.partition(".")[2]) == max(twos, fives)
     assert Fraction(Decimal(text)) == value
+
+
+def _outcome(function, value):
+    """What a reader gives for a value: its result, or its UnitError's text."""
+    try:
+        result = function(value, "value")
+    except UnitError as exc:
+        return "UnitError", str(exc)
+    return type(result), str(result), result
+
+
+NUMBERS_FROM_OUTSIDE = st.one_of(
+    st.booleans(),
+    st.integers(-(10**30), 10**30),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.decimals(allow_nan=True, allow_infinity=True),
+    st.text(st.sampled_from("0123456789.-+eE_ x"), max_size=30),
+    st.builds(
+        lambda digits, exponent: Decimal(f"{digits}e{exponent}"),
+        st.integers(-(10**30), 10**30),
+        st.integers(-60, 40),
+    ),
+    st.sampled_from([None, [1], Fraction(1, 2)]),
+)
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(NUMBERS_FROM_OUTSIDE)
+@example(10**24)
+@example(10**24 + 1)
+@example(1e24)
+@example(1.000001e24)
+@example("1e24")
+@example("1.000001e24")
+@example("-1.000001E+24")
+@example(Decimal("1e24"))
+@example(Decimal("0E+30"))
+@example("1e-999999999")
+@example(Decimal("1e-999999999"))
+@example("0.0000001")
+@example(" 1")
+def test_numbers_read_as_the_first_reader_read_them(value):
+    assert _outcome(units._decimal, value) == _outcome(reference_decimal, value)
+    assert _outcome(units._to_micro, value) == _outcome(reference_to_micro, value)

@@ -22,7 +22,12 @@ Each seed of a workload with written probabilities also writes copies of
 its instance with the first one broken in one way (54 fraction digits,
 ``1e-54``, text that is no plain number, a negative value, a vector that
 sums to 1 - 10^-53), and runs ``validate`` and ``solve`` on each: the
-messages that refuse them are compared too. Each child runs in a
+messages that refuse them are compared too. Each seed also writes a
+copy whose ``exec_times`` records are moved to an ``exec_times_csv``
+file, and runs ``validate`` and ``solve`` on it, so the CSV reader is
+compared; and a broken copy whose CSV has a 200,000-character field,
+over the ``csv`` module's field limit, whose refusal is compared the
+same way. Each child runs in a
 directory of its own tree with the same relative paths, so the bytes can be
 compared as they are. Every difference in stdout, stderr, exit code or
 written file is printed, and so is a command that fails in both trees,
@@ -52,6 +57,8 @@ from workloads import WORKLOADS, Shape, generate  # noqa: E402
 INSTANCE = "instance.json"
 UNEQUAL = "unequal.json"
 VECTOR = "reservations.csv"
+CSV_TIMES = "csv-times.json"
+LONG_FIELD = "broken-csv-field.json"
 
 # Each way to break the first written probability p, as the number text
 # that replaces it.
@@ -126,6 +133,27 @@ def broken_copies(instance: Path) -> dict[str, str]:
     }
 
 
+def csv_copies(instance: Path) -> dict[str, str]:
+    """The instance with its execution times in a CSV file, and a broken twin.
+
+    By file name: the two documents (:data:`CSV_TIMES`, :data:`LONG_FIELD`)
+    and the CSV file each names; the broken one's first row has a
+    200,000-character field.
+    """
+    doc = json.loads(instance.read_text(encoding="utf-8"))
+    rows = "".join(
+        f"{r['circuit']},{r['provider']},{r['machine']},{r['seconds']}\n"
+        for r in doc.pop("exec_times")
+    )
+    header = "circuit_id,provider_id,machine_id,seconds\n"
+    return {
+        "times.csv": header + rows,
+        "long-field.csv": header + "c00,p0,m0," + "9" * 200_000 + "\n" + rows,
+        CSV_TIMES: json.dumps({**doc, "exec_times_csv": "times.csv"}),
+        LONG_FIELD: json.dumps({**doc, "exec_times_csv": "long-field.csv"}),
+    }
+
+
 def run(src: Path, cwd: Path, args: list[str]) -> tuple[int, bytes, bytes, bytes | None]:
     """Exit code, stdout, stderr and the ``-o`` file of one CLI child."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
@@ -164,13 +192,14 @@ def compare(trees: dict[str, Path], work: Path, name: str, seed: int) -> tuple[i
     shutil.copy(instance, dirs["change"] / INSTANCE)
     unequal = halve_first_machines(instance)
     broken = broken_copies(instance)
+    written = {UNEQUAL: unequal, **broken, **csv_copies(instance)}
     for d in dirs.values():
-        (d / UNEQUAL).write_text(unequal, encoding="utf-8")
-        for file, text in broken.items():
+        for file, text in written.items():
             (d / file).write_text(text, encoding="utf-8")
     differences = []
-    runs = commands(shape, seed)
-    refused = [[command, file] for file in broken for command in ("validate", "solve")]
+    checked = ("validate", "solve")
+    runs = commands(shape, seed) + [[command, CSV_TIMES] for command in checked]
+    refused = [[command, file] for file in [*broken, LONG_FIELD] for command in checked]
     for args in runs + refused:
         results = {label: run(src, dirs[label], args) for label, src in trees.items()}
         if args == ["solve", INSTANCE]:
