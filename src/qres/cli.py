@@ -6,15 +6,19 @@ or model error, 2 usage error. The solver, oracle, sweep, LP and CSV
 modules are imported by the commands that use them, so no command loads
 code it does not run: the kernel commands load no scenario space, and
 only ``solve --oracle`` loads the oracles and only ``eval`` a CSV reader.
+One table, :data:`COMMANDS`, describes every command and option; one loop,
+:func:`parse_args`, reads argv from it and the help is printed from it, so
+no command loads the standard library's argument parser, nor the
+``gettext`` and ``locale`` modules it would bring.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from itertools import pairwise
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Iterable
 
 from .instance import (
@@ -163,7 +167,7 @@ def _solution_table(solution) -> str:
     return "\n".join(out) + "\n"
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: SimpleNamespace) -> int:
     instance = load_instance(args.instance, check=False)
     diagnostics = validate(instance)
     lines = [str(d) for d in diagnostics]
@@ -179,7 +183,7 @@ def solve_instance(instance: Instance):
     return solve_instance(instance)
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_solve(args: SimpleNamespace) -> int:
     if args.seed is not None and not args.oracle:
         raise UsageError("--seed needs --oracle")
     instance = load_instance(args.instance)
@@ -199,7 +203,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _cmd_eval(args: SimpleNamespace) -> int:
     from .csvio import load_reservations
     from .solver import expected_cost
 
@@ -210,7 +214,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: SimpleNamespace) -> int:
     from .sweep import render_csv, sweep_reservation
 
     instance = load_instance(args.instance)
@@ -221,7 +225,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_surface(args: argparse.Namespace) -> int:
+def _cmd_surface(args: SimpleNamespace) -> int:
     from .sweep import render_csv, sweep_reservation_waiting
 
     instance = load_instance(args.instance)
@@ -240,7 +244,7 @@ def _cmd_surface(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_export_lp(args: argparse.Namespace) -> int:
+def _cmd_export_lp(args: SimpleNamespace) -> int:
     from .extform import plan_form, plan_lp_chunks, plan_size
 
     plans = plan_form(load_instance(args.instance))
@@ -251,96 +255,103 @@ def _cmd_export_lp(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qres",
-        description="Reserved/on-demand qubit provisioning under uncertain "
-        "demand and waiting time.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command: its handler, its help line and its options beyond INSTANCE,
+# -o/--output and -v/--verbose. Each option: its flags, long flag last, what
+# reads its value (None for a flag, which takes none), whether it is
+# required, and its help. An option's destination is its long flag's name.
+_COMMON = (
+    (("-o", "--output"), str, False, "output file (default: stdout)"),
+    (("-v", "--verbose"), None, False, "progress notes on stderr"),
+)
+_HUMAN = (("--human",), None, False, "aligned table output")
+_GRID = (("--grid",), str, False, "reservation grid lo:hi[:step] (default 0:min capacity)")
+COMMANDS = {
+    "validate": (_cmd_validate, "check an instance, print diagnostics", ()),
+    "solve": (_cmd_solve, "optimal reservations and cost breakdown", (
+        (("--oracle",), None, False,
+         "re-verify every reservation level by brute-force scan"),
+        (("--seed",), int, False,
+         "with --oracle: also spot-check optimality against random reservation vectors"),
+        _HUMAN,
+    )),
+    "eval": (_cmd_eval, "cost breakdown of a given reservation vector", (
+        (("--reservations",), str, True,
+         "CSV with circuit_id,provider_id,machine_id,reserved"),
+        _HUMAN,
+    )),
+    "sweep": (_cmd_sweep, "cost curve over forced reservation levels", (_GRID,)),
+    "surface": (_cmd_surface, "cost over (reservation level, arranged waiting time)", (
+        _GRID,
+        (("--waits",), str, True, "arranged-wait grid lo:hi[:step] in seconds "
+         "(step defaults to the smallest wait-set gap)"),
+    )),
+    "export-lp": (_cmd_export_lp, "write the deterministic equivalent as LP", ()),
+}
+_HELP = ("-h", "--help")
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("instance", help="instance JSON file")
-        p.add_argument(
-            "-o", "--output", default=None, help="output file (default: stdout)"
-        )
-        p.add_argument(
-            "-v", "--verbose", action="store_true", help="progress notes on stderr"
-        )
 
-    p = sub.add_parser("validate", help="check an instance, print diagnostics")
-    common(p)
-    p.set_defaults(func=_cmd_validate)
+def parse_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace the command's handler ``func`` reads; None once help is printed.
 
-    p = sub.add_parser("solve", help="optimal reservations and cost breakdown")
-    common(p)
-    p.add_argument(
-        "--oracle",
-        action="store_true",
-        help="re-verify every reservation level by brute-force scan",
-    )
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="with --oracle: also spot-check optimality against random "
-        "reservation vectors",
-    )
-    p.add_argument("--human", action="store_true", help="aligned table output")
-    p.set_defaults(func=_cmd_solve)
+    Any argv that the command table does not describe raises :class:`UsageError`.
+    """
+    if not argv or argv[0] not in (*COMMANDS, *_HELP):
+        got = f"unknown command {argv[0]!r}" if argv else "missing command"
+        raise UsageError(f"{got}, expected one of: {', '.join(COMMANDS)}")
+    command, *tokens = argv
+    if command in _HELP or any(token in _HELP for token in tokens):
+        print(_help(command if command in COMMANDS else None), end="")
+        return None
+    func, _, extra = COMMANDS[command]
+    options = {option[0][-1][2:]: option for option in _COMMON + extra}
+    by_flag = {flag: dest for dest, option in options.items() for flag in option[0]}
+    values = {dest: None if option[1] else False for dest, option in options.items()}
+    instances = []
+    rest = iter(tokens)
+    for token in rest:
+        if not token.startswith("-"):
+            instances.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        if flag not in by_flag:
+            raise UsageError(f"{command}: unknown option {flag!r}")
+        dest = by_flag[flag]
+        read = options[dest][1]
+        if read is None and eq:
+            raise UsageError(f"{flag} takes no value")
+        if read and not eq and (value := next(rest, None)) is None:
+            raise UsageError(f"{flag} needs a value")
+        try:
+            values[dest] = read(value) if read else True
+        except ValueError:
+            raise UsageError(f"{flag}: not an {read.__name__}: {value!r}") from None
+    if len(instances) != 1:
+        raise UsageError(f"{command} takes one INSTANCE, got {len(instances)}")
+    for dest, (flags, _, required, _) in options.items():
+        if required and values[dest] is None:
+            raise UsageError(f"{command} needs {flags[-1]}")
+    return SimpleNamespace(func=func, instance=instances[0], **values)
 
-    p = sub.add_parser("eval", help="cost breakdown of a given reservation vector")
-    common(p)
-    p.add_argument(
-        "--reservations",
-        required=True,
-        help="CSV with circuit_id,provider_id,machine_id,reserved",
-    )
-    p.add_argument("--human", action="store_true", help="aligned table output")
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("sweep", help="cost curve over forced reservation levels")
-    common(p)
-    p.add_argument(
-        "--grid",
-        default=None,
-        help="reservation grid lo:hi[:step] (default 0:min capacity)",
-    )
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser(
-        "surface", help="cost over (reservation level, arranged waiting time)"
-    )
-    common(p)
-    p.add_argument(
-        "--grid",
-        default=None,
-        help="reservation grid lo:hi[:step] (default 0:min capacity)",
-    )
-    p.add_argument(
-        "--waits",
-        required=True,
-        help="arranged-wait grid lo:hi[:step] in seconds "
-        "(step defaults to the smallest wait-set gap)",
-    )
-    p.set_defaults(func=_cmd_surface)
-
-    p = sub.add_parser("export-lp", help="write the deterministic equivalent as LP")
-    common(p)
-    p.set_defaults(func=_cmd_export_lp)
-
-    return parser
+def _help(command: str | None) -> str:
+    """The text of ``qres --help`` (no command) or of ``qres COMMAND --help``."""
+    if command is None:
+        rows = [(name, entry[1]) for name, entry in COMMANDS.items()]
+        head = "usage: qres COMMAND INSTANCE [options]\n\ncommands:"
+    else:
+        _, line, extra = COMMANDS[command]
+        options = ((_HELP, None, False, "print this help"), *_COMMON, *extra)
+        rows = [(", ".join(flags) + f" {flags[-1][2:].upper()}" * bool(read), text)
+                for flags, read, _, text in options]
+        needed = "".join(f" {row[0]}" for row, option in zip(rows, options) if option[2])
+        head = f"usage: qres {command} INSTANCE{needed} [options]\n\n{line}\n\noptions:"
+    return "\n".join([head, *(f"  {name:<28} {text}" for name, text in rows), ""])
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse already printed its message
-        code = exc.code
-        return code if isinstance(code, int) else 0
-    try:
-        return args.func(args)
+        args = parse_args(argv)
+        return 0 if args is None else args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

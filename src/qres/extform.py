@@ -46,11 +46,19 @@ import re
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
-from .instance import GRID_GUARD, GuardError, Instance, ModelError, check_capacity
-from .scenarios import ScenarioSpace, circuit_marginals, product_space
+from .instance import (
+    GRID_GUARD,
+    GuardError,
+    Instance,
+    ModelError,
+    check_capacity,
+    circuit_marginals,
+)
+from .scenarios import ScenarioSpace, product_space
 from .units import MICRO, exact_decimal, fraction_from_decimal
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]{0,254}")
+_SECTIONS = ("Minimize", "Subject To", "Bounds", "Generals", "End")
 # Lines per chunk of LP text: enough to amortise each write, few enough
 # that a chunk is a small fraction of the whole text.
 _CHUNK_LINES = 4096
@@ -233,8 +241,10 @@ def render_lp(form: ExtensiveForm) -> str:
     The form is checked before any line is made, for what :func:`parse_lp`
     could not read back: a name that is malformed or repeated, an
     objective that does not list each variable once, in order (the parser
-    takes the variables from it), and a non-zero lower bound with no upper
-    bound (only a bounded variable gets a ``Bounds`` line).
+    takes the variables from it), a non-zero lower bound with no upper
+    bound (only a bounded variable gets a ``Bounds`` line), an integer
+    variable named as a section keyword (its ``Generals`` line would read
+    as the keyword) and a row with no terms.
     """
     names = [var.name for var in form.variables]
     row_names = [row.name for row in form.constraints]
@@ -248,11 +258,16 @@ def render_lp(form: ExtensiveForm) -> str:
             seen.add(name)
     if [index for index, _ in form.objective] != list(range(len(names))):
         raise ValueError("objective not exportable: not each variable once, in order")
-    for name, _, lower, upper in form.variables:
+    for name, kind, lower, upper in form.variables:
         if upper is None and lower != 0:
             raise ValueError(
                 f"variable bound not exportable: {name!r} has lower {lower}, no upper"
             )
+        if kind == "integer" and name in _SECTIONS:
+            raise ValueError(f"variable name not exportable: {name!r} is a keyword")
+    for row in form.constraints:
+        if not row.terms:
+            raise ValueError(f"constraint not exportable: {row.name!r} has no terms")
     return "\n".join(_lp_lines(form, names)) + "\n"
 
 
@@ -425,7 +440,7 @@ def parse_lp(text: str) -> ExtensiveForm:
         line = raw.strip()
         if not line:
             continue
-        if line in ("Minimize", "Subject To", "Bounds", "Generals", "End"):
+        if line in _SECTIONS:
             section = line
             saw_end = line == "End"
             continue

@@ -5,7 +5,7 @@ through the recourse rule: each level's qubit cost is one integer dot
 product of the scenario weights with the costs that
 :func:`~qres.recourse.qubit_costs` streams from the space's scenario
 demands, and each triple's over-wait penalty, which takes no level, is
-one sum of :func:`~qres.recourse.penalty_time` over every ``(demand,
+one sum of :func:`~qres.instance.penalty_time` over every ``(demand,
 wait, weight)`` triple the space yields. The qubit cost depends on the
 circuit, the rates and the level, not on the machine, so
 :func:`verify_solution` prices each level once per circuit and distinct
@@ -40,8 +40,9 @@ from .instance import (
     ModelError,
     TripleKey,
     check_capacity,
+    penalty_time,
 )
-from .recourse import penalty_time, qubit_costs
+from .recourse import qubit_costs
 from .scenarios import ScenarioSpace, build_space, space_for_circuit
 from .solver import (
     Solution,
@@ -200,7 +201,7 @@ def brute_force_triple(
     The triple is given by its rates, marginals, execution time and
     capacity. Evaluates the full expectation over every scenario at every
     level through :func:`~qres.recourse.qubit_costs` and
-    :func:`~qres.recourse.penalty_time` and keeps the smallest argmin,
+    :func:`~qres.instance.penalty_time` and keeps the smallest argmin,
     independently of the marginal analysis.
     """
     demand_set, wait_set = tuple(demand_set), tuple(wait_set)

@@ -8,9 +8,9 @@ demand-major lexicographic and deterministic, so downstream CSV output and
 golden tests are reproducible.
 
 The solver's marginal kernel needs only the checked marginals, which
-live in :mod:`qres.instance` (importable from here too); the product space
-serves the oracles and the extensive form, so only ``solve --oracle`` and
-``export-lp`` load this module. Each vector is held as exact integer
+live in :mod:`qres.instance`; the product space serves the oracles and
+the extensive form, so only ``solve --oracle`` and ``export-lp`` load
+this module. Each vector is held as exact integer
 weights ``(L, w)``, ``Pr[i] == w[i] / L``: a written one as
 :func:`qres.instance.outcome_weights` reads it, an absent one as the dyadic
 uniform weights over 2^53 (1/n has no finite decimal for the LP). A

@@ -19,8 +19,8 @@ from qres.extform import (
     parse_lp,
     render_lp,
 )
-from qres.instance import CostRates, Circuit, Instance, Machine
-from qres.recourse import RecourseDecision, penalty_time
+from qres.instance import CostRates, Circuit, Instance, Machine, penalty_time
+from qres.recourse import RecourseDecision
 from qres.solver import CircuitTable, Solution, TripleCost, circuit_tables, solve_instance
 from qres.units import (
     MICRO,

@@ -28,8 +28,8 @@ from helpers import (
 )
 from qres.cli import run
 from qres.extform import build_extensive_form, parse_lp, render_lp
-from qres.instance import instance_from_document, load_instance
-from qres.recourse import optimal_recourse, penalty_time
+from qres.instance import instance_from_document, load_instance, penalty_time
+from qres.recourse import optimal_recourse
 from qres.scenarios import Scenario, build_space, space_for_circuit
 from qres.oracles import brute_force_triple, joint_enumeration_oracle, scenario_costs
 from qres.solver import expected_cost, solve_instance

@@ -9,6 +9,7 @@ from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -1457,18 +1458,99 @@ def test_eval_refuses_a_header_that_names_a_column_twice(tmp_path, capsys):
 # --- usage ---------------------------------------------------------------------
 
 
-def test_unknown_subcommand_is_usage_error(capsys):
-    assert run(["frobnicate", REF]) == 2
+# Option values and instance paths: any text, but a path never starts with
+# "-", which would make it an option.
+ARG_TEXT = st.text(alphabet="ab0:.-=/ ", max_size=6)
+PATH_TEXT = st.text(alphabet="ab0:.-=/ ", min_size=1, max_size=6).filter(
+    lambda text: not text.startswith("-")
+)
 
 
-def test_missing_required_argument(capsys):
-    assert run(["surface", REF, "--grid", "0:2"]) == 2
+def spellings(flags: tuple[str, ...], value: str | None) -> list[list[str]]:
+    """Every way to write an option: ``--opt v``, ``--opt=v`` and the short forms."""
+    if value is None:
+        return [[flag] for flag in flags]
+    return [form for flag in flags for form in ([flag, value], [f"{flag}={value}"])]
+
+
+@st.composite
+def command_lines(draw):
+    """An argv drawn from the command table, and the namespace it must parse to.
+
+    Each option is given up to three times (a required one at least once),
+    each time in a drawn spelling, in a drawn order, with INSTANCE at a
+    drawn place among them; the last value given wins.
+    """
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    func, _, extra = cli.COMMANDS[command]
+    options = cli._COMMON + extra
+    expected = {flags[-1][2:]: None if read else False for flags, read, _, _ in options}
+    written = []
+    for flags, read, required, _ in options:
+        for _ in range(draw(st.integers(1 if required else 0, 3))):
+            if read is None:
+                value, text = True, None
+            elif read is int:
+                value = draw(st.integers(-(10**6), 10**6))
+                text = str(value)
+            else:
+                value = text = draw(ARG_TEXT)
+            tokens = draw(st.sampled_from(spellings(flags, text)))
+            written.append((flags[-1][2:], value, tokens))
+    written = draw(st.permutations(written))
+    at = draw(st.integers(0, len(written)))
+    instance = draw(PATH_TEXT)
+    argv = [command]
+    for i, (dest, value, tokens) in enumerate(written):
+        argv += [instance] * (i == at) + tokens
+        expected[dest] = value
+    argv += [instance] * (at == len(written))
+    return argv, SimpleNamespace(func=func, instance=instance, **expected)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(command_lines())
+@example((["solve", "--seed", "7", REF, "--oracle", "--seed=-3"], SimpleNamespace(
+    func=cli._cmd_solve, instance=REF, output=None, verbose=False, oracle=True,
+    seed=-3, human=False,
+)))
+def test_every_spelling_in_the_command_table_parses_as_the_table_says(case):
+    argv, expected = case
+    assert cli.parse_args(argv) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param([], id="no-command"),
+        pytest.param(["frobnicate", REF], id="unknown-command"),
+        pytest.param(["-v", "solve", REF], id="option-before-command"),
+        pytest.param(["solve", REF, "--bogus"], id="unknown-option"),
+        pytest.param(["solve"], id="no-instance"),
+        pytest.param(["solve", REF, REF], id="two-instances"),
+        pytest.param(["surface", REF, "--grid", "0:2"], id="missing-required-option"),
+        pytest.param(["sweep", REF, "--grid"], id="value-option-at-the-end"),
+        pytest.param(["solve", REF, "--oracle=1"], id="flag-given-a-value"),
+        pytest.param(["solve", REF, "--oracle", "--seed", "x"], id="seed-not-an-int"),
+        pytest.param(["solve", REF, "--ora"], id="abbreviated-option"),
+        pytest.param(["solve", REF, "-vo", "out.csv"], id="combined-short-flags"),
+        pytest.param(["solve", "--", REF], id="double-dash"),
+    ],
+)
+def test_malformed_argv_is_one_usage_error_line(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("usage error: ")
 
 
 @pytest.mark.parametrize(
     "command", ["validate", "solve", "eval", "sweep", "surface", "export-lp"]
 )
 def test_help_documents_flags(command, capsys):
+    assert run(["--help"]) == 0
+    assert f"  {command} " in capsys.readouterr().out
     assert run([command, "--help"]) == 0
     text = capsys.readouterr().out
     assert "--output" in text

@@ -263,23 +263,31 @@ LP_VALUES = st.one_of(
 
 # The ways to break a form so that parse_lp could not read its text back.
 BREAKS = ("unbounded-lower", "omit", "twice", "swap")
+# Names that parse_lp reads as a section keyword on a line of their own.
+# A continuous variable or a row may still take one.
+KEYWORD_NAMES = ("Minimize", "Bounds", "Generals", "End")
 
 
 @st.composite
 def hand_built_forms(draw) -> ExtensiveForm:
-    """Forms of 1-5 variables; about one in three is broken by one of BREAKS."""
+    """Forms of 1-5 variables; about one in three is broken by one of BREAKS.
+
+    Some names are section keywords and some rows have no terms, so some
+    forms that no break touched cannot be read back either.
+    """
     n = draw(st.integers(1, 5))
     variables = []
     for i in range(n):
         upper = draw(st.none() | LP_VALUES)
         lower = Fraction(0) if upper is None else draw(LP_VALUES)
         kind = draw(st.sampled_from(["integer", "continuous"]))
-        variables.append(Variable(f"v{i}", kind, lower, upper))
+        name = draw(st.sampled_from([f"v{i}"] * 6 + [*KEYWORD_NAMES]))
+        variables.append(Variable(name, kind, lower, upper))
     objective = [(i, draw(LP_VALUES)) for i in range(n)]
-    terms = st.lists(st.tuples(st.integers(0, n - 1), LP_VALUES), min_size=1, max_size=4)
+    terms = st.lists(st.tuples(st.integers(0, n - 1), LP_VALUES), max_size=4)
     rows = tuple(
-        Row(f"r{i}", tuple(draw(terms)), draw(st.sampled_from([SENSE_LE, SENSE_GE])),
-            draw(LP_VALUES))
+        Row(draw(st.sampled_from([f"r{i}"] * 6 + [*KEYWORD_NAMES])), tuple(draw(terms)),
+            draw(st.sampled_from([SENSE_LE, SENSE_GE])), draw(LP_VALUES))
         for i in range(draw(st.integers(0, 4)))
     )
     broken = draw(st.sampled_from([None] * 8 + [*BREAKS]))
@@ -360,6 +368,17 @@ TWO_VARIABLES = ExtensiveForm(
         ),
         pytest.param(
             {"objective": ((1, Fraction(2)), (0, Fraction(1)))}, OBJECTIVE, id="b-first"
+        ),
+        pytest.param(
+            {"variables": (TWO_VARIABLES.variables[0]._replace(name="End"),
+                           TWO_VARIABLES.variables[1])},
+            "variable name not exportable: 'End' is a keyword",
+            id="integer-named-End",
+        ),
+        pytest.param(
+            {"constraints": (Row("r", (), SENSE_GE, Fraction(1)),)},
+            "constraint not exportable: 'r' has no terms",
+            id="row-without-terms",
         ),
     ],
 )

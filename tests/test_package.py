@@ -280,6 +280,7 @@ COMMANDS = [
     ),
     (["export-lp"], _BASE | {"qres.scenarios", "qres.extform"}),
 ]
+COMMAND_IDS = [c[0] + "-oracle" * ("--oracle" in c) for c, _ in COMMANDS]
 
 
 def inline_reference(tmp_path: Path) -> Path:
@@ -301,19 +302,20 @@ def inline_reference(tmp_path: Path) -> Path:
     return path
 
 
-@pytest.mark.parametrize(
-    "command, modules",
-    COMMANDS,
-    ids=[c[0] + "-oracle" * ("--oracle" in c) for c, _ in COMMANDS],
-)
-def test_each_command_loads_only_what_it_runs(tmp_path, command, modules):
+def command_argv(command: list[str], tmp_path: Path) -> list[str]:
+    """A command of :data:`COMMANDS` with its reservations file written."""
     reservations = tmp_path / "reservations.csv"
     reservations.write_text(
         "circuit_id,provider_id,machine_id,reserved\n"
         + "".join(f"{c},{p},{m},5\n" for c, p, m in load_instance(REF).triples()),
         encoding="utf-8",
     )
-    argv = [a.format(reservations=reservations) for a in command]
+    return [a.format(reservations=reservations) for a in command]
+
+
+@pytest.mark.parametrize("command, modules", COMMANDS, ids=COMMAND_IDS)
+def test_each_command_loads_only_what_it_runs(tmp_path, command, modules):
+    argv = command_argv(command, tmp_path)
     env = dict(os.environ, PYTHONPATH=str(Path(qres.__file__).parent.parent))
     done = subprocess.run(
         [sys.executable, "-c", _LOADED, argv[0], str(inline_reference(tmp_path)),
@@ -325,22 +327,23 @@ def test_each_command_loads_only_what_it_runs(tmp_path, command, modules):
 
 
 # Runs one command in a fresh interpreter and reports on stderr whether it
-# loaded the named stdlib module. The child runs without site (-S), which
-# on some systems imports tempfile itself through a .pth file.
+# loaded any of the named stdlib modules (comma-separated). The child runs
+# without site (-S), which on some systems imports tempfile itself through
+# a .pth file.
 _STDLIB = """
 import sys
 import qres.cli
-module, *argv = sys.argv[1:]
+modules, *argv = sys.argv[1:]
 code = qres.cli.run(argv)
-print(module in sys.modules, file=sys.stderr)
+print(any(m in sys.modules for m in modules.split(",")), file=sys.stderr)
 sys.exit(code)
 """
 
 
-def _loads(module: str, command: list[str], instance: Path = REF) -> tuple[int, str]:
+def _loads(modules: str, command: list[str], instance: Path = REF) -> tuple[int, str]:
     env = dict(os.environ, PYTHONPATH=str(Path(qres.__file__).parent.parent))
     done = subprocess.run(
-        [sys.executable, "-S", "-c", _STDLIB, module, command[0], str(instance),
+        [sys.executable, "-S", "-c", _STDLIB, modules, command[0], str(instance),
          *command[1:]],
         capture_output=True, text=True, env=env, check=False,
     )
@@ -369,3 +372,9 @@ def test_a_command_that_writes_to_stdout_loads_no_tempfile(command):
 )
 def test_a_command_that_reads_no_csv_loads_no_csv_module(tmp_path, command):
     assert _loads("csv", command, inline_reference(tmp_path)) == (0, "False\n")
+
+
+@pytest.mark.parametrize("command", [c for c, _ in COMMANDS], ids=COMMAND_IDS)
+def test_no_command_loads_argparse_gettext_or_locale(tmp_path, command):
+    argv = command_argv(command, tmp_path)
+    assert _loads("argparse,gettext,locale", argv) == (0, "False\n")

@@ -9,12 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import REF_RATES, enumerate_recourse, make_rates, recourse_cost
-from qres.recourse import (
-    RecourseDecision,
-    optimal_recourse,
-    penalty_time,
-    qubit_costs,
-)
+from qres.instance import penalty_time
+from qres.recourse import RecourseDecision, optimal_recourse, qubit_costs
 from qres.scenarios import Scenario
 
 

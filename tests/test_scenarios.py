@@ -12,13 +12,8 @@ from hypothesis import strategies as st
 
 from helpers import exact_probabilities, make_instance, random_probs
 from qres import scenarios
-from qres.instance import outcome_weights, validate
-from qres.scenarios import (
-    ScenarioError,
-    build_space,
-    marginals,
-    space_for_circuit,
-)
+from qres.instance import marginals, outcome_weights, validate
+from qres.scenarios import ScenarioError, build_space, space_for_circuit
 from qres.units import PROBABILITY_DIGITS, exact_decimal, exact_probability
 
 REF_DEMAND = tuple(range(10, 23))

@@ -41,9 +41,10 @@ from qres.instance import (
     Instance,
     Machine,
     instance_from_document,
+    penalty_time,
     validate,
 )
-from qres.recourse import optimal_recourse, penalty_time, qubit_costs
+from qres.recourse import optimal_recourse, qubit_costs
 from qres.extform import build_extensive_form
 from qres.scenarios import ScenarioError, build_space, space_for_circuit
 from qres.oracles import (

@@ -18,6 +18,11 @@ in which each provider's first machine has half the capacity, and runs
 ``solve`` and ``solve --oracle --seed N -v`` on it: machines that share
 rates but not a capacity.
 The grids would exceed the halved capacity, so no sweep runs on the copy.
+Three commands run again in other spellings that the CLI accepts,
+``sweep INSTANCE --grid=G``, ``surface --waits=W --grid G INSTANCE``
+(options before INSTANCE) and ``solve --oracle --seed=N -v INSTANCE``,
+so the two trees are shown to read ``--opt=value`` and options before
+INSTANCE alike.
 Each seed of a workload with written probabilities also writes copies of
 its instance with the first one broken in one way (54 fraction digits,
 ``1e-54``, text that is no plain number, a negative value, a vector that
@@ -96,6 +101,11 @@ def commands(shape: Shape, seed: int) -> list[list[str]]:
         workload["surface"],
         ["solve", UNEQUAL],
         ["solve", UNEQUAL, "--oracle", "--seed", str(seed), "-v"],
+        # The same commands in other spellings that every parser accepts.
+        ["sweep", INSTANCE, f"--grid={shape.sweep_grid}"],
+        ["surface", f"--waits={shape.surface_waits}", "--grid", shape.surface_grid,
+         INSTANCE],
+        ["solve", "--oracle", f"--seed={seed}", "-v", INSTANCE],
     ]
     unique: list[list[str]] = []
     for args in runs:
