@@ -17,7 +17,6 @@ from __future__ import annotations
 import os
 import sys
 from itertools import pairwise
-from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Iterable
 
@@ -27,6 +26,7 @@ from .instance import (
     InstanceError,
     ModelError,
     ScenarioError,
+    _path_text,
     load_instance,
     validate,
 )
@@ -79,7 +79,7 @@ def _min_wait_gap(instance: Instance) -> int:
     return min(gaps)
 
 
-def write_atomic(path: str | Path, data: str | Iterable[str]) -> int:
+def write_atomic(path: str | os.PathLike[str], data: str | Iterable[str]) -> int:
     """Write text to ``path`` atomically; returns the number of bytes written.
 
     ``data`` is one string or an iterable of string chunks, encoded and
@@ -94,11 +94,13 @@ def write_atomic(path: str | Path, data: str | Iterable[str]) -> int:
     import tempfile
 
     given = os.fspath(path)
-    path = Path(path)
+    path = _path_text(path)
     chunks = [data] if isinstance(data, str) else data
     written = 0
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + "."
+        )
         try:
             with os.fdopen(fd, "wb") as handle:
                 # mkstemp creates the file owner-only; give it the mode a
@@ -245,7 +247,7 @@ def _cmd_surface(args: SimpleNamespace) -> int:
 
 
 def _cmd_export_lp(args: SimpleNamespace) -> int:
-    from .extform import plan_form, plan_lp_chunks, plan_size
+    from .lpplan import plan_form, plan_lp_chunks, plan_size
 
     plans = plan_form(load_instance(args.instance))
     if args.verbose:

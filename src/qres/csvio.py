@@ -6,7 +6,7 @@ A ``csv.Error`` is raised as :class:`~qres.instance.InstanceError` with its text
 from __future__ import annotations
 
 import csv
-from pathlib import Path
+import os
 from typing import Callable, Iterator
 
 from .instance import InstanceError, _triple_entries
@@ -39,7 +39,7 @@ def _csv_records(
         yield where, row
 
 
-def read_exec_times_csv(path: Path) -> dict[tuple[str, str, str], int]:
+def read_exec_times_csv(path: str | os.PathLike[str]) -> dict[tuple[str, str, str], int]:
     """The execution time of each triple from the file ``exec_times_csv`` names."""
     try:
         handle = open(path, "r", encoding="utf-8", newline="")
@@ -66,7 +66,7 @@ def _is_total_row(row: dict) -> bool:
     return row["circuit_id"] == "TOTAL" and row["provider_id"] == row["machine_id"] == ""
 
 
-def load_reservations(path: str | Path) -> dict[tuple[str, str, str], int]:
+def load_reservations(path: str | os.PathLike[str]) -> dict[tuple[str, str, str], int]:
     """A reservation vector from a CSV file, one level per triple.
 
     The header must name the columns circuit_id, provider_id, machine_id

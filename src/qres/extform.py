@@ -8,26 +8,14 @@ are exact rationals in dollars and seconds, and the LP writer prints them
 as exact finite decimals, so export followed by parse reproduces the
 form bit for bit.
 
-A form has far fewer distinct values than terms. Everything the model
-decides for a triple is computed once into its :class:`TriplePlan`: its
-name tag, the reservation coefficient and capacity bound, its circuit's
-scenario space, the coefficients per distinct scenario weight (the
-integer weight times an integer micro-unit rate over the space's common
-denominator times 10^6), and the rhs per distinct demand and wait. The
-space is read as the ``(demand, wait, weight)`` triples it yields, so no
-scenario record is made. The unit coefficients, zero rhs and lower
-bounds share one object each.
-
-The plans have two consumers. `build_extensive_form` builds the explicit
-records from them. `plan_lp_chunks` writes the LP text straight from
-them, and `export-lp` uses it, so no record of the form is ever built
-there: it checks every name before the first chunk and yields the text
-in chunks of whole lines, so the caller writes each chunk as it is made
-and never holds the whole LP. Its bytes equal
-`render_lp(build_extensive_form(instance))`. `render_lp` writes a form,
-parsed or built by hand, that `parse_lp` can read back, as one string.
-Both writers format each distinct value once, through the memo that
-`_formatter` makes for each call.
+This module is the reference route, and no command loads it.
+`build_extensive_form` builds the explicit records from the per-triple
+plans of :mod:`qres.lpplan`. `render_lp` writes a form, parsed or built
+by hand, that `parse_lp` can read back, as one string; `export-lp`
+writes the same bytes with :func:`qres.lpplan.plan_lp_chunks`, which
+builds no record. Both writers format each distinct value once, through
+the memo that :func:`qres.lpplan._formatter` makes for each call, and
+both share that module's LP grammar.
 
 Capacity is encoded as the reservation variable's upper bound rather
 than a constraint row, so each (triple, scenario) contributes exactly
@@ -41,34 +29,23 @@ levels are proven optimal for the very form `export-lp` writes.
 
 from __future__ import annotations
 
-import itertools
-import re
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .instance import (
-    GRID_GUARD,
-    GuardError,
-    Instance,
-    ModelError,
-    check_capacity,
-    circuit_marginals,
+from .instance import Instance, ModelError
+from .lpplan import (
+    _MINUS_ONE,
+    _NAME_RE,
+    _ONE,
+    _SECTIONS,
+    _ZERO,
+    SENSE_GE,
+    SENSE_LE,
+    TriplePlan,
+    _formatter,
+    plan_form,
 )
-from .scenarios import ScenarioSpace, product_space
-from .units import MICRO, exact_decimal, fraction_from_decimal
-
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]{0,254}")
-_SECTIONS = ("Minimize", "Subject To", "Bounds", "Generals", "End")
-# Lines per chunk of LP text: enough to amortise each write, few enough
-# that a chunk is a small fraction of the whole text.
-_CHUNK_LINES = 4096
-
-SENSE_LE = "<="
-SENSE_GE = ">="
-
-# Fractions are immutable, so every unit coefficient, zero rhs and lower
-# bound of a form can be one shared object.
-_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
+from .units import fraction_from_decimal
 
 
 class LpParseError(ValueError):
@@ -95,88 +72,6 @@ class ExtensiveForm(NamedTuple):
     variables: tuple[Variable, ...]
     objective: tuple[tuple[int, Fraction], ...]
     constraints: tuple[Row, ...]
-
-
-class TriplePlan(NamedTuple):
-    """Everything the model decides for one triple, computed once.
-
-    ``coefs`` maps each distinct scenario weight of the space to the
-    (utilize, on-demand, over-wait) objective coefficients; ``demand_rhs``
-    and ``wait_rhs`` map each distinct demand and wait to its row's rhs.
-    """
-
-    tag: str  # c{i}_p{j}_m{k}
-    reserve: Fraction  # the reservation variable's objective coefficient
-    capacity: Fraction  # and its upper bound
-    space: ScenarioSpace
-    coefs: dict[int, tuple[Fraction, Fraction, Fraction]]
-    demand_rhs: dict[int, Fraction]
-    wait_rhs: dict[int, Fraction]
-
-
-def plan_form(instance: Instance) -> list[TriplePlan]:
-    """The plan of every triple of an instance, in triple order.
-
-    Names carry zero-based circuit/provider/machine positions; that naming
-    is a frozen contract (golden files rely on it). A negative capacity, an
-    unknown circuit, or a form of more than GRID_GUARD scenarios summed
-    over all triples, is refused before any scenario space is built.
-    """
-    triples = instance.triples()
-    for _, pid, mid in triples:
-        check_capacity(instance.machine(pid, mid).capacity_qubits)
-    outcomes = {
-        cid: circuit_marginals(instance, cid)
-        for cid in dict.fromkeys(cid for cid, _, _ in triples)
-    }
-    size = sum(
-        len(outcomes[cid].demands) * len(outcomes[cid].waits) for cid, _, _ in triples
-    )
-    if size > GRID_GUARD:
-        raise GuardError(
-            f"extensive form has {size} scenarios over all triples, "
-            f"more than {GRID_GUARD}"
-        )
-    circuit_pos = {c.circuit_id: i for i, c in enumerate(instance.circuits)}
-    provider_pos = {p: i for i, p in enumerate(instance.providers)}
-    machine_pos: dict[tuple[str, str], int] = {}
-    per_provider: dict[str, int] = {}
-    for m in instance.machines:
-        machine_pos[(m.provider_id, m.machine_id)] = per_provider.get(m.provider_id, 0)
-        per_provider[m.provider_id] = per_provider.get(m.provider_id, 0) + 1
-
-    spaces = {cid: product_space(cid, m) for cid, m in outcomes.items()}
-
-    plans = []
-    for cid, pid, mid in triples:
-        tag = f"c{circuit_pos[cid]}_p{provider_pos[pid]}_m{machine_pos[(pid, mid)]}"
-        rates = instance.rate(cid, pid)
-        exec_time = instance.exec_time(cid, pid, mid)
-        space = spaces[cid]
-        # p == w / L exactly, so p * rate / MICRO == w * rate / (L * MICRO).
-        common, weights = space.weights
-        scale = common * MICRO
-        plans.append(
-            TriplePlan(
-                tag=tag,
-                reserve=Fraction(rates.reserve_per_qubit, MICRO),
-                capacity=Fraction(instance.machine(pid, mid).capacity_qubits),
-                space=space,
-                coefs={
-                    w: (
-                        Fraction(w * rates.utilize_per_qubit, scale),
-                        Fraction(w * rates.on_demand_per_qubit, scale),
-                        Fraction(w * rates.penalty_per_second, scale),
-                    )
-                    for w in set(weights)
-                },
-                demand_rhs={d: Fraction(d) for d in outcomes[cid].demands},
-                wait_rhs={
-                    a: Fraction(a - exec_time, MICRO) for a in outcomes[cid].waits
-                },
-            )
-        )
-    return plans
 
 
 def build_extensive_form(instance: Instance) -> ExtensiveForm:
@@ -224,12 +119,6 @@ def _form(plans: list[TriplePlan]) -> ExtensiveForm:
     )
 
 
-def plan_size(plans: list[TriplePlan]) -> tuple[int, int]:
-    """The variables and rows of the form of these plans, counted from the spaces."""
-    scenarios = sum(len(plan.space) for plan in plans)
-    return len(plans) + 3 * scenarios, 3 * scenarios
-
-
 # ---------------------------------------------------------------------------
 # LP text format
 # ---------------------------------------------------------------------------
@@ -271,47 +160,6 @@ def render_lp(form: ExtensiveForm) -> str:
     return "\n".join(_lp_lines(form, names)) + "\n"
 
 
-def plan_lp_chunks(plans: list[TriplePlan]) -> Iterator[str]:
-    """The LP text of the form of these plans, made without the form.
-
-    The chunks join to ``render_lp(build_extensive_form(instance))`` for
-    ``plans = plan_form(instance)``, and every name is checked as
-    :func:`render_lp` checks it, before the first chunk.
-    """
-    # Within a triple every name is a short prefix, the tag and a scenario
-    # suffix, and wait_{tag}_s{n-1} is the longest: when it can be written
-    # every name of the triple can. When one cannot, the form's own check
-    # names the first name that fails.
-    if not all(_NAME_RE.fullmatch(f"wait_{p.tag}_s{len(p.space) - 1}") for p in plans):
-        render_lp(_form(plans))
-    yield from _chunks(_plan_lines(plans))
-
-
-def _chunks(lines: Iterator[str]) -> Iterator[str]:
-    while batch := list(itertools.islice(lines, _CHUNK_LINES)):
-        yield "\n".join(batch) + "\n"
-
-
-def _formatter() -> Callable[[Fraction], tuple[str, str]]:
-    """A memo of each value's two texts, by whether a term precedes it in its sum.
-
-    "-0.5" and "- 0.5", "2" and "+ 2". A form repeats few distinct values
-    many times, so each is formatted once; the memo is keyed by a value's
-    integers, as hashing a Fraction costs a modular pow.
-    """
-    memo: dict[tuple[int, int], tuple[str, str]] = {}
-
-    def texts(value: Fraction) -> tuple[str, str]:
-        key = value.numerator, value.denominator
-        found = memo.get(key)
-        if found is None:
-            text = exact_decimal(value)
-            found = memo[key] = text, f"- {text[1:]}" if text[0] == "-" else f"+ {text}"
-        return found
-
-    return texts
-
-
 def _lp_lines(form: ExtensiveForm, names: list[str]) -> Iterator[str]:
     texts = _formatter()
     yield "Minimize"
@@ -333,49 +181,6 @@ def _lp_lines(form: ExtensiveForm, names: list[str]) -> Iterator[str]:
     yield "Generals"
     for name in integers:
         yield f" {name}"
-    yield "End"
-
-
-def _plan_lines(plans: list[TriplePlan]) -> Iterator[str]:
-    # The lines _lp_lines prints for the form of these plans, in its order
-    # and layouts, each distinct value of a plan formatted once. The
-    # layouts are written out here rather than shared with _lp_lines
-    # through helpers: a call per line cost about 14% of this writer.
-    texts = _formatter()
-    zero, one, minus_one = texts(_ZERO)[0], texts(_ONE), texts(_MINUS_ONE)
-
-    yield "Minimize"
-    for i, plan in enumerate(plans):
-        tag = plan.tag
-        reserve = texts(plan.reserve)
-        yield f" obj: {reserve[0]} xr_{tag}" if i == 0 else f" {reserve[1]} xr_{tag}"
-        coefs = {w: [texts(c)[1] for c in cs] for w, cs in plan.coefs.items()}
-        for si, w in enumerate(plan.space.weights[1]):
-            cu, co, cp = coefs[w]
-            yield f" {cu} xu_{tag}_s{si}"
-            yield f" {co} xo_{tag}_s{si}"
-            yield f" {cp} y_{tag}_s{si}"
-    yield "Subject To"
-    le, ge = SENSE_LE, SENSE_GE
-    for plan in plans:
-        tag = plan.tag
-        demand = {d: texts(v)[0] for d, v in plan.demand_rhs.items()}
-        wait = {a: texts(v)[0] for a, v in plan.wait_rhs.items()}
-        for si, (d, a, _) in enumerate(plan.space):
-            s = f"{tag}_s{si}"
-            yield f" use_{s}: {one[0]} xu_{s} {minus_one[1]} xr_{tag} {le} {zero}"
-            yield f" dem_{s}: {one[0]} xu_{s} {one[1]} xo_{s} {ge} {demand[d]}"
-            yield f" wait_{s}: {minus_one[0]} y_{s} {le} {wait[a]}"
-    yield "Bounds"
-    for plan in plans:
-        yield f" {zero} <= xr_{plan.tag} <= {texts(plan.capacity)[0]}"
-    yield "Generals"
-    for plan in plans:
-        tag = plan.tag
-        yield f" xr_{tag}"
-        for si in range(len(plan.space)):
-            yield f" xu_{tag}_s{si}"
-            yield f" xo_{tag}_s{si}"
     yield "End"
 
 

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from pathlib import Path
 from typing import Any, Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .units import (
@@ -444,7 +444,7 @@ def _read_exec_times(
     doc: dict,
     circuits: tuple[Circuit, ...],
     machines: tuple[Machine, ...],
-    base_dir: str | Path | None,
+    base_dir: str | os.PathLike[str] | None,
 ) -> dict[tuple[str, str, str], int]:
     """Execution times from the inline records, the CSV file or the model."""
     exec_block = doc.get("exec_times")
@@ -454,10 +454,10 @@ def _read_exec_times(
     if csv_path is not None:
         from .csvio import read_exec_times_csv
 
-        path = Path(_id(csv_path, "exec_times_csv"))
-        if not path.is_absolute() and base_dir is not None:
-            path = Path(base_dir) / path
-        return read_exec_times_csv(path)
+        path = _id(csv_path, "exec_times_csv")
+        if base_dir is not None:
+            path = os.path.join(os.fspath(base_dir), path)
+        return read_exec_times_csv(_path_text(path))
     if isinstance(exec_block, dict) and exec_block:
         # Once checked, a non-empty object holds "synthetic" and nothing else.
         synthetic = _known(exec_block, ("synthetic",), "exec_times")["synthetic"]
@@ -475,7 +475,7 @@ def _read_exec_times(
 
 def instance_from_document(
     doc: dict,
-    base_dir: str | Path | None = None,
+    base_dir: str | os.PathLike[str] | None = None,
     *,
     check: bool = True,
 ) -> Instance:
@@ -575,14 +575,25 @@ def instance_from_document(
     return instance
 
 
-def load_instance(path: str | Path, *, check: bool = True) -> Instance:
+def _path_text(path: str | os.PathLike[str]) -> str:
+    """The text ``str(pathlib.Path(path))`` is, without loading ``pathlib``.
+
+    Empty and ``.`` parts and trailing slashes are dropped and ``..`` is
+    kept, so a message names a file as ``pathlib`` would.
+    """
+    path = os.fspath(path)
+    root = "//" if path[:2] == "//" and path[2:3] != "/" else "/" * (path[:1] == "/")
+    return root + "/".join(p for p in path.split("/") if p not in ("", ".")) or "."
+
+
+def load_instance(path: str | os.PathLike[str], *, check: bool = True) -> Instance:
     """Load an instance from a JSON file; see :func:`instance_from_document`.
 
     Floats in the document are parsed as decimal literals, so values such
     as 1.68 land exactly on the micro-dollar grid. A relative
     ``exec_times_csv`` is resolved against the file's directory.
     """
-    path = Path(path)
+    path = _path_text(path)
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     try:
@@ -591,7 +602,7 @@ def load_instance(path: str | Path, *, check: bool = True) -> Instance:
     # RecursionError nesting too deep for the decoder.
     except (ValueError, RecursionError) as exc:
         raise InstanceError(f"invalid JSON: {exc}") from exc
-    return instance_from_document(doc, path.parent, check=check)
+    return instance_from_document(doc, os.path.dirname(path), check=check)
 
 
 # ---------------------------------------------------------------------------

@@ -55,10 +55,13 @@ class ScenarioSpace:
         demand_common, demand_weights = marginals.demand_weights
         wait_common, wait_weights = marginals.wait_weights
         n = len(marginals.waits)
+        # One row of products per distinct demand weight, so that equal
+        # products share one int object: a uniform space has few.
+        rows = {wd: tuple(wd * ww for ww in wait_weights) for wd in set(demand_weights)}
         self.marginals = marginals
         self.weights = (
             demand_common * wait_common,
-            tuple(wd * ww for wd in demand_weights for ww in wait_weights),
+            tuple(chain.from_iterable(map(rows.__getitem__, demand_weights))),
         )
         self.demands = tuple(
             chain.from_iterable(map(repeat, marginals.demands, repeat(n)))

@@ -117,8 +117,8 @@ def wide_single_triple() -> Instance:
 
 
 # A space of 200,000 scenarios holds a weight and a demand reference per
-# scenario (about 11 MiB traced with its weight ints); one Scenario record
-# per scenario more would bring it to about 25 MiB.
+# scenario (about 3 MiB traced, its equal weights sharing one int object);
+# one Scenario record per scenario more would bring it to about 17 MiB.
 WIDE_PEAK_LIMIT = 14 * 2**20
 
 

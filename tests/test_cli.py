@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import audit_shaped_doc, documents_at_the_limits
-from qres import cli, extform, oracles, scenarios, solver
+from qres import cli, extform, lpplan, oracles, scenarios, solver
 from qres import instance as instance_module
 from qres.cli import run, write_atomic
 from qres.extform import build_extensive_form, parse_lp, render_lp
@@ -1270,7 +1270,7 @@ def test_export_lp_stdout_and_file_are_the_rendered_bytes(shape, tmp_path, capsy
     rendered = render_lp(build_extensive_form(instance)).encode("ascii")
     assert capsys.readouterr().out.encode("ascii") == target.read_bytes() == rendered
     # Written in several chunks, whose seams must not show.
-    assert len(list(extform.plan_lp_chunks(extform.plan_form(instance)))) > 1
+    assert len(list(lpplan.plan_lp_chunks(lpplan.plan_form(instance)))) > 1
 
 
 def _unwritable(plans):
@@ -1282,8 +1282,8 @@ def _unwritable(plans):
 
 
 def test_export_lp_of_an_unwritable_form_writes_nothing(tmp_path, capsys, monkeypatch):
-    plan_form = extform.plan_form
-    monkeypatch.setattr(extform, "plan_form", lambda inst: _unwritable(plan_form(inst)))
+    plan_form = lpplan.plan_form
+    monkeypatch.setattr(lpplan, "plan_form", lambda inst: _unwritable(plan_form(inst)))
     with pytest.raises(ValueError, match="constraint name not exportable"):
         run(["export-lp", REF])
     assert capsys.readouterr().out == ""
@@ -1648,3 +1648,32 @@ def test_output_onto_a_directory_names_the_given_path(tmp_path, monkeypatch, cap
     )
     assert os.listdir(tmp_path) == ["somedir"]
     assert os.listdir("somedir") == []
+
+
+@pytest.mark.parametrize("given", ["./missing.json", "sub//./missing.json", "sub/"])
+def test_an_unreadable_instance_is_named_as_pathlib_names_it(
+    given, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("sub")
+    assert run(["solve", given]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.endswith(f": '{Path(given)}'\n")
+
+
+@pytest.mark.parametrize("csv_name", ["./missing.csv", ".//missing.csv"])
+def test_a_missing_csv_is_named_as_pathlib_joins_it(
+    csv_name, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("sub")
+    doc = single_triple_doc()
+    del doc["exec_times"]
+    write_doc(tmp_path / "sub", {**doc, "exec_times_csv": csv_name})
+    given = "./sub/inst.json"
+    assert run(["solve", given]) == 1
+    missing = Path(given).parent / csv_name
+    assert capsys.readouterr().err == (
+        f"error: exec_times_csv: [Errno {errno.ENOENT}] "
+        f"{os.strerror(errno.ENOENT)}: '{missing}'\n"
+    )

@@ -38,7 +38,7 @@ from qres.extform import (
     parse_lp,
     render_lp,
 )
-from qres import extform
+from qres import extform, lpplan
 from qres.scenarios import ScenarioError, space_for_circuit
 from qres.solver import CapacityError, ModelError, expected_cost, solve_instance
 from qres.instance import GuardError, instance_from_document, validate
@@ -175,7 +175,7 @@ def test_oversized_form_is_refused_naming_its_size():
 
 
 def test_negative_capacity_is_refused_before_any_space(monkeypatch):
-    monkeypatch.setattr(extform, "product_space", None)  # never reached
+    monkeypatch.setattr(lpplan, "product_space", None)  # never reached
     with pytest.raises(CapacityError) as caught:
         build_extensive_form(make_instance(capacity=-1))
     assert str(caught.value) == "capacity must be non-negative, got -1"
@@ -186,7 +186,7 @@ def test_unknown_circuit_is_refused_like_solve_instance(monkeypatch):
     assert [str(d) for d in validate(inst)] == ["error: circuit c1: empty demand set"]
     with pytest.raises(ScenarioError) as solved:
         solve_instance(inst)
-    monkeypatch.setattr(extform, "product_space", None)  # never reached
+    monkeypatch.setattr(lpplan, "product_space", None)  # never reached
     with pytest.raises(ScenarioError) as built:
         build_extensive_form(inst)
     assert str(built.value) == str(solved.value) == "unknown circuit 'c1'"
@@ -197,7 +197,7 @@ def test_missing_wait_set_is_refused_like_validate(monkeypatch):
     assert [str(d) for d in validate(inst)] == ["error: circuit c1: empty wait set"]
     with pytest.raises(ScenarioError) as solved:
         solve_instance(inst)
-    monkeypatch.setattr(extform, "product_space", None)  # never reached
+    monkeypatch.setattr(lpplan, "product_space", None)  # never reached
     with pytest.raises(ScenarioError) as built:
         build_extensive_form(inst)
     assert str(built.value) == str(solved.value) == "c1: empty wait set"
@@ -406,7 +406,7 @@ def _count_formatting(monkeypatch) -> collections.Counter:
         calls[value] += 1
         return exact_decimal(value)
 
-    monkeypatch.setattr(extform, "exact_decimal", counted)
+    monkeypatch.setattr(lpplan, "exact_decimal", counted)
     return calls
 
 
@@ -426,9 +426,9 @@ def test_plan_lp_chunks_formats_each_distinct_value_once(monkeypatch):
     instance = instance_from_document(audit_shaped_doc())
     form = build_extensive_form(instance)
     values = _printed_values(form)
-    plans = extform.plan_form(instance)
+    plans = lpplan.plan_form(instance)
     calls = _count_formatting(monkeypatch)
-    text = "".join(extform.plan_lp_chunks(plans))
+    text = "".join(lpplan.plan_lp_chunks(plans))
     assert calls == collections.Counter(set(values))
     assert len(calls) < len(values) // 100
     monkeypatch.undo()
@@ -486,14 +486,14 @@ def test_render_lp_checks_every_name_before_any_line(reference_instance, monkeyp
 def test_plan_lp_chunks_checks_every_name_as_lp_chunks_does(
     bad_tag, what, reference_instance, monkeypatch
 ):
-    plan_form = extform.plan_form
+    plan_form = lpplan.plan_form
 
     def altered(instance):
         *rest, last = plan_form(instance)
         return [*rest, last._replace(tag=bad_tag(len(last.space)))]
 
     monkeypatch.setattr(extform, "plan_form", altered)
-    chunks = extform.plan_lp_chunks(altered(reference_instance))
+    chunks = lpplan.plan_lp_chunks(altered(reference_instance))
     with pytest.raises(ValueError, match=f"{what} name not exportable") as streamed:
         next(chunks)
     with pytest.raises(ValueError) as rendered:
@@ -503,13 +503,13 @@ def test_plan_lp_chunks_checks_every_name_as_lp_chunks_does(
 
 def test_plans_of_no_triple_write_the_empty_form():
     empty = ExtensiveForm(variables=(), objective=(), constraints=())
-    assert "".join(extform.plan_lp_chunks([])) == render_lp(empty)
-    assert extform.plan_size([]) == (0, 0)
+    assert "".join(lpplan.plan_lp_chunks([])) == render_lp(empty)
+    assert lpplan.plan_size([]) == (0, 0)
 
 
 def test_a_plan_holds_its_space_as_two_columns():
     inst = wide_single_triple()
-    assert traced_peak(lambda: extform.plan_form(inst)) < WIDE_PEAK_LIMIT
+    assert traced_peak(lambda: lpplan.plan_form(inst)) < WIDE_PEAK_LIMIT
 
 
 def test_round_trip_identity(reference_instance):

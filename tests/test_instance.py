@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import pathlib
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -519,3 +520,11 @@ def test_triples_are_named_keys_in_sorted_order(reference_instance):
     assert triples == sorted(triples)
     assert triples[1] == TripleKey("qft", "p1", "m2")
     assert triples[1].machine_id == "m2"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(path=st.text(alphabet="/.a", max_size=8))
+@example(path="//a")
+@example(path="///a/./")
+def test_a_path_reads_as_pathlib_writes_it(path):
+    assert instance_module._path_text(path) == str(pathlib.Path(path))

@@ -278,7 +278,7 @@ COMMANDS = [
         ["surface", "--grid", "0:30:10", "--waits", "0:0.01:0.005"],
         _KERNEL | {"qres.sweep"},
     ),
-    (["export-lp"], _BASE | {"qres.scenarios", "qres.extform"}),
+    (["export-lp"], _BASE | {"qres.scenarios", "qres.lpplan"}),
 ]
 COMMAND_IDS = [c[0] + "-oracle" * ("--oracle" in c) for c, _ in COMMANDS]
 
@@ -378,3 +378,9 @@ def test_a_command_that_reads_no_csv_loads_no_csv_module(tmp_path, command):
 def test_no_command_loads_argparse_gettext_or_locale(tmp_path, command):
     argv = command_argv(command, tmp_path)
     assert _loads("argparse,gettext,locale", argv) == (0, "False\n")
+
+
+@pytest.mark.parametrize("command", [c for c, _ in COMMANDS], ids=COMMAND_IDS)
+def test_no_command_loads_pathlib(tmp_path, command):
+    argv = command_argv(command, tmp_path)
+    assert _loads("pathlib", argv) == (0, "False\n")

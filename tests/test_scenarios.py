@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import exact_probabilities, make_instance, random_probs
+from helpers import exact_probabilities, make_instance, random_probs, traced_peak
 from qres import scenarios
 from qres.instance import marginals, outcome_weights, validate
 from qres.scenarios import ScenarioError, build_space, space_for_circuit
@@ -64,6 +64,25 @@ def test_a_space_is_a_slotted_record_of_its_scenarios():
     assert exact_probabilities(space)[:3] == (
         Fraction(1, 8), Fraction(1, 16), Fraction(1, 16)
     )
+
+
+def test_the_weight_column_is_the_product_of_the_marginal_weights():
+    m = marginals("c", [1, 2, 3], [10, 20], [0.25, 0.5, 0.25], [0.75, 0.25])
+    (demand_common, demand_weights), (wait_common, wait_weights) = (
+        m.demand_weights, m.wait_weights
+    )
+    expected = tuple(wd * ww for wd in demand_weights for ww in wait_weights)
+    assert scenarios.ScenarioSpace(m).weights == (demand_common * wait_common, expected)
+
+
+def test_equal_weights_share_one_object():
+    # A uniform 1,000 x 1,000 space has 3 distinct weights. Sharing them
+    # leaves about 15 MiB, the weight and demand columns' references; an
+    # int object per scenario made 54 MiB.
+    assert traced_peak(lambda: build_space("c", range(1000), range(1000))) < 25 * 2**20
+    # Two distinct demand weights: two rows of four weights.
+    space = build_space("c", range(3), range(4), demand_probs=[0.5, 0.25, 0.25])
+    assert len({id(w) for w in space.weights[1]}) == 2 * 4
 
 
 def test_oversized_product_space_is_refused_naming_its_size():

@@ -23,6 +23,11 @@ Three commands run again in other spellings that the CLI accepts,
 (options before INSTANCE) and ``solve --oracle --seed=N -v INSTANCE``,
 so the two trees are shown to read ``--opt=value`` and options before
 INSTANCE alike.
+Each seed of a workload whose first circuit writes no probabilities (the
+``audit`` workload) also writes a copy in which that circuit has more
+scenarios than one chunk of LP text holds (1,365 scenarios' objective
+lines or rows), and runs ``export-lp`` on it, to a file and to stdout, so
+the seams between chunks inside one triple are compared byte for byte.
 Each seed of a workload with written probabilities also writes copies of
 its instance with the first one broken in one way (54 fraction digits,
 ``1e-54``, text that is no plain number, a negative value, a vector that
@@ -64,6 +69,10 @@ UNEQUAL = "unequal.json"
 VECTOR = "reservations.csv"
 CSV_TIMES = "csv-times.json"
 LONG_FIELD = "broken-csv-field.json"
+WIDE = "wide-first-circuit.json"
+# More scenarios than one chunk of LP text holds: 4096 lines at three per
+# scenario.
+WIDE_SCENARIOS = 4096 // 3 + 1
 
 # Each way to break the first written probability p, as the number text
 # that replaces it.
@@ -122,6 +131,20 @@ def halve_first_machines(instance: Path) -> str:
         if machine["provider"] not in seen:
             seen.add(machine["provider"])
             machine["capacity"] //= 2
+    return json.dumps(doc)
+
+
+def widen_first_circuit(instance: Path) -> str | None:
+    """The instance document with its first circuit past WIDE_SCENARIOS scenarios.
+
+    None when that circuit writes probabilities, whose vectors fix its sets.
+    """
+    doc = json.loads(instance.read_text(encoding="utf-8"))
+    circuit = doc["circuits"][0]
+    if "demand_probs" in circuit or "wait_probs" in circuit:
+        return None
+    demands = -(-WIDE_SCENARIOS // len(circuit["wait_set"]))
+    circuit["demand_set"]["hi"] = circuit["demand_set"]["lo"] + demands - 1
     return json.dumps(doc)
 
 
@@ -203,12 +226,17 @@ def compare(trees: dict[str, Path], work: Path, name: str, seed: int) -> tuple[i
     unequal = halve_first_machines(instance)
     broken = broken_copies(instance)
     written = {UNEQUAL: unequal, **broken, **csv_copies(instance)}
+    wide = widen_first_circuit(instance)
+    if wide is not None:
+        written[WIDE] = wide
     for d in dirs.values():
         for file, text in written.items():
             (d / file).write_text(text, encoding="utf-8")
     differences = []
     checked = ("validate", "solve")
     runs = commands(shape, seed) + [[command, CSV_TIMES] for command in checked]
+    if wide is not None:
+        runs += [["export-lp", WIDE, "-o", "wide.lp", "-v"], ["export-lp", WIDE]]
     refused = [[command, file] for file in [*broken, LONG_FIELD] for command in checked]
     for args in runs + refused:
         results = {label: run(src, dirs[label], args) for label, src in trees.items()}
