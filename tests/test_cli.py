@@ -4,6 +4,8 @@ import dataclasses
 import errno
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from decimal import Decimal
@@ -1650,6 +1652,37 @@ def test_output_onto_a_directory_names_the_given_path(tmp_path, monkeypatch, cap
     assert os.listdir("somedir") == []
 
 
+@pytest.mark.parametrize(
+    "given, existing, code",
+    [
+        ("DIR/x.csv/", None, errno.EISDIR),
+        ("DIR/x.csv/", "old\n", errno.EISDIR),
+        ("missing/x.csv/", None, errno.ENOENT),
+    ],
+    ids=["new", "existing", "missing-directory"],
+)
+def test_output_ending_in_a_slash_is_refused_as_open_refuses_it(
+    given, existing, code, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("DIR")
+    if existing is not None:
+        Path("DIR/x.csv").write_text(existing, encoding="utf-8")
+    with pytest.raises(OSError) as refused:
+        open(given, "w")
+    assert refused.value.errno == code
+    assert run(["solve", REF, "-o", given]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {refused.value}\n" == (
+        f"error: [Errno {code}] {os.strerror(code)}: '{given}'\n"
+    )
+    assert os.listdir() == ["DIR"]
+    assert os.listdir("DIR") == ([] if existing is None else ["x.csv"])
+    if existing is not None:
+        assert Path("DIR/x.csv").read_text(encoding="utf-8") == existing
+
+
 @pytest.mark.parametrize("given", ["./missing.json", "sub//./missing.json", "sub/"])
 def test_an_unreadable_instance_is_named_as_pathlib_names_it(
     given, tmp_path, monkeypatch, capsys
@@ -1677,3 +1710,142 @@ def test_a_missing_csv_is_named_as_pathlib_joins_it(
         f"error: exec_times_csv: [Errno {errno.ENOENT}] "
         f"{os.strerror(errno.ENOENT)}: '{missing}'\n"
     )
+
+
+# --- main: the process entry point -------------------------------------------
+
+
+def _child(args: list[str], stdout=subprocess.PIPE, text=False) -> subprocess.CompletedProcess:
+    """A ``python ARGS`` child that loads this qres, with stdout buffered."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [sys.executable, *args],
+        stdout=stdout, stderr=subprocess.PIPE, text=text, env=env, check=False,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_final_flush_exits_1_with_one_error_line():
+    with open("/dev/full", "wb") as full:
+        done = _child(["-m", "qres.cli", "solve", REF], stdout=full)
+    assert done.returncode == 1
+    assert done.stderr == (
+        f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n".encode()
+    )
+
+
+# Replaces the validate handler with one that raises, then runs the entry point.
+_RAISING_HANDLER = """
+import qres.cli
+
+def fails(args):
+    raise RuntimeError("the handler failed")
+
+qres.cli.COMMANDS["validate"] = (fails, *qres.cli.COMMANDS["validate"][1:])
+qres.cli.main()
+"""
+
+
+def test_an_exception_that_escapes_run_exits_1_with_a_traceback():
+    done = _child(["-c", _RAISING_HANDLER, "validate", REF], text=True)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("Traceback (most recent call last):\n")
+    assert done.stderr.endswith("RuntimeError: the handler failed\n")
+
+
+# export-lp writes more than a stream buffer holds, solve less: all of its
+# output is still buffered when the command returns.
+@pytest.mark.parametrize("command", ["export-lp", "solve"])
+def test_a_buffered_pipe_gets_the_bytes_that_the_output_file_gets(command, tmp_path):
+    target = tmp_path / "out"
+    piped = _child(["-m", "qres.cli", command, REF])
+    written = _child(["-m", "qres.cli", command, REF, "-o", str(target)])
+    assert (piped.returncode, piped.stderr) == (written.returncode, written.stderr) == (0, b"")
+    assert written.stdout == b""
+    assert piped.stdout == target.read_bytes()
+
+
+class _Exited(Exception):
+    pass
+
+
+def _os_exit(code: int):
+    raise _Exited(code)
+
+
+def test_run_returns_for_every_command_and_never_ends_the_process(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.os, "_exit", _os_exit)
+    vector = str(tmp_path / "solution.csv")
+    assert run(["solve", REF, "-o", vector]) == 0
+    options = {
+        "validate": [],
+        "solve": ["--oracle", "--seed", "3"],
+        "eval": ["--reservations", vector],
+        "sweep": ["--grid", "0:30:10"],
+        "surface": ["--grid", "0:30:10", "--waits", "0:0.01:0.005"],
+        "export-lp": [],
+    }
+    assert list(options) == list(cli.COMMANDS)
+    for command, extra in options.items():
+        assert run([command, REF, *extra]) == 0
+        assert run([command, "--help"]) == 0
+    assert run(["no-such-command"]) == 2
+    assert run(["solve", str(tmp_path / "missing.json")]) == 1
+
+
+class _Unflushable:
+    """A text stream whose writes land but whose flush fails, as on a full disk."""
+
+    def __init__(self) -> None:
+        self.text = ""
+
+    def write(self, text: str) -> int:
+        self.text += text
+        return len(text)
+
+    def writelines(self, lines) -> None:
+        self.text += "".join(lines)
+
+    def flush(self) -> None:
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _main(argv: list[str], monkeypatch) -> int:
+    """The code ``qres ARGV`` would end its process with."""
+    monkeypatch.setattr(cli.os, "_exit", _os_exit)
+    monkeypatch.setattr(sys, "argv", ["qres", *argv])
+    with pytest.raises(_Exited) as exited:
+        cli.main()
+    return exited.value.args[0]
+
+
+def test_main_ends_with_the_code_that_run_returns(monkeypatch, capsys):
+    assert _main(["solve", REF], monkeypatch) == 0
+    assert capsys.readouterr().out.startswith("circuit_id,")
+    assert _main(["solve"], monkeypatch) == 2
+    assert _main(["solve", "missing.json"], monkeypatch) == 1
+
+
+def test_a_failed_stdout_flush_after_a_failed_command_keeps_its_code(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _Unflushable())
+    assert _main(["solve"], monkeypatch) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def test_a_failed_stderr_flush_never_leaves_exit_0(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stderr", _Unflushable())
+    assert _main(["solve", REF], monkeypatch) == 1
+    assert capsys.readouterr().out.startswith("circuit_id,")
+    assert _main(["solve"], monkeypatch) == 2
+
+
+def test_a_failed_flush_of_both_streams_exits_1(monkeypatch):
+    stdout, stderr = _Unflushable(), _Unflushable()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert _main(["solve", REF], monkeypatch) == 1
+    assert stdout.text.startswith("circuit_id,")
+    assert stderr.text == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"

@@ -28,6 +28,10 @@ Each seed of a workload whose first circuit writes no probabilities (the
 scenarios than one chunk of LP text holds (1,365 scenarios' objective
 lines or rows), and runs ``export-lp`` on it, to a file and to stdout, so
 the seams between chunks inside one triple are compared byte for byte.
+``solve`` and ``export-lp`` also run to stdout once more with
+``PYTHONUNBUFFERED`` removed from the child's environment, so their output
+sits in the stream's buffer until the process ends: a tree that ends its
+process before that buffer is flushed shows up as a difference.
 Each seed of a workload with written probabilities also writes copies of
 its instance with the first one broken in one way (54 fraction digits,
 ``1e-54``, text that is no plain number, a negative value, a vector that
@@ -187,9 +191,16 @@ def csv_copies(instance: Path) -> dict[str, str]:
     }
 
 
-def run(src: Path, cwd: Path, args: list[str]) -> tuple[int, bytes, bytes, bytes | None]:
-    """Exit code, stdout, stderr and the ``-o`` file of one CLI child."""
+def run(
+    src: Path, cwd: Path, args: list[str], buffered: bool = False
+) -> tuple[int, bytes, bytes, bytes | None]:
+    """Exit code, stdout, stderr and the ``-o`` file of one CLI child.
+
+    ``buffered`` removes ``PYTHONUNBUFFERED`` from the child's environment.
+    """
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
     output = cwd / args[args.index("-o") + 1] if "-o" in args else None
     if output is not None:
         output.unlink(missing_ok=True)
@@ -238,24 +249,27 @@ def compare(trees: dict[str, Path], work: Path, name: str, seed: int) -> tuple[i
     if wide is not None:
         runs += [["export-lp", WIDE, "-o", "wide.lp", "-v"], ["export-lp", WIDE]]
     refused = [[command, file] for file in [*broken, LONG_FIELD] for command in checked]
-    for args in runs + refused:
-        results = {label: run(src, dirs[label], args) for label, src in trees.items()}
-        if args == ["solve", INSTANCE]:
+    children = [(args, False) for args in runs + refused]
+    children += [(["solve", INSTANCE], True), (["export-lp", INSTANCE], True)]
+    for args, buffered in children:
+        results = {label: run(src, dirs[label], args, buffered) for label, src in trees.items()}
+        shown = " ".join(args) + " (buffered stdout)" * buffered
+        if args == ["solve", INSTANCE] and not buffered:
             for label, (code, out, _, _) in results.items():
                 text = reservations_csv(out.decode("utf-8")) if code == 0 else ""
                 (dirs[label] / VECTOR).write_text(text, encoding="utf-8")
         parent, change = results["parent"], results["change"]
         if args in refused and parent[0] == 0:
-            differences.append(f"{name} seed {seed}: qres {' '.join(args)}: "
+            differences.append(f"{name} seed {seed}: qres {shown}: "
                                f"a broken copy was not refused")
         elif args not in refused and parent[0] != 0 and parent == change:
-            differences.append(f"{name} seed {seed}: qres {' '.join(args)}: "
+            differences.append(f"{name} seed {seed}: qres {shown}: "
                                f"exited {parent[0]} in both trees: {parent[2][-200:]!r}")
         for what, a, b in zip(("exit code", "stdout", "stderr", "written file"), parent, change):
             if a != b:
                 detail = f"{a} != {b}" if what == "exit code" else first_difference(a, b)
-                differences.append(f"{name} seed {seed}: qres {' '.join(args)}: {what}: {detail}")
-    return len(runs) + len(refused), differences
+                differences.append(f"{name} seed {seed}: qres {shown}: {what}: {detail}")
+    return len(children), differences
 
 
 def seeds(spec: str) -> list[int]:
