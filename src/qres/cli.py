@@ -99,8 +99,8 @@ def write_atomic(path: str | os.PathLike[str], data: str | Iterable[str]) -> int
     sees the old file or the whole new one and concurrent writers never
     share a temp file. The temp file is removed if anything fails,
     including the chunk iterable itself, and an error about a file names
-    ``path``, never the temp file. A ``path`` that ends in ``/`` is refused
-    as ``open()`` refuses it, as a directory.
+    ``path``, never the temp file. A ``path`` that ends in ``/``, or whose
+    last part is ``.`` or ``..``, is refused as ``open()`` refuses it.
     """
     import tempfile
 
@@ -109,6 +109,10 @@ def write_atomic(path: str | os.PathLike[str], data: str | Iterable[str]) -> int
     chunks = [data] if isinstance(data, str) else data
     written = 0
     try:
+        if os.path.basename(given.rstrip("/")) in (".", ".."):
+            # open() refuses it as it resolves it, or else as a directory.
+            os.stat(given)
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), given)
         fd, tmp = tempfile.mkstemp(
             dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + "."
         )
@@ -370,8 +374,7 @@ def run(argv: list[str]) -> int:
         args = parse_args(argv)
         return 0 if args is None else args.func(args)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        line, code = f"usage error: {exc}", 2
     except (
         InstanceError,
         ScenarioError,
@@ -380,8 +383,12 @@ def run(argv: list[str]) -> int:
         OSError,
         UnicodeDecodeError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        line, code = f"error: {exc}", 1
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass  # a stderr that cannot be written leaves the code as it is
+    return code
 
 
 def main() -> None:

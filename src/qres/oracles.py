@@ -12,7 +12,8 @@ circuit, the rates and the level, not on the machine, so
 rates, for all the machines that share them. The route reads no kernel
 table and uses no survival or convexity argument; only the ``--seed``
 spot check of :func:`verify_solution` prices random vectors with the
-kernel's :func:`~qres.solver.circuit_tables`.
+kernel, in one pass over :func:`~qres.solver.triple_tables` once every
+vector is drawn.
 
 :func:`brute_force_triple`, :func:`scenario_costs`,
 :func:`joint_enumeration_oracle` and :func:`verify_solution`
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import defaultdict
 from fractions import Fraction
 from operator import attrgetter, mul
 from typing import Mapping, Sequence
@@ -49,8 +51,8 @@ from .solver import (
     TripleCost,
     _checked_levels,
     _solution,
-    circuit_tables,
     exact_sum,
+    triple_tables,
 )
 from .units import MICRO, format_micro
 
@@ -258,25 +260,25 @@ def verify_solution(
         del space  # triples come sorted by circuit: one space is held at a time
     if seed is not None:
         rng = random.Random(seed)
-        tables = circuit_tables(instance)
-        # Every vector pays the same penalty: it takes no level.
-        penalty = exact_sum(
-            (
-                tables[key.circuit_id].wait_common * MICRO,
-                tables[key.circuit_id].penalty(rates[key], instance.exec_time(*key)),
-            )
-            for key in caps
-        )
-        # Each drawn (triple, level) is priced once, times its table's L.
-        staged: dict[tuple[TripleKey, int], tuple[int, int]] = {}
-        for _ in range(SPOT_CHECK_VECTORS):
-            vector = {key: rng.randint(0, cap) for key, cap in caps.items()}
-            for key, x in vector.items():
-                if (key, x) not in staged:
-                    table, rate = tables[key.circuit_id], rates[key]
+        vectors = [
+            {key: rng.randint(0, cap) for key, cap in caps.items()}
+            for _ in range(SPOT_CHECK_VECTORS)
+        ]
+        # Every vector pays the same penalty: it takes no level. Each drawn
+        # level of a triple is priced once, times its table's L.
+        over_wait, staged = defaultdict(int), [defaultdict(int) for _ in vectors]
+        for key, table, rate, exec_time, _ in triple_tables(instance):
+            over_wait[table.wait_common * MICRO] += table.penalty(rate, exec_time)
+            prices: dict[int, int] = {}
+            for vector, sums in zip(vectors, staged):
+                x = vector[key]
+                if x not in prices:
                     first = rate.reserve_per_qubit * x * table.common
-                    staged[key, x] = table.common, first + table.qubit_cost(rate, x)
-            cost = penalty + exact_sum(staged[item] for item in vector.items())
+                    prices[x] = first + table.qubit_cost(rate, x)
+                sums[table.common] += prices[x]
+        penalty = exact_sum(over_wait)
+        for vector, sums in zip(vectors, staged):
+            cost = penalty + exact_sum(sums)
             if cost < solution.expected_total:
                 raise ModelError(
                     f"random vector {vector} beats the solver: "

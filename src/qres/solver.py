@@ -10,17 +10,20 @@ The kernel gives every answer. It builds one :class:`CircuitTable` per
 circuit from its marginals alone: the distinct demand levels, the
 survival ``Pr(demand >= level)``, the expected demand at or above each
 level, and the grouped wait masses, all as sums of the marginals' integer
-weights. Both marginals sum to exactly 1, so each mass equals its
-product-space sum. The level reserves the x-th qubit while the saving
-(on_demand - utilize) * Pr(demand >= x) strictly exceeds the reservation
-rate, compared in integers; with no saving, only a negative rate fills
-the capacity. Survival is constant between two demand levels, so the
-search steps level by level. Costs come from closed forms over the same
-table as integers over its denominators; callers add them as integers and
-make one ``Fraction`` per value they report (see :func:`exact_sum`), the
-solution's totals included. The over-wait penalty never depends on any
-decision, so it is excluded from the argmin and added back to every
-reported cost.
+weights. :func:`triple_tables` is the one way to a table: it walks the
+triples in order and builds each circuit's table at its first triple, so
+a pass (solve, eval, a sweep, the spot check) never holds every
+circuit's table. Both marginals sum to exactly 1, so each mass equals
+its product-space sum. The level reserves the x-th qubit while the
+saving (on_demand - utilize) * Pr(demand >= x) strictly exceeds the
+reservation rate, compared in integers; with no saving, only a negative
+rate fills the capacity. Survival is constant between two demand levels,
+so the search steps level by level. Costs come from closed forms over
+the same table as integers over its denominators; callers add them as
+integers per denominator and make one ``Fraction`` per value they report
+(see :func:`exact_sum`), the solution's totals included. The over-wait
+penalty never depends on any decision, so it is excluded from the argmin
+and added back to every reported cost.
 
 The oracles that check the kernel scenario by scenario live in
 :mod:`qres.oracles`, which only ``qres solve --oracle`` loads.
@@ -32,8 +35,11 @@ from __future__ import annotations
 
 import bisect
 import importlib
+from collections import defaultdict
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from itertools import groupby
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .instance import (
     CapacityError,
@@ -156,16 +162,13 @@ class CircuitTable(NamedTuple):
         return rates.penalty_per_second * over_wait
 
 
-def exact_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
-    """The exact sum of n / d over ``(d, n)`` pairs of integers.
+def exact_sum(sums: Mapping[int, int]) -> Fraction:
+    """The exact sum of n / d over a dict of integer numerators n by denominator d.
 
-    The numerators over each denominator are added as integers first, so
+    Callers add the numerators over each denominator as integers first, so
     one ``Fraction`` is made per distinct denominator, not per term: a
     table's costs are over its own L, and circuits often share one.
     """
-    sums: dict[int, int] = {}
-    for common, numerator in terms:
-        sums[common] = sums.get(common, 0) + numerator
     return sum((Fraction(n, d) for d, n in sums.items()), Fraction(0))
 
 
@@ -199,16 +202,25 @@ def _table(m: Marginals) -> CircuitTable:
     )
 
 
-def circuit_tables(instance: Instance) -> dict[str, CircuitTable]:
-    """The kernel table of every circuit that has a triple.
+def triple_tables(
+    instance: Instance,
+) -> Iterator[tuple[TripleKey, CircuitTable, CostRates, int, int]]:
+    """Each triple, in order, with its table, rates, execution time and capacity.
 
-    An instance of more than OUTCOME_GUARD outcomes is refused first.
+    An instance of more than OUTCOME_GUARD outcomes is refused before any
+    table is built. The triples come sorted by circuit, so each circuit's
+    table is built at its first triple and dropped after its last: a
+    caller that keeps no table holds the one it prices and, while the next
+    is built, that one too.
     """
     check_outcome_total(instance)
-    return {
-        cid: _table(circuit_marginals(instance, cid))
-        for cid in dict.fromkeys(cid for cid, _, _ in instance.triples())
-    }
+    for circuit_id, keys in groupby(instance.triples(), attrgetter("circuit_id")):
+        table = _table(circuit_marginals(instance, circuit_id))
+        for key in keys:
+            rates = instance.rate(circuit_id, key.provider_id)
+            capacity = instance.machine(key.provider_id, key.machine_id).capacity_qubits
+            yield key, table, rates, instance.exec_time(*key), capacity
+        del table  # before the next circuit's table is built
 
 
 def _checked_levels(
@@ -234,26 +246,22 @@ def _checked_levels(
 
 
 def _kernel_costs(
-    instance: Instance,
-    tables: Mapping[str, CircuitTable],
-    reservations: Mapping[tuple[str, str, str], int],
+    priced: Iterable[tuple[TripleKey, CircuitTable, CostRates, int, int]],
 ) -> Solution:
-    """The kernel's rows of a reservation vector, and their totals.
+    """Priced rows of ``(key, table, rates, exec_time, level)`` and their totals.
 
     Each row's qubit cost and penalty are integers over its table's
     denominators; the totals add those integers (:func:`exact_sum`), not
     the rows' ``Fraction``s.
     """
-    rows, first, second, penalty = [], 0, [], []
-    for key, reserved, _ in _checked_levels(instance, reservations):
-        table = tables[key.circuit_id]
-        rates = instance.rate(key.circuit_id, key.provider_id)
+    rows, first, second, penalty = [], 0, defaultdict(int), defaultdict(int)
+    for key, table, rates, exec_time, reserved in priced:
         reserve = rates.reserve_per_qubit * reserved
         qubits = table.qubit_cost(rates, reserved)
-        over_wait = table.penalty(rates, instance.exec_time(*key))
+        over_wait = table.penalty(rates, exec_time)
         first += reserve
-        second.append((table.common, qubits))
-        penalty.append((table.wait_common * MICRO, over_wait))
+        second[table.common] += qubits
+        penalty[table.wait_common * MICRO] += over_wait
         rows.append(
             TripleCost(
                 key=key,
@@ -294,20 +302,20 @@ def per_triple_costs(
 def expected_cost(
     instance: Instance, reservations: Mapping[tuple[str, str, str], int]
 ) -> Solution:
-    """Exact expected cost of a given reservation vector."""
-    return _kernel_costs(instance, circuit_tables(instance), reservations)
+    """Exact expected cost of a given reservation vector, checked first."""
+    _checked_levels(instance, reservations)
+    return _kernel_costs(
+        (key, table, rates, exec_time, reservations[key])
+        for key, table, rates, exec_time, _ in triple_tables(instance)
+    )
 
 
 def solve_instance(instance: Instance) -> Solution:
     """Globally optimal reservations: one independent newsvendor per triple."""
-    tables = circuit_tables(instance)
-    levels = {}
-    for key in instance.triples():
-        cid, pid, mid = key
-        levels[key] = tables[cid].level(
-            instance.rate(cid, pid), instance.machine(pid, mid).capacity_qubits
-        )
-    return _kernel_costs(instance, tables, levels)
+    return _kernel_costs(
+        (key, table, rates, exec_time, table.level(rates, capacity))
+        for key, table, rates, exec_time, capacity in triple_tables(instance)
+    )
 
 
 def __getattr__(name: str):

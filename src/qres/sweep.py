@@ -5,17 +5,20 @@ single experiment knob) and evaluate the exact expected cost with the
 solver's marginal kernel. The reservation/waiting sweep additionally
 replaces every circuit's random wait time with a single arranged value,
 modelling the waiting time as a deterministic user choice; only the
-penalty term reacts to it, so each cell is curve(x) + penalty(w).
+penalty term reacts to it, so each cell is curve(x) + penalty(w). Both
+make one pass over :func:`~qres.solver.triple_tables`, adding integers
+per (grid point, denominator) and per arranged wait.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import pairwise
 from typing import Iterable, NamedTuple
 
-from .instance import CapacityError, CostRates, Instance, penalty_time
-from .solver import CircuitTable, circuit_tables, exact_sum
+from .instance import CapacityError, Instance, penalty_time
+from .solver import exact_sum, triple_tables
 from .units import MICRO, format_micro
 
 
@@ -63,45 +66,36 @@ def _reservation_grid(instance: Instance, grid: Iterable[int]) -> tuple[int, ...
     return grid
 
 
-def _priced_triples(instance: Instance) -> list[tuple[CircuitTable, CostRates, int]]:
-    """Each triple's kernel table, rates and execution time, read once."""
-    tables = circuit_tables(instance)
-    return [
-        (tables[cid], instance.rate(cid, pid), instance.exec_time(cid, pid, mid))
-        for cid, pid, mid in instance.triples()
-    ]
+def _priced(
+    instance: Instance, grid: tuple[int, ...], waits: tuple[int, ...] = ()
+) -> tuple[int, list[Fraction], Fraction, list[Fraction]]:
+    """What the sweeps add up, in one pass over the kernel's triples.
 
-
-def _qubit_cost(
-    triples: list[tuple[CircuitTable, CostRates, int]], reserved: int
-) -> Fraction:
-    """Expected qubit cost with every triple reserving ``reserved``."""
-    return exact_sum(
-        (table.common, table.qubit_cost(rates, reserved)) for table, rates, _ in triples
-    )
+    That is the summed reservation rate, the qubit cost at each grid point,
+    the expected penalty, and the penalty at each arranged wait, which is
+    certain.
+    """
+    reserve, qubits, penalty = 0, [defaultdict(int) for _ in grid], defaultdict(int)
+    arranged = [0] * len(waits)
+    for _, table, rates, exec_time, _ in triple_tables(instance):
+        reserve += rates.reserve_per_qubit
+        for sums, x in zip(qubits, grid):
+            sums[table.common] += table.qubit_cost(rates, x)
+        penalty[table.wait_common * MICRO] += table.penalty(rates, exec_time)
+        for i, wait in enumerate(waits):
+            arranged[i] += rates.penalty_per_second * penalty_time(exec_time, wait)
+    over_waits = [Fraction(n, MICRO) for n in arranged]
+    return reserve, [exact_sum(sums) for sums in qubits], exact_sum(penalty), over_waits
 
 
 def sweep_reservation(instance: Instance, grid: Iterable[int]) -> CostCurve:
     """Expected cost decomposition at each forced uniform reservation level."""
     grid = _reservation_grid(instance, grid)
-    triples = _priced_triples(instance)
-    reserve = sum(rates.reserve_per_qubit for _, rates, _ in triples)
-    penalty = exact_sum(
-        (table.wait_common * MICRO, table.penalty(rates, exec_time))
-        for table, rates, exec_time in triples
-    )
+    reserve, qubits, penalty, _ = _priced(instance, grid)
     points = []
-    for x in grid:
-        first, second = Fraction(reserve * x), _qubit_cost(triples, x)
-        points.append(
-            CurvePoint(
-                reserved=x,
-                first_stage=first,
-                second_stage=second,
-                penalty=penalty,
-                total=first + second + penalty,
-            )
-        )
+    for x, second in zip(grid, qubits):
+        first = Fraction(reserve * x)
+        points.append(CurvePoint(x, first, second, penalty, first + second + penalty))
     return CostCurve(points=tuple(points))
 
 
@@ -111,20 +105,8 @@ def sweep_reservation_waiting(
     """Total expected cost over (reservation level, arranged wait) pairs."""
     x_grid = _reservation_grid(instance, x_grid)
     wait_grid = _increasing(wait_grid, "wait grid")
-    triples = _priced_triples(instance)
-    reserve = sum(rates.reserve_per_qubit for _, rates, _ in triples)
-    curve = [reserve * x + _qubit_cost(triples, x) for x in x_grid]
-    # An arranged wait is certain: each triple pays its penalty at that wait.
-    penalty = [
-        Fraction(
-            sum(
-                rates.penalty_per_second * penalty_time(exec_time, wait)
-                for _, rates, exec_time in triples
-            ),
-            MICRO,
-        )
-        for wait in wait_grid
-    ]
+    reserve, qubits, _, penalty = _priced(instance, x_grid, wait_grid)
+    curve = [reserve * x + second for x, second in zip(x_grid, qubits)]
     rows = tuple(
         SurfaceRow(reserved=x, arranged_wait=wait, total=cost + over_wait)
         for x, cost in zip(x_grid, curve)

@@ -21,7 +21,7 @@ from qres.extform import (
 )
 from qres.instance import CostRates, Circuit, Instance, Machine, penalty_time
 from qres.recourse import RecourseDecision
-from qres.solver import CircuitTable, Solution, TripleCost, circuit_tables, solve_instance
+from qres.solver import CircuitTable, Solution, TripleCost, solve_instance, triple_tables
 from qres.units import (
     MICRO,
     PROBABILITY_DIGITS,
@@ -370,11 +370,8 @@ def reference_penalty(table: CircuitTable, rates: CostRates, exec_time: int) -> 
 
 
 def reference_per_triple_costs(instance: Instance, reservations) -> list[TripleCost]:
-    tables = circuit_tables(instance)
     rows = []
-    for key in instance.triples():
-        table = tables[key.circuit_id]
-        rates = instance.rate(key.circuit_id, key.provider_id)
+    for key, table, rates, exec_time, _ in triple_tables(instance):
         reserved = reservations[key]
         rows.append(
             TripleCost(
@@ -382,7 +379,7 @@ def reference_per_triple_costs(instance: Instance, reservations) -> list[TripleC
                 reserved,
                 Fraction(rates.reserve_per_qubit * reserved),
                 reference_qubit_cost(table, rates, reserved),
-                reference_penalty(table, rates, instance.exec_time(*key)),
+                reference_penalty(table, rates, exec_time),
             )
         )
     return rows
@@ -405,10 +402,9 @@ def reference_expected_cost(instance: Instance, reservations) -> Solution:
 
 def reference_sweep(instance: Instance, grid) -> list[tuple]:
     """(reserved, first stage, qubit cost, penalty, total) at each level."""
-    tables = circuit_tables(instance)
     triples = [
-        (tables[cid], instance.rate(cid, pid), instance.exec_time(cid, pid, mid))
-        for cid, pid, mid in instance.triples()
+        (table, rates, exec_time)
+        for _, table, rates, exec_time, _ in triple_tables(instance)
     ]
     penalty = sum(
         (reference_penalty(table, rates, t) for table, rates, t in triples), Fraction(0)

@@ -23,7 +23,7 @@ from qres import instance as instance_module
 from qres.cli import run, write_atomic
 from qres.extform import build_extensive_form, parse_lp, render_lp
 from qres.instance import load_instance
-from qres.solver import circuit_tables
+from qres.solver import CircuitTable, triple_tables
 
 REF = str(Path(__file__).parent / "data" / "reference.json")
 CSV_HEADER = "circuit_id,provider_id,machine_id,seconds\n"
@@ -101,18 +101,18 @@ def two_circuit_doc() -> dict:
 
 def test_oracle_run_builds_each_table_and_space_once(tmp_path, monkeypatch, capsys):
     tables, spaces = [], []
-    real_tables, real_space = solver.circuit_tables, scenarios.product_space
+    real_table, real_space = CircuitTable.__new__, scenarios.product_space
 
-    def counted_tables(instance):
-        tables.append(instance)
-        return real_tables(instance)
+    def counted_table(cls, *args, **kwargs):
+        table = real_table(cls, *args, **kwargs)
+        tables.append(table)
+        return table
 
     def counted_space(circuit_id, marginals):
         spaces.append(circuit_id)
         return real_space(circuit_id, marginals)
 
-    monkeypatch.setattr(solver, "circuit_tables", counted_tables)
-    monkeypatch.setattr(oracles, "circuit_tables", counted_tables)
+    monkeypatch.setattr(CircuitTable, "__new__", counted_table)
     monkeypatch.setattr(scenarios, "product_space", counted_space)
     path = write_doc(tmp_path, two_circuit_doc())
     assert run(["solve", path, "--oracle", "--seed", "7", "-v"]) == 0
@@ -121,8 +121,9 @@ def test_oracle_run_builds_each_table_and_space_once(tmp_path, monkeypatch, caps
         "oracle: brute force agrees on 4 triples "
         "(76 levels, 190 scenario evaluations)\n"
     )
-    # One table pass to solve and one for the 20 spot-check vectors.
-    assert len(tables) == 2
+    # One table per circuit to solve, and one per circuit for the 20
+    # spot-check vectors.
+    assert [len(table.levels) for table in tables] == [1, 2, 1, 2]
     assert spaces == ["c1", "c2"]
 
 
@@ -850,7 +851,7 @@ def test_ten_written_tenths_are_exact_kernel_masses(tmp_path):
         wait_set=[i / 1000 for i in range(10)],
         wait_probs=[0.1] * 10,
     )
-    table = circuit_tables(load_instance(write_doc(tmp_path, doc)))["c1"]
+    _, table, _, _, _ = next(triple_tables(load_instance(write_doc(tmp_path, doc))))
     # The table holds integer masses over its common denominators.
     survival = table.survival
     masses = [Fraction(a - b, table.common) for a, b in zip(survival, survival[1:])]
@@ -1658,14 +1659,27 @@ def test_output_onto_a_directory_names_the_given_path(tmp_path, monkeypatch, cap
         ("DIR/x.csv/", None, errno.EISDIR),
         ("DIR/x.csv/", "old\n", errno.EISDIR),
         ("missing/x.csv/", None, errno.ENOENT),
+        ("DIR/x.csv/.", None, errno.ENOENT),
+        ("DIR/x.csv/.", "old\n", errno.ENOTDIR),
+        ("DIR/x.csv/./", "old\n", errno.ENOTDIR),
+        ("DIR/d/..", None, errno.EISDIR),
     ],
-    ids=["new", "existing", "missing-directory"],
+    ids=[
+        "new",
+        "existing",
+        "missing-directory",
+        "dot-new",
+        "dot-existing",
+        "dot-slash-existing",
+        "dot-dot-directory",
+    ],
 )
 def test_output_ending_in_a_slash_is_refused_as_open_refuses_it(
     given, existing, code, tmp_path, monkeypatch, capsys
 ):
+    # Also a last part of . or .., which names a directory if anything.
     monkeypatch.chdir(tmp_path)
-    os.mkdir("DIR")
+    os.makedirs("DIR/d")
     if existing is not None:
         Path("DIR/x.csv").write_text(existing, encoding="utf-8")
     with pytest.raises(OSError) as refused:
@@ -1678,7 +1692,8 @@ def test_output_ending_in_a_slash_is_refused_as_open_refuses_it(
         f"error: [Errno {code}] {os.strerror(code)}: '{given}'\n"
     )
     assert os.listdir() == ["DIR"]
-    assert os.listdir("DIR") == ([] if existing is None else ["x.csv"])
+    assert sorted(os.listdir("DIR")) == ["d"] + ([] if existing is None else ["x.csv"])
+    assert os.listdir("DIR/d") == []
     if existing is not None:
         assert Path("DIR/x.csv").read_text(encoding="utf-8") == existing
 
@@ -1715,13 +1730,19 @@ def test_a_missing_csv_is_named_as_pathlib_joins_it(
 # --- main: the process entry point -------------------------------------------
 
 
-def _child(args: list[str], stdout=subprocess.PIPE, text=False) -> subprocess.CompletedProcess:
-    """A ``python ARGS`` child that loads this qres, with stdout buffered."""
+def _child(
+    args: list[str], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=False,
+    unbuffered=False,
+) -> subprocess.CompletedProcess:
+    """A ``python ARGS`` child that loads this qres, with stdout buffered
+    unless ``unbuffered`` sets ``PYTHONUNBUFFERED``."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
         [sys.executable, *args],
-        stdout=stdout, stderr=subprocess.PIPE, text=text, env=env, check=False,
+        stdout=stdout, stderr=stderr, text=text, env=env, check=False,
     )
 
 
@@ -1733,6 +1754,17 @@ def test_a_failed_final_flush_exits_1_with_one_error_line():
     assert done.stderr == (
         f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n".encode()
     )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, code", [(["solve", "missing.json"], 1), (["bogus"], 2)], ids=["error", "usage"]
+)
+def test_an_unwritable_stderr_keeps_the_exit_code(argv, code, unbuffered):
+    with open("/dev/full", "wb") as full:
+        done = _child(["-m", "qres.cli", *argv], stderr=full, unbuffered=unbuffered)
+    assert (done.returncode, done.stdout) == (code, b"")
 
 
 # Replaces the validate handler with one that raises, then runs the entry point.

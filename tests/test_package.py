@@ -185,7 +185,7 @@ def test_the_oracles_read_the_qubit_rule_only_through_qubit_costs():
     assert names.isdisjoint(
         {"demand_qubits", "utilize_per_qubit", "on_demand_per_qubit"}
     )
-    # Of the kernel's entry points, only the spot check's circuit_tables is
+    # Of the kernel's entry points, only the spot check's triple_tables is
     # imported; the rest is the shared records, the vector check and sums.
     from_solver = {
         alias.name
@@ -198,8 +198,8 @@ def test_the_oracles_read_the_qubit_rule_only_through_qubit_costs():
         "TripleCost",
         "_checked_levels",
         "_solution",
-        "circuit_tables",
         "exact_sum",
+        "triple_tables",
     }
     assert names.isdisjoint({"qres", "solver"})  # no other way into the kernel
 

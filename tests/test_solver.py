@@ -328,8 +328,50 @@ def test_spot_check_refuses_a_cheaper_random_vector(reference_instance):
     solution = solve_instance(reference_instance)
     inflated = solution._replace(expected_total=solution.expected_total + 10**12)
     assert verify_solution(reference_instance, inflated) == (186, 21762)
-    with pytest.raises(ModelError, match="beats the solver"):
+    # Every vector beats the inflated total, so the first one drawn is named.
+    rng = random.Random(7)
+    first = {
+        key: rng.randint(0, reference_instance.machine(*key[1:]).capacity_qubits)
+        for key in reference_instance.triples()
+    }
+    with pytest.raises(ModelError) as caught:
         verify_solution(reference_instance, inflated, seed=7)
+    assert str(caught.value).startswith(f"random vector {first} beats the solver: ")
+
+
+def many_circuits(circuits: int = 12, demands: int = 2000, waits: int = 5) -> Instance:
+    """Circuits of uniform marginals, each on two machines of one provider."""
+    cids = tuple(f"c{i:02d}" for i in range(circuits))
+    machines = (Machine("p1", "m1", 2400), Machine("p1", "m2", 2400))
+    return Instance(
+        circuits=tuple(Circuit(circuit_id=cid) for cid in cids),
+        providers=("p1",),
+        machines=machines,
+        rates={(cid, "p1"): REF_RATES for cid in cids},
+        exec_times={(cid, "p1", m.machine_id): 2500 for cid in cids for m in machines},
+        demand_sets={cid: tuple(range(i, i + demands)) for i, cid in enumerate(cids)},
+        wait_sets={cid: tuple(range(0, 1000 * waits, 1000)) for cid in cids},
+    )
+
+
+def test_the_kernel_holds_one_circuit_table_at_a_time():
+    inst = many_circuits()
+    # Solving once first reads each circuit's weights into the instance.
+    levels = solve_instance(inst).reservations
+    one_table = traced_peak(lambda: next(solver.triple_tables(inst)))
+    grid = range(0, 2401, 240)
+    calls = {
+        "solve_instance": lambda: solve_instance(inst),
+        "expected_cost": lambda: expected_cost(inst, levels),
+        "sweep_reservation": lambda: sweep_reservation(inst, grid),
+        "sweep_reservation_waiting": (
+            lambda: sweep_reservation_waiting(inst, grid, range(0, 5001, 500))
+        ),
+    }
+    # A pass holds the table it prices while the next circuit's is built,
+    # never every circuit's table at once.
+    for name, call in calls.items():
+        assert traced_peak(call) < 2 * one_table, name
 
 
 STEPS = st.integers(0, 12).map(lambda v: v * 1000)  # microseconds
@@ -586,7 +628,7 @@ def test_joint_oracle_builds_its_tables_once(monkeypatch):
     inst = make_instance(demand=(1, 4), wait=(1000, 2000), capacity=5, providers=2)
     kernel = solve_instance(inst)
     monkeypatch.setattr(oracles, "space_for_circuit", counted)
-    monkeypatch.setattr(oracles, "circuit_tables", None)  # never called
+    monkeypatch.setattr(oracles, "triple_tables", None)  # never called
     monkeypatch.setattr(solver, "_kernel_costs", None)  # never called
     oracle = joint_enumeration_oracle(inst)
     assert calls == ["c1"]
@@ -900,7 +942,7 @@ def test_kernel_table_holds_integers_over_its_denominators(demand_probs, wait_pr
         demand_probs=demand_probs,
         wait_probs=wait_probs,
     )
-    table = solver.circuit_tables(inst)["c1"]
+    ((_, table, _, _, _),) = solver.triple_tables(inst)
     _assert_integer_table(table)
     assert table.levels == (1, 4, 9)
     assert [wait for wait, _ in table.waits] == [0, 2000, 5000]
@@ -909,7 +951,7 @@ def test_kernel_table_holds_integers_over_its_denominators(demand_probs, wait_pr
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(mixed_denominator_instances())
 def test_kernel_table_holds_integers_on_mixed_denominators(inst):
-    for table in solver.circuit_tables(inst).values():
+    for _, table, _, _, _ in solver.triple_tables(inst):
         _assert_integer_table(table)
 
 

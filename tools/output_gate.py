@@ -41,7 +41,10 @@ copy whose ``exec_times`` records are moved to an ``exec_times_csv``
 file, and runs ``validate`` and ``solve`` on it, so the CSV reader is
 compared; and a broken copy whose CSV has a 200,000-character field,
 over the ``csv`` module's field limit, whose refusal is compared the
-same way. Each child runs in a
+same way. Each tree's own solved vector is also written broken four ways
+(its first triple missing, an unknown triple added, its first level one
+above the capacity, its first level -1), and ``eval`` runs on each, so the
+messages that refuse a vector are compared too. Each child runs in a
 directory of its own tree with the same relative paths, so the bytes can be
 compared as they are. Every difference in stdout, stderr, exit code or
 written file is printed, and so is a command that fails in both trees,
@@ -77,6 +80,11 @@ WIDE = "wide-first-circuit.json"
 # More scenarios than one chunk of LP text holds: 4096 lines at three per
 # scenario.
 WIDE_SCENARIOS = 4096 // 3 + 1
+
+# Each way to break a solved reservation vector, by the file it is written to.
+VECTOR_BREAKS = tuple(
+    f"vector-{name}.csv" for name in ("missing", "unknown", "above", "negative")
+)
 
 # Each way to break the first written probability p, as the number text
 # that replaces it.
@@ -191,6 +199,25 @@ def csv_copies(instance: Path) -> dict[str, str]:
     }
 
 
+def broken_vectors(vector: str, capacity: int) -> dict[str, str]:
+    """The solved vector broken in each of the :data:`VECTOR_BREAKS` ways.
+
+    Each copy is empty when there is no vector to break.
+    """
+    lines = vector.splitlines(keepends=True)
+    if len(lines) < 2:
+        return dict.fromkeys(VECTOR_BREAKS, "")
+    header, first, *rest = lines
+    key, rest = first.rpartition(",")[0], "".join(rest)
+    missing, unknown, above, negative = VECTOR_BREAKS
+    return {
+        missing: header + rest,
+        unknown: vector + "unknown,p0,m0,0\n",
+        above: f"{header}{key},{capacity + 1}\n{rest}",
+        negative: f"{header}{key},-1\n{rest}",
+    }
+
+
 def run(
     src: Path, cwd: Path, args: list[str], buffered: bool = False
 ) -> tuple[int, bytes, bytes, bytes | None]:
@@ -249,6 +276,7 @@ def compare(trees: dict[str, Path], work: Path, name: str, seed: int) -> tuple[i
     if wide is not None:
         runs += [["export-lp", WIDE, "-o", "wide.lp", "-v"], ["export-lp", WIDE]]
     refused = [[command, file] for file in [*broken, LONG_FIELD] for command in checked]
+    refused += [["eval", INSTANCE, "--reservations", file] for file in VECTOR_BREAKS]
     children = [(args, False) for args in runs + refused]
     children += [(["solve", INSTANCE], True), (["export-lp", INSTANCE], True)]
     for args, buffered in children:
@@ -257,7 +285,9 @@ def compare(trees: dict[str, Path], work: Path, name: str, seed: int) -> tuple[i
         if args == ["solve", INSTANCE] and not buffered:
             for label, (code, out, _, _) in results.items():
                 text = reservations_csv(out.decode("utf-8")) if code == 0 else ""
-                (dirs[label] / VECTOR).write_text(text, encoding="utf-8")
+                vectors = {VECTOR: text, **broken_vectors(text, shape.capacity)}
+                for file, vector in vectors.items():
+                    (dirs[label] / file).write_text(vector, encoding="utf-8")
         parent, change = results["parent"], results["change"]
         if args in refused and parent[0] == 0:
             differences.append(f"{name} seed {seed}: qres {shown}: "
