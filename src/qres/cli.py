@@ -23,7 +23,6 @@ ends the process, so it can be called in process.
 
 from __future__ import annotations
 
-import errno
 import os
 import sys
 from itertools import pairwise
@@ -36,7 +35,6 @@ from .instance import (
     InstanceError,
     ModelError,
     ScenarioError,
-    _path_text,
     load_instance,
     validate,
 )
@@ -90,45 +88,39 @@ def _min_wait_gap(instance: Instance) -> int:
 
 
 def write_atomic(path: str | os.PathLike[str], data: str | Iterable[str]) -> int:
-    """Write text to ``path`` atomically; returns the number of bytes written.
+    """Write text to ``path`` as ``open(path, "w")`` would, but atomically.
 
-    ``data`` is one string or an iterable of string chunks, encoded and
-    written one chunk at a time, so a long text need never be held whole.
-    The text goes to a new, uniquely named file in the same directory,
-    which is flushed to disk and then renamed over ``path``, so a reader
-    sees the old file or the whole new one and concurrent writers never
-    share a temp file. The temp file is removed if anything fails,
-    including the chunk iterable itself, and an error about a file names
-    ``path``, never the temp file. A ``path`` that ends in ``/``, or whose
-    last part is ``.`` or ``..``, is refused as ``open()`` refuses it.
+    Returns the number of bytes written. ``data`` is one string or an
+    iterable of string chunks, written one chunk at a time, so a long text
+    need never be held whole. The text goes to a new file ``.qres-<12 hex
+    digits>`` beside ``path``, made as ``open()`` makes a file, then is
+    flushed to disk and renamed over ``path``: a reader sees the old file
+    or the whole new one, and concurrent writers never share a temp file.
+    The temp file is removed if anything fails, the chunk iterable
+    included. A path that cannot name a file (empty, ending in ``/``, or
+    with ``.`` or ``..`` as its last part) gets ``open()``'s own error
+    before any chunk is read. Every error names ``path`` as given.
     """
-    import tempfile
-
-    given = os.fspath(path)
-    path = _path_text(path)
+    path = os.fspath(path)
     chunks = [data] if isinstance(data, str) else data
     written = 0
     try:
-        if os.path.basename(given.rstrip("/")) in (".", ".."):
-            # open() refuses it as it resolves it, or else as a directory.
-            os.stat(given)
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), given)
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + "."
-        )
+        if os.path.basename(path) in ("", ".", ".."):
+            # open() fails as it looks such a path up, so it makes nothing.
+            open(path, "w").close()
+        while True:
+            tmp = os.path.join(os.path.dirname(path), f".qres-{os.urandom(6).hex()}")
+            try:
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                break
+            except FileExistsError:
+                continue
         try:
-            with os.fdopen(fd, "wb") as handle:
-                # mkstemp creates the file owner-only; give it the mode a
-                # plain open() would.
-                os.fchmod(handle.fileno(), 0o666 & ~_umask())
+            with open(fd, "wb") as handle:
                 for chunk in chunks:
                     written += handle.write(chunk.encode("utf-8"))
                 handle.flush()
                 os.fsync(handle.fileno())
-            # Refused where a directory in its place would be, at the
-            # rename, so every error that comes first stays as it was.
-            if given.endswith("/"):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), given)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -136,14 +128,8 @@ def write_atomic(path: str | os.PathLike[str], data: str | Iterable[str]) -> int
     except OSError as exc:
         if exc.filename is None:
             raise
-        raise OSError(exc.errno, exc.strerror, given) from None
+        raise OSError(exc.errno, exc.strerror, path) from None
     return written
-
-
-def _umask() -> int:
-    mask = os.umask(0o022)
-    os.umask(mask)
-    return mask
 
 
 def _write_output(data: str | Iterable[str], path: str | None) -> None:

@@ -457,7 +457,7 @@ def _read_exec_times(
         path = _id(csv_path, "exec_times_csv")
         if base_dir is not None:
             path = os.path.join(os.fspath(base_dir), path)
-        return read_exec_times_csv(_path_text(path))
+        return read_exec_times_csv(path)
     if isinstance(exec_block, dict) and exec_block:
         # Once checked, a non-empty object holds "synthetic" and nothing else.
         synthetic = _known(exec_block, ("synthetic",), "exec_times")["synthetic"]
@@ -575,25 +575,14 @@ def instance_from_document(
     return instance
 
 
-def _path_text(path: str | os.PathLike[str]) -> str:
-    """The text ``str(pathlib.Path(path))`` is, without loading ``pathlib``.
-
-    Empty and ``.`` parts and trailing slashes are dropped and ``..`` is
-    kept, so a message names a file as ``pathlib`` would.
-    """
-    path = os.fspath(path)
-    root = "//" if path[:2] == "//" and path[2:3] != "/" else "/" * (path[:1] == "/")
-    return root + "/".join(p for p in path.split("/") if p not in ("", ".")) or "."
-
-
 def load_instance(path: str | os.PathLike[str], *, check: bool = True) -> Instance:
     """Load an instance from a JSON file; see :func:`instance_from_document`.
 
     Floats in the document are parsed as decimal literals, so values such
     as 1.68 land exactly on the micro-dollar grid. A relative
-    ``exec_times_csv`` is resolved against the file's directory.
+    ``exec_times_csv`` is resolved against the file's directory. Both paths
+    are opened as written, so an error names a file as ``open()`` does.
     """
-    path = _path_text(path)
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     try:
@@ -764,6 +753,12 @@ def validate(instance: Instance) -> list[Diagnostic]:
         if c.circuit_id in seen_circuits:
             out.append(Diagnostic("error", f"circuit {c.circuit_id}", "duplicate id"))
         seen_circuits.add(c.circuit_id)
+
+    seen_providers: set[str] = set()
+    for p in instance.providers:
+        if p in seen_providers:
+            out.append(Diagnostic("error", f"provider {p}", "duplicate id"))
+        seen_providers.add(p)
 
     seen_machines: set[tuple[str, str]] = set()
     for m in instance.machines:

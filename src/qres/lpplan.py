@@ -165,9 +165,11 @@ def plan_lp_chunks(plans: list[TriplePlan]) -> Iterator[str]:
     """
     # Within a triple every name is a short prefix, the tag and a scenario
     # suffix, and wait_{tag}_s{n-1} is the longest: when it can be written
-    # every name of the triple can. When one cannot, the form's own check
-    # names the first name that fails.
-    if not all(_NAME_RE.fullmatch(f"wait_{p.tag}_s{len(p.space) - 1}") for p in plans):
+    # every name of the triple can, and distinct tags make distinct names.
+    # When a name fails, the form's own check names the first one.
+    if len({p.tag for p in plans}) < len(plans) or not all(
+        _NAME_RE.fullmatch(f"wait_{p.tag}_s{len(p.space) - 1}") for p in plans
+    ):
         from .extform import _form, render_lp
 
         render_lp(_form(plans))

@@ -294,6 +294,11 @@ def _duplicate_machine(doc):
     return "machine p1/m1: duplicate (provider, machine)"
 
 
+def _duplicate_provider(doc):
+    doc["providers"].append(doc["providers"][0])
+    return "provider p1: duplicate id"
+
+
 def _negative_demand(doc):
     doc["circuits"][0]["demand_set"] = [-1]
     return "circuit c1: negative demand value"
@@ -324,6 +329,7 @@ def _negative_rate(doc):
     [
         _duplicate_circuit,
         _duplicate_machine,
+        _duplicate_provider,
         _negative_demand,
         _negative_wait,
         _empty_demand,
@@ -1577,10 +1583,12 @@ def test_write_atomic_returns_the_file_size(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["out.csv"]
 
 
-def test_write_atomic_keeps_the_mode_of_a_plain_write(tmp_path):
+def test_write_atomic_keeps_the_mode_of_a_plain_write(tmp_path, monkeypatch):
     plain = tmp_path / "plain.txt"
     plain.write_text("x", encoding="utf-8")
     target = tmp_path / "atomic.txt"
+    # The kernel applies the umask as it creates the file; no one reads it.
+    monkeypatch.setattr(os, "umask", lambda mask: pytest.fail("os.umask called"))
     write_atomic(target, "x")
     assert target.stat().st_mode == plain.stat().st_mode
 
@@ -1629,6 +1637,26 @@ def test_write_atomic_keeps_the_old_file_when_the_chunks_fail(tmp_path):
     assert target.read_bytes() == b"old\n"
 
 
+@pytest.mark.parametrize("given", ["DIR/x.lp/", "DIR/x.lp/."])
+def test_write_atomic_refuses_a_path_that_names_no_file_before_any_chunk(
+    given, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("DIR")
+
+    def chunks():
+        pytest.fail("a chunk was read")
+        yield "End\n"
+
+    with pytest.raises(OSError) as expected:
+        open(given, "w")
+    with pytest.raises(OSError) as refused:
+        write_atomic(given, chunks())
+    assert type(refused.value) is type(expected.value)
+    assert str(refused.value) == str(expected.value)
+    assert os.listdir("DIR") == []
+
+
 def test_output_to_a_missing_directory_names_the_given_path(tmp_path, capsys):
     target = tmp_path / "missing" / "x.csv"
     assert run(["solve", REF, "-o", str(target)]) == 1
@@ -1663,6 +1691,8 @@ def test_output_onto_a_directory_names_the_given_path(tmp_path, monkeypatch, cap
         ("DIR/x.csv/.", "old\n", errno.ENOTDIR),
         ("DIR/x.csv/./", "old\n", errno.ENOTDIR),
         ("DIR/d/..", None, errno.EISDIR),
+        ("", None, errno.ENOENT),
+        ("DIR/" + "x" * 251 + ".csv", None, None),
     ],
     ids=[
         "new",
@@ -1672,16 +1702,25 @@ def test_output_onto_a_directory_names_the_given_path(tmp_path, monkeypatch, cap
         "dot-existing",
         "dot-slash-existing",
         "dot-dot-directory",
+        "empty",
+        "longest-name",
     ],
 )
 def test_output_ending_in_a_slash_is_refused_as_open_refuses_it(
     given, existing, code, tmp_path, monkeypatch, capsys
 ):
-    # Also a last part of . or .., which names a directory if anything.
+    # Also an empty path, or a last part of . or .., which names a directory
+    # if anything. A name of 255 bytes, the most a name may have, is written.
     monkeypatch.chdir(tmp_path)
     os.makedirs("DIR/d")
     if existing is not None:
         Path("DIR/x.csv").write_text(existing, encoding="utf-8")
+    if code is None:
+        assert run(["solve", REF, "-o", given]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert sorted(os.listdir("DIR")) == ["d", os.path.basename(given)]
+        assert Path(given).read_text(encoding="utf-8").startswith("circuit_id,")
+        return
     with pytest.raises(OSError) as refused:
         open(given, "w")
     assert refused.value.errno == code
@@ -1702,11 +1741,13 @@ def test_output_ending_in_a_slash_is_refused_as_open_refuses_it(
 def test_an_unreadable_instance_is_named_as_pathlib_names_it(
     given, tmp_path, monkeypatch, capsys
 ):
+    # The message is open()'s own, for the path as written.
     monkeypatch.chdir(tmp_path)
     os.mkdir("sub")
+    with pytest.raises(OSError) as refused:
+        open(given, "r", encoding="utf-8")
     assert run(["solve", given]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: [Errno ") and err.endswith(f": '{Path(given)}'\n")
+    assert capsys.readouterr().err == f"error: {refused.value}\n"
 
 
 @pytest.mark.parametrize("csv_name", ["./missing.csv", ".//missing.csv"])
@@ -1719,12 +1760,11 @@ def test_a_missing_csv_is_named_as_pathlib_joins_it(
     del doc["exec_times"]
     write_doc(tmp_path / "sub", {**doc, "exec_times_csv": csv_name})
     given = "./sub/inst.json"
+    # The message is open()'s own, for the CSV's path joined to the directory.
+    with pytest.raises(OSError) as refused:
+        open(os.path.join(os.path.dirname(given), csv_name), "r", encoding="utf-8")
     assert run(["solve", given]) == 1
-    missing = Path(given).parent / csv_name
-    assert capsys.readouterr().err == (
-        f"error: exec_times_csv: [Errno {errno.ENOENT}] "
-        f"{os.strerror(errno.ENOENT)}: '{missing}'\n"
-    )
+    assert capsys.readouterr().err == f"error: exec_times_csv: {refused.value}\n"
 
 
 # --- main: the process entry point -------------------------------------------

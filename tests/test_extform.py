@@ -474,13 +474,19 @@ def test_render_lp_checks_every_name_before_any_line(reference_instance, monkeyp
 @pytest.mark.parametrize(
     "bad_tag, what",
     [
-        pytest.param(lambda n: "c0-p0", "variable", id="bad-character"),
+        pytest.param(lambda first, n: "c0-p0", "variable", id="bad-character"),
         pytest.param(
-            lambda n: "t" * (256 - len(f"xu__s{n - 1}")), "variable", id="long-variable"
+            lambda first, n: "t" * (256 - len(f"xu__s{n - 1}")),
+            "variable",
+            id="long-variable",
         ),
         pytest.param(
-            lambda n: "t" * (256 - len(f"wait__s{n - 1}")), "constraint", id="long-row"
+            lambda first, n: "t" * (256 - len(f"wait__s{n - 1}")),
+            "constraint",
+            id="long-row",
         ),
+        # As when an instance that lists a machine twice was never validated.
+        pytest.param(lambda first, n: first.tag, "variable", id="repeated-tag"),
     ],
 )
 def test_plan_lp_chunks_checks_every_name_as_lp_chunks_does(
@@ -489,8 +495,8 @@ def test_plan_lp_chunks_checks_every_name_as_lp_chunks_does(
     plan_form = lpplan.plan_form
 
     def altered(instance):
-        *rest, last = plan_form(instance)
-        return [*rest, last._replace(tag=bad_tag(len(last.space)))]
+        first, *rest, last = plan_form(instance)
+        return [first, *rest, last._replace(tag=bad_tag(first, len(last.space)))]
 
     monkeypatch.setattr(extform, "plan_form", altered)
     chunks = lpplan.plan_lp_chunks(altered(reference_instance))

@@ -352,10 +352,14 @@ def _loads(modules: str, command: list[str], instance: Path = REF) -> tuple[int,
 
 @pytest.mark.parametrize(
     "command",
-    [["validate"], ["solve"], ["sweep", "--grid", "0:30:10"]],
-    ids=lambda command: command[0],
+    [["validate"], ["solve"], ["sweep", "--grid", "0:30:10"], ["solve", "-o"],
+     ["export-lp", "-o"]],
+    ids=["validate", "solve", "sweep", "solve-o-file", "export-lp-o-file"],
 )
-def test_a_command_that_writes_to_stdout_loads_no_tempfile(command):
+def test_a_command_that_writes_to_stdout_loads_no_tempfile(tmp_path, command):
+    # Nor does one that writes its output to a file with -o.
+    if command[-1] == "-o":
+        command = [*command, str(tmp_path / "out")]
     assert _loads("tempfile", command) == (0, "False\n")
 
 
